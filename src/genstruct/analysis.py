@@ -13,14 +13,14 @@ from itertools import combinations
 from genstruct.classes import (
     NotInClass,
     ScaleExceeded,
+    align,
     chain_of,
     enumerate_members,
     membership,
-    _align_signature,
-    _metric_common_signature,
 )
 from genstruct.structures import (
     FinStructure,
+    _is_partial_embedding,
     enumerate_embeddings_extending,
     induced_substructure,
 )
@@ -75,11 +75,7 @@ def extension_property_report(m: FinStructure, tag: str, k: int) -> Report:
     items: list[ReportItem] = []
     for size in range(k + 1):
         for idx, member in enumerate(enumerate_members(tag, size)):
-            target = m
-            if tag == "RationalMetric":
-                sig = _metric_common_signature(member, m)
-                member = _align_signature(member, sig)
-                target = _align_signature(m, sig)
+            member, target = align(tag, member, m)
             universe = member.sorted_universe()
             for r in range(len(universe) + 1):
                 for subset in combinations(universe, r):
@@ -107,11 +103,7 @@ def universality_check(m: FinStructure, tag: str, k: int) -> Report:
     items: list[ReportItem] = []
     for n in range(k + 1):
         for idx, member in enumerate(enumerate_members(tag, n)):
-            target = m
-            if tag == "RationalMetric":
-                sig = _metric_common_signature(member, m)
-                member = _align_signature(member, sig)
-                target = _align_signature(m, sig)
+            member, target = align(tag, member, m)
             found = enumerate_embeddings_extending(member, target, {}, limit=1)
             witness = sorted(found[0].as_dict().items()) if found else None
             items.append(ReportItem(f"type:{n}.{idx}", bool(found), witness))
@@ -166,8 +158,6 @@ def _extends_iso(m: FinStructure, tag: str, phi: dict[int, int], x: int, y: int)
     if len(set(mapping.values())) != len(mapping):
         return False
     source = induced_substructure(m, set(mapping))
-    from genstruct.structures import _is_partial_embedding
-
     return _is_partial_embedding(source, m, mapping)
 
 

@@ -11,8 +11,8 @@ from fractions import Fraction
 from random import Random
 
 from genstruct.forcing import delta_system
-from genstruct.structures import StructureError, fresh_ids, to_json_dict
-from genstruct.classes import chain_structure
+from genstruct.structures import StructureError, fresh_ids, from_json_dict, to_json_dict
+from genstruct.classes import chain_of, chain_structure
 
 
 class SameOrbit(StructureError):
@@ -465,8 +465,5 @@ def aut_to_json_dict(c: AutCondition) -> dict:
 
 
 def aut_from_json_dict(data: dict) -> AutCondition:
-    from genstruct.classes import chain_of
-    from genstruct.structures import from_json_dict
-
     order = from_json_dict({k: data[k] for k in ("sig", "universe", "interp")})
     return make_aut_condition(chain_of(order), {x: y for x, y in data.get("phi", [])})

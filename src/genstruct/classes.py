@@ -1,16 +1,21 @@
 """Concrete amalgamation classes over finite structures.
 
-Seven built-in classes, each with a membership test, an amalgamation
-strategy and a strong-amalgamation flag, plus exhaustive desk-scale
-verifiers for the hereditary, joint-embedding and (strong) amalgamation
-properties.
+Seven built-in classes, each one `ClassSpec` in `SPECS`: a membership
+test, a gluing rule for strong amalgams, one-point extensions, seeded
+point adjunction and a strong-amalgamation flag.  Exhaustive desk-scale
+verifiers check the hereditary, joint-embedding and (strong)
+amalgamation properties.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import partial
+from itertools import combinations, permutations, product
+from random import Random
+from typing import Callable, Iterator
 
 from genstruct.structures import (
     Embedding,
@@ -26,22 +31,9 @@ from genstruct.structures import (
     fresh_ids,
     induced_substructure,
     make_embedding,
+    relabel,
     validate_structure,
 )
-
-TAGS = (
-    "Graph",
-    "Digraph",
-    "Tournament",
-    "LinearOrder",
-    "PartialOrder",
-    "RationalMetric",
-    "LinearGraph",
-)
-
-# Strong amalgamation holds for every built-in class except LinearGraph,
-# where gluing two length-2 arms at a shared vertex forces degree 4.
-SAP_FLAGS = {tag: tag != "LinearGraph" for tag in TAGS}
 
 # Distances used when enumerating rational metric spaces; the class has
 # countably many isomorphism types per size, so enumeration needs a finite
@@ -92,27 +84,31 @@ def metric_distances(a: FinStructure) -> dict[frozenset[int], Fraction]:
     return dist
 
 
-def class_signature(tag: str) -> Signature | None:
-    """Fixed signature of the tag, or None for the per-structure metric one."""
-    if tag in ("Graph", "Digraph", "Tournament", "LinearGraph"):
-        return GRAPH_SIG
-    if tag in ("LinearOrder", "PartialOrder"):
-        return ORDER_SIG
-    if tag == "RationalMetric":
-        return None
-    raise StructureError(f"unknown class tag {tag!r}")
+@dataclass(frozen=True)
+class ClassSpec:
+    """Everything that depends on the class tag.
+
+    `glue(a, b)` is the strong amalgam of two members that agree on their
+    shared ids: it keeps every id and decides the relations between the
+    a-only and the b-only points.  `extensions(a, new)` yields the
+    one-point extensions enumeration tries, in a fixed order (the first
+    of each isomorphism type is kept).  `add_point(a, m, rng)` adjoins m
+    with canonical relations, or seeded ones when rng is given.  `cross`,
+    when set, is the seeded choice of relations between one old point and
+    one new point; the forcing builder resamples free pairs with it.
+    """
+
+    sig: Signature | None  # None: a metric space's symbols are its distances
+    member: Callable[[FinStructure], bool]
+    glue: Callable[[FinStructure, FinStructure], FinStructure]
+    extensions: Callable[[FinStructure, int], Iterator[FinStructure]]
+    add_point: Callable[[FinStructure, int, Random | None], FinStructure]
+    cross: Callable[[int, int, Random | None], set[tuple[int, int]]] | None
+    sap: bool
+    symmetric: bool  # one undirected edge per related pair
 
 
-def _check_tag_signature(tag: str, a: FinStructure) -> None:
-    want = class_signature(tag)
-    if want is not None:
-        if a.sig != want:
-            raise SignatureMismatch(f"{tag} expects signature {want.symbols}, got {a.sig.symbols}")
-        return
-    for name, arity in a.sig.symbols:
-        q = parse_metric_symbol(name)
-        if arity != 2 or q <= 0:
-            raise SignatureMismatch(f"bad distance symbol {name}")
+# --- graphs, digraphs, tournaments and linear graphs ------------------------
 
 
 def _edges(a: FinStructure) -> set[frozenset[int]]:
@@ -127,102 +123,145 @@ def _degrees(a: FinStructure) -> dict[int, int]:
     return deg
 
 
-def _is_symmetric_irreflexive(a: FinStructure) -> bool:
-    rel = a.rel("E")
-    return all(t[0] != t[1] and (t[1], t[0]) in rel for t in rel)
-
-
-def _is_acyclic(a: FinStructure) -> bool:
-    # Union-find over undirected edges; a repeated root means a cycle.
-    parent = {x: x for x in a.universe}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in _edges(a):
-        x, y = tuple(e)
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[rx] = ry
-    return True
-
-
-def _is_connected_graph(a: FinStructure) -> bool:
-    if len(a) <= 1:
-        return True
+def _components(a: FinStructure) -> list[set[int]]:
     adj = {x: set() for x in a.universe}
     for e in _edges(a):
         x, y = tuple(e)
         adj[x].add(y)
         adj[y].add(x)
-    start = min(a.universe)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(a)
+    out = []
+    left = set(a.universe)
+    while left:
+        start = min(left)
+        comp = {start}
+        stack = [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        out.append(comp)
+        left -= comp
+    return sorted(out, key=min)
 
 
-def membership(tag: str, a: FinStructure) -> bool:
-    """Does `a` satisfy the axioms of the tagged class?
+def _is_connected_graph(a: FinStructure) -> bool:
+    return len(_components(a)) <= 1
 
-    LinearGraph uses the hereditary closure of the path graphs: disjoint
-    unions of simple paths (acyclic, every degree at most 2).
-    """
-    _check_tag_signature(tag, a)
-    if tag == "Graph":
-        return _is_symmetric_irreflexive(a)
-    if tag == "Digraph":
-        return all(t[0] != t[1] for t in a.rel("E"))
-    if tag == "Tournament":
-        rel = a.rel("E")
-        if any(t[0] == t[1] for t in rel):
-            return False
-        return all(
-            ((x, y) in rel) != ((y, x) in rel)
-            for x, y in combinations(sorted(a.universe), 2)
-        )
-    if tag == "LinearOrder":
-        rel = a.rel("<")
-        if any(t[0] == t[1] for t in rel):
-            return False
-        for x, y in combinations(sorted(a.universe), 2):
-            if ((x, y) in rel) == ((y, x) in rel):
-                return False
-        return _is_transitive(rel)
-    if tag == "PartialOrder":
-        rel = a.rel("<")
-        if any(t[0] == t[1] for t in rel):
-            return False
-        if any((y, x) in rel for x, y in rel):
-            return False
-        return _is_transitive(rel)
-    if tag == "RationalMetric":
-        dist = metric_distances(a)
-        for name, tuples in a.interp:
-            for t in tuples:
-                if t[0] == t[1] or (t[1], t[0]) not in tuples:
-                    return False
-        for x, y in combinations(sorted(a.universe), 2):
-            if frozenset((x, y)) not in dist:
-                return False
-        for x, y, z in product(sorted(a.universe), repeat=3):
-            if len({x, y, z}) == 3:
-                if dist[frozenset((x, z))] > dist[frozenset((x, y))] + dist[frozenset((y, z))]:
-                    return False
-        return True
-    if tag == "LinearGraph":
-        if not _is_symmetric_irreflexive(a):
-            return False
-        return max(_degrees(a).values(), default=0) <= 2 and _is_acyclic(a)
-    raise StructureError(f"unknown class tag {tag!r}")
+
+def _is_forest(a: FinStructure) -> bool:
+    # Acyclic exactly when each component has one edge fewer than points.
+    return len(_edges(a)) == len(a) - len(_components(a))
+
+
+def _is_symmetric_irreflexive(a: FinStructure) -> bool:
+    rel = a.rel("E")
+    return all(t[0] != t[1] and (t[1], t[0]) in rel for t in rel)
+
+
+def _is_digraph(a: FinStructure) -> bool:
+    return all(t[0] != t[1] for t in a.rel("E"))
+
+
+def _is_tournament(a: FinStructure) -> bool:
+    rel = a.rel("E")
+    return _is_digraph(a) and all(
+        ((x, y) in rel) != ((y, x) in rel) for x, y in combinations(sorted(a.universe), 2)
+    )
+
+
+def _is_linear_graph(a: FinStructure) -> bool:
+    """Hereditary closure of the path graphs: disjoint unions of simple
+    paths (acyclic, every degree at most 2)."""
+    if not _is_symmetric_irreflexive(a):
+        return False
+    return max(_degrees(a).values(), default=0) <= 2 and _is_forest(a)
+
+
+def _free_union(a: FinStructure, b: FinStructure) -> FinStructure:
+    """Union of the arcs; no arc between a-only and b-only points."""
+    rel = set(a.rel("E")) | set(b.rel("E"))
+    return validate_structure(GRAPH_SIG, a.universe | b.universe, {"E": rel})
+
+
+def _glue_tournaments(a: FinStructure, b: FinStructure) -> FinStructure:
+    """Union of the arcs plus an arc from every a-only to every b-only point."""
+    rel = set(a.rel("E")) | set(b.rel("E"))
+    rel.update((x, y) for x in a.universe - b.universe for y in b.universe - a.universe)
+    return validate_structure(GRAPH_SIG, a.universe | b.universe, {"E": rel})
+
+
+def _graph_extensions(a: FinStructure, new: int, max_new_edges: int | None = None):
+    old = a.sorted_universe()
+    most = len(old) if max_new_edges is None else min(len(old), max_new_edges)
+    for k in range(most + 1):
+        for nbrs in combinations(old, k):
+            rel = set(a.rel("E"))
+            rel.update({(x, new) for x in nbrs} | {(new, x) for x in nbrs})
+            yield validate_structure(GRAPH_SIG, set(old) | {new}, {"E": rel})
+
+
+def _digraph_arcs(x: int, n: int, c: int) -> set[tuple[int, int]]:
+    """Arcs between x and n for choice c: 0 none, 1 x->n, 2 n->x, 3 both."""
+    return {t for t, bit in (((x, n), 1), ((n, x), 2)) if c & bit}
+
+
+def _digraph_extensions(a: FinStructure, new: int):
+    old = a.sorted_universe()
+    for pattern in product(range(4), repeat=len(old)):
+        rel = set(a.rel("E"))
+        for x, c in zip(old, pattern):
+            rel |= _digraph_arcs(x, new, c)
+        yield validate_structure(GRAPH_SIG, set(old) | {new}, {"E": rel})
+
+
+def _tournament_extensions(a: FinStructure, new: int):
+    old = a.sorted_universe()
+    for pattern in product((0, 1), repeat=len(old)):
+        rel = set(a.rel("E"))
+        for x, p in zip(old, pattern):
+            rel.add((x, new) if p else (new, x))
+        yield validate_structure(GRAPH_SIG, set(old) | {new}, {"E": rel})
+
+
+def _graph_cross(x: int, n: int, rng: Random | None) -> set[tuple[int, int]]:
+    return {(x, n), (n, x)} if rng and rng.random() < 0.5 else set()
+
+
+def _digraph_cross(x: int, n: int, rng: Random | None) -> set[tuple[int, int]]:
+    return _digraph_arcs(x, n, rng.randrange(4) if rng else 0)
+
+
+def _tournament_cross(x: int, n: int, rng: Random | None) -> set[tuple[int, int]]:
+    return {(n, x)} if rng and rng.random() < 0.5 else {(x, n)}
+
+
+def _adjoin_by_pairs(cross):
+    """add_point for classes whose new point relates to each old point
+    independently, by the class's `cross` choice."""
+
+    def add_point(a: FinStructure, m: int, rng: Random | None) -> FinStructure:
+        rel = set(a.rel("E"))
+        for x in a.sorted_universe():
+            rel |= cross(x, m, rng)
+        return validate_structure(GRAPH_SIG, a.universe | {m}, {"E": rel})
+
+    return add_point
+
+
+def _adjoin_to_path_end(a: FinStructure, m: int, rng: Random | None) -> FinStructure:
+    """Seeded: attach m to one path endpoint, or to nothing."""
+    rel = set(a.rel("E"))
+    if rng:
+        deg = Counter(x for t in rel for x in t[:1])
+        ends = [x for x in a.sorted_universe() if deg[x] <= 1]
+        pick = rng.randrange(len(ends) + 1)
+        if pick < len(ends):
+            rel.update({(ends[pick], m), (m, ends[pick])})
+    return validate_structure(GRAPH_SIG, a.universe | {m}, {"E": rel})
+
+
+# --- orders -----------------------------------------------------------------
 
 
 def _is_transitive(rel: frozenset[tuple[int, ...]]) -> bool:
@@ -230,6 +269,19 @@ def _is_transitive(rel: frozenset[tuple[int, ...]]) -> bool:
     for x, y in rel:
         index.setdefault(x, set()).add(y)
     return all((x, z) in rel for x, y in rel for z in index.get(y, ()))
+
+
+def _is_partial_order(a: FinStructure) -> bool:
+    rel = a.rel("<")
+    if any(t[0] == t[1] or (t[1], t[0]) in rel for t in rel):
+        return False
+    return _is_transitive(rel)
+
+
+def _is_linear_order(a: FinStructure) -> bool:
+    rel = a.rel("<")
+    total = all((x, y) in rel or (y, x) in rel for x, y in combinations(sorted(a.universe), 2))
+    return total and _is_partial_order(a)
 
 
 def chain_of(a: FinStructure) -> list[int]:
@@ -275,82 +327,9 @@ def merge_linear_orders(seq1: list[int], seq2: list[int], shared: set[int]) -> l
     return merged
 
 
-@dataclass(frozen=True)
-class Amalgam:
-    result: FinStructure
-    emb_left: Embedding
-    emb_right: Embedding
-
-
-def _setup_amalgam(f: Embedding, g: Embedding) -> tuple[FinStructure, FinStructure, dict[int, int], list[int]]:
-    """Common bookkeeping: left keeps its ids, right is renamed.
-
-    Returns (b, c, map_c, base_ids) where map_c sends the right-hand
-    universe into the result id space and base points land on f's image.
-    """
-    if f.source != g.source:
-        raise StructureError("amalgamation requires a common base")
-    b, c = f.target, g.target
-    fm, gm = f.as_dict(), g.as_dict()
-    map_c: dict[int, int] = {gm[a]: fm[a] for a in fm}
-    new_points = [x for x in c.sorted_universe() if x not in map_c]
-    names = fresh_ids(b.universe, len(new_points))
-    for x, y in zip(new_points, names):
-        map_c[x] = y
-    base_ids = sorted(fm.values())
-    return b, c, map_c, base_ids
-
-
-def _mapped_rel(c: FinStructure, name: str, map_c: dict[int, int]) -> set[tuple[int, ...]]:
-    return {tuple(map_c[x] for x in t) for t in c.rel(name)}
-
-
-def amalgamate(tag: str, f: Embedding, g: Embedding) -> Amalgam:
-    """Amalgamate f: A -> B and g: A -> C over the common base A.
-
-    The result keeps B's ids; C's non-base points get the smallest fresh
-    naturals.  Strategies are strong (no identification beyond the base)
-    for every tag except LinearGraph, whose search may identify points or
-    fail with AmalgamationImpossible.
-    """
-    for side in (f.target, g.target, f.source):
-        if not membership(tag, side):
-            raise NotInClass(f"input not in class {tag}")
-    if tag == "LinearGraph":
-        return _amalgamate_linear_graph(f, g, connected=False)
-    if tag == "RationalMetric":
-        return _amalgamate_metric(f, g)
-    b, c, map_c, base_ids = _setup_amalgam(f, g)
-    universe = set(b.universe) | set(map_c.values())
-
-    if tag in ("Graph", "Digraph"):
-        rel = set(b.rel("E")) | _mapped_rel(c, "E", map_c)
-        result = validate_structure(GRAPH_SIG, universe, {"E": rel})
-    elif tag == "Tournament":
-        rel = set(b.rel("E")) | _mapped_rel(c, "E", map_c)
-        left_only = sorted(set(b.universe) - set(base_ids))
-        right_only = sorted(set(map_c.values()) - set(base_ids))
-        rel.update((x, y) for x in left_only for y in right_only)
-        result = validate_structure(GRAPH_SIG, universe, {"E": rel})
-    elif tag == "LinearOrder":
-        seq_b = chain_of(b)
-        seq_c = [map_c[x] for x in chain_of(c)]
-        merged = merge_linear_orders(seq_b, seq_c, set(base_ids))
-        result = chain_structure(merged)
-    elif tag == "PartialOrder":
-        rel = set(b.rel("<")) | _mapped_rel(c, "<", map_c)
-        closed = _transitive_closure(rel)
-        if any((y, x) in closed for x, y in closed) or any(x == y for x, y in closed):
-            raise AmalgamationImpossible("transitive closure breaks antisymmetry")
-        result = validate_structure(ORDER_SIG, universe, {"<": closed})
-    else:
-        raise StructureError(f"unknown class tag {tag!r}")
-
-    if not membership(tag, result):
-        raise AmalgamationImpossible(f"strategy output left the class {tag}")
-    emb_left = make_embedding(b, result, {x: x for x in b.universe})
-    emb_right = make_embedding(c, result, map_c)
-    return Amalgam(result, emb_left, emb_right)
+def _glue_chains(a: FinStructure, b: FinStructure) -> FinStructure:
+    """Separator-rule merge of the two chains."""
+    return chain_structure(merge_linear_orders(chain_of(a), chain_of(b), a.universe & b.universe))
 
 
 def _transitive_closure(rel: set[tuple[int, ...]]) -> set[tuple[int, int]]:
@@ -365,84 +344,274 @@ def _transitive_closure(rel: set[tuple[int, ...]]) -> set[tuple[int, int]]:
     return closed
 
 
-def _amalgamate_metric(f: Embedding, g: Embedding) -> Amalgam:
-    """Shortest-path gluing over the base; exact rational arithmetic.
+def _glue_posets(a: FinStructure, b: FinStructure) -> FinStructure:
+    """Transitive closure of the union."""
+    closed = _transitive_closure(set(a.rel("<")) | set(b.rel("<")))
+    if any((y, x) in closed for x, y in closed) or any(x == y for x, y in closed):
+        raise AmalgamationImpossible("transitive closure breaks antisymmetry")
+    return validate_structure(ORDER_SIG, a.universe | b.universe, {"<": closed})
 
-    Unset cross distances become the minimum over base points of the
-    two-leg sums; with an empty base both sides sit at a constant cross
-    distance no smaller than either diameter.
+
+def _chain_extensions(a: FinStructure, new: int):
+    seq = chain_of(a)
+    for k in range(len(seq) + 1):
+        yield chain_structure(seq[:k] + [new] + seq[k:])
+
+
+def _subsets(xs: list[int]):
+    for k in range(len(xs) + 1):
+        yield from combinations(xs, k)
+
+
+def _down_closed(down: set[int], rel) -> bool:
+    return all(x in down for d in down for x, y in rel if y == d)
+
+
+def _up_closed(up: set[int], rel) -> bool:
+    return all(y in up for u in up for x, y in rel if x == u)
+
+
+def _poset_extensions(a: FinStructure, new: int):
+    old = a.sorted_universe()
+    rel = a.rel("<")
+    for downs in _subsets(old):
+        down = set(downs)
+        if not _down_closed(down, rel):
+            continue
+        above = [x for x in old if x not in down]
+        for ups in _subsets(above):
+            up = set(ups)
+            if not _up_closed(up, rel):
+                continue
+            if any((d, u) not in rel for d in down for u in up):
+                continue
+            new_rel = set(rel)
+            new_rel.update((d, new) for d in down)
+            new_rel.update((new, u) for u in up)
+            yield validate_structure(ORDER_SIG, set(old) | {new}, {"<": new_rel})
+
+
+def _adjoin_to_chain(a: FinStructure, m: int, rng: Random | None) -> FinStructure:
+    """Insert m at the top, or at a seeded slot."""
+    seq = chain_of(a)
+    slot = rng.randrange(len(seq) + 1) if rng else len(seq)
+    return chain_structure(seq[:slot] + [m] + seq[slot:])
+
+
+def _adjoin_unrelated(a: FinStructure, m: int, rng: Random | None) -> FinStructure:
+    return validate_structure(ORDER_SIG, a.universe | {m}, {"<": set(a.rel("<"))})
+
+
+# --- rational metric spaces -------------------------------------------------
+
+
+def _is_metric(a: FinStructure) -> bool:
+    for _, tuples in a.interp:
+        if any(t[0] == t[1] or (t[1], t[0]) not in tuples for t in tuples):
+            return False
+    dist = metric_distances(a)
+    points = sorted(a.universe)
+    if any(frozenset(pair) not in dist for pair in combinations(points, 2)):
+        return False
+    for x, y, z in permutations(points, 3):
+        if dist[frozenset((x, z))] > dist[frozenset((x, y))] + dist[frozenset((y, z))]:
+            return False
+    return True
+
+
+def _glue_metrics(a: FinStructure, b: FinStructure) -> FinStructure:
+    """Shortest-path gluing over the shared points; exact rational arithmetic.
+
+    Cross distances are the minimum over shared points of the two-leg
+    sums; with nothing shared both sides sit at a constant cross distance
+    no smaller than either diameter.
     """
-    b, c, map_c, base_ids = _setup_amalgam(f, g)
-    dist_b = metric_distances(b)
-    dist_c = {frozenset(map_c[x] for x in pair): q for pair, q in metric_distances(c).items()}
-    dist = dict(dist_b)
-    dist.update(dist_c)
-    left_only = sorted(set(b.universe) - set(base_ids))
-    right_only = sorted(set(map_c.values()) - set(base_ids) - set(b.universe))
-    if base_ids:
-        for x in left_only:
-            for y in right_only:
-                dist[frozenset((x, y))] = min(
-                    dist_b[frozenset((x, r))] + dist_c[frozenset((r, y))] for r in base_ids
-                )
+    dist_a, dist_b = metric_distances(a), metric_distances(b)
+    dist = {**dist_a, **dist_b}
+    base = sorted(a.universe & b.universe)
+    cross = list(product(sorted(a.universe - b.universe), sorted(b.universe - a.universe)))
+    if base:
+        for x, y in cross:
+            dist[frozenset((x, y))] = min(
+                dist_a[frozenset((x, r))] + dist_b[frozenset((r, y))] for r in base
+            )
     else:
-        diam = max(list(dist_b.values()) + list(dist_c.values()) + [Fraction(1)])
-        for x in left_only:
-            for y in right_only:
-                dist[frozenset((x, y))] = diam
-    universe = set(b.universe) | set(map_c.values())
-    result = metric_structure(universe, dist)
-    # One shared signature so the witness maps are honest embeddings.
-    sig = _metric_common_signature(b, c, result)
-    result = _align_signature(result, sig)
-    if not membership("RationalMetric", result):
-        raise AmalgamationImpossible("metric gluing left the class")
-    emb_left = make_embedding(_align_signature(b, sig), result, {x: x for x in b.universe})
-    emb_right = make_embedding(_align_signature(c, sig), result, map_c)
-    return Amalgam(result, emb_left, emb_right)
+        diam = max([*dist_a.values(), *dist_b.values(), Fraction(1)])
+        for x, y in cross:
+            dist[frozenset((x, y))] = diam
+    return metric_structure(a.universe | b.universe, dist)
+
+
+def _metric_extensions(a: FinStructure, new: int):
+    old = a.sorted_universe()
+    dist = metric_distances(a)
+    for pattern in product(METRIC_PALETTE, repeat=len(old)):
+        new_dist = dict(dist)
+        for x, q in zip(old, pattern):
+            new_dist[frozenset((x, new))] = q
+        yield metric_structure(set(old) | {new}, new_dist)
+
+
+def _adjoin_far(a: FinStructure, m: int, rng: Random | None) -> FinStructure:
+    """m sits at the largest distance present (at least 1) from every point."""
+    dist = metric_distances(a)
+    if a.universe:
+        c = max(list(dist.values()) + [1])
+        for x in a.universe:
+            dist[frozenset((x, m))] = c
+    return metric_structure(a.universe | {m}, dist)
+
+
+# --- the registry -----------------------------------------------------------
+
+# Strong amalgamation holds for every built-in class except LinearGraph,
+# where gluing two length-2 arms at a shared vertex forces degree 4.
+SPECS: dict[str, ClassSpec] = {
+    "Graph": ClassSpec(
+        GRAPH_SIG, _is_symmetric_irreflexive, _free_union, _graph_extensions,
+        _adjoin_by_pairs(_graph_cross), _graph_cross, sap=True, symmetric=True,
+    ),
+    "Digraph": ClassSpec(
+        GRAPH_SIG, _is_digraph, _free_union, _digraph_extensions,
+        _adjoin_by_pairs(_digraph_cross), _digraph_cross, sap=True, symmetric=False,
+    ),
+    "Tournament": ClassSpec(
+        GRAPH_SIG, _is_tournament, _glue_tournaments, _tournament_extensions,
+        _adjoin_by_pairs(_tournament_cross), _tournament_cross, sap=True, symmetric=False,
+    ),
+    "LinearOrder": ClassSpec(
+        ORDER_SIG, _is_linear_order, _glue_chains, _chain_extensions,
+        _adjoin_to_chain, None, sap=True, symmetric=False,
+    ),
+    "PartialOrder": ClassSpec(
+        ORDER_SIG, _is_partial_order, _glue_posets, _poset_extensions,
+        _adjoin_unrelated, None, sap=True, symmetric=False,
+    ),
+    "RationalMetric": ClassSpec(
+        None, _is_metric, _glue_metrics, _metric_extensions,
+        _adjoin_far, None, sap=True, symmetric=True,
+    ),
+    "LinearGraph": ClassSpec(
+        GRAPH_SIG, _is_linear_graph, _free_union, partial(_graph_extensions, max_new_edges=2),
+        _adjoin_to_path_end, None, sap=False, symmetric=True,
+    ),
+}
+
+TAGS = tuple(SPECS)
+
+SAP_FLAGS = {tag: spec.sap for tag, spec in SPECS.items()}
+
+
+def class_spec(tag: str) -> ClassSpec:
+    """The spec of a class tag; an unknown tag raises StructureError."""
+    try:
+        return SPECS[tag]
+    except KeyError:
+        raise StructureError(f"unknown class tag {tag!r}") from None
+
+
+def class_signature(tag: str) -> Signature | None:
+    """Fixed signature of the tag, or None for the per-structure metric one."""
+    return class_spec(tag).sig
+
+
+def align(tag: str, *structures: FinStructure) -> tuple[FinStructure, ...]:
+    """The structures over one common signature, so they can be compared
+    and embedded into each other.
+
+    Fixed-signature classes return their inputs unchanged.  A metric
+    space's signature lists only the distances it uses, so metric inputs
+    are padded with empty symbols up to the union of their signatures.
+    """
+    if class_spec(tag).sig is not None:
+        return structures
+    sig = _metric_common_signature(*structures)
+    return tuple(s if s.sig == sig else _align_signature(s, sig) for s in structures)
+
+
+def membership(tag: str, a: FinStructure) -> bool:
+    """Does `a` satisfy the axioms of the tagged class?"""
+    spec = class_spec(tag)
+    if spec.sig is None:
+        for name, arity in a.sig.symbols:
+            q = parse_metric_symbol(name)
+            if arity != 2 or q <= 0:
+                raise SignatureMismatch(f"bad distance symbol {name}")
+    elif a.sig != spec.sig:
+        raise SignatureMismatch(f"{tag} expects signature {spec.sig.symbols}, got {a.sig.symbols}")
+    return spec.member(a)
+
+
+# --- amalgamation -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Amalgam:
+    result: FinStructure
+    emb_left: Embedding
+    emb_right: Embedding
+
+
+def _setup_amalgam(f: Embedding, g: Embedding) -> tuple[FinStructure, FinStructure, dict[int, int]]:
+    """Common bookkeeping: left keeps its ids, right is renamed.
+
+    Returns (b, c, map_c) where map_c sends the right-hand universe into
+    the result id space: base points land on f's image, the others on
+    the smallest naturals outside b.
+    """
+    if f.source != g.source:
+        raise StructureError("amalgamation requires a common base")
+    b, c = f.target, g.target
+    fm, gm = f.as_dict(), g.as_dict()
+    map_c: dict[int, int] = {gm[a]: fm[a] for a in fm}
+    new_points = [x for x in c.sorted_universe() if x not in map_c]
+    names = fresh_ids(b.universe, len(new_points))
+    for x, y in zip(new_points, names):
+        map_c[x] = y
+    return b, c, map_c
+
+
+def _amalgam(b: FinStructure, c: FinStructure, result: FinStructure, map_c: dict[int, int]) -> Amalgam:
+    return Amalgam(
+        result,
+        make_embedding(b, result, {x: x for x in b.universe}),
+        make_embedding(c, result, map_c),
+    )
+
+
+def amalgamate(tag: str, f: Embedding, g: Embedding) -> Amalgam:
+    """Amalgamate f: A -> B and g: A -> C over the common base A.
+
+    The result keeps B's ids; C's non-base points get the smallest fresh
+    naturals.  Classes with strong amalgamation glue the two sides with no
+    identification beyond the base (a metric result carries the padded
+    common signature); LinearGraph searches amalgams that may identify
+    points, or fails with AmalgamationImpossible.
+    """
+    spec = class_spec(tag)
+    for side in (f.target, g.target, f.source):
+        if not membership(tag, side):
+            raise NotInClass(f"input not in class {tag}")
+    if not spec.sap:
+        return _amalgamate_linear_graph(f, g, connected=False)
+    b, c, map_c = _setup_amalgam(f, g)
+    b, c, result = align(tag, b, c, spec.glue(b, relabel(c, map_c)))
+    if not membership(tag, result):
+        raise AmalgamationImpossible(f"strategy output left the class {tag}")
+    return _amalgam(b, c, result, map_c)
 
 
 # --- linear graphs ----------------------------------------------------------
 
 
-def _path_sequence(a: FinStructure, component: set[int]) -> list[int]:
-    """Walk one path component from its smallest endpoint."""
-    adj = {x: set() for x in component}
-    for e in _edges(a):
-        x, y = tuple(e)
-        if x in component:
-            adj[x].add(y)
-            adj[y].add(x)
-    ends = sorted(x for x in component if len(adj[x]) <= 1)
-    seq = [ends[0]]
-    seen = {ends[0]}
-    while len(seq) < len(component):
-        nxt = sorted(adj[seq[-1]] - seen)[0]
-        seq.append(nxt)
-        seen.add(nxt)
-    return seq
-
-
-def _components(a: FinStructure) -> list[set[int]]:
-    adj = {x: set() for x in a.universe}
-    for e in _edges(a):
-        x, y = tuple(e)
-        adj[x].add(y)
-        adj[y].add(x)
-    out = []
-    left = set(a.universe)
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        out.append(comp)
-        left -= comp
-    return sorted(out, key=min)
+def _linear_graph_obstruction(union: FinStructure) -> str | None:
+    deg = _degrees(union)
+    overloaded = sorted(x for x, d in deg.items() if d > 2)
+    if overloaded:
+        return f"vertex {overloaded[0]} gets degree {deg[overloaded[0]]} in any strong amalgam"
+    if not _is_forest(union):
+        return "the union over the base contains a cycle"
+    return None
 
 
 def strong_linear_graph_obstruction(f: Embedding, g: Embedding) -> str | None:
@@ -452,16 +621,8 @@ def strong_linear_graph_obstruction(f: Embedding, g: Embedding) -> str | None:
     the only obstructions are an overloaded vertex or a forced cycle in
     the union over the base.
     """
-    b, c, map_c, base_ids = _setup_amalgam(f, g)
-    rel = set(b.rel("E")) | _mapped_rel(c, "E", map_c)
-    union = validate_structure(GRAPH_SIG, set(b.universe) | set(map_c.values()), {"E": rel})
-    deg = _degrees(union)
-    overloaded = sorted(x for x, d in deg.items() if d > 2)
-    if overloaded:
-        return f"vertex {overloaded[0]} gets degree {deg[overloaded[0]]} in any strong amalgam"
-    if not _is_acyclic(union):
-        return "the union over the base contains a cycle"
-    return None
+    b, c, map_c = _setup_amalgam(f, g)
+    return _linear_graph_obstruction(_free_union(b, relabel(c, map_c)))
 
 
 def _bridge_components(structure: FinStructure) -> FinStructure:
@@ -526,34 +687,29 @@ def _amalgamate_linear_graph(f: Embedding, g: Embedding, connected: bool) -> Ama
             map_c[x] = y
         if len(set(map_c.values())) != len(map_c):
             continue
-        rel = set(b.rel("E")) | _mapped_rel(c, "E", map_c)
-        universe = set(b.universe) | set(map_c.values())
-        candidate = validate_structure(GRAPH_SIG, universe, {"E": rel})
+        image_c = relabel(c, map_c)
+        candidate = _free_union(b, image_c)
         if not membership("LinearGraph", candidate):
             continue
         # Identification must not create adjacencies inside either image.
-        image_c = frozenset(map_c.values())
         if induced_substructure(candidate, b.universe) != b:
             continue
-        mapped_c_rel = frozenset(_mapped_rel(c, "E", map_c))
-        if induced_substructure(candidate, image_c).rel("E") != mapped_c_rel:
+        if induced_substructure(candidate, image_c.universe).rel("E") != image_c.rel("E"):
             continue
         if connected:
             candidate = _bridge_components(candidate)
-        emb_left = make_embedding(b, candidate, {x: x for x in b.universe})
-        emb_right = make_embedding(c, candidate, map_c)
-        return Amalgam(candidate, emb_left, emb_right)
+        return _amalgam(b, c, candidate, map_c)
     raise AmalgamationImpossible("no linear graph amalgam exists")
 
 
 # --- exhaustive enumeration and property verdicts ---------------------------
 
-_MEMBER_CACHE: dict[tuple[str, int, bool], list[FinStructure]] = {}
+_MEMBER_CACHE: dict[tuple[str, int, bool], tuple[FinStructure, ...]] = {}
 
 MAX_ENUM = 6
 
 
-def enumerate_members(tag: str, size: int, connected: bool = False) -> list[FinStructure]:
+def enumerate_members(tag: str, size: int, connected: bool = False) -> tuple[FinStructure, ...]:
     """All class members with exactly `size` elements, one per isomorphism
     type, universe 0..size-1, ordered by canonical key."""
     if size > MAX_ENUM:
@@ -563,11 +719,11 @@ def enumerate_members(tag: str, size: int, connected: bool = False) -> list[FinS
         return _MEMBER_CACHE[key]
     if size == 0:
         sig = class_signature(tag) or Signature(())
-        out = [empty_structure(sig)]
+        out = (empty_structure(sig),)
     else:
         seen: dict[tuple, FinStructure] = {}
         for smaller in enumerate_members(tag, size - 1, connected=False):
-            for candidate in _extensions(tag, smaller, size - 1):
+            for candidate in class_spec(tag).extensions(smaller, size - 1):
                 if not membership(tag, candidate):
                     continue
                 if connected and not _is_connected_graph(candidate):
@@ -575,79 +731,9 @@ def enumerate_members(tag: str, size: int, connected: bool = False) -> list[FinS
                 ck = canonical_key(candidate)
                 if ck not in seen:
                     seen[ck] = candidate
-        out = [seen[k] for k in sorted(seen)]
+        out = tuple(seen[k] for k in sorted(seen))
     _MEMBER_CACHE[key] = out
     return out
-
-
-def _extensions(tag: str, a: FinStructure, new: int):
-    """Candidate one-point extensions of `a` by the element `new`."""
-    old = a.sorted_universe()
-    if tag in ("Graph", "LinearGraph"):
-        max_new_edges = 2 if tag == "LinearGraph" else len(old)
-        for k in range(min(len(old), max_new_edges) + 1):
-            for nbrs in combinations(old, k):
-                rel = set(a.rel("E"))
-                rel.update({(x, new) for x in nbrs} | {(new, x) for x in nbrs})
-                yield validate_structure(GRAPH_SIG, set(old) | {new}, {"E": rel})
-    elif tag == "Digraph":
-        for pattern in product(range(4), repeat=len(old)):
-            rel = set(a.rel("E"))
-            for x, p in zip(old, pattern):
-                if p in (1, 3):
-                    rel.add((x, new))
-                if p in (2, 3):
-                    rel.add((new, x))
-            yield validate_structure(GRAPH_SIG, set(old) | {new}, {"E": rel})
-    elif tag == "Tournament":
-        for pattern in product((0, 1), repeat=len(old)):
-            rel = set(a.rel("E"))
-            for x, p in zip(old, pattern):
-                rel.add((x, new) if p else (new, x))
-            yield validate_structure(GRAPH_SIG, set(old) | {new}, {"E": rel})
-    elif tag == "LinearOrder":
-        seq = chain_of(a)
-        for k in range(len(seq) + 1):
-            yield chain_structure(seq[:k] + [new] + seq[k:])
-    elif tag == "PartialOrder":
-        rel = a.rel("<")
-        for downs in _subsets(old):
-            down = set(downs)
-            if not _down_closed(down, rel):
-                continue
-            above = [x for x in old if x not in down]
-            for ups in _subsets(above):
-                up = set(ups)
-                if not _up_closed(up, rel):
-                    continue
-                if any((d, u) not in rel for d in down for u in up):
-                    continue
-                new_rel = set(rel)
-                new_rel.update((d, new) for d in down)
-                new_rel.update((new, u) for u in up)
-                yield validate_structure(ORDER_SIG, set(old) | {new}, {"<": new_rel})
-    elif tag == "RationalMetric":
-        dist = metric_distances(a)
-        for pattern in product(METRIC_PALETTE, repeat=len(old)):
-            new_dist = dict(dist)
-            for x, q in zip(old, pattern):
-                new_dist[frozenset((x, new))] = q
-            yield metric_structure(set(old) | {new}, new_dist)
-    else:
-        raise StructureError(f"unknown class tag {tag!r}")
-
-
-def _subsets(xs: list[int]):
-    for k in range(len(xs) + 1):
-        yield from combinations(xs, k)
-
-
-def _down_closed(down: set[int], rel) -> bool:
-    return all(x in down for d in down for x, y in rel if y == d)
-
-
-def _up_closed(up: set[int], rel) -> bool:
-    return all(y in up for u in up for x, y in rel if x == u)
 
 
 def count_iso_types(tag: str, n: int) -> int:
@@ -661,14 +747,10 @@ class PropertyVerdict:
     counterexample: dict | None = None
 
 
-def _property_members(tag: str, size_bound: int, connected: bool) -> list[FinStructure]:
-    members = []
-    for n in range(size_bound + 1):
-        members.extend(enumerate_members(tag, n, connected=connected))
-    if tag == "RationalMetric":
-        sig = _metric_common_signature(*members)
-        members = [_align_signature(m, sig) for m in members]
-    return members
+def _property_members(tag: str, size_bound: int, connected: bool) -> tuple[FinStructure, ...]:
+    return align(tag, *(
+        m for n in range(size_bound + 1) for m in enumerate_members(tag, n, connected=connected)
+    ))
 
 
 def _amalgam_instances(tag: str, size_bound: int, connected: bool):
@@ -690,32 +772,27 @@ def _amalgam_instances(tag: str, size_bound: int, connected: bool):
 
 
 def _amalgam_failure(tag: str, f: Embedding, g: Embedding, strong: bool, connected: bool) -> str | None:
-    """Build an amalgam and validate it; returns a failure reason or None."""
-    if tag == "LinearGraph":
-        if strong:
-            reason = strong_linear_graph_obstruction(f, g)
+    """Build an amalgam and validate it; returns a failure reason or None.
+
+    Without SAP (LinearGraph) a strong amalgam is the plain union over
+    the base, when no obstruction rules it out; otherwise the search may
+    identify points.
+    """
+    spec = class_spec(tag)
+    try:
+        if spec.sap:
+            amalgam = amalgamate(tag, f, g)
+        elif strong:
+            b, c, map_c = _setup_amalgam(f, g)
+            union = spec.glue(b, relabel(c, map_c))
+            reason = _linear_graph_obstruction(union)
             if reason is not None:
                 return reason
-            b, c, map_c, _ = _setup_amalgam(f, g)
-            rel = set(b.rel("E")) | _mapped_rel(c, "E", map_c)
-            candidate = validate_structure(GRAPH_SIG, set(b.universe) | set(map_c.values()), {"E": rel})
-            if connected:
-                candidate = _bridge_components(candidate)
-            amalgam = Amalgam(
-                candidate,
-                make_embedding(b, candidate, {x: x for x in b.universe}),
-                make_embedding(c, candidate, map_c),
-            )
+            amalgam = _amalgam(b, c, _bridge_components(union) if connected else union, map_c)
         else:
-            try:
-                amalgam = _amalgamate_linear_graph(f, g, connected=connected)
-            except AmalgamationImpossible as exc:
-                return str(exc)
-    else:
-        try:
-            amalgam = amalgamate(tag, f, g)
-        except (AmalgamationImpossible, NotInClass, StructureError) as exc:
-            return str(exc)
+            amalgam = _amalgamate_linear_graph(f, g, connected=connected)
+    except StructureError as exc:
+        return str(exc)
     return validate_amalgam(tag, f, g, amalgam, strong=strong, connected=connected)
 
 

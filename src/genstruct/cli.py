@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from itertools import combinations, permutations
 
 from genstruct import analysis, autorder, classes, forcing, structures
 
@@ -97,16 +98,12 @@ def default_schedule(tag: str, n: int, ext_size: int) -> list[forcing.DenseRequi
 def extension_schedule(tag: str, n: int, ext_size: int) -> list[forcing.DenseRequirement]:
     """Extension requirements for every target type of at most ext_size
     points, every induced small side, and every injection into 0..n-1."""
-    from itertools import permutations
-
     out: list[forcing.DenseRequirement] = []
     ground = list(range(n))
     for size in range(ext_size + 1):
         for target in classes.enumerate_members(tag, size):
             universe = target.sorted_universe()
             for r in range(len(universe) + 1):
-                from itertools import combinations
-
                 for subset in combinations(universe, r):
                     source = structures.induced_substructure(target, set(subset))
                     f = structures.inclusion_embedding(source, target)
@@ -184,12 +181,15 @@ def _to_dot(payload: dict, tag: str) -> str:
         m = structures.from_json_dict({k: body[k] for k in ("sig", "universe", "interp")})
         for x in m.sorted_universe():
             lines.append(f'  "{x}";')
+        # Symmetric classes store both orientations; draw each pair once.
+        symmetric = classes.class_spec(tag).symmetric
         seen = set()
         for name, tuples in m.interp:
             for t in sorted(tuples):
-                if frozenset(t) not in seen or len(t) != 2:
-                    seen.add(frozenset(t))
-                    lines.append(f'  "{t[0]}" -> "{t[1]}" [label="{name}"];')
+                if symmetric and frozenset(t) in seen:
+                    continue
+                seen.add(frozenset(t))
+                lines.append(f'  "{t[0]}" -> "{t[1]}" [label="{name}"];')
     lines.append("}")
     return "\n".join(lines)
 

@@ -9,6 +9,7 @@ them builds the generic prefix.
 from __future__ import annotations
 
 import hashlib
+import json
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
@@ -16,14 +17,14 @@ from typing import Callable
 
 from genstruct.classes import (
     SAP_FLAGS,
+    align,
     amalgamate,
     chain_of,
     chain_structure,
     class_signature,
+    class_spec,
     membership,
     merge_linear_orders,
-    metric_distances,
-    metric_structure,
 )
 from genstruct.structures import (
     Embedding,
@@ -31,6 +32,8 @@ from genstruct.structures import (
     GRAPH_SIG,
     Signature,
     StructureError,
+    _is_partial_embedding,
+    dumps,
     empty_structure,
     enumerate_embeddings_extending,
     fresh_ids,
@@ -85,8 +88,7 @@ def empty_condition(tag: str) -> Condition:
 
 def _same_on(tag: str, a: FinStructure, b: FinStructure) -> bool:
     """Structure equality that ignores signature padding for metrics."""
-    if tag == "RationalMetric":
-        return a.universe == b.universe and metric_distances(a) == metric_distances(b)
+    a, b = align(tag, a, b)
     return a == b
 
 
@@ -103,7 +105,7 @@ def common_extension(p: Condition, q: Condition) -> Condition | None:
     """A condition stronger than both, or None if they are incompatible.
 
     The shared part must carry the same induced structure; the extension
-    keeps every id and decides cross relations by the class strategy
+    keeps every id and decides cross relations by the class's glue
     (separator rule for linear orders, free joins for graphs, transitive
     closure for partial orders, shortest-path gluing for metrics).
     """
@@ -114,48 +116,8 @@ def common_extension(p: Condition, q: Condition) -> Condition | None:
     if not _same_on(tag, induced_substructure(p.structure, shared),
                     induced_substructure(q.structure, shared)):
         return None
-    a, b = p.structure, q.structure
-    universe = set(a.universe) | set(b.universe)
     try:
-        if tag in ("Graph", "Digraph", "LinearGraph"):
-            rel = set(a.rel("E")) | set(b.rel("E"))
-            result = validate_structure(GRAPH_SIG, universe, {"E": rel})
-        elif tag == "Tournament":
-            rel = set(a.rel("E")) | set(b.rel("E"))
-            rel.update(
-                (x, y)
-                for x in sorted(a.universe - shared)
-                for y in sorted(b.universe - shared)
-            )
-            result = validate_structure(GRAPH_SIG, universe, {"E": rel})
-        elif tag == "LinearOrder":
-            merged = merge_linear_orders(chain_of(a), chain_of(b), set(shared))
-            result = chain_structure(merged)
-        elif tag == "PartialOrder":
-            rel = set(a.rel("<")) | set(b.rel("<"))
-            closed = _transitive_closure_pairs(rel)
-            result = validate_structure(
-                Signature((("<", 2),)), universe, {"<": closed}
-            )
-        elif tag == "RationalMetric":
-            dist = dict(metric_distances(a))
-            dist.update(metric_distances(b))
-            base = sorted(shared)
-            for x in sorted(a.universe - shared):
-                for y in sorted(b.universe - shared):
-                    pair = frozenset((x, y))
-                    if pair in dist:
-                        continue
-                    if base:
-                        dist[pair] = min(
-                            dist[frozenset((x, r))] + dist[frozenset((r, y))]
-                            for r in base
-                        )
-                    else:
-                        dist[pair] = max(list(dist.values()) + [1])
-            result = metric_structure(universe, dist)
-        else:
-            raise StructureError(f"unknown class tag {tag!r}")
+        result = class_spec(tag).glue(p.structure, q.structure)
     except StructureError:
         return None
     if not membership(tag, result):
@@ -164,25 +126,6 @@ def common_extension(p: Condition, q: Condition) -> Condition | None:
     if not (stronger(out, p) and stronger(out, q)):
         return None
     return out
-
-
-def _transitive_closure_pairs(rel: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    closed = set(rel)
-    changed = True
-    while changed:
-        changed = False
-        extra = {
-            (x, w)
-            for x, y in closed
-            for z, w in closed
-            if y == z and (x, w) not in closed
-        }
-        if extra:
-            closed |= extra
-            changed = True
-    if any(x == y for x, y in closed) or any((y, x) in closed for x, y in closed):
-        raise StructureError("closure breaks antisymmetry")
-    return closed
 
 
 @dataclass(frozen=True)
@@ -214,52 +157,7 @@ def meet(p: Condition, req: DenseRequirement, rng: Random | None = None) -> Cond
 
 def _add_point(p: Condition, m: int, rng: Random | None) -> Condition:
     """Adjoin ground-set element m with canonical or seeded relations."""
-    tag = p.tag
-    a = p.structure
-    old = a.sorted_universe()
-    universe = set(a.universe) | {m}
-    if tag in ("Graph", "Digraph", "Tournament", "LinearGraph"):
-        rel = set(a.rel("E"))
-        if tag == "Graph":
-            links = [x for x in old if rng and rng.random() < 0.5]
-            rel.update({(x, m) for x in links} | {(m, x) for x in links})
-        elif tag == "Digraph":
-            if rng:
-                for x in old:
-                    c = rng.randrange(4)
-                    if c in (1, 3):
-                        rel.add((x, m))
-                    if c in (2, 3):
-                        rel.add((m, x))
-        elif tag == "Tournament":
-            for x in old:
-                if rng and rng.random() < 0.5:
-                    rel.add((m, x))
-                else:
-                    rel.add((x, m))
-        elif tag == "LinearGraph" and rng:
-            deg = Counter(x for t in rel for x in t[:1])
-            ends = [x for x in old if deg[x] <= 1]
-            pick = rng.randrange(len(ends) + 1)
-            if pick < len(ends):
-                x = sorted(ends)[pick]
-                rel.update({(x, m), (m, x)})
-        return Condition(tag, validate_structure(GRAPH_SIG, universe, {"E": rel}))
-    if tag == "LinearOrder":
-        seq = chain_of(a)
-        slot = rng.randrange(len(seq) + 1) if rng else len(seq)
-        return Condition(tag, chain_structure(seq[:slot] + [m] + seq[slot:]))
-    if tag == "PartialOrder":
-        rel = set(a.rel("<"))
-        return Condition(tag, validate_structure(Signature((("<", 2),)), universe, {"<": rel}))
-    if tag == "RationalMetric":
-        dist = metric_distances(a)
-        if old:
-            c = max(list(dist.values()) + [1])
-            for x in old:
-                dist[frozenset((x, m))] = c
-        return Condition(tag, metric_structure(universe, dist))
-    raise StructureError(f"unknown class tag {tag!r}")
+    return Condition(p.tag, class_spec(p.tag).add_point(p.structure, m, rng))
 
 
 def point_requirement(tag: str, m: int) -> DenseRequirement:
@@ -348,7 +246,8 @@ def _randomize_free_relations(
 ) -> FinStructure:
     """Resample the free cross relations between fresh points and the old
     points the amalgam did not constrain."""
-    if tag not in ("Graph", "Digraph", "Tournament"):
+    cross = class_spec(tag).cross
+    if cross is None:
         return body
     free_old = sorted(body.universe - new_ids - fixed_ids)
     rel = set(body.rel("E"))
@@ -356,17 +255,7 @@ def _randomize_free_relations(
         for x in free_old:
             rel.discard((x, n))
             rel.discard((n, x))
-            if tag == "Graph":
-                if rng.random() < 0.5:
-                    rel.update({(x, n), (n, x)})
-            elif tag == "Digraph":
-                c = rng.randrange(4)
-                if c in (1, 3):
-                    rel.add((x, n))
-                if c in (2, 3):
-                    rel.add((n, x))
-            else:
-                rel.add((n, x) if rng.random() < 0.5 else (x, n))
+            rel |= cross(x, n, rng)
     return validate_structure(GRAPH_SIG, set(body.universe), {"E": rel})
 
 
@@ -385,14 +274,7 @@ def _realize_over(
     the extension-to-result map.
     """
     tag = p.tag
-    body = p.structure
-    if tag == "RationalMetric":
-        from genstruct.classes import _align_signature, _metric_common_signature
-
-        sig = _metric_common_signature(base, extension, body)
-        base = _align_signature(base, sig)
-        extension = _align_signature(extension, sig)
-        body = _align_signature(body, sig)
+    base, extension, body = align(tag, base, extension, p.structure)
     f = make_embedding(base, body, base_to_p)
     g = make_embedding(base, extension, {x: x for x in base.universe})
     amalgam = amalgamate(tag, f, g)
@@ -415,21 +297,8 @@ def _realize_over(
 
 
 def _structure_digest(*structures: FinStructure) -> str:
-    import json
-
     blob = json.dumps([to_json_dict(s) for s in structures], separators=(",", ":"))
     return hashlib.sha1(blob.encode()).hexdigest()[:8]
-
-
-def _aligned(tag: str, a: FinStructure, b: FinStructure) -> tuple[FinStructure, FinStructure]:
-    """Same-signature copies for cross-structure searches; metric
-    signatures vary with the distances present."""
-    if tag != "RationalMetric":
-        return a, b
-    from genstruct.classes import _align_signature, _metric_common_signature
-
-    sig = _metric_common_signature(a, b)
-    return _align_signature(a, sig), _align_signature(b, sig)
 
 
 def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseRequirement:
@@ -456,47 +325,37 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
         + "]"
     )
 
-    def _i_is_embedding(p: Condition) -> bool:
-        from genstruct.structures import _is_partial_embedding
+    image = set(i.values())
 
-        return _is_partial_embedding(*_aligned(tag, b, p.structure), dict(i))
+    def _i_is_embedding(p: Condition) -> bool:
+        return _is_partial_embedding(*align(tag, b, p.structure), dict(i))
 
     def satisfied(p: Condition) -> bool:
-        image = set(i.values())
-        if not image <= set(p.universe):
+        if not image <= p.universe:
             return False
         if not _i_is_embedding(p):
             return True
         found = enumerate_embeddings_extending(
-            *_aligned(tag, b_prime, p.structure), pin_template, limit=1
+            *align(tag, b_prime, p.structure), pin_template, limit=1
         )
         return bool(found)
 
     def extend(p: Condition, rng: Random | None) -> Condition:
         if satisfied(p):
             return p
-        image = set(i.values())
-        if not image <= set(p.universe):
+        if not image <= p.universe:
             present = sorted(x for x in b.universe if i[x] in p.universe)
             part = induced_substructure(b, set(present))
             part_map = {x: i[x] for x in present}
-            from genstruct.structures import _is_partial_embedding
-
-            if _is_partial_embedding(*_aligned(tag, b, p.structure), part_map):
-                missing = {x: i[x] for x in b.universe if x not in present}
-                p, _ = _realize_over(p, part, b, part_map, missing, rng)
-            else:
+            if not _is_partial_embedding(*align(tag, b, p.structure), part_map):
                 # i can never become an embedding; make the implication vacuous.
-                for m in sorted(image - set(p.universe)):
+                for m in sorted(image - p.universe):
                     p = _add_point(p, m, rng)
                 return p
-        if not _i_is_embedding(p):
-            return p
-        found = enumerate_embeddings_extending(
-            *_aligned(tag, b_prime, p.structure), pin_template, limit=1
-        )
-        if found:
-            return p
+            missing = {x: i[x] for x in b.universe if x not in present}
+            p, _ = _realize_over(p, part, b, part_map, missing, rng)
+            if satisfied(p):
+                return p
         p, _ = _realize_over(p, b, b_prime, dict(i), {}, rng)
         return p
 
@@ -626,8 +485,6 @@ def _one_point_types_match(
     left: FinStructure, right: FinStructure, root: frozenset[int], x: int, y: int
 ) -> bool:
     """Do root+x and root+y extend the root isomorphically via x -> y?"""
-    from genstruct.structures import _is_partial_embedding
-
     ext_left = induced_substructure(left, root | {x})
     mapping = {r: r for r in root}
     mapping[x] = y
@@ -761,17 +618,11 @@ def knaster_trim(conditions: list[Condition]) -> list[Condition]:
     ds = delta_system([c.universe for c in conditions])
     picked = [conditions[i] for i in ds.members]
 
-    def root_key(c: Condition) -> str:
-        sub = induced_substructure(c.structure, ds.root)
-        if tag == "RationalMetric":
-            sub = metric_structure(set(ds.root), metric_distances(sub))
-        from genstruct.structures import dumps
-
-        return dumps(sub)
-
-    tally: Counter[str] = Counter(root_key(c) for c in picked)
-    best_key = max(tally, key=lambda k: (tally[k], -min(i for i, c in enumerate(picked) if root_key(c) == k)))
-    group = [c for c in picked if root_key(c) == best_key]
+    roots = align(tag, *(induced_substructure(c.structure, ds.root) for c in picked))
+    keys = [dumps(r) for r in roots]
+    tally: Counter[str] = Counter(keys)
+    best_key = max(tally, key=lambda k: (tally[k], -keys.index(k)))
+    group = [c for c, k in zip(picked, keys) if k == best_key]
     for i, a in enumerate(group):
         for b in group[i + 1:]:
             if common_extension(a, b) is None:

@@ -260,6 +260,13 @@ def test_check_property_scale_guard():
         check_property("Graph", "AP", 7)
 
 
+def test_enumerate_members_cache_cannot_be_mutated():
+    members = enumerate_members("Graph", 3)
+    with pytest.raises(AttributeError):
+        members.append(members[0])
+    assert len(enumerate_members("Graph", 3)) == 4
+
+
 def test_count_iso_types_against_published_values():
     # Independent oracle: published counts of small structures.
     assert [count_iso_types("LinearOrder", n) for n in range(5)] == [1, 1, 1, 1, 1]
@@ -274,6 +281,11 @@ def test_count_iso_types_against_published_values():
 def test_sap_flags():
     assert SAP_FLAGS["Graph"] and SAP_FLAGS["LinearOrder"]
     assert not SAP_FLAGS["LinearGraph"]
+    # The flags agree with the exhaustive verifier in both directions;
+    # RationalMetric stays at bound 2, where it is quick.
+    for tag in TAGS:
+        bound = 2 if tag == "RationalMetric" else 3
+        assert check_property(tag, "SAP", bound).holds == SAP_FLAGS[tag], tag
 
 
 def test_strong_amalgamation_across_sap_tags():

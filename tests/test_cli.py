@@ -1,7 +1,11 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-from genstruct.cli import main
+from genstruct.cli import BUILD_CLASSES, _to_dot, main
 from genstruct.structures import dumps, validate_structure, GRAPH_SIG
 from genstruct.classes import chain_structure, chain_of
 from genstruct.structures import from_json_dict
@@ -62,6 +66,23 @@ def test_build_dot_format(tmp_path: Path):
                "--format", "dot", "--out", str(out)) == 0
     text = out.read_text()
     assert text.startswith("digraph") and "style=dashed" in text
+
+
+def test_dot_keeps_both_arcs_of_a_digraph_two_cycle():
+    rel = {(0, 1), (1, 0), (1, 2)}
+    body = json.loads(dumps(validate_structure(GRAPH_SIG, {0, 1, 2}, {"E": rel})))
+    arcs = [line for line in _to_dot({"final": body}, "Digraph").splitlines() if "->" in line]
+    assert arcs == [
+        '  "0" -> "1" [label="E"];',
+        '  "1" -> "0" [label="E"];',
+        '  "1" -> "2" [label="E"];',
+    ]
+
+
+def test_dot_draws_each_graph_edge_once():
+    body = json.loads(graph_json({0, 1, 2}, [(0, 1), (1, 2)]))
+    arcs = [line for line in _to_dot({"final": body}, "Graph").splitlines() if "->" in line]
+    assert arcs == ['  "0" -> "1" [label="E"];', '  "1" -> "2" [label="E"];']
 
 
 def test_check_extension_pass_and_fail(tmp_path: Path):
@@ -176,7 +197,7 @@ def test_build_metric_and_check_universality(tmp_path: Path):
     final = tmp_path / "final.json"
     final.write_text(json.dumps(json.loads(out.read_text())["final"]))
     assert run("check", "--class", "RationalMetric", "--check", "universality",
-               "--in", str(final), "--k", "2") in (0, 1)
+               "--in", str(final), "--k", "2") == 0
 
 
 def test_check_homogeneity(tmp_path: Path):
@@ -202,3 +223,37 @@ def test_module_entry_point_subprocess(tmp_path: Path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["class"] == "Graph"
+
+
+# sha256 of the stdout of `build --class C --n 3 --seed 3 --ext-size 2
+# --verify`, recorded before the classes moved to one ClassSpec each. A
+# mismatch means build output bytes changed.
+BUILD_DIGESTS = {
+    "Graph": "b02913d2f2e92d5899763efbda63d3667fc3e99c5659533aa383b004d9f126ab",
+    "Digraph": "13769ca854916d043e2b179c69c54bb82f0fb36e06820eebdeec8825751783d8",
+    "Tournament": "887d059e5f333df240b508a0d35cdf8fb9d66320daf927b5ec262c040dd178af",
+    "LinearOrder": "b0350b12b444c11b510340f90465393b5679ffa66691ad13a56c1ca1fc50e44f",
+    "PartialOrder": "58590735dc7a3afa166a1e26a6068473af05a0a408ad70fffdda0309dc18493a",
+    "RationalMetric": "5009b5f702d2208544801078d716d502159a63f4e8b0dfa46157f56acf6214b7",
+    "LinearGraph": "274ed299946bb4a0cd87e18d2f487ecc90b6939383712f3d323c6006339422dc",
+    "AutOrder": "64f8007a9b19a5ba6278e4fed791634f1f2c16103a4775a5d3b062c2a8eb1da6",
+}
+
+
+def test_build_bytes_independent_of_hash_seed():
+    assert set(BUILD_DIGESTS) == set(BUILD_CLASSES)
+    for tag in BUILD_CLASSES:
+        argv = [sys.executable, "-m", "genstruct.cli", "build", "--class", tag,
+                "--n", "3", "--seed", "3", "--ext-size", "2", "--verify"]
+        procs = [
+            subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env={**os.environ, "PYTHONHASHSEED": seed})
+            for seed in ("1", "2")
+        ]
+        outputs = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, (tag, err.decode())
+            outputs.append(out)
+        assert outputs[0] == outputs[1], tag
+        assert hashlib.sha256(outputs[0]).hexdigest() == BUILD_DIGESTS[tag], tag
