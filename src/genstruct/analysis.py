@@ -20,7 +20,7 @@ from genstruct.classes import (
 )
 from genstruct.structures import (
     FinStructure,
-    _is_partial_embedding,
+    _consistent_with,
     enumerate_embeddings_extending,
     induced_substructure,
 )
@@ -124,21 +124,23 @@ def one_point_homogeneity(m: FinStructure, tag: str, k: int) -> Report:
     items: list[ReportItem] = []
     elems = m.sorted_universe()
     for size in range(k + 1):
-        for xs in combinations(elems, size):
-            sub_x = induced_substructure(m, set(xs))
-            for ys in combinations(elems, size):
-                sub_y = induced_substructure(m, set(ys))
+        subs = {s: induced_substructure(m, set(s)) for s in combinations(elems, size)}
+        for xs, sub_x in subs.items():
+            for ys, sub_y in subs.items():
                 for iso in enumerate_embeddings_extending(sub_x, sub_y, {}):
                     phi = iso.as_dict()
                     for extra in elems:
                         if extra in xs:
                             continue
+                        # phi is an isomorphism onto ys, so phi + {extra: cand}
+                        # is injective for cand outside ys and can fail only on
+                        # the tuples through extra.
                         witness = next(
                             (
                                 cand
                                 for cand in elems
                                 if cand not in ys
-                                and _extends_iso(m, tag, phi, extra, cand)
+                                and _consistent_with(m, m, {**phi, extra: cand}, extra)
                             ),
                             None,
                         )
@@ -150,15 +152,6 @@ def one_point_homogeneity(m: FinStructure, tag: str, k: int) -> Report:
                             )
                         )
     return Report("one-point-homogeneity", tuple(items))
-
-
-def _extends_iso(m: FinStructure, tag: str, phi: dict[int, int], x: int, y: int) -> bool:
-    mapping = dict(phi)
-    mapping[x] = y
-    if len(set(mapping.values())) != len(mapping):
-        return False
-    source = induced_substructure(m, set(mapping))
-    return _is_partial_embedding(source, m, mapping)
 
 
 # --- entangledness -------------------------------------------------------------

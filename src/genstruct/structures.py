@@ -8,8 +8,10 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import permutations
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import permutations, product
+from types import MappingProxyType
 
 
 class StructureError(Exception):
@@ -56,6 +58,11 @@ class Signature:
         return tuple(name for name, _ in self.symbols)
 
 
+def _field_state(self) -> dict:
+    # Pickle the dataclass fields only; cached views are rebuilt on demand.
+    return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 GRAPH_SIG = Signature((("E", 2),))
 ORDER_SIG = Signature((("<", 2),))
 
@@ -82,6 +89,31 @@ class FinStructure:
 
     def __len__(self) -> int:
         return len(self.universe)
+
+    # Derived views, computed on first use and kept on the instance. They
+    # are not fields, so equality, hashing, JSON and pickling ignore them.
+    __getstate__ = _field_state
+
+    @cached_property
+    def arities(self) -> MappingProxyType:
+        """Read-only map from each relation symbol to its arity."""
+        return MappingProxyType(dict(self.sig.symbols))
+
+    @cached_property
+    def profiles(self) -> MappingProxyType:
+        """Read-only map from each element to its profile: per symbol (in
+        `interp` order) and per position, how many tuples have the element
+        there.  Built in one pass over the tuples."""
+        rows: dict[int, list] = {x: [] for x in self.universe}
+        for name, tuples in self.interp:
+            arity = self.arities[name]
+            counts = {x: [0] * arity for x in self.universe}
+            for t in tuples:
+                for i, y in enumerate(t):
+                    counts[y][i] += 1
+            for x, row in rows.items():
+                row.append(tuple(counts[x]))
+        return MappingProxyType({x: tuple(row) for x, row in rows.items()})
 
 
 def validate_structure(
@@ -127,7 +159,7 @@ def induced_substructure(a: FinStructure, subset: set[int] | frozenset[int]) -> 
     if not subset <= a.universe:
         raise SubsetNotContained(f"{sorted(subset - a.universe)} not in universe")
     rows = tuple(
-        (name, frozenset(t for t in tuples if all(x in subset for x in t)))
+        (name, frozenset(t for t in tuples if subset.issuperset(t)))
         for name, tuples in a.interp
     )
     return FinStructure(a.sig, subset, rows)
@@ -141,14 +173,22 @@ class Embedding:
     target: FinStructure
     mapping: tuple[tuple[int, int], ...]
 
+    __getstate__ = _field_state
+
+    @cached_property
+    def _map(self) -> dict[int, int]:
+        # Private lookup table for apply/apply_tuple; never handed out.
+        return dict(self.mapping)
+
     def as_dict(self) -> dict[int, int]:
+        """A fresh dict, safe for the caller to change (e.g. to use as pins)."""
         return dict(self.mapping)
 
     def apply(self, x: int) -> int:
-        return dict(self.mapping)[x]
+        return self._map[x]
 
     def apply_tuple(self, t: tuple[int, ...]) -> tuple[int, ...]:
-        m = dict(self.mapping)
+        m = self._map
         return tuple(m[x] for x in t)
 
     def image(self) -> frozenset[int]:
@@ -176,7 +216,7 @@ def _is_partial_embedding(a: FinStructure, b: FinStructure, partial: dict[int, i
     dom = set(partial)
     for name, tuples in a.interp:
         target_tuples = b.rel(name)
-        arity = a.sig.arity(name)
+        arity = a.arities[name]
         for t in _tuples_over(dom, arity):
             mapped = tuple(partial[x] for x in t)
             if (t in tuples) != (mapped in target_tuples):
@@ -195,24 +235,13 @@ def _tuples_over(dom: set[int], arity: int):
     return out
 
 
-def _element_profile(a: FinStructure, x: int) -> tuple:
-    # Degree/valence style profile: per symbol and position, how many tuples hit x.
-    prof = []
-    for name, tuples in a.interp:
-        arity = a.sig.arity(name)
-        counts = [0] * arity
-        for t in tuples:
-            for i, y in enumerate(t):
-                if y == x:
-                    counts[i] += 1
-        prof.append(tuple(counts))
-    return tuple(prof)
-
-
 def _search_maps(a: FinStructure, b: FinStructure, bijective: bool, partial: dict[int, int], limit: int | None):
     """Backtracking enumeration of embeddings a -> b, lexicographic in image order.
 
     `partial` pins prefixed images; `limit` stops after that many results.
+    A candidate image must match the element's profile (equal for an
+    isomorphism, pointwise at least for an embedding), and each new pair
+    is checked only against the tuples through it.
     Intended scale is at most a dozen elements per structure.
     """
     if a.sig != b.sig:
@@ -221,19 +250,17 @@ def _search_maps(a: FinStructure, b: FinStructure, bijective: bool, partial: dic
     tgt = b.sorted_universe()
     if bijective and len(src) != len(tgt):
         return []
-    prof_a = {x: _element_profile(a, x) for x in src}
-    prof_b = {y: _element_profile(b, y) for y in tgt}
+    prof_a, prof_b = a.profiles, b.profiles
     results: list[Embedding] = []
-    assignment: dict[int, int] = {}
+    assignment = dict(partial)
+    used = set(assignment.values())
 
-    for x, y in partial.items():
-        assignment[x] = y
-
-    def candidates(x: int, used: set[int]):
+    def candidates(x: int):
+        pa = prof_a[x]
         for y in tgt:
             if y in used:
                 continue
-            pa, pb = prof_a[x], prof_b[y]
+            pb = prof_b[y]
             if bijective and pa != pb:
                 continue
             if not bijective and any(
@@ -251,11 +278,13 @@ def _search_maps(a: FinStructure, b: FinStructure, bijective: bool, partial: dic
             results.append(Embedding(a, b, tuple(sorted(assignment.items()))))
             return limit is not None and len(results) >= limit
         x = order[i]
-        used = set(assignment.values())
-        for y in candidates(x, used):
+        for y in candidates(x):
             assignment[x] = y
             if _consistent_with(a, b, assignment, x):
-                if extend(i + 1):
+                used.add(y)
+                stop = extend(i + 1)
+                used.discard(y)
+                if stop:
                     return True
             del assignment[x]
         return False
@@ -269,17 +298,26 @@ def _search_maps(a: FinStructure, b: FinStructure, bijective: bool, partial: dic
 
 
 def _consistent_with(a: FinStructure, b: FinStructure, assignment: dict[int, int], x: int) -> bool:
-    # Local check: all tuples touching x with fully assigned entries.
+    """Does `assignment` preserve and reflect every tuple of `a` that lies
+    in its domain and passes through `x`?  Tuples missing `x` are taken
+    as already checked."""
+    y = assignment[x]
     for name, tuples in a.interp:
-        target_tuples = b.rel(name)
-        arity = a.sig.arity(name)
-        dom = set(assignment)
-        for t in _tuples_over(dom, arity):
-            if x not in t:
-                continue
-            mapped = tuple(assignment[z] for z in t)
-            if (t in tuples) != (mapped in target_tuples):
+        target = b.rel(name)
+        arity = a.arities[name]
+        if arity == 1:
+            if ((x,) in tuples) != ((y,) in target):
                 return False
+        elif arity == 2:
+            for z, w in assignment.items():
+                if ((x, z) in tuples) != ((y, w) in target):
+                    return False
+                if ((z, x) in tuples) != ((w, y) in target):
+                    return False
+        else:
+            for t in product(assignment, repeat=arity):
+                if x in t and (t in tuples) != (tuple(assignment[z] for z in t) in target):
+                    return False
     return True
 
 
@@ -340,13 +378,13 @@ def relabel_disjoint(a: FinStructure, forbidden: set[int] | frozenset[int]) -> t
 def canonical_key(a: FinStructure) -> tuple:
     """Isomorphism-invariant key: minimum relabeling onto 0..n-1.
 
-    Exhaustive over permutations with a profile-based pre-sort; fine for
-    the intended scale (at most about eight elements).
+    Exhaustive: tries all n! bijections onto 0..n-1 and keeps the least
+    sorted tuple lists; fine for the intended scale (at most about eight
+    elements).
     """
     src = a.sorted_universe()
     n = len(src)
     best = None
-    # Pre-sorting by profile shrinks nothing but makes the scan order stable.
     for perm in permutations(range(n)):
         renaming = {src[i]: perm[i] for i in range(n)}
         key = tuple(

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import genstruct
 from genstruct.cli import BUILD_CLASSES, _to_dot, main
 from genstruct.structures import dumps, validate_structure, GRAPH_SIG
 from genstruct.classes import chain_structure, chain_of
@@ -20,6 +21,14 @@ def graph_json(universe, edges):
 
 def run(*argv):
     return main(list(argv))
+
+
+def child_env(**extra):
+    """Environment for a child interpreter that imports the same genstruct
+    as this test run, whether or not PYTHONPATH names `src`."""
+    src = str(Path(genstruct.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def test_build_graph_ok(tmp_path: Path):
@@ -212,14 +221,11 @@ def test_check_homogeneity(tmp_path: Path):
 
 
 def test_module_entry_point_subprocess(tmp_path: Path):
-    import subprocess
-    import sys
-
     out = tmp_path / "g.json"
     proc = subprocess.run(
         [sys.executable, "-m", "genstruct.cli", "build", "--class", "Graph",
          "--n", "3", "--seed", "1", "--verify", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["class"] == "Graph"
@@ -247,7 +253,7 @@ def test_build_bytes_independent_of_hash_seed():
                 "--n", "3", "--seed", "3", "--ext-size", "2", "--verify"]
         procs = [
             subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                             env={**os.environ, "PYTHONHASHSEED": seed})
+                             env=child_env(PYTHONHASHSEED=seed))
             for seed in ("1", "2")
         ]
         outputs = []

@@ -243,3 +243,33 @@ def test_make_embedding_rejects_relation_breaker():
     non_edge = graph({2, 3}, [])
     with pytest.raises(StructureError):
         make_embedding(edge, non_edge, {0: 2, 1: 3})
+
+
+def test_embedding_apply_and_apply_tuple():
+    path = graph({0, 1, 2}, [(0, 1), (1, 2)])
+    big = graph({5, 6, 7, 8}, [(5, 6), (6, 7), (7, 8)])
+    f = make_embedding(path, big, {0: 6, 1: 7, 2: 8})
+    assert [f.apply(x) for x in (0, 1, 2)] == [6, 7, 8]
+    assert f.apply_tuple((2, 0, 1, 0)) == (8, 6, 7, 6)
+    assert f.apply_tuple(()) == ()
+    with pytest.raises(KeyError):
+        f.apply(5)
+    pins = f.as_dict()
+    pins[0] = 5  # as_dict hands out a copy; the embedding keeps its map
+    assert f.apply(0) == 6 and f.as_dict() == {0: 6, 1: 7, 2: 8}
+
+
+def test_cached_views_stay_out_of_equality_hash_json_and_pickle():
+    import pickle
+
+    a = graph({0, 1, 2}, [(0, 1), (1, 2)])
+    fresh = graph({0, 1, 2}, [(0, 1), (1, 2)])
+    assert a.profiles[1] == ((2, 2),) and a.arities["E"] == 2
+    assert a == fresh and hash(a) == hash(fresh) and dumps(a) == dumps(fresh)
+    state = pickle.loads(pickle.dumps(a)).__dict__
+    assert set(state) == {"sig", "universe", "interp"}
+    f = identity_embedding(a)
+    f.apply(0)
+    assert set(pickle.loads(pickle.dumps(f)).__dict__) == {"source", "target", "mapping"}
+    with pytest.raises(TypeError):
+        a.profiles[0] = ()
