@@ -20,8 +20,8 @@ from genstruct.classes import (
 )
 from genstruct.structures import (
     FinStructure,
-    _consistent_with,
     enumerate_embeddings_extending,
+    extends_isomorphism,
     induced_substructure,
 )
 
@@ -132,15 +132,11 @@ def one_point_homogeneity(m: FinStructure, tag: str, k: int) -> Report:
                     for extra in elems:
                         if extra in xs:
                             continue
-                        # phi is an isomorphism onto ys, so phi + {extra: cand}
-                        # is injective for cand outside ys and can fail only on
-                        # the tuples through extra.
                         witness = next(
                             (
                                 cand
                                 for cand in elems
-                                if cand not in ys
-                                and _consistent_with(m, m, {**phi, extra: cand}, extra)
+                                if extends_isomorphism(m, phi, extra, cand)
                             ),
                             None,
                         )

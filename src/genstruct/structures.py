@@ -34,6 +34,11 @@ class SignatureMismatch(StructureError):
     pass
 
 
+def _field_state(self) -> dict:
+    # Pickle the dataclass fields only; cached views are rebuilt on demand.
+    return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
 class Signature:
     """Relation symbols with arities.  No constants or function symbols."""
@@ -48,19 +53,22 @@ class Signature:
             if arity < 1:
                 raise StructureError(f"arity of {name} must be >= 1, got {arity}")
 
+    # A cached lookup table, not a field: equality, hashing and pickling
+    # ignore it.
+    __getstate__ = _field_state
+
+    @cached_property
+    def _arities(self) -> dict[str, int]:
+        return dict(self.symbols)
+
     def arity(self, name: str) -> int:
-        for sym, ar in self.symbols:
-            if sym == name:
-                return ar
-        raise UnknownSymbol(name)
+        try:
+            return self._arities[name]
+        except KeyError:
+            raise UnknownSymbol(name) from None
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.symbols)
-
-
-def _field_state(self) -> dict:
-    # Pickle the dataclass fields only; cached views are rebuilt on demand.
-    return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 GRAPH_SIG = Signature((("E", 2),))
@@ -90,14 +98,9 @@ class FinStructure:
     def __len__(self) -> int:
         return len(self.universe)
 
-    # Derived views, computed on first use and kept on the instance. They
-    # are not fields, so equality, hashing, JSON and pickling ignore them.
+    # A derived view, computed on first use and kept on the instance. It
+    # is not a field, so equality, hashing, JSON and pickling ignore it.
     __getstate__ = _field_state
-
-    @cached_property
-    def arities(self) -> MappingProxyType:
-        """Read-only map from each relation symbol to its arity."""
-        return MappingProxyType(dict(self.sig.symbols))
 
     @cached_property
     def profiles(self) -> MappingProxyType:
@@ -106,7 +109,7 @@ class FinStructure:
         there.  Built in one pass over the tuples."""
         rows: dict[int, list] = {x: [] for x in self.universe}
         for name, tuples in self.interp:
-            arity = self.arities[name]
+            arity = self.sig.arity(name)
             counts = {x: [0] * arity for x in self.universe}
             for t in tuples:
                 for i, y in enumerate(t):
@@ -173,22 +176,14 @@ class Embedding:
     target: FinStructure
     mapping: tuple[tuple[int, int], ...]
 
-    __getstate__ = _field_state
-
-    @cached_property
-    def _map(self) -> dict[int, int]:
-        # Private lookup table for apply/apply_tuple; never handed out.
-        return dict(self.mapping)
-
     def as_dict(self) -> dict[int, int]:
-        """A fresh dict, safe for the caller to change (e.g. to use as pins)."""
         return dict(self.mapping)
 
     def apply(self, x: int) -> int:
-        return self._map[x]
+        return dict(self.mapping)[x]
 
     def apply_tuple(self, t: tuple[int, ...]) -> tuple[int, ...]:
-        m = self._map
+        m = dict(self.mapping)
         return tuple(m[x] for x in t)
 
     def image(self) -> frozenset[int]:
@@ -216,7 +211,7 @@ def _is_partial_embedding(a: FinStructure, b: FinStructure, partial: dict[int, i
     dom = set(partial)
     for name, tuples in a.interp:
         target_tuples = b.rel(name)
-        arity = a.arities[name]
+        arity = a.sig.arity(name)
         for t in _tuples_over(dom, arity):
             mapped = tuple(partial[x] for x in t)
             if (t in tuples) != (mapped in target_tuples):
@@ -304,11 +299,8 @@ def _consistent_with(a: FinStructure, b: FinStructure, assignment: dict[int, int
     y = assignment[x]
     for name, tuples in a.interp:
         target = b.rel(name)
-        arity = a.arities[name]
-        if arity == 1:
-            if ((x,) in tuples) != ((y,) in target):
-                return False
-        elif arity == 2:
+        arity = a.sig.arity(name)
+        if arity == 2:
             for z, w in assignment.items():
                 if ((x, z) in tuples) != ((y, w) in target):
                     return False
@@ -319,6 +311,18 @@ def _consistent_with(a: FinStructure, b: FinStructure, assignment: dict[int, int
                 if x in t and (t in tuples) != (tuple(assignment[z] for z in t) in target):
                     return False
     return True
+
+
+def extends_isomorphism(m: FinStructure, phi: dict[int, int], x: int, y: int) -> bool:
+    """Is `phi` plus x -> y a partial isomorphism of `m`?
+
+    `phi` must already be one and `x` must lie outside its domain; then
+    the extension fails only if `y` is already an image or a tuple
+    through `x` is not preserved and reflected.
+    """
+    if y in phi.values():
+        return False
+    return _consistent_with(m, m, {**phi, x: y}, x)
 
 
 def enumerate_embeddings(a: FinStructure, b: FinStructure) -> list[Embedding]:
