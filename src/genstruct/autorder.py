@@ -5,12 +5,13 @@ to build a prefix whose map has a cofinal and coinitial orbit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from genstruct.forcing import delta_system
+from genstruct.forcing import DenseRequirement, delta_system, generic_build
 from genstruct.structures import StructureError, fresh_ids, from_json_dict, to_json_dict
 from genstruct.classes import chain_of, chain_structure
 
@@ -298,14 +299,7 @@ def orbit_requirement_meet(p: AutCondition, alpha0: int, beta: int, rng: Random 
 # --- dense requirements and the builder ----------------------------------------
 
 
-@dataclass(frozen=True)
-class AutRequirement:
-    name: str
-    satisfied: object
-    extend: object
-
-
-def aut_point_requirement(m: int) -> AutRequirement:
+def aut_point_requirement(m: int) -> DenseRequirement[AutCondition]:
     def satisfied(p: AutCondition) -> bool:
         return m in p.universe
 
@@ -317,10 +311,10 @@ def aut_point_requirement(m: int) -> AutRequirement:
         chain.insert(slot, m)
         return AutCondition(tuple(chain), p.phi)
 
-    return AutRequirement(f"D_{m}", satisfied, extend)
+    return DenseRequirement(f"D_{m}", satisfied, extend)
 
 
-def aut_between_requirement(a: int, b: int) -> AutRequirement:
+def aut_between_requirement(a: int, b: int) -> DenseRequirement[AutCondition]:
     def satisfied(p: AutCondition) -> bool:
         if a not in p.universe or b not in p.universe:
             return False
@@ -339,10 +333,10 @@ def aut_between_requirement(a: int, b: int) -> AutRequirement:
         chain.insert(lo + 1, mid)
         return AutCondition(tuple(chain), p.phi)
 
-    return AutRequirement(f"D_{a},{b}", satisfied, extend)
+    return DenseRequirement(f"D_{a},{b}", satisfied, extend)
 
 
-def aut_dom_requirement(m: int) -> AutRequirement:
+def aut_dom_requirement(m: int) -> DenseRequirement[AutCondition]:
     def satisfied(p: AutCondition) -> bool:
         return m in p.universe and m in p.phi_dict()
 
@@ -352,10 +346,10 @@ def aut_dom_requirement(m: int) -> AutRequirement:
         p, _ = _grow_forward(p, m)
         return p
 
-    return AutRequirement(f"dom_{m}", satisfied, extend)
+    return DenseRequirement(f"dom_{m}", satisfied, extend)
 
 
-def aut_range_requirement(m: int) -> AutRequirement:
+def aut_range_requirement(m: int) -> DenseRequirement[AutCondition]:
     def satisfied(p: AutCondition) -> bool:
         return m in p.universe and m in p.inv_dict()
 
@@ -365,21 +359,21 @@ def aut_range_requirement(m: int) -> AutRequirement:
         p, _ = _grow_backward(p, m)
         return p
 
-    return AutRequirement(f"rng_{m}", satisfied, extend)
+    return DenseRequirement(f"rng_{m}", satisfied, extend)
 
 
-def orbit_requirement(alpha0: int, beta: int) -> AutRequirement:
+def orbit_requirement(alpha0: int, beta: int) -> DenseRequirement[AutCondition]:
     def satisfied(p: AutCondition) -> bool:
         return orbit_straddles(p, alpha0, beta)
 
     def extend(p: AutCondition, rng: Random | None) -> AutCondition:
         return orbit_requirement_meet(p, alpha0, beta, rng)
 
-    return AutRequirement(f"E_{beta}", satisfied, extend)
+    return DenseRequirement(f"E_{beta}", satisfied, extend)
 
 
-def default_aut_schedule(n: int, alpha0: int = 0) -> list[AutRequirement]:
-    reqs: list[AutRequirement] = []
+def default_aut_schedule(n: int, alpha0: int = 0) -> list[DenseRequirement[AutCondition]]:
+    reqs: list[DenseRequirement[AutCondition]] = []
     if n > 0 and alpha0 >= n:
         reqs.append(aut_point_requirement(alpha0))
     for m in range(n):
@@ -395,34 +389,25 @@ def default_aut_schedule(n: int, alpha0: int = 0) -> list[AutRequirement]:
 
 
 def build_automorphic_order(
-    n: int, steps: int, seed: int = 0, alpha0: int = 0
+    n: int, steps: int | None = None, seed: int = 0, alpha0: int = 0
 ) -> tuple[AutCondition, list[str]]:
-    """Round-robin the membership, totality, density and orbit requirements
-    for the first n ground elements; returns the final condition and a
-    report line per requirement."""
+    """Meet the membership, totality, density and orbit requirements for
+    the first n ground elements with `forcing.generic_build` (default step
+    budget when steps is None); returns the final condition and a report
+    line per requirement.
+
+    A requirement's `met_at` is the first step after which it held, or -1.
+    Satisfaction is upward closed along the chain, so it is found by
+    bisection over the conditions after each step.
+    """
     schedule = default_aut_schedule(n, alpha0)
-    rng = Random(seed)
-    current = empty_aut_condition()
-    met_at: dict[str, int] = {}
-    if schedule:
-        grew = False
-        for idx in range(steps):
-            req = schedule[idx % len(schedule)]
-            if not req.satisfied(current):
-                new = req.extend(current, rng)
-                if not aut_stronger(new, current) or not req.satisfied(new):
-                    raise StructureError(f"extender for {req.name} broke its contract")
-                current = new
-                grew = True
-            for r in schedule:
-                if r.name not in met_at and r.satisfied(current):
-                    met_at[r.name] = idx
-            if idx % len(schedule) == len(schedule) - 1:
-                if not grew and all(r.satisfied(current) for r in schedule):
-                    break
-                grew = False
-    report = [f"req={r.name} met_at={met_at.get(r.name, -1)}" for r in schedule]
-    return current, report
+    chain = generic_build(empty_aut_condition(), schedule, steps, seed, aut_stronger)
+    after = chain.steps[1:]
+    report = []
+    for req in schedule:
+        met_at = bisect_left(after, True, key=req.satisfied)
+        report.append(f"req={req.name} met_at={met_at if met_at < len(after) else -1}")
+    return chain.final, report
 
 
 # --- trimming and serialization -------------------------------------------------

@@ -16,8 +16,6 @@ from itertools import combinations, permutations
 
 from genstruct import analysis, autorder, classes, forcing, structures
 
-log = logging.getLogger("genstruct")
-
 BUILD_CLASSES = classes.TAGS + ("AutOrder",)
 
 
@@ -115,18 +113,9 @@ def extension_schedule(tag: str, n: int, ext_size: int) -> list[forcing.DenseReq
 
 def _build_generic(args) -> tuple[int, dict]:
     schedule = default_schedule(args.tag, args.n, args.ext_size)
-    steps = args.steps
-    if steps is None:
-        steps = 8 * len(schedule) + 8 if schedule else 0
-    if not schedule:
-        steps = 0
-    chain = forcing.generic_build(args.tag, schedule, steps, args.seed)
-    if log.isEnabledFor(logging.DEBUG):
-        for line in chain.log_lines():
-            log.debug("%s", line)
-        log.debug("built %s prefix: %d elements, %d logged steps",
-                  args.tag, len(chain.final.universe), len(chain.log))
-    payload = chain.to_json_dict()
+    chain = forcing.generic_build(forcing.empty_condition(args.tag), schedule, args.steps, args.seed)
+    final = structures.to_json_dict(chain.final.structure)
+    payload = {"class": args.tag, "final": final, "log": chain.log_lines()}
     if args.verify:
         problems = []
         for a, b in zip(chain.steps, chain.steps[1:]):
@@ -146,11 +135,7 @@ def _build_generic(args) -> tuple[int, dict]:
 
 
 def _build_aut(args) -> tuple[int, dict]:
-    steps = args.steps
-    if steps is None:
-        schedule_len = len(autorder.default_aut_schedule(args.n, args.alpha0))
-        steps = 8 * schedule_len + 8 if schedule_len else 0
-    cond, report = autorder.build_automorphic_order(args.n, steps, args.seed, args.alpha0)
+    cond, report = autorder.build_automorphic_order(args.n, args.steps, args.seed, args.alpha0)
     payload = autorder.aut_to_json_dict(cond)
     payload["log"] = report
     if args.verify:
@@ -200,6 +185,9 @@ def cmd_build(args) -> int:
         return 2
     if args.n < 0 or (args.steps is not None and args.steps < 0):
         print("n and steps must be nonnegative", file=sys.stderr)
+        return 2
+    if args.alpha0 < 0:
+        print("alpha0 must be nonnegative", file=sys.stderr)
         return 2
     code, payload = _build_aut(args) if args.tag == "AutOrder" else _build_generic(args)
     if args.format == "dot":

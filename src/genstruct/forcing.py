@@ -3,17 +3,20 @@
 A condition is a class member whose universe sits inside the ground set
 of naturals, ordered by reverse inclusion.  Dense requirements pair a
 satisfaction predicate with an extender; meeting a scheduled family of
-them builds the generic prefix.
+them builds the generic prefix.  `meet` and `generic_build` take the
+forcing order from the caller, so orders with a partial automorphism
+(`genstruct.autorder`) are built by the same loop.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
-from typing import Callable
+from typing import Callable, Generic, TypeVar
 
 from genstruct.classes import (
     SAP_FLAGS,
@@ -43,6 +46,9 @@ from genstruct.structures import (
     to_json_dict,
     validate_structure,
 )
+
+logger = logging.getLogger("genstruct")
+C = TypeVar("C")  # a class `Condition` or an `autorder.AutCondition`
 
 
 class TagMismatch(StructureError):
@@ -129,25 +135,32 @@ def common_extension(p: Condition, q: Condition) -> Condition | None:
 
 
 @dataclass(frozen=True)
-class DenseRequirement:
+class DenseRequirement(Generic[C]):
     """A named, testable requirement plus an extender that forces it.
 
     `extend` must return a condition stronger than its argument that
     satisfies the predicate; on satisfied conditions it is the identity.
-    The optional rng picks among minimal extensions.
+    The optional rng picks among minimal extensions.  Satisfaction must
+    be upward closed: once a condition satisfies it, so does every
+    stronger one.
     """
 
     name: str
-    satisfied: Callable[[Condition], bool]
-    extend: Callable[[Condition, Random | None], Condition]
+    satisfied: Callable[[C], bool]
+    extend: Callable[[C, Random | None], C]
 
 
-def meet(p: Condition, req: DenseRequirement, rng: Random | None = None) -> Condition:
-    """Least work to put p inside the requirement's dense set."""
+def meet(p: C, req: DenseRequirement[C], rng: Random | None = None,
+         order: Callable[[C, C], bool] | None = None) -> C:
+    """Least work to put p inside the requirement's dense set.
+
+    The extension must be stronger in the forcing order `order(q, p)`;
+    None means `stronger`, looked up when the meet runs.
+    """
     if req.satisfied(p):
         return p
     q = req.extend(p, rng)
-    if not stronger(q, p) or not req.satisfied(q):
+    if not (order or stronger)(q, p) or not req.satisfied(q):
         raise StructureError(f"extender for {req.name} broke its contract")
     return q
 
@@ -362,52 +375,53 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
     return DenseRequirement(name, satisfied, extend)
 
 
-@dataclass(frozen=True)
-class GenericChain:
-    """The increasing-by-extension sequence built by the round robin."""
+def _step_line(idx: int, name: str, added: tuple[int, ...]) -> str:
+    return f"step={idx} req={name} added={','.join(map(str, added))}"
 
-    tag: str
-    steps: tuple[Condition, ...]
+
+@dataclass(frozen=True)
+class GenericChain(Generic[C]):
+    """The start condition, then the condition after each round-robin step."""
+
+    steps: tuple[C, ...]
     log: tuple[tuple[int, str, tuple[int, ...]], ...]
 
     @property
-    def final(self) -> Condition:
+    def final(self) -> C:
         return self.steps[-1]
 
     def log_lines(self) -> list[str]:
-        return [
-            f"step={idx} req={name} added={','.join(map(str, added))}"
-            for idx, name, added in self.log
-        ]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "class": self.tag,
-            "final": to_json_dict(self.final.structure),
-            "log": self.log_lines(),
-        }
+        return [_step_line(*row) for row in self.log]
 
 
-def generic_build(
-    tag: str, schedule: list[DenseRequirement], steps: int, seed: int = 0
-) -> GenericChain:
-    """Round-robin over the schedule for at most `steps` meets.
+def generic_build(start: C, schedule: list[DenseRequirement[C]], steps: int | None = None,
+                  seed: int = 0, order: Callable[[C, C], bool] | None = None) -> GenericChain[C]:
+    """Round-robin over the schedule from `start` for at most `steps` meets
+    in the forcing order `order` (as for `meet`).
 
-    Stops early once a full pass adds nothing and every requirement is
-    satisfied.  Deterministic for a fixed (schedule, steps, seed).
+    The default budget is 8 * len(schedule) + 8 meets; an empty schedule
+    runs none.  Stops early once a full pass adds nothing and every
+    requirement is satisfied.  Deterministic for a fixed (start, schedule,
+    steps, seed).  At DEBUG, the `genstruct` logger gets each step's log
+    line while the build runs.
     """
-    if steps > 0 and not schedule:
-        raise StructureError("schedule must be nonempty")
+    if not schedule:
+        steps = 0
+    elif steps is None:
+        steps = 8 * len(schedule) + 8
+    debug = logger.isEnabledFor(logging.DEBUG)
     rng = Random(seed)
-    current = empty_condition(tag)
+    current = start
     chain = [current]
     log: list[tuple[int, str, tuple[int, ...]]] = []
     grew_this_pass = False
     for idx in range(steps):
         req = schedule[idx % len(schedule)]
-        new = meet(current, req, rng)
+        new = meet(current, req, rng, order)
         added = tuple(sorted(new.universe - current.universe))
         log.append((idx, req.name, added))
+        if debug:
+            logger.debug("%s", _step_line(idx, req.name, added))
         chain.append(new)
         grew_this_pass = grew_this_pass or new != current
         current = new
@@ -415,7 +429,7 @@ def generic_build(
             if not grew_this_pass and all(r.satisfied(current) for r in schedule):
                 break
             grew_this_pass = False
-    return GenericChain(tag, tuple(chain), tuple(log))
+    return GenericChain(tuple(chain), tuple(log))
 
 
 # --- delta systems -----------------------------------------------------------

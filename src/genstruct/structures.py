@@ -233,10 +233,12 @@ def _tuples_over(dom: set[int], arity: int):
 def _search_maps(a: FinStructure, b: FinStructure, bijective: bool, partial: dict[int, int], limit: int | None):
     """Backtracking enumeration of embeddings a -> b, lexicographic in image order.
 
-    `partial` pins prefixed images; `limit` stops after that many results.
-    A candidate image must match the element's profile (equal for an
-    isomorphism, pointwise at least for an embedding), and each new pair
-    is checked only against the tuples through it.
+    `partial` pins prefixed images; pins that are not an injective map
+    from a's universe into b's give no embedding.  `limit` stops after
+    that many results.  A candidate image must match the element's
+    profile (equal for an isomorphism, pointwise at least for an
+    embedding), and each new pair is checked only against the tuples
+    through it.
     Intended scale is at most a dozen elements per structure.
     """
     if a.sig != b.sig:
@@ -249,6 +251,10 @@ def _search_maps(a: FinStructure, b: FinStructure, bijective: bool, partial: dic
     results: list[Embedding] = []
     assignment = dict(partial)
     used = set(assignment.values())
+    if len(used) != len(assignment) or not (
+        a.universe.issuperset(assignment) and b.universe.issuperset(used)
+    ):
+        return []
 
     def candidates(x: int):
         pa = prof_a[x]

@@ -24,6 +24,7 @@ from genstruct.forcing import (
     common_extension,
     crossing_amalgamation,
     delta_system,
+    empty_condition,
     generic_build,
     point_requirement,
     stronger,
@@ -61,7 +62,7 @@ def test_criterion_1_generic_graph_extension_property():
         started = time.monotonic()
         schedule = [point_requirement("Graph", m) for m in range(5)]
         schedule += extension_schedule("Graph", 5, 3)
-        chain = generic_build("Graph", schedule, 8 * len(schedule) + 8, seed=0)
+        chain = generic_build(empty_condition("Graph"), schedule, 8 * len(schedule) + 8, seed=0)
         report = extension_property_report(chain.final.structure, "Graph", 2)
         assert report.passed, report.failures()[:5]
         assert time.monotonic() - started < 5.0
@@ -74,7 +75,7 @@ def test_criterion_2_generic_linear_order_density():
     with criterion(2, "generic linear order prefix"):
         started = time.monotonic()
         schedule = default_schedule("LinearOrder", 20, 0)
-        chain = generic_build("LinearOrder", schedule, 8 * len(schedule) + 8, seed=0)
+        chain = generic_build(empty_condition("LinearOrder"), schedule, 8 * len(schedule) + 8, seed=0)
         seq = chain_of(chain.final.structure)
         pos = {x: i for i, x in enumerate(seq)}
         for a in range(20):

@@ -2,6 +2,7 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genstruct.autorder import (
     AutCondition,
@@ -12,6 +13,7 @@ from genstruct.autorder import (
     aut_stronger,
     aut_to_json_dict,
     build_automorphic_order,
+    default_aut_schedule,
     empty_aut_condition,
     equivariant_delta_trim,
     make_aut_condition,
@@ -20,6 +22,8 @@ from genstruct.autorder import (
     orbit_straddles,
     validate_aut_condition,
 )
+from genstruct.forcing import generic_build
+from genstruct.structures import StructureError
 
 
 def test_validator_examples():
@@ -209,9 +213,10 @@ def test_orbit_meet_passes_far_targets():
 
 
 def test_build_zero():
-    c, report = build_automorphic_order(0, 0)
-    assert c == empty_aut_condition()
-    assert report == []
+    for steps in (0, 5):
+        c, report = build_automorphic_order(0, steps)
+        assert c == empty_aut_condition()
+        assert report == []
 
 
 def test_build_one():
@@ -243,6 +248,65 @@ def test_build_determinism():
     a = build_automorphic_order(4, 2000, seed=3)
     b = build_automorphic_order(4, 2000, seed=3)
     assert a == b
+
+
+def test_chain_monotone_and_requirements_permanent():
+    schedule = default_aut_schedule(4, 0)
+    chain = generic_build(empty_aut_condition(), schedule, seed=11, order=aut_stronger)
+    for a, b in zip(chain.steps, chain.steps[1:]):
+        assert aut_stronger(b, a)
+    previous = [False] * len(schedule)
+    for step in chain.steps:
+        current = [req.satisfied(step) for req in schedule]
+        for before, now in zip(previous, current):
+            assert not (before and not now), "satisfaction must be upward closed"
+        previous = current
+    assert all(previous)
+
+
+def oracle_build_automorphic_order(n, steps, seed=0, alpha0=0):
+    """The builder's earlier round robin: its own loop, with met_at filled
+    by rescanning the whole schedule after every step."""
+    schedule = default_aut_schedule(n, alpha0)
+    if steps is None:
+        steps = 8 * len(schedule) + 8 if schedule else 0
+    rng = Random(seed)
+    current = empty_aut_condition()
+    met_at = {}
+    if schedule:
+        grew = False
+        for idx in range(steps):
+            req = schedule[idx % len(schedule)]
+            if not req.satisfied(current):
+                new = req.extend(current, rng)
+                if not aut_stronger(new, current) or not req.satisfied(new):
+                    raise StructureError(f"extender for {req.name} broke its contract")
+                current = new
+                grew = True
+            for r in schedule:
+                if r.name not in met_at and r.satisfied(current):
+                    met_at[r.name] = idx
+            if idx % len(schedule) == len(schedule) - 1:
+                if not grew and all(r.satisfied(current) for r in schedule):
+                    break
+                grew = False
+    report = [f"req={r.name} met_at={met_at.get(r.name, -1)}" for r in schedule]
+    return current, report
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 8),
+    st.sampled_from(["0", "1", "n", "n+3"]),
+    st.sampled_from(["0", "1", "3", "len", "default"]),
+    st.integers(0, 2**32),
+)
+def test_build_matches_round_robin_oracle(n, alpha0_pick, steps_pick, seed):
+    alpha0 = {"0": 0, "1": 1, "n": n, "n+3": n + 3}[alpha0_pick]
+    length = len(default_aut_schedule(n, alpha0))
+    steps = {"0": 0, "1": 1, "3": 3, "len": length, "default": None}[steps_pick]
+    got = build_automorphic_order(n, steps, seed, alpha0)
+    assert got == oracle_build_automorphic_order(n, steps, seed, alpha0)
 
 
 # --- trimming and serialization -----------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -50,6 +51,38 @@ def test_build_empty_order(tmp_path: Path):
 
 def test_build_unknown_class():
     assert run("build", "--class", "Nonsense") == 2
+
+
+def test_build_rejects_negative_alpha0(capsys):
+    assert run("build", "--class", "AutOrder", "--n", "3", "--alpha0", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "alpha0" in captured.err
+
+
+def _step_lines(caplog):
+    """The step lines logged by the forcing loop itself, as it runs."""
+    return [r.getMessage() for r in caplog.records
+            if r.name == "genstruct" and r.funcName == "generic_build"]
+
+
+def test_debug_log_streams_graph_build_steps(tmp_path: Path, caplog):
+    caplog.set_level(logging.DEBUG, logger="genstruct")
+    out = tmp_path / "g.json"
+    assert run("build", "--class", "Graph", "--n", "3", "--seed", "2", "--out", str(out)) == 0
+    assert _step_lines(caplog) == json.loads(out.read_text())["log"]
+
+
+def test_debug_log_streams_autorder_build_steps(tmp_path: Path, caplog):
+    caplog.set_level(logging.DEBUG, logger="genstruct")
+    out = tmp_path / "a.json"
+    assert run("build", "--class", "AutOrder", "--n", "3", "--seed", "2", "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    lines = _step_lines(caplog)
+    assert [line.split()[0] for line in lines] == [f"step={i}" for i in range(len(lines))]
+    added = {int(x) for line in lines for x in line.split("added=")[1].split(",") if x}
+    assert added == set(data["universe"])
+    last_met = max(int(line.split("met_at=")[1]) for line in data["log"])
+    assert 0 <= last_met < len(lines)
 
 
 def test_build_autorder_verify(tmp_path: Path):

@@ -140,9 +140,12 @@ def test_extension_requirement_pending_then_realized():
 
 
 def test_generic_build_zero_steps():
-    chain = generic_build("Graph", [point_requirement("Graph", 0)], 0, seed=1)
+    chain = generic_build(empty_condition("Graph"), [point_requirement("Graph", 0)], 0, seed=1)
     assert len(chain.steps) == 1
     assert len(chain.final.universe) == 0
+    # An empty schedule runs no step, whatever the budget.
+    for steps in (None, 5):
+        assert generic_build(empty_condition("Graph"), [], steps).steps == (empty_condition("Graph"),)
 
 
 def _extension_schedule_upto2(tag, n):
@@ -154,7 +157,7 @@ def _extension_schedule_upto2(tag, n):
 def test_generic_graph_realizes_one_point_extensions():
     schedule = [point_requirement("Graph", m) for m in range(5)]
     schedule += _extension_schedule_upto2("Graph", 5)
-    chain = generic_build("Graph", schedule, 8 * len(schedule) + 8, seed=1)
+    chain = generic_build(empty_condition("Graph"), schedule, 8 * len(schedule) + 8, seed=1)
     m = chain.final.structure
     edges = {frozenset(t) for t in m.rel("E")}
     for v in range(5):
@@ -166,7 +169,7 @@ def test_generic_graph_realizes_one_point_extensions():
 def test_generic_order_densifies_named_points():
     schedule = [point_requirement("LinearOrder", m) for m in range(4)]
     schedule += [between_requirement(a, b) for a in range(4) for b in range(a + 1, 4)]
-    chain = generic_build("LinearOrder", schedule, 8 * len(schedule) + 8, seed=2)
+    chain = generic_build(empty_condition("LinearOrder"), schedule, 8 * len(schedule) + 8, seed=2)
     seq = chain_of(chain.final.structure)
     pos = {x: i for i, x in enumerate(seq)}
     for a in range(4):
@@ -178,7 +181,7 @@ def test_generic_order_densifies_named_points():
 def test_chain_monotone_and_requirements_permanent():
     schedule = [point_requirement("Graph", m) for m in range(3)]
     schedule += _extension_schedule_upto2("Graph", 3)
-    chain = generic_build("Graph", schedule, 4 * len(schedule), seed=9)
+    chain = generic_build(empty_condition("Graph"), schedule, 4 * len(schedule), seed=9)
     for a, b in zip(chain.steps, chain.steps[1:]):
         assert stronger(b, a)
     previous = [False] * len(schedule)
@@ -192,9 +195,9 @@ def test_chain_monotone_and_requirements_permanent():
 def test_generic_build_determinism():
     schedule = [point_requirement("Graph", m) for m in range(4)]
     schedule += _extension_schedule_upto2("Graph", 4)
-    a = generic_build("Graph", schedule, 200, seed=77)
-    b = generic_build("Graph", schedule, 200, seed=77)
-    assert a.to_json_dict() == b.to_json_dict()
+    a = generic_build(empty_condition("Graph"), schedule, 200, seed=77)
+    b = generic_build(empty_condition("Graph"), schedule, 200, seed=77)
+    assert a == b
 
 
 def test_connectivity_requirement_joins_components():
