@@ -9,10 +9,18 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from random import Random
+from types import MappingProxyType
 
 from genstruct.forcing import DenseRequirement, delta_system, generic_build
-from genstruct.structures import StructureError, fresh_ids, from_json_dict, to_json_dict
+from genstruct.structures import (
+    StructureError,
+    field_state,
+    fresh_ids,
+    from_json_dict,
+    to_json_dict,
+)
 from genstruct.classes import chain_of, chain_structure
 
 
@@ -29,24 +37,48 @@ class AutCondition:
     """A triple: finite universe, linear order (the chain), partial map.
 
     The chain lists the universe in increasing order; phi is a set of
-    (source, image) pairs.
+    (source, image) pairs.  The universe, the positions and both maps are
+    cached views, derived on first use; they are not fields, so equality,
+    hashing, repr, JSON and pickling ignore them.
     """
 
     chain: tuple[int, ...]
     phi: tuple[tuple[int, int], ...]
 
-    @property
+    __getstate__ = field_state
+
+    @cached_property
     def universe(self) -> frozenset[int]:
         return frozenset(self.chain)
 
+    @cached_property
+    def positions(self) -> MappingProxyType:
+        """Read-only map from each element to its index in the chain."""
+        return MappingProxyType({x: i for i, x in enumerate(self.chain)})
+
+    @cached_property
+    def phi_map(self) -> MappingProxyType:
+        """Read-only view of phi as a map."""
+        return MappingProxyType(dict(self.phi))
+
+    @cached_property
+    def inv_map(self) -> MappingProxyType:
+        """Read-only view of the inverse of phi."""
+        return MappingProxyType({y: x for x, y in self.phi})
+
     def phi_dict(self) -> dict[int, int]:
-        return dict(self.phi)
+        """A fresh, mutable copy of `phi_map`."""
+        return dict(self.phi_map)
 
     def inv_dict(self) -> dict[int, int]:
-        return {y: x for x, y in self.phi}
+        """A fresh, mutable copy of `inv_map`."""
+        return dict(self.inv_map)
 
     def index(self, x: int) -> int:
-        return self.chain.index(x)
+        try:
+            return self.positions[x]
+        except KeyError:
+            raise ValueError(f"{x} is not in the chain") from None
 
     def before(self, x: int, y: int) -> bool:
         return self.index(x) < self.index(y)
@@ -78,10 +110,9 @@ def validate_aut_condition(c: AutCondition) -> AutVerdict:
     transfinite setting; over natural-number ids they hold vacuously and
     are documented here rather than checked.
     """
-    if len(set(c.chain)) != len(c.chain):
+    universe, phi, pos = c.universe, c.phi_map, c.positions
+    if len(universe) != len(c.chain):
         return AutVerdict(False, 1, "chain repeats an element")
-    universe = set(c.chain)
-    phi = dict(c.phi)
     if len(phi) != len(c.phi):
         return AutVerdict(False, 2, "phi maps an element twice")
     if len(set(phi.values())) != len(phi):
@@ -89,7 +120,6 @@ def validate_aut_condition(c: AutCondition) -> AutVerdict:
     for x, y in phi.items():
         if x not in universe or y not in universe:
             return AutVerdict(False, 2, f"phi pair ({x},{y}) leaves the universe")
-    pos = {x: i for i, x in enumerate(c.chain)}
     items = sorted(phi.items(), key=lambda p: pos[p[0]])
     for (x1, y1), (x2, y2) in zip(items, items[1:]):
         if pos[y1] >= pos[y2]:
@@ -110,7 +140,7 @@ def aut_stronger(q: AutCondition, p: AutCondition) -> bool:
 
 def orbit_of(c: AutCondition, x: int) -> frozenset[int]:
     """The connected orbit of x under the partial map (both directions)."""
-    phi, inv = c.phi_dict(), c.inv_dict()
+    phi, inv = c.phi_map, c.inv_map
     out = {x}
     cur = x
     while cur in phi:
@@ -154,7 +184,7 @@ def amalgamate_partial_automorphisms(
         raise NotIsomorphicExtensions("h must fix the root pointwise")
     if tuple(h[x] for x in p1.chain) != p2.chain:
         raise NotIsomorphicExtensions("h does not preserve the orders")
-    phi1, phi2 = p1.phi_dict(), p2.phi_dict()
+    phi1, phi2 = p1.phi_map, p2.phi_map
     if {(h[x], h[y]) for x, y in phi1.items()} != set(p2.phi):
         raise NotIsomorphicExtensions("h does not intertwine the partial maps")
     for x, y in phi1.items():
@@ -257,8 +287,7 @@ def orbit_straddles(c: AutCondition, alpha0: int, beta: int) -> bool:
     below it, all applications defined."""
     if alpha0 not in c.universe or beta not in c.universe:
         return False
-    phi, inv = c.phi_dict(), c.inv_dict()
-    idx = {x: i for i, x in enumerate(c.chain)}
+    phi, inv, idx = c.phi_map, c.inv_map, c.positions
     fwd = bwd = alpha0
     while True:
         if idx[beta] < idx[fwd] and idx[bwd] < idx[beta]:
@@ -281,12 +310,12 @@ def orbit_requirement_meet(p: AutCondition, alpha0: int, beta: int, rng: Random 
     guard = 0
     while not orbit_straddles(p, alpha0, beta):
         fwd = alpha0
-        phi = p.phi_dict()
+        phi = p.phi_map
         while fwd in phi:
             fwd = phi[fwd]
         p, _ = _grow_forward(p, fwd)
         bwd = alpha0
-        inv = p.inv_dict()
+        inv = p.inv_map
         while bwd in inv:
             bwd = inv[bwd]
         p, _ = _grow_backward(p, bwd)
@@ -316,10 +345,8 @@ def aut_point_requirement(m: int) -> DenseRequirement[AutCondition]:
 
 def aut_between_requirement(a: int, b: int) -> DenseRequirement[AutCondition]:
     def satisfied(p: AutCondition) -> bool:
-        if a not in p.universe or b not in p.universe:
-            return False
-        lo, hi = sorted((p.index(a), p.index(b)))
-        return hi - lo > 1
+        pos = p.positions
+        return a in pos and b in pos and abs(pos[a] - pos[b]) > 1
 
     def extend(p: AutCondition, rng: Random | None) -> AutCondition:
         for m in (a, b):
@@ -338,7 +365,7 @@ def aut_between_requirement(a: int, b: int) -> DenseRequirement[AutCondition]:
 
 def aut_dom_requirement(m: int) -> DenseRequirement[AutCondition]:
     def satisfied(p: AutCondition) -> bool:
-        return m in p.universe and m in p.phi_dict()
+        return m in p.universe and m in p.phi_map
 
     def extend(p: AutCondition, rng: Random | None) -> AutCondition:
         if m not in p.universe:
@@ -351,7 +378,7 @@ def aut_dom_requirement(m: int) -> DenseRequirement[AutCondition]:
 
 def aut_range_requirement(m: int) -> DenseRequirement[AutCondition]:
     def satisfied(p: AutCondition) -> bool:
-        return m in p.universe and m in p.inv_dict()
+        return m in p.universe and m in p.inv_map
 
     def extend(p: AutCondition, rng: Random | None) -> AutCondition:
         if m not in p.universe:
@@ -400,6 +427,8 @@ def build_automorphic_order(
     Satisfaction is upward closed along the chain, so it is found by
     bisection over the conditions after each step.
     """
+    if alpha0 < 0:
+        raise StructureError("alpha0 must be nonnegative")
     schedule = default_aut_schedule(n, alpha0)
     chain = generic_build(empty_aut_condition(), schedule, steps, seed, aut_stronger)
     after = chain.steps[1:]
@@ -423,8 +452,7 @@ def equivariant_delta_trim(family: list[AutCondition]) -> tuple[frozenset[int], 
     picked = [family[i] for i in ds.members]
     closed = []
     for c in picked:
-        phi = c.phi_dict()
-        inv = c.inv_dict()
+        phi, inv = c.phi_map, c.inv_map
         if all(phi[r] in root for r in root if r in phi) and all(
             inv[r] in root for r in root if r in inv
         ):

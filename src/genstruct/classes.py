@@ -279,15 +279,21 @@ def _is_partial_order(a: FinStructure) -> bool:
 
 
 def _is_linear_order(a: FinStructure) -> bool:
+    # A relation with n(n-1)/2 pairs, all going forward in one ordering of
+    # the universe, is that ordering's strict order; a linear order's
+    # in-degree chain is such an ordering.
     rel = a.rel("<")
-    total = all((x, y) in rel or (y, x) in rel for x, y in combinations(sorted(a.universe), 2))
-    return total and _is_partial_order(a)
+    n = len(a.universe)
+    if len(rel) != n * (n - 1) // 2:
+        return False
+    pos = {x: i for i, x in enumerate(a.chain)}
+    return all(pos[x] < pos[y] for x, y in rel)
 
 
 def chain_of(a: FinStructure) -> list[int]:
-    """Universe of a linear order, sorted by its `<` relation."""
-    rel = a.rel("<")
-    return sorted(a.universe, key=lambda x: sum(1 for t in rel if t[1] == x))
+    """Universe of a linear order, sorted by its `<` relation (a copy of
+    the cached `FinStructure.chain`)."""
+    return list(a.chain)
 
 
 def chain_structure(seq: list[int]) -> FinStructure:

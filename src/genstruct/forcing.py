@@ -35,12 +35,12 @@ from genstruct.structures import (
     GRAPH_SIG,
     Signature,
     StructureError,
-    _is_partial_embedding,
     dumps,
     empty_structure,
     enumerate_embeddings_extending,
     fresh_ids,
     induced_substructure,
+    is_partial_embedding,
     make_embedding,
     relabel,
     to_json_dict,
@@ -102,6 +102,8 @@ def stronger(q: Condition, p: Condition) -> bool:
     """Is q an extension of p (reverse inclusion order)?"""
     if q.tag != p.tag:
         raise TagMismatch(f"{q.tag} vs {p.tag}")
+    if q is p:
+        return True
     if not p.universe <= q.universe:
         return False
     return _same_on(p.tag, induced_substructure(q.structure, p.universe), p.structure)
@@ -341,7 +343,7 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
     image = set(i.values())
 
     def _i_is_embedding(p: Condition) -> bool:
-        return _is_partial_embedding(*align(tag, b, p.structure), dict(i))
+        return is_partial_embedding(*align(tag, b, p.structure), dict(i))
 
     def satisfied(p: Condition) -> bool:
         if not image <= p.universe:
@@ -360,7 +362,7 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
             present = sorted(x for x in b.universe if i[x] in p.universe)
             part = induced_substructure(b, set(present))
             part_map = {x: i[x] for x in present}
-            if not _is_partial_embedding(*align(tag, b, p.structure), part_map):
+            if not is_partial_embedding(*align(tag, b, p.structure), part_map):
                 # i can never become an embedding; make the implication vacuous.
                 for m in sorted(image - p.universe):
                     p = _add_point(p, m, rng)
@@ -418,12 +420,14 @@ def generic_build(start: C, schedule: list[DenseRequirement[C]], steps: int | No
     for idx in range(steps):
         req = schedule[idx % len(schedule)]
         new = meet(current, req, rng, order)
-        added = tuple(sorted(new.universe - current.universe))
+        added = ()
+        if new is not current:
+            added = tuple(sorted(new.universe - current.universe))
+            grew_this_pass = grew_this_pass or new != current
         log.append((idx, req.name, added))
         if debug:
             logger.debug("%s", _step_line(idx, req.name, added))
         chain.append(new)
-        grew_this_pass = grew_this_pass or new != current
         current = new
         if idx % len(schedule) == len(schedule) - 1:
             if not grew_this_pass and all(r.satisfied(current) for r in schedule):
@@ -502,7 +506,7 @@ def _one_point_types_match(
     ext_left = induced_substructure(left, root | {x})
     mapping = {r: r for r in root}
     mapping[x] = y
-    return _is_partial_embedding(ext_left, right, mapping)
+    return is_partial_embedding(ext_left, right, mapping)
 
 
 def crossing_amalgamation(

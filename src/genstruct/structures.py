@@ -8,6 +8,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import permutations, product
@@ -34,8 +35,9 @@ class SignatureMismatch(StructureError):
     pass
 
 
-def _field_state(self) -> dict:
-    # Pickle the dataclass fields only; cached views are rebuilt on demand.
+def field_state(self) -> dict:
+    """Pickle state of a dataclass with cached views: its fields only, so
+    the views are rebuilt on demand.  Use as `__getstate__ = field_state`."""
     return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -55,7 +57,7 @@ class Signature:
 
     # A cached lookup table, not a field: equality, hashing and pickling
     # ignore it.
-    __getstate__ = _field_state
+    __getstate__ = field_state
 
     @cached_property
     def _arities(self) -> dict[str, int]:
@@ -98,9 +100,10 @@ class FinStructure:
     def __len__(self) -> int:
         return len(self.universe)
 
-    # A derived view, computed on first use and kept on the instance. It
-    # is not a field, so equality, hashing, JSON and pickling ignore it.
-    __getstate__ = _field_state
+    # Derived views, computed on first use and kept on the instance. They
+    # are not fields, so equality, hashing, repr, JSON and pickling ignore
+    # them.
+    __getstate__ = field_state
 
     @cached_property
     def profiles(self) -> MappingProxyType:
@@ -117,6 +120,14 @@ class FinStructure:
             for x, row in rows.items():
                 row.append(tuple(counts[x]))
         return MappingProxyType({x: tuple(row) for x, row in rows.items()})
+
+    @cached_property
+    def chain(self) -> tuple[int, ...]:
+        """The universe sorted by in-degree under `<`, ties in `universe`
+        iteration order: a linear order's elements from least to greatest.
+        Raises UnknownSymbol if the signature has no `<`."""
+        indegree = Counter(t[1] for t in self.rel("<"))
+        return tuple(sorted(self.universe, key=indegree.__getitem__))
 
 
 def validate_structure(
@@ -201,13 +212,14 @@ def make_embedding(source: FinStructure, target: FinStructure, mapping: dict[int
     for y in mapping.values():
         if y not in target.universe:
             raise StructureError(f"image point {y} not in target universe")
-    if not _is_partial_embedding(source, target, mapping):
+    if not is_partial_embedding(source, target, mapping):
         raise StructureError("map does not preserve and reflect relations")
     return Embedding(source, target, tuple(sorted(mapping.items())))
 
 
-def _is_partial_embedding(a: FinStructure, b: FinStructure, partial: dict[int, int]) -> bool:
-    # Checks preservation+reflection on tuples fully inside the partial domain.
+def is_partial_embedding(a: FinStructure, b: FinStructure, partial: dict[int, int]) -> bool:
+    """Does `partial` preserve and reflect every tuple of `a` that lies
+    inside its domain?"""
     dom = set(partial)
     for name, tuples in a.interp:
         target_tuples = b.rel(name)
@@ -217,6 +229,10 @@ def _is_partial_embedding(a: FinStructure, b: FinStructure, partial: dict[int, i
             if (t in tuples) != (mapped in target_tuples):
                 return False
     return True
+
+
+# The former private name, kept because perfbench/tracer.py wraps it.
+_is_partial_embedding = is_partial_embedding
 
 
 def _tuples_over(dom: set[int], arity: int):

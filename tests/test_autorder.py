@@ -309,6 +309,95 @@ def test_build_matches_round_robin_oracle(n, alpha0_pick, steps_pick, seed):
     assert got == oracle_build_automorphic_order(n, steps, seed, alpha0)
 
 
+def test_build_rejects_negative_alpha0():
+    with pytest.raises(StructureError, match="alpha0 must be nonnegative"):
+        build_automorphic_order(3, None, 0, -1)
+
+
+# --- cached views -------------------------------------------------------------------
+
+
+def oracle_orbit_of(c, x):
+    """The orbit walked on maps rebuilt from the fields."""
+    phi, inv = dict(c.phi), {y: x for x, y in c.phi}
+    out = {x}
+    for step in (phi, inv):
+        cur = x
+        while cur in step:
+            cur = step[cur]
+            out.add(cur)
+    return frozenset(out)
+
+
+def oracle_orbit_straddles(c, alpha0, beta):
+    """The earlier check: chain scans and maps rebuilt on every call."""
+    if alpha0 not in c.chain or beta not in c.chain:
+        return False
+    phi, inv = dict(c.phi), {y: x for x, y in c.phi}
+    fwd = bwd = alpha0
+    while True:
+        if c.chain.index(beta) < c.chain.index(fwd) and c.chain.index(bwd) < c.chain.index(beta):
+            return True
+        if fwd not in phi or bwd not in inv:
+            return False
+        fwd, bwd = phi[fwd], inv[bwd]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10),
+    st.sampled_from(["0", "1", "n", "n+3"]),
+    st.sampled_from(["half", "default"]),
+    st.integers(0, 2**32),
+)
+def test_cached_views_match_recomputation(n, alpha0_pick, steps_pick, seed):
+    alpha0 = {"0": 0, "1": 1, "n": n, "n+3": n + 3}[alpha0_pick]
+    length = len(default_aut_schedule(n, alpha0))
+    steps = {"half": 4 * length, "default": None}[steps_pick]
+    c, _ = build_automorphic_order(n, steps, seed, alpha0)
+    chain = list(c.chain)
+    assert c.universe == frozenset(chain)
+    assert c.phi_dict() == dict(c.phi)
+    assert c.inv_dict() == {y: x for x, y in c.phi}
+    missing = max(chain, default=-1) + 1
+    for x in chain:
+        assert c.index(x) == chain.index(x)
+        assert orbit_of(c, x) == oracle_orbit_of(c, x)
+        for y in chain:
+            assert c.before(x, y) == (chain.index(x) < chain.index(y))
+    for a in chain + [missing]:
+        for b in chain + [missing]:
+            assert orbit_straddles(c, a, b) == oracle_orbit_straddles(c, a, b)
+    with pytest.raises(ValueError):
+        c.index(missing)
+
+
+def test_cached_views_stay_out_of_equality_hash_repr_and_pickle():
+    import pickle
+
+    warm, _ = build_automorphic_order(4, None, 7)
+    cold = AutCondition(tuple(list(warm.chain)), tuple(list(warm.phi)))
+    orbit_straddles(warm, 0, 3)
+    assert warm.before(warm.chain[0], warm.chain[-1]) and warm.inv_map
+    assert set(vars(warm)) == {"chain", "phi", "universe", "positions", "phi_map", "inv_map"}
+    assert set(vars(cold)) == {"chain", "phi"}
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert aut_to_json_dict(warm) == aut_to_json_dict(cold)
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+    copy = pickle.loads(pickle.dumps(warm))
+    assert copy == warm and set(vars(copy)) == {"chain", "phi"}
+
+    phi, inv = warm.phi_dict(), warm.inv_dict()
+    phi[warm.chain[-1]] = -1
+    inv.clear()
+    assert warm.phi_dict() == dict(cold.phi) and warm.inv_dict() == cold.inv_dict()
+    assert warm == cold and warm.phi == cold.phi
+    with pytest.raises(TypeError):
+        warm.phi_map[0] = 1
+    with pytest.raises(TypeError):
+        warm.positions[0] = 1
+
+
 # --- trimming and serialization -----------------------------------------------------
 
 

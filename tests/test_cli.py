@@ -296,3 +296,22 @@ def test_build_bytes_independent_of_hash_seed():
             outputs.append(out)
         assert outputs[0] == outputs[1], tag
         assert hashlib.sha256(outputs[0]).hexdigest() == BUILD_DIGESTS[tag], tag
+
+
+# sha256 of the stdout of order builds, recorded before linear orders and
+# AutConditions cached their chain, positions and maps.
+ORDER_BUILD_DIGESTS = {
+    "build --class LinearOrder --n 25 --seed 0 --verify":
+        "e6fcc79bd218c0357453e8a08f9f36a660d842e7cfc291343cfe1094b6064372",
+    "build --class AutOrder --n 45 --seed 0 --verify":
+        "47beb503a432e53780b87af13f7fc10b04618c7164872b1242d4f93983902260",
+    "build --class LinearOrder --n 6 --seed 1 --format dot":
+        "0985b27b95f12f5e13a52b1729911c6a00296076629896bf7649c6c69c06e964",
+}
+
+
+def test_order_build_bytes_pinned(capsys):
+    for command, digest in ORDER_BUILD_DIGESTS.items():
+        assert run(*command.split()) == 0, command
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, command

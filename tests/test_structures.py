@@ -5,6 +5,7 @@ import pytest
 
 from genstruct.structures import (
     GRAPH_SIG,
+    ORDER_SIG,
     Signature,
     StructureError,
     SubsetNotContained,
@@ -273,3 +274,12 @@ def test_cached_views_stay_out_of_equality_hash_json_and_pickle():
         a.sig.arity("R")
     with pytest.raises(TypeError):
         a.profiles[0] = ()
+
+    order = validate_structure(ORDER_SIG, {3, 5, 9}, {"<": {(9, 3), (9, 5), (3, 5)}})
+    same = validate_structure(ORDER_SIG, {3, 5, 9}, {"<": {(9, 3), (9, 5), (3, 5)}})
+    assert order.chain == (9, 3, 5) and isinstance(order.chain, tuple)
+    assert order == same and hash(order) == hash(same) and repr(order) == repr(same)
+    assert dumps(order) == dumps(same) and pickle.dumps(order) == pickle.dumps(same)
+    assert set(pickle.loads(pickle.dumps(order)).__dict__) == {"sig", "universe", "interp"}
+    with pytest.raises(UnknownSymbol):
+        a.chain
