@@ -8,7 +8,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from random import Random
 from types import MappingProxyType
@@ -169,9 +168,9 @@ def amalgamate_partial_automorphisms(
 
     h must be the order isomorphism between the two sides fixing the root
     pointwise and intertwining the partial maps; a and b must be non-root
-    points of the first side in different orbits.  The construction embeds
-    the first chain at integer positions and displaces each twin point by
-    a third, to the right for a's orbit and to the left elsewhere, which
+    points of the first side in different orbits.  The construction puts
+    the first chain at the multiples of 3 and each twin point one step
+    away, to the right for a's orbit and to the left elsewhere, which
     keeps the union map order-preserving.
     """
     root = frozenset(root)
@@ -194,19 +193,15 @@ def amalgamate_partial_automorphisms(
             )
     if a not in u1 - root or b not in u1 - root:
         raise NotIsomorphicExtensions("a and b must be non-root points of the first side")
-    if orbit_of(p1, a) == orbit_of(p1, b):
-        raise SameOrbit(f"{a} and {b} lie in one orbit")
-
-    pos: dict[int, Fraction] = {x: Fraction(i + 1) for i, x in enumerate(p1.chain)}
     orbit_a = orbit_of(p1, a)
-    third = Fraction(1, 3)
-    key: dict[int, Fraction] = dict(pos)
-    for x in p1.chain:
-        twin = h[x]
-        if x in root:
-            continue  # f restricts to the identity on the root
-        key[twin] = pos[x] + (third if x in orbit_a else -third)
-    merged = sorted(set(p1.chain) | set(p2.chain), key=lambda z: key[z])
+    if orbit_a == orbit_of(p1, b):
+        raise SameOrbit(f"{a} and {b} lie in one orbit")
+    key: dict[int, int] = {}
+    for i, x in enumerate(p1.chain):
+        key[x] = 3 * (i + 1)
+        if x not in root:  # f restricts to the identity on the root
+            key[h[x]] = key[x] + (1 if x in orbit_a else -1)
+    merged = sorted(key, key=key.get)
     phi = dict(phi1)
     phi.update(phi2)
     return make_aut_condition(merged, phi)
@@ -215,32 +210,19 @@ def amalgamate_partial_automorphisms(
 # --- orbit extension machinery -------------------------------------------------
 
 
-def _positions(c: AutCondition) -> dict[int, Fraction]:
-    # Even integer gaps leave room for exact rational insertions.
-    return {x: Fraction(2 * (i + 1)) for i, x in enumerate(c.chain)}
+def _slot(n: int, lo: int, hi: int, forward: bool) -> int:
+    """Insertion index of a fresh point strictly between chain indices
+    lo < hi (either may lie just outside the chain of n elements).
 
-
-def _pick_value(lo: Fraction, hi: Fraction, taken: set[Fraction], forward: bool) -> Fraction:
-    """Canonical rational strictly inside (lo, hi) avoiding taken spots.
-
-    Prefers the midpoint, then fractions escalating toward hi (forward)
-    or lo (backward); at most len(taken)+2 candidates are ever needed."""
-    attempts = len(taken) + 3
-    for k in range(1, attempts + 1):
-        f = Fraction(1, 2) if k == 1 else (
-            Fraction(k, k + 1) if forward else Fraction(1, k + 1)
-        )
-        v = lo + (hi - lo) * f
-        if v not in taken:
-            return v
+    Tries the midpoint, then k/(k+1) of the gap (forward) or 1/(k+1)
+    (backward), skipping spots that land on an element; at most n+3
+    candidates are ever needed."""
+    for k in range(1, n + 4):
+        num, den = (1, 2) if k == 1 else (k, k + 1) if forward else (1, k + 1)
+        steps, rest = divmod((hi - lo) * num, den)
+        if rest or not 0 <= lo + steps < n:
+            return min(n, max(0, lo + steps + (rest > 0)))
     raise StructureError("no admissible position found")
-
-
-def _insert_at(c: AutCondition, new_id: int, value: Fraction, pos: dict[int, Fraction]) -> AutCondition:
-    chain = list(c.chain)
-    idx = sum(1 for x in chain if pos[x] < value)
-    chain.insert(idx, new_id)
-    return AutCondition(tuple(chain), c.phi)
 
 
 def _grow_forward(c: AutCondition, src: int) -> tuple[AutCondition, int]:
@@ -248,18 +230,15 @@ def _grow_forward(c: AutCondition, src: int) -> tuple[AutCondition, int]:
     phi = c.phi_dict()
     if src in phi:
         return c, phi[src]
-    pos = _positions(c)
-    anchors = sorted((pos[x], pos[y]) for x, y in phi.items())
+    pos = c.positions
     q = pos[src]
-    lower = [y for x, y in anchors if x < q]
-    upper = [y for x, y in anchors if x > q]
-    lo = max([q] + lower)
-    hi = upper[0] if upper else lo + 4
-    value = _pick_value(lo, hi, set(pos.values()), forward=True)
+    lo = max([q] + [pos[y] for x, y in phi.items() if pos[x] < q])
+    hi = min([pos[y] for x, y in phi.items() if pos[x] > q], default=lo + 2)
     new_id = fresh_ids(c.universe, 1)[0]
-    out = _insert_at(c, new_id, value, pos)
     phi[src] = new_id
-    return AutCondition(out.chain, tuple(sorted(phi.items()))), new_id
+    chain = list(c.chain)
+    chain.insert(_slot(len(chain), lo, hi, True), new_id)
+    return AutCondition(tuple(chain), tuple(sorted(phi.items()))), new_id
 
 
 def _grow_backward(c: AutCondition, tgt: int) -> tuple[AutCondition, int]:
@@ -268,18 +247,15 @@ def _grow_backward(c: AutCondition, tgt: int) -> tuple[AutCondition, int]:
     if tgt in inv:
         return c, inv[tgt]
     phi = c.phi_dict()
-    pos = _positions(c)
-    anchors = sorted((pos[x], pos[y]) for x, y in phi.items())
+    pos = c.positions
     q = pos[tgt]
-    lower = [x for x, y in anchors if y < q]
-    upper = [x for x, y in anchors if y > q]
-    hi = min([q] + upper)
-    lo = lower[-1] if lower else hi - 4
-    value = _pick_value(lo, hi, set(pos.values()), forward=False)
+    hi = min([q] + [pos[x] for x, y in phi.items() if pos[y] > q])
+    lo = max([pos[x] for x, y in phi.items() if pos[y] < q], default=hi - 2)
     new_id = fresh_ids(c.universe, 1)[0]
-    out = _insert_at(c, new_id, value, pos)
     phi[new_id] = tgt
-    return AutCondition(out.chain, tuple(sorted(phi.items()))), new_id
+    chain = list(c.chain)
+    chain.insert(_slot(len(chain), lo, hi, False), new_id)
+    return AutCondition(tuple(chain), tuple(sorted(phi.items()))), new_id
 
 
 def orbit_straddles(c: AutCondition, alpha0: int, beta: int) -> bool:
@@ -300,8 +276,8 @@ def orbit_straddles(c: AutCondition, alpha0: int, beta: int) -> bool:
 def orbit_requirement_meet(p: AutCondition, alpha0: int, beta: int, rng: Random | None = None) -> AutCondition:
     """Extend p until the orbit of alpha0 passes beta on both sides.
 
-    Walks the existing orbit first, then grows fresh points one rational
-    position at a time; every forward step passes at least one existing
+    Walks the existing orbit first, then grows fresh points one chain slot
+    at a time; every forward step passes at least one existing
     element, so the loop is linear in the universe size.
     """
     for m in (alpha0, beta):

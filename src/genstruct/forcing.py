@@ -20,8 +20,8 @@ from typing import Callable, Generic, TypeVar
 
 from genstruct.classes import (
     SAP_FLAGS,
+    NotInClass,
     align,
-    amalgamate,
     chain_of,
     chain_structure,
     class_signature,
@@ -125,12 +125,9 @@ def common_extension(p: Condition, q: Condition) -> Condition | None:
                     induced_substructure(q.structure, shared)):
         return None
     try:
-        result = class_spec(tag).glue(p.structure, q.structure)
+        out = Condition(tag, class_spec(tag).glue(p.structure, q.structure))
     except StructureError:
         return None
-    if not membership(tag, result):
-        return None
-    out = Condition(tag, result)
     if not (stronger(out, p) and stronger(out, q)):
         return None
     return out
@@ -143,8 +140,9 @@ class DenseRequirement(Generic[C]):
     `extend` must return a condition stronger than its argument that
     satisfies the predicate; on satisfied conditions it is the identity.
     The optional rng picks among minimal extensions.  Satisfaction must
-    be upward closed: once a condition satisfies it, so does every
-    stronger one.
+    depend only on the condition's value, so equal conditions get the
+    same verdict, and be upward closed: once a condition satisfies it,
+    so does every stronger one.
     """
 
     name: str
@@ -281,34 +279,28 @@ def _realize_over(
     base_to_p: dict[int, int],
     prescribed: dict[int, int],
     rng: Random | None,
-) -> tuple[Condition, dict[int, int]]:
+) -> Condition:
     """Extend p so a copy of `extension` sits over the base image.
 
-    Keeps every id of p; new points take prescribed names where given and
-    the smallest fresh naturals otherwise.  Returns the new condition and
-    the extension-to-result map.
+    `base` is an induced substructure of `extension` with the same ids and
+    `base_to_p` embeds it into p.  The class glue is the strong amalgam:
+    it keeps every id of p, and the new points take prescribed names
+    where given and the smallest fresh naturals otherwise.
     """
     tag = p.tag
-    base, extension, body = align(tag, base, extension, p.structure)
-    f = make_embedding(base, body, base_to_p)
-    g = make_embedding(base, extension, {x: x for x in base.universe})
-    amalgam = amalgamate(tag, f, g)
-    right = amalgam.emb_right.as_dict()
-    new_ext_points = [x for x in sorted(extension.universe) if right[x] not in p.universe]
-    taken = set(p.universe) | set(prescribed.values())
-    pool = iter(fresh_ids(taken, len(new_ext_points)))
-    target_name = {
-        x: prescribed[x] if x in prescribed else next(pool) for x in new_ext_points
-    }
-    renaming = {rid: rid for rid in amalgam.result.universe}
-    for x in new_ext_points:
-        renaming[right[x]] = target_name[x]
-    body = relabel(amalgam.result, renaming)
-    mapping = {x: renaming[right[x]] for x in extension.universe}
+    for side in (base, extension):
+        if not membership(tag, side):
+            raise NotInClass(f"input not in class {tag}")
+    make_embedding(*align(tag, base, p.structure), base_to_p)
+    new_points = sorted(extension.universe - base.universe)
+    pool = iter(fresh_ids(p.universe | set(prescribed.values()), len(new_points)))
+    names = {x: prescribed[x] if x in prescribed else next(pool) for x in new_points}
+    glued = class_spec(tag).glue(p.structure, relabel(extension, {**base_to_p, **names}))
+    body = align(tag, base, extension, p.structure, glued)[-1]
     if rng is not None:
-        new_ids = {target_name[x] for x in new_ext_points}
-        body = _randomize_free_relations(tag, body, new_ids, set(base_to_p.values()), rng)
-    return Condition(tag, body), mapping
+        fixed = set(base_to_p.values())
+        body = _randomize_free_relations(tag, body, set(names.values()), fixed, rng)
+    return Condition(tag, body)
 
 
 def _structure_digest(*structures: FinStructure) -> str:
@@ -323,8 +315,11 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
     While part of i's image is still missing from the condition the
     requirement counts as unmet; once the image is present the relations
     are frozen, so the verdict (and hence satisfaction) is final.  That
-    keeps satisfaction upward closed along extensions.
+    keeps satisfaction upward closed along extensions.  The forcing step
+    glues, so the class must have strong amalgamation.
     """
+    if not class_spec(tag).sap:
+        raise SAPRequired(f"{tag} lacks strong amalgamation")
     b, b_prime = f.source, f.target
     if set(i) != set(b.universe):
         raise StructureError("i must be defined exactly on the small side")
@@ -368,11 +363,10 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
                     p = _add_point(p, m, rng)
                 return p
             missing = {x: i[x] for x in b.universe if x not in present}
-            p, _ = _realize_over(p, part, b, part_map, missing, rng)
+            p = _realize_over(p, part, b, part_map, missing, rng)
             if satisfied(p):
                 return p
-        p, _ = _realize_over(p, b, b_prime, dict(i), {}, rng)
-        return p
+        return _realize_over(p, b, b_prime, dict(i), {}, rng)
 
     return DenseRequirement(name, satisfied, extend)
 
@@ -402,10 +396,11 @@ def generic_build(start: C, schedule: list[DenseRequirement[C]], steps: int | No
     in the forcing order `order` (as for `meet`).
 
     The default budget is 8 * len(schedule) + 8 meets; an empty schedule
-    runs none.  Stops early once a full pass adds nothing and every
-    requirement is satisfied.  Deterministic for a fixed (start, schedule,
-    steps, seed).  At DEBUG, the `genstruct` logger gets each step's log
-    line while the build runs.
+    runs none.  Stops early after a quiet pass, one in which every meet
+    left the condition equal: each requirement then held when it was met,
+    on a condition equal to the final one, so all of them hold.
+    Deterministic for a fixed (start, schedule, steps, seed).  At DEBUG,
+    the `genstruct` logger gets each step's log line while the build runs.
     """
     if not schedule:
         steps = 0
@@ -430,7 +425,7 @@ def generic_build(start: C, schedule: list[DenseRequirement[C]], steps: int | No
         chain.append(new)
         current = new
         if idx % len(schedule) == len(schedule) - 1:
-            if not grew_this_pass and all(r.satisfied(current) for r in schedule):
+            if not grew_this_pass:
                 break
             grew_this_pass = False
     return GenericChain(tuple(chain), tuple(log))

@@ -365,10 +365,6 @@ def find_isomorphism(a: FinStructure, b: FinStructure) -> Embedding | None:
     return found[0] if found else None
 
 
-def is_isomorphic(a: FinStructure, b: FinStructure) -> bool:
-    return find_isomorphism(a, b) is not None
-
-
 def relabel(a: FinStructure, renaming: dict[int, int]) -> FinStructure:
     """Apply an injective renaming of the universe."""
     if set(renaming) != set(a.universe) or len(set(renaming.values())) != len(renaming):

@@ -315,3 +315,26 @@ def test_order_build_bytes_pinned(capsys):
         assert run(*command.split()) == 0, command
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest, command
+
+
+# sha256 of the stdout of extension builds, recorded before the forcing step
+# glued extensions directly instead of going through `amalgamate`.
+EXTENSION_BUILD_DIGESTS = {
+    "build --class Graph --n 5 --seed 7 --verify":
+        "b40630cc041f7595632571cab00dfa3e30754e65d42e4bb6ca7dc39352fd8d5a",
+    "build --class Tournament --n 5 --seed 2 --verify":
+        "f1e269a24fce5c973ae82782b3db93581d58125fcc7489685a181dc18dae178f",
+    "build --class Digraph --n 2 --seed 1 --verify":
+        "0d013fa6a4ddc3a6c01a81ee1ba7220a536288b71dff6fa831e20b4a7e75fc56",
+    "build --class PartialOrder --n 3 --seed 1 --verify":
+        "fa5db6aeeb41bc7f11162a773f84a09472d5a238f45a709526427f61dcf36afb",
+    "build --class RationalMetric --n 1 --seed 1 --verify":
+        "5174561e11bfc3d61d397d4ee4ac43e86d187ca0652bc32d1fd5ddde63742bfa",
+}
+
+
+def test_extension_build_bytes_pinned(capsys):
+    for command, digest in EXTENSION_BUILD_DIGESTS.items():
+        assert run(*command.split()) == 0, command
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, command

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from genstruct.classes import chain_of, chain_structure
+from genstruct.classes import NotInClass, chain_of, chain_structure
 from genstruct.forcing import (
     Condition,
     CrossingSpec,
@@ -11,6 +11,7 @@ from genstruct.forcing import (
     IsomorphismTypeMismatch,
     SAPRequired,
     TagMismatch,
+    _realize_over,
     between_requirement,
     common_extension,
     connectivity_requirement,
@@ -28,6 +29,7 @@ from genstruct.forcing import (
 from genstruct.structures import (
     GRAPH_SIG,
     ORDER_SIG,
+    StructureError,
     inclusion_embedding,
     validate_structure,
 )
@@ -134,6 +136,37 @@ def test_extension_requirement_pending_then_realized():
     q = meet(p, req)
     assert 3 in q.universe
     assert any(3 in t for t in q.structure.rel("E"))
+
+
+def test_extension_requirement_rejects_graph_target_with_loop():
+    b = validate_structure(GRAPH_SIG, set(), {})
+    bp = validate_structure(GRAPH_SIG, {10}, {"E": {(10, 10)}})
+    req = extension_requirement({}, inclusion_embedding(b, bp), "Graph")
+    with pytest.raises(NotInClass):
+        req.extend(empty_condition("Graph"), None)
+
+
+def test_extension_requirement_rejects_nonlinear_order_target():
+    # Only 10 < 11: a partial order, which merging the chains would linearise.
+    b = chain_structure([10, 11])
+    bp = validate_structure(ORDER_SIG, {10, 11, 12}, {"<": {(10, 11)}})
+    req = extension_requirement({10: 0, 11: 1}, inclusion_embedding(b, bp), "LinearOrder")
+    with pytest.raises(NotInClass):
+        req.extend(order_cond([0, 1]), None)
+
+
+def test_realize_over_rejects_a_base_map_that_is_no_embedding():
+    b = graph_cond({10, 11}, [(10, 11)]).structure
+    bp = graph_cond({10, 11, 12}, [(10, 11), (11, 12)]).structure
+    with pytest.raises(StructureError):
+        _realize_over(graph_cond({0, 1}, []), b, bp, {10: 0, 11: 1}, {}, None)
+
+
+def test_extension_requirement_needs_strong_amalgamation():
+    b = validate_structure(GRAPH_SIG, set(), {})
+    bp = graph_cond({10}, []).structure
+    with pytest.raises(SAPRequired):
+        extension_requirement({}, inclusion_embedding(b, bp), "LinearGraph")
 
 
 # --- the generic builder -----------------------------------------------------------

@@ -1,0 +1,348 @@
+"""Differential tests: the forcing steps against the code they replaced.
+
+The oracles below are the earlier implementations:
+- `_realize_over` built two validated embeddings and went through the
+  public `amalgamate`, then renamed the amalgam's fresh points;
+- `generic_build` re-checked every requirement at the end of a pass
+  that added nothing;
+- `autorder` placed grown points at exact `Fraction` positions (chain
+  element i at 2(i+1)) and keyed the twins of an amalgam by thirds.
+The current code must return equal conditions, chains and exceptions.
+"""
+
+from fractions import Fraction
+from functools import cache
+from random import Random
+
+from hypothesis import given, settings, strategies as st
+
+from genstruct.autorder import (
+    AutCondition,
+    SameOrbit,
+    _grow_backward,
+    _grow_forward,
+    amalgamate_partial_automorphisms,
+    aut_stronger,
+    default_aut_schedule,
+    empty_aut_condition,
+    make_aut_condition,
+    orbit_of,
+)
+from genstruct.classes import (
+    _align_signature,
+    align,
+    amalgamate,
+    class_signature,
+    enumerate_members,
+    metric_symbol,
+    parse_metric_symbol,
+)
+from genstruct.cli import default_schedule
+from genstruct.forcing import (
+    Condition,
+    GenericChain,
+    _randomize_free_relations,
+    _realize_over,
+    empty_condition,
+    generic_build,
+    meet,
+)
+from genstruct.structures import (
+    Signature,
+    StructureError,
+    enumerate_embeddings,
+    fresh_ids,
+    induced_substructure,
+    make_embedding,
+    relabel,
+)
+
+# --- oracles -----------------------------------------------------------------
+
+
+def oracle_realize_over(p, base, extension, base_to_p, prescribed, rng):
+    tag = p.tag
+    base, extension, body = align(tag, base, extension, p.structure)
+    f = make_embedding(base, body, base_to_p)
+    g = make_embedding(base, extension, {x: x for x in base.universe})
+    amalgam = amalgamate(tag, f, g)
+    right = amalgam.emb_right.as_dict()
+    new_ext_points = [x for x in sorted(extension.universe) if right[x] not in p.universe]
+    taken = set(p.universe) | set(prescribed.values())
+    pool = iter(fresh_ids(taken, len(new_ext_points)))
+    target_name = {
+        x: prescribed[x] if x in prescribed else next(pool) for x in new_ext_points
+    }
+    renaming = {rid: rid for rid in amalgam.result.universe}
+    for x in new_ext_points:
+        renaming[right[x]] = target_name[x]
+    body = relabel(amalgam.result, renaming)
+    if rng is not None:
+        new_ids = {target_name[x] for x in new_ext_points}
+        body = _randomize_free_relations(tag, body, new_ids, set(base_to_p.values()), rng)
+    return Condition(tag, body)
+
+
+def oracle_generic_build(start, schedule, steps=None, seed=0, order=None):
+    if not schedule:
+        steps = 0
+    elif steps is None:
+        steps = 8 * len(schedule) + 8
+    rng = Random(seed)
+    current = start
+    chain = [current]
+    log = []
+    grew_this_pass = False
+    for idx in range(steps):
+        req = schedule[idx % len(schedule)]
+        new = meet(current, req, rng, order)
+        added = ()
+        if new is not current:
+            added = tuple(sorted(new.universe - current.universe))
+            grew_this_pass = grew_this_pass or new != current
+        log.append((idx, req.name, added))
+        chain.append(new)
+        current = new
+        if idx % len(schedule) == len(schedule) - 1:
+            if not grew_this_pass and all(r.satisfied(current) for r in schedule):
+                break
+            grew_this_pass = False
+    return GenericChain(tuple(chain), tuple(log))
+
+
+def oracle_positions(c):
+    return {x: Fraction(2 * (i + 1)) for i, x in enumerate(c.chain)}
+
+
+def oracle_pick_value(lo, hi, taken, forward):
+    for k in range(1, len(taken) + 4):
+        f = Fraction(1, 2) if k == 1 else (
+            Fraction(k, k + 1) if forward else Fraction(1, k + 1)
+        )
+        v = lo + (hi - lo) * f
+        if v not in taken:
+            return v
+    raise StructureError("no admissible position found")
+
+
+def oracle_insert_at(c, new_id, value, pos):
+    chain = list(c.chain)
+    idx = sum(1 for x in chain if pos[x] < value)
+    chain.insert(idx, new_id)
+    return AutCondition(tuple(chain), c.phi)
+
+
+def oracle_grow_forward(c, src):
+    phi = c.phi_dict()
+    if src in phi:
+        return c, phi[src]
+    pos = oracle_positions(c)
+    anchors = sorted((pos[x], pos[y]) for x, y in phi.items())
+    q = pos[src]
+    lower = [y for x, y in anchors if x < q]
+    upper = [y for x, y in anchors if x > q]
+    lo = max([q] + lower)
+    hi = upper[0] if upper else lo + 4
+    value = oracle_pick_value(lo, hi, set(pos.values()), forward=True)
+    new_id = fresh_ids(c.universe, 1)[0]
+    out = oracle_insert_at(c, new_id, value, pos)
+    phi[src] = new_id
+    return AutCondition(out.chain, tuple(sorted(phi.items()))), new_id
+
+
+def oracle_grow_backward(c, tgt):
+    inv = c.inv_dict()
+    if tgt in inv:
+        return c, inv[tgt]
+    phi = c.phi_dict()
+    pos = oracle_positions(c)
+    anchors = sorted((pos[x], pos[y]) for x, y in phi.items())
+    q = pos[tgt]
+    lower = [x for x, y in anchors if y < q]
+    upper = [x for x, y in anchors if y > q]
+    hi = min([q] + upper)
+    lo = lower[-1] if lower else hi - 4
+    value = oracle_pick_value(lo, hi, set(pos.values()), forward=False)
+    new_id = fresh_ids(c.universe, 1)[0]
+    out = oracle_insert_at(c, new_id, value, pos)
+    phi[new_id] = tgt
+    return AutCondition(out.chain, tuple(sorted(phi.items()))), new_id
+
+
+def oracle_amalgam_chain(p1, p2, root, h, a):
+    """The merged chain of `amalgamate_partial_automorphisms`, keyed by
+    the first side's positions plus or minus a third."""
+    pos = {x: Fraction(i + 1) for i, x in enumerate(p1.chain)}
+    orbit_a = orbit_of(p1, a)
+    third = Fraction(1, 3)
+    key = dict(pos)
+    for x in p1.chain:
+        if x not in root:
+            key[h[x]] = pos[x] + (third if x in orbit_a else -third)
+    return tuple(sorted(set(p1.chain) | set(p2.chain), key=lambda z: key[z]))
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type of the StructureError it raised."""
+    try:
+        return fn(*args)
+    except StructureError as exc:
+        return type(exc)
+
+
+# --- realizing an extension over a condition -----------------------------------
+
+SAP_TAGS = ("Graph", "Digraph", "Tournament", "LinearOrder", "PartialOrder", "RationalMetric")
+
+
+@cache
+def small_members(tag):
+    return tuple(m for size in range(4) for m in enumerate_members(tag, size))
+
+
+def renamed(draw, structure, pool):
+    """A copy of `structure` on distinct ids drawn from `pool`."""
+    ids = draw(st.permutations(pool))[: len(structure.universe)]
+    return relabel(structure, dict(zip(structure.sorted_universe(), ids)))
+
+
+def padded(draw, tag, structure):
+    """For metrics, `structure` over a signature that may also list unused
+    distances, as the bodies of metric conditions do."""
+    if class_signature(tag) is not None:
+        return structure
+    extra = draw(st.sets(st.sampled_from((1, 2, 3, 5, Fraction(1, 2)))))
+    symbols = {*structure.sig.symbols, *((metric_symbol(q), 2) for q in extra)}
+    sig = Signature(tuple(sorted(symbols, key=lambda t: parse_metric_symbol(t[0]))))
+    return _align_signature(structure, sig)
+
+
+@st.composite
+def realize_cases(draw):
+    """(p, base, extension, base_to_p, prescribed, seed): a condition p, a
+    member `extension` with an induced substructure `base` on the same
+    ids, an embedding of base into p, and names for some new points."""
+    tag = draw(st.sampled_from(SAP_TAGS))
+    members = small_members(tag)
+    p = renamed(draw, draw(st.sampled_from(members)), list(range(12)))
+    p = Condition(tag, padded(draw, tag, p))
+    extension = renamed(draw, draw(st.sampled_from(members)), list(range(20, 32)))
+    extension = padded(draw, tag, extension)
+    universe = extension.sorted_universe()
+    subset = {x for x in universe if draw(st.booleans())}
+    base = padded(draw, tag, induced_substructure(extension, subset))
+    embeddings = enumerate_embeddings(*align(tag, base, p.structure))
+    if not embeddings:
+        # No copy of the base in p: realize the extension over nothing.
+        base = induced_substructure(extension, set())
+        embeddings = enumerate_embeddings(*align(tag, base, p.structure))
+    base_to_p = draw(st.sampled_from(embeddings)).as_dict()
+    new_points = sorted(extension.universe - base.universe)
+    names = draw(st.permutations([x for x in range(16) if x not in p.universe]))
+    prescribed = {x: y for x, y in zip(new_points, names) if draw(st.booleans())}
+    seed = draw(st.none() | st.integers(0, 2**16))
+    return p, base, extension, base_to_p, prescribed, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(realize_cases())
+def test_realize_over_matches_amalgamate_oracle(case):
+    p, base, extension, base_to_p, prescribed, seed = case
+
+    def rng():
+        return None if seed is None else Random(seed)
+
+    got = outcome(_realize_over, p, base, extension, base_to_p, prescribed, rng())
+    want = outcome(oracle_realize_over, p, base, extension, base_to_p, prescribed, rng())
+    assert got == want
+    assert isinstance(got, Condition)
+    assert got.structure.sig == want.structure.sig
+
+
+# --- the generic builder ---------------------------------------------------------
+
+
+@cache
+def class_schedule(tag, n, ext_size):
+    return tuple(default_schedule(tag, n, ext_size))
+
+
+@cache
+def aut_schedule(n, alpha0):
+    return tuple(default_aut_schedule(n, alpha0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(("Graph", "LinearOrder", "LinearGraph", "AutOrder")),
+    st.integers(0, 4),
+    st.none() | st.integers(0, 120),
+    st.integers(0, 2**16),
+    st.data(),
+)
+def test_generic_build_matches_full_recheck_oracle(tag, n, steps, seed, data):
+    if tag == "AutOrder":
+        alpha0 = data.draw(st.sampled_from((0, 1, n, n + 3)))
+        schedule = list(aut_schedule(n, alpha0))
+        start, order = empty_aut_condition(), aut_stronger
+    else:
+        ext_size = data.draw(st.integers(1, 3 if n <= 3 else 2))
+        schedule = list(class_schedule(tag, n, ext_size))
+        start, order = empty_condition(tag), None
+    got = generic_build(start, schedule, steps, seed, order)
+    assert got == oracle_generic_build(start, schedule, steps, seed, order)
+
+
+# --- autorder slots --------------------------------------------------------------
+
+
+@st.composite
+def aut_conditions(draw, max_size=14):
+    """A valid AutCondition: a chain of distinct ids and an increasing,
+    above-diagonal partial map between chain indices."""
+    chain = tuple(draw(st.lists(st.integers(0, 40), unique=True, max_size=max_size)))
+    idx = range(len(chain))
+    sources = sorted(draw(st.sets(st.sampled_from(idx)))) if chain else []
+    targets = sorted(draw(st.sets(st.sampled_from(idx)))) if chain else []
+    phi = {chain[s]: chain[t] for s, t in zip(sources, targets) if s < t}
+    return make_aut_condition(chain, phi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(aut_conditions())
+def test_grow_matches_fraction_oracle(c):
+    for x in c.chain:
+        assert outcome(_grow_forward, c, x) == outcome(oracle_grow_forward, c, x)
+        assert outcome(_grow_backward, c, x) == outcome(oracle_grow_backward, c, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(aut_conditions(max_size=8), st.data())
+def test_amalgamate_partial_automorphisms_matches_fraction_oracle(p1, data):
+    root = set()
+    for x in p1.chain:
+        if data.draw(st.booleans()):
+            root |= orbit_of(p1, x)
+    outside = [x for x in p1.chain if x not in root]
+    if not outside:
+        return
+    a = data.draw(st.sampled_from(outside))
+    b = data.draw(st.sampled_from(outside))
+    fresh = iter(x for x in range(41, 100))
+    h = {x: (x if x in root else next(fresh)) for x in p1.chain}
+    p2 = make_aut_condition([h[x] for x in p1.chain], {h[x]: h[y] for x, y in p1.phi})
+    got = outcome(amalgamate_partial_automorphisms, p1, p2, frozenset(root), h, a, b)
+    if orbit_of(p1, a) == orbit_of(p1, b):
+        assert got is SameOrbit
+        return
+    assert got.chain == oracle_amalgam_chain(p1, p2, frozenset(root), h, a)
+
+
+def test_oracles_agree_on_a_build():
+    """The slot oracle matches at every point of every condition of a build."""
+    chain = generic_build(empty_aut_condition(), default_aut_schedule(8), None, 3, aut_stronger)
+    for c in chain.steps:
+        for x in c.chain:
+            assert _grow_forward(c, x) == oracle_grow_forward(c, x)
+            assert _grow_backward(c, x) == oracle_grow_backward(c, x)
+
