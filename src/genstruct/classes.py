@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 from random import Random
 from typing import Callable, Iterator
@@ -28,6 +28,7 @@ from genstruct.structures import (
     canonical_key,
     empty_structure,
     enumerate_embeddings,
+    find_isomorphism,
     fresh_ids,
     induced_substructure,
     make_embedding,
@@ -58,6 +59,7 @@ def metric_symbol(q: Fraction) -> str:
     return f"d_{q.numerator}" if q.denominator == 1 else f"d_{q.numerator}/{q.denominator}"
 
 
+@lru_cache(maxsize=1024)
 def parse_metric_symbol(name: str) -> Fraction:
     if not name.startswith("d_"):
         raise SignatureMismatch(f"not a distance symbol: {name}")
@@ -727,17 +729,23 @@ def enumerate_members(tag: str, size: int, connected: bool = False) -> tuple[Fin
         sig = class_signature(tag) or Signature(())
         out = (empty_structure(sig),)
     else:
-        seen: dict[tuple, FinStructure] = {}
+        # Isomorphic candidates share their signature and profile multiset,
+        # so each is compared only with the kept members of its bucket.
+        # The first candidate of each type is kept, and only those are keyed.
+        buckets: dict[tuple, list[FinStructure]] = {}
         for smaller in enumerate_members(tag, size - 1, connected=False):
             for candidate in class_spec(tag).extensions(smaller, size - 1):
                 if not membership(tag, candidate):
                     continue
                 if connected and not _is_connected_graph(candidate):
                     continue
-                ck = canonical_key(candidate)
-                if ck not in seen:
-                    seen[ck] = candidate
-        out = tuple(seen[k] for k in sorted(seen))
+                bucket = buckets.setdefault(
+                    (candidate.sig, tuple(sorted(candidate.profiles.values()))), []
+                )
+                if all(find_isomorphism(candidate, m) is None for m in bucket):
+                    bucket.append(candidate)
+        keyed = {canonical_key(m): m for bucket in buckets.values() for m in bucket}
+        out = tuple(keyed[k] for k in sorted(keyed))
     _MEMBER_CACHE[key] = out
     return out
 

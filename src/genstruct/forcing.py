@@ -308,6 +308,17 @@ def _structure_digest(*structures: FinStructure) -> str:
     return hashlib.sha1(blob.encode()).hexdigest()[:8]
 
 
+def _target_over_source(f: Embedding) -> FinStructure:
+    """f's target renamed so that f becomes an inclusion: f(x) becomes x,
+    and the other points keep their ids unless the source uses them.  For
+    an inclusion f this is the identity."""
+    source, target = f.source, f.target
+    back = {y: x for x, y in f.mapping}
+    clashes = sorted(source.universe & target.universe - back.keys())
+    moved = dict(zip(clashes, fresh_ids(source.universe | target.universe, len(clashes))))
+    return relabel(target, {y: back.get(y, moved.get(y, y)) for y in target.universe})
+
+
 def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseRequirement:
     """Whenever i realizes the small side as an embedding, some embedding g
     of the larger side must satisfy g after f = i.
@@ -366,7 +377,7 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
             p = _realize_over(p, part, b, part_map, missing, rng)
             if satisfied(p):
                 return p
-        return _realize_over(p, b, b_prime, dict(i), {}, rng)
+        return _realize_over(p, b, _target_over_source(f), dict(i), {}, rng)
 
     return DenseRequirement(name, satisfied, extend)
 

@@ -11,7 +11,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import permutations, product
+from itertools import product
 from types import MappingProxyType
 
 
@@ -398,24 +398,120 @@ def relabel_disjoint(a: FinStructure, forbidden: set[int] | frozenset[int]) -> t
 
 
 def canonical_key(a: FinStructure) -> tuple:
-    """Isomorphism-invariant key: minimum relabeling onto 0..n-1.
+    """Isomorphism-invariant key: the least relabeling onto 0..n-1.
 
-    Exhaustive: tries all n! bijections onto 0..n-1 and keeps the least
-    sorted tuple lists; fine for the intended scale (at most about eight
-    elements).
+    The key is `(n, symbol names, rows)`, where `rows` holds, per symbol
+    in `interp` order, the sorted tuple list of the relabeled structure,
+    and the relabeling is the one whose rows are lexicographically least.
+    `_least_order` finds that relabeling by branch and bound.
     """
     src = a.sorted_universe()
-    n = len(src)
-    best = None
-    for perm in permutations(range(n)):
-        renaming = {src[i]: perm[i] for i in range(n)}
-        key = tuple(
-            tuple(sorted(tuple(renaming[x] for x in t) for t in tuples))
-            for _, tuples in a.interp
-        )
-        if best is None or key < best:
-            best = key
-    return (n, a.sig.names(), best)
+    index = {x: i for i, x in enumerate(src)}
+    order = _least_order(len(src), [
+        (a.sig.arity(name), [tuple(index[x] for x in t) for t in tuples])
+        for name, tuples in a.interp
+    ])
+    label = {src[u]: i for i, u in enumerate(order)}
+    rows = tuple(
+        tuple(sorted(tuple(label[x] for x in t) for t in tuples))
+        for _, tuples in a.interp
+    )
+    return (len(src), a.sig.names(), rows)
+
+
+def _least_order(n: int, relations: list[tuple[int, list[tuple[int, ...]]]]) -> list[int]:
+    """The points 0..n-1 in label order (label i goes to order[i]) for the
+    least relabeling of `relations`, given as (arity, tuples) pairs.
+
+    A relabeling keeps the tuple count of every relation, so comparing
+    sorted tuple lists is the same as comparing presence bits over all
+    label tuples in lex order, with "present" (0) below "absent" (1).
+    Labels are given out in order, depth first.  A prefix gets a bound:
+    a bit string no greater than that of any labeling extending it.  A
+    child whose bound is not below the best complete string is cut.
+    Children that an automorphism fixing the prefix maps onto each other
+    have equal subtrees, so only the first is searched; automorphisms come
+    from complete labelings that tie with the best.
+    """
+    rels = []
+    for arity, tuples in relations:
+        # A row is the run of label tuples that agree on all but the last place.
+        succ: dict[tuple[int, ...], set[int]] = {}
+        for t in tuples:
+            succ.setdefault(t[:-1], set()).add(t[-1])
+        rels.append((len(tuples), succ, list(product(range(n), repeat=arity - 1))))
+
+    def bound(order: list[int]) -> list[int]:
+        # A row whose prefix labels are all given: its bits at given labels
+        # are known, and its other tuples at best take the next slots.  The
+        # tuples of the remaining rows at best take their first slots.
+        k = len(order)
+        bits: list[int] = []
+        for count, succ, prefixes in rels:
+            rows: list[list[int] | None] = []
+            spare = count
+            for q in prefixes:
+                if all(i < k for i in q):
+                    s = succ.get(tuple(order[i] for i in q), ())
+                    row = [0 if order[j] in s else 1 for j in range(k)]
+                    rest = len(s) - row.count(0)
+                    rows.append(row + [0] * rest + [1] * (n - k - rest))
+                    spare -= len(s)
+                else:
+                    rows.append(None)
+            for row in rows:
+                if row is None:
+                    zeros = min(spare, n)
+                    spare -= zeros
+                    row = [0] * zeros + [1] * (n - zeros)
+                bits += row
+        return bits
+
+    best: list[int] | None = None
+    best_order: list[int] = []
+    autos: list[dict[int, int]] = []
+
+    def search(order: list[int], free: set[int]) -> None:
+        nonlocal best, best_order
+        children = []
+        for u in free:
+            child = order + [u]
+            if len(free) == 2:
+                child += free - {u}  # the last label is forced
+            children.append((bound(child), child))
+        children.sort()
+        tried: list[int] = []
+        for bits, child in children:
+            complete = len(child) == n
+            if best is not None and (bits > best or (bits == best and not complete)):
+                break
+            u = child[len(order)]
+            if tried and _in_orbit(u, tried, order, autos):
+                continue
+            tried.append(u)
+            if not complete:
+                search(child, free - {u})
+            elif best is None or bits < best:
+                best, best_order = bits, child
+            else:
+                autos.append(dict(zip(best_order, child)))
+
+    search([], set(range(n)))
+    return best_order
+
+
+def _in_orbit(u: int, tried: list[int], fixed: list[int], autos: list[dict[int, int]]) -> bool:
+    """Do the automorphisms in `autos` that fix every point of `fixed`
+    generate a map taking u into `tried`?"""
+    gens = [g for g in autos if all(g[x] == x for x in fixed)]
+    orbit, frontier = {u}, [u]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                frontier.append(g[x])
+    return not orbit.isdisjoint(tried)
 
 
 def compose(inner: Embedding, outer: Embedding) -> Embedding:

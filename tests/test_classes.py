@@ -17,12 +17,14 @@ from genstruct.classes import (
     merge_linear_orders,
     metric_distances,
     metric_structure,
+    parse_metric_symbol,
     strong_linear_graph_obstruction,
     validate_amalgam,
 )
 from genstruct.structures import (
     GRAPH_SIG,
     ORDER_SIG,
+    SignatureMismatch,
     empty_structure,
     enumerate_embeddings,
     find_isomorphism,
@@ -64,6 +66,16 @@ def test_tournament_membership():
     t = validate_structure(GRAPH_SIG, {0, 1, 2}, {"E": {(0, 1), (1, 2), (0, 2)}})
     assert membership("Tournament", t)
     assert not membership("Tournament", graph({0, 1}, [(0, 1)]))
+
+
+def test_parse_metric_symbol_is_cached_and_still_rejects_bad_names():
+    assert parse_metric_symbol("d_1/2") == Fraction(1, 2)
+    assert parse_metric_symbol("d_1/2") is parse_metric_symbol("d_1/2")
+    for _ in range(2):  # a failure is not cached
+        with pytest.raises(SignatureMismatch):
+            parse_metric_symbol("E")
+        with pytest.raises(ValueError):
+            parse_metric_symbol("d_x")
 
 
 def test_metric_membership_triangle():

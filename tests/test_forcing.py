@@ -31,6 +31,7 @@ from genstruct.structures import (
     ORDER_SIG,
     StructureError,
     inclusion_embedding,
+    make_embedding,
     validate_structure,
 )
 
@@ -136,6 +137,27 @@ def test_extension_requirement_pending_then_realized():
     q = meet(p, req)
     assert 3 in q.universe
     assert any(3 in t for t in q.structure.rel("E"))
+
+
+def test_extension_requirement_with_a_non_inclusion_embedding():
+    # f sends 0 to 10: b' is glued over b along f, not along shared ids.
+    b = graph_cond({0}, []).structure
+    bp = graph_cond({10, 11}, [(10, 11)]).structure
+    f = make_embedding(b, bp, {0: 10})
+    req = extension_requirement({0: 0}, f, "Graph")
+    q = meet(empty_condition("Graph"), req)
+    assert req.satisfied(q)
+    assert any(t[0] == 0 for t in q.structure.rel("E"))
+
+
+def test_extension_requirement_with_an_embedding_that_moves_onto_other_ids():
+    # f swaps the roles of the ids 0 and 1, so b' must be renamed around b.
+    b = graph_cond({0, 1}, []).structure
+    bp = graph_cond({0, 1, 2}, [(0, 2)])
+    f = make_embedding(b, bp.structure, {0: 1, 1: 2})
+    req = extension_requirement({0: 5, 1: 6}, f, "Graph")
+    q = meet(graph_cond({5, 6}, []), req)
+    assert req.satisfied(q)
 
 
 def test_extension_requirement_rejects_graph_target_with_loop():
