@@ -338,6 +338,7 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
         raise StructureError("i must be injective")
     fm = f.as_dict()
     pin_template = {fm[x]: i[x] for x in fm}
+    b_over = _target_over_source(f)
     name = (
         "E["
         + ",".join(f"{x}>{i[x]}" for x in sorted(i))
@@ -377,7 +378,7 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
             p = _realize_over(p, part, b, part_map, missing, rng)
             if satisfied(p):
                 return p
-        return _realize_over(p, b, _target_over_source(f), dict(i), {}, rng)
+        return _realize_over(p, b, b_over, dict(i), {}, rng)
 
     return DenseRequirement(name, satisfied, extend)
 
