@@ -20,6 +20,7 @@ from genstruct.classes import (
 )
 from genstruct.structures import (
     FinStructure,
+    StructureError,
     enumerate_embeddings_extending,
     extends_isomorphism,
     induced_substructure,
@@ -57,6 +58,8 @@ class Report:
 
 
 def _guard(m: FinStructure, k: int) -> None:
+    if k < 0:
+        raise StructureError("k must be nonnegative")
     if k > MAX_REPORT_K or len(m) > MAX_REPORT_SIZE:
         raise ScaleExceeded(f"report capped at k={MAX_REPORT_K}, |M|={MAX_REPORT_SIZE}")
 

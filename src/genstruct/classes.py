@@ -2,7 +2,8 @@
 
 Seven built-in classes, each one `ClassSpec` in `SPECS`: a membership
 test, a gluing rule for strong amalgams, one-point extensions, seeded
-point adjunction and a strong-amalgamation flag.  Exhaustive desk-scale
+point adjunction, a strong-amalgamation flag and, for graphs and linear
+orders, the crossing construction.  Exhaustive desk-scale
 verifiers check the hereditary, joint-embedding and (strong)
 amalgamation properties.
 """
@@ -98,6 +99,13 @@ class ClassSpec:
     with canonical relations, or seeded ones when rng is given.  `cross`,
     when set, is the seeded choice of relations between one old point and
     one new point; the forcing builder resamples free pairs with it.
+
+    Without `sap` (only LinearGraph) amalgams may identify points,
+    property checks use the connected members and builds meet
+    connectivity requirements.  `linear` marks linear orders: betweenness
+    requirements, chain drawing, barred-point crossing checks.
+    `crossing(left, right, root, s, s_bar, t, t_bar)`, when set, builds
+    the body of a crossing amalgamation of two checked sides.
     """
 
     sig: Signature | None  # None: a metric space's symbols are its distances
@@ -108,6 +116,8 @@ class ClassSpec:
     cross: Callable[[int, int, Random | None], set[tuple[int, int]]] | None
     sap: bool
     symmetric: bool  # one undirected edge per related pair
+    linear: bool = False
+    crossing: Callable[..., FinStructure] | None = None
 
 
 # --- graphs, digraphs, tournaments and linear graphs ------------------------
@@ -125,16 +135,16 @@ def _degrees(a: FinStructure) -> dict[int, int]:
     return deg
 
 
-def _components(a: FinStructure) -> list[set[int]]:
-    adj = {x: set() for x in a.universe}
-    for e in _edges(a):
-        x, y = tuple(e)
-        adj[x].add(y)
-        adj[y].add(x)
-    out = []
-    left = set(a.universe)
-    while left:
-        start = min(left)
+def components(a: FinStructure) -> list[set[int]]:
+    """Connected components of a graph (a symmetric `E`), ordered by least point."""
+    adj: dict[int, list[int]] = {x: [] for x in a.universe}
+    for x, y in a.rel("E"):
+        adj[x].append(y)
+    out: list[set[int]] = []
+    seen: set[int] = set()
+    for start in sorted(a.universe):
+        if start in seen:
+            continue
         comp = {start}
         stack = [start]
         while stack:
@@ -143,17 +153,17 @@ def _components(a: FinStructure) -> list[set[int]]:
                     comp.add(y)
                     stack.append(y)
         out.append(comp)
-        left -= comp
-    return sorted(out, key=min)
+        seen |= comp
+    return out
 
 
 def _is_connected_graph(a: FinStructure) -> bool:
-    return len(_components(a)) <= 1
+    return len(components(a)) <= 1
 
 
 def _is_forest(a: FinStructure) -> bool:
     # Acyclic exactly when each component has one edge fewer than points.
-    return len(_edges(a)) == len(a) - len(_components(a))
+    return len(_edges(a)) == len(a) - len(components(a))
 
 
 def _is_symmetric_irreflexive(a: FinStructure) -> bool:
@@ -224,6 +234,13 @@ def _tournament_extensions(a: FinStructure, new: int):
         for x, p in zip(old, pattern):
             rel.add((x, new) if p else (new, x))
         yield validate_structure(GRAPH_SIG, set(old) | {new}, {"E": rel})
+
+
+def _cross_graphs(left: FinStructure, right: FinStructure, root: frozenset[int],
+                  s: int, s_bar: int, t: int, t_bar: int) -> FinStructure:
+    """The free union of the two sides plus the edge {s,t}; {s_bar,t_bar} stays absent."""
+    union = _free_union(left, right)
+    return validate_structure(GRAPH_SIG, union.universe, {"E": union.rel("E") | {(s, t), (t, s)}})
 
 
 def _graph_cross(x: int, n: int, rng: Random | None) -> set[tuple[int, int]]:
@@ -338,6 +355,23 @@ def merge_linear_orders(seq1: list[int], seq2: list[int], shared: set[int]) -> l
 def _glue_chains(a: FinStructure, b: FinStructure) -> FinStructure:
     """Separator-rule merge of the two chains."""
     return chain_structure(merge_linear_orders(chain_of(a), chain_of(b), a.universe & b.universe))
+
+
+def _cross_chains(left: FinStructure, right: FinStructure, root: frozenset[int],
+                  s: int, s_bar: int, t: int, t_bar: int) -> FinStructure:
+    """s < t and t_bar < s_bar: the root plus s < t < t_bar < s_bar, merged
+    with each side by the separator rule."""
+    seq_s, seq_t = chain_of(left), chain_of(right)
+    mid = []
+    for x in seq_s:
+        if x in root or x in (s, s_bar):
+            if x == s_bar:
+                mid.append(t_bar)
+            mid.append(x)
+            if x == s:
+                mid.append(t)
+    step1 = merge_linear_orders(seq_s, mid, set(root) | {s, s_bar})
+    return chain_structure(merge_linear_orders(step1, seq_t, set(root) | {t, t_bar}))
 
 
 def _transitive_closure(rel: set[tuple[int, ...]]) -> set[tuple[int, int]]:
@@ -478,6 +512,7 @@ SPECS: dict[str, ClassSpec] = {
     "Graph": ClassSpec(
         GRAPH_SIG, _is_symmetric_irreflexive, _free_union, _graph_extensions,
         _adjoin_by_pairs(_graph_cross), _graph_cross, sap=True, symmetric=True,
+        crossing=_cross_graphs,
     ),
     "Digraph": ClassSpec(
         GRAPH_SIG, _is_digraph, _free_union, _digraph_extensions,
@@ -489,7 +524,8 @@ SPECS: dict[str, ClassSpec] = {
     ),
     "LinearOrder": ClassSpec(
         ORDER_SIG, _is_linear_order, _glue_chains, _chain_extensions,
-        _adjoin_to_chain, None, sap=True, symmetric=False,
+        _adjoin_to_chain, None, sap=True, symmetric=False, linear=True,
+        crossing=_cross_chains,
     ),
     "PartialOrder": ClassSpec(
         ORDER_SIG, _is_partial_order, _glue_posets, _poset_extensions,
@@ -612,30 +648,38 @@ def amalgamate(tag: str, f: Embedding, g: Embedding) -> Amalgam:
 # --- linear graphs ----------------------------------------------------------
 
 
-def _linear_graph_obstruction(union: FinStructure) -> str | None:
-    deg = _degrees(union)
-    overloaded = sorted(x for x, d in deg.items() if d > 2)
-    if overloaded:
-        return f"vertex {overloaded[0]} gets degree {deg[overloaded[0]]} in any strong amalgam"
-    if not _is_forest(union):
-        return "the union over the base contains a cycle"
-    return None
-
-
-def strong_linear_graph_obstruction(f: Embedding, g: Embedding) -> str | None:
-    """Why no strong amalgam of linear graphs exists, or None if one does.
+def _strong_linear_graph_amalgam(f: Embedding, g: Embedding, connected: bool) -> Amalgam:
+    """The union over the base, bridged into one path when `connected`.
 
     Bridging through fresh points can always connect a valid union, so
     the only obstructions are an overloaded vertex or a forced cycle in
-    the union over the base.
+    the union; AmalgamationImpossible names the one found.
     """
     b, c, map_c = _setup_amalgam(f, g)
-    return _linear_graph_obstruction(_free_union(b, relabel(c, map_c)))
+    union = _free_union(b, relabel(c, map_c))
+    deg = _degrees(union)
+    overloaded = sorted(x for x, d in deg.items() if d > 2)
+    if overloaded:
+        raise AmalgamationImpossible(
+            f"vertex {overloaded[0]} gets degree {deg[overloaded[0]]} in any strong amalgam"
+        )
+    if not _is_forest(union):
+        raise AmalgamationImpossible("the union over the base contains a cycle")
+    return _amalgam(b, c, _bridge_components(union) if connected else union, map_c)
+
+
+def strong_linear_graph_obstruction(f: Embedding, g: Embedding) -> str | None:
+    """Why no strong amalgam of linear graphs exists, or None if one does."""
+    try:
+        _strong_linear_graph_amalgam(f, g, connected=False)
+    except AmalgamationImpossible as exc:
+        return str(exc)
+    return None
 
 
 def _bridge_components(structure: FinStructure) -> FinStructure:
     """Chain the path components into one path with fresh bridge points."""
-    comps = _components(structure)
+    comps = components(structure)
     if len(comps) <= 1:
         return structure
     rel = set(structure.rel("E"))
@@ -660,17 +704,8 @@ def _partial_injections(xs: list[int], ys: list[int]):
     """All partial injective maps xs -> ys, smallest first, lexicographic."""
     for k in range(min(len(xs), len(ys)) + 1):
         for dom in combinations(xs, k):
-            for img in _injective_images(list(ys), k):
+            for img in permutations(ys, k):
                 yield dict(zip(dom, img))
-
-
-def _injective_images(ys: list[int], k: int):
-    if k == 0:
-        yield ()
-        return
-    for i, y in enumerate(ys):
-        for rest in _injective_images(ys[:i] + ys[i + 1 :], k - 1):
-            yield (y,) + rest
 
 
 def _amalgamate_linear_graph(f: Embedding, g: Embedding, connected: bool) -> Amalgam:
@@ -792,17 +827,11 @@ def _amalgam_failure(tag: str, f: Embedding, g: Embedding, strong: bool, connect
     the base, when no obstruction rules it out; otherwise the search may
     identify points.
     """
-    spec = class_spec(tag)
     try:
-        if spec.sap:
+        if class_spec(tag).sap:
             amalgam = amalgamate(tag, f, g)
         elif strong:
-            b, c, map_c = _setup_amalgam(f, g)
-            union = spec.glue(b, relabel(c, map_c))
-            reason = _linear_graph_obstruction(union)
-            if reason is not None:
-                return reason
-            amalgam = _amalgam(b, c, _bridge_components(union) if connected else union, map_c)
+            amalgam = _strong_linear_graph_amalgam(f, g, connected)
         else:
             amalgam = _amalgamate_linear_graph(f, g, connected=connected)
     except StructureError as exc:
@@ -834,15 +863,14 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
     `size_bound` elements; returns the first counterexample in canonical
     order, if any.
 
-    For LinearGraph, JEP / AP / SAP instances range over the connected
-    members (the paths); membership and the hereditary check keep the
-    hereditary closure.
+    Without SAP (LinearGraph), every instance ranges over the connected
+    members (the paths); membership keeps the hereditary closure.
     """
     if size_bound > MAX_ENUM:
         raise ScaleExceeded(f"property check capped at {MAX_ENUM} elements")
     if prop not in ("HP", "JEP", "AP", "SAP"):
         raise StructureError(f"unknown property {prop!r}")
-    connected = tag == "LinearGraph"
+    connected = not class_spec(tag).sap
 
     if prop == "HP":
         for n in range(size_bound + 1):

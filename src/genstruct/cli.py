@@ -78,19 +78,17 @@ def _emit(path: str | None, payload: dict) -> None:
 
 
 def default_schedule(tag: str, n: int, ext_size: int) -> list[forcing.DenseRequirement]:
+    """Every point of 0..n-1, then per pair a point between (linear
+    orders) or a joining path (no SAP), else the extension schedule."""
+    spec = classes.class_spec(tag)
     reqs = [forcing.point_requirement(tag, m) for m in range(n)]
-    if tag == "LinearOrder":
-        for a in range(n):
-            for b in range(a + 1, n):
-                reqs.append(forcing.between_requirement(a, b))
-        return reqs
-    if tag == "LinearGraph":
-        for a in range(n):
-            for b in range(a + 1, n):
-                reqs.append(forcing.connectivity_requirement(a, b))
-        return reqs
-    reqs.extend(extension_schedule(tag, n, ext_size))
-    return reqs
+    if spec.linear:
+        pair = forcing.between_requirement
+    elif not spec.sap:
+        pair = forcing.connectivity_requirement
+    else:
+        return reqs + extension_schedule(tag, n, ext_size)
+    return reqs + [pair(a, b) for a, b in combinations(range(n), 2)]
 
 
 def extension_schedule(tag: str, n: int, ext_size: int) -> list[forcing.DenseRequirement]:
@@ -111,13 +109,13 @@ def extension_schedule(tag: str, n: int, ext_size: int) -> list[forcing.DenseReq
     return out
 
 
-def _build_generic(args) -> tuple[int, dict]:
+def _build_generic(args) -> tuple[dict, list[str]]:
     schedule = default_schedule(args.tag, args.n, args.ext_size)
     chain = forcing.generic_build(forcing.empty_condition(args.tag), schedule, args.steps, args.seed)
     final = structures.to_json_dict(chain.final.structure)
     payload = {"class": args.tag, "final": final, "log": chain.log_lines()}
+    problems = []
     if args.verify:
-        problems = []
         for a, b in zip(chain.steps, chain.steps[1:]):
             if not forcing.stronger(b, a):
                 problems.append("chain monotonicity broken")
@@ -128,42 +126,36 @@ def _build_generic(args) -> tuple[int, dict]:
             # keeps them met at the end.
             if req.name in visited and not req.satisfied(chain.final):
                 problems.append(f"unsatisfied requirement {req.name}")
-        if problems:
-            payload["verify"] = problems
-            return 3, payload
-    return 0, payload
+    return payload, problems
 
 
-def _build_aut(args) -> tuple[int, dict]:
+def _build_aut(args) -> tuple[dict, list[str]]:
     cond, report = autorder.build_automorphic_order(args.n, args.steps, args.seed, args.alpha0)
     payload = autorder.aut_to_json_dict(cond)
     payload["log"] = report
+    problems = []
     if args.verify:
-        problems = []
         verdict = autorder.validate_aut_condition(cond)
         if not verdict.valid:
             problems.append(f"invalid condition: item {verdict.item}")
         for m in range(args.n):
             if not autorder.orbit_straddles(cond, args.alpha0, m):
                 problems.append(f"orbit misses {m}")
-        if problems:
-            payload["verify"] = problems
-            return 3, payload
-    return 0, payload
+    return payload, problems
 
 
 def _to_dot(payload: dict, tag: str) -> str:
     lines = ["digraph g {"]
-    if tag in ("LinearOrder", "AutOrder"):
-        order = structures.from_json_dict({k: payload[k] for k in ("sig", "universe", "interp")}) \
-            if "sig" in payload else structures.from_json_dict(payload["final"])
-        seq = classes.chain_of(order)
+    # An AutOrder payload has no class spec; its map `phi` marks it.
+    aut = "phi" in payload
+    body = payload if aut else payload.get("final", payload)
+    m = structures.from_json_dict({k: body[k] for k in ("sig", "universe", "interp")})
+    if aut or classes.class_spec(tag).linear:
+        seq = classes.chain_of(m)
         lines.extend(f'  "{a}" -> "{b}";' for a, b in zip(seq, seq[1:]))
         for x, y in payload.get("phi", []):
             lines.append(f'  "{x}" -> "{y}" [style=dashed];')
     else:
-        body = payload.get("final", payload)
-        m = structures.from_json_dict({k: body[k] for k in ("sig", "universe", "interp")})
         for x in m.sorted_universe():
             lines.append(f'  "{x}";')
         # Symmetric classes store both orientations; draw each pair once.
@@ -189,18 +181,32 @@ def cmd_build(args) -> int:
     if args.alpha0 < 0:
         print("alpha0 must be nonnegative", file=sys.stderr)
         return 2
-    code, payload = _build_aut(args) if args.tag == "AutOrder" else _build_generic(args)
+    if not 0 <= args.ext_size <= classes.MAX_ENUM:
+        print(f"ext-size must be in 0..{classes.MAX_ENUM}", file=sys.stderr)
+        return 2
+    payload, problems = _build_aut(args) if args.tag == "AutOrder" else _build_generic(args)
+    if problems:
+        payload["verify"] = problems
     if args.format == "dot":
         _write_out(args.out, _to_dot(payload, args.tag))
     else:
         _emit(args.out, payload)
-    return code
+    return 3 if problems else 0
 
 
 # --- check -----------------------------------------------------------------
 
 
+def _ids(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x.strip()]
+
+
 def cmd_check(args) -> int:
+    try:
+        ids = set(_ids(args.ids))
+    except ValueError:
+        print(f"--ids must be comma-separated integers, got {args.ids!r}", file=sys.stderr)
+        return 2
     try:
         with open(args.infile, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -216,7 +222,6 @@ def cmd_check(args) -> int:
         elif args.verifier == "homogeneity":
             report = analysis.one_point_homogeneity(m, args.tag, args.k)
         else:
-            ids = {int(x) for x in args.ids.split(",") if x.strip()}
             report = analysis.interval_density_check(m, ids)
     except structures.StructureError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -231,10 +236,6 @@ def cmd_check(args) -> int:
 def _load_structure(path: str) -> structures.FinStructure:
     with open(path, encoding="utf-8") as fh:
         return structures.from_json_dict(json.load(fh))
-
-
-def _ids(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
 
 
 def cmd_amalgamate(args) -> int:

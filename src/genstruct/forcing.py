@@ -15,19 +15,19 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Callable, Generic, TypeVar
 
 from genstruct.classes import (
-    SAP_FLAGS,
     NotInClass,
     align,
     chain_of,
     chain_structure,
     class_signature,
     class_spec,
+    components,
     membership,
-    merge_linear_orders,
 )
 from genstruct.structures import (
     Embedding,
@@ -220,17 +220,7 @@ def connectivity_requirement(a: int, b: int) -> DenseRequirement:
     """
 
     def _component(p: Condition, x: int) -> set[int]:
-        adj: dict[int, set[int]] = {y: set() for y in p.universe}
-        for s, t in p.structure.rel("E"):
-            adj[s].add(t)
-        comp = {x}
-        stack = [x]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        return comp
+        return next(comp for comp in components(p.structure) if x in comp)
 
     def satisfied(p: Condition) -> bool:
         return a in p.universe and b in p.universe and b in _component(p, a)
@@ -303,11 +293,15 @@ def _realize_over(
     return Condition(tag, body)
 
 
+# A schedule repeats each (source, target) pair for every injection, so the
+# facts that depend only on the pair are computed once per pair.
+@lru_cache(maxsize=1024)
 def _structure_digest(*structures: FinStructure) -> str:
     blob = json.dumps([to_json_dict(s) for s in structures], separators=(",", ":"))
     return hashlib.sha1(blob.encode()).hexdigest()[:8]
 
 
+@lru_cache(maxsize=1024)
 def _target_over_source(f: Embedding) -> FinStructure:
     """f's target renamed so that f becomes an inclusion: f(x) becomes x,
     and the other points keep their ids unless the source uses them.  For
@@ -339,23 +333,15 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
     fm = f.as_dict()
     pin_template = {fm[x]: i[x] for x in fm}
     b_over = _target_over_source(f)
-    name = (
-        "E["
-        + ",".join(f"{x}>{i[x]}" for x in sorted(i))
-        + ";"
-        + _structure_digest(b, b_prime)
-        + "]"
-    )
+    pins = ",".join(f"{x}>{i[x]}" for x in sorted(i))
+    name = f"E[{pins};{_structure_digest(b, b_prime)}]"
 
     image = set(i.values())
-
-    def _i_is_embedding(p: Condition) -> bool:
-        return is_partial_embedding(*align(tag, b, p.structure), dict(i))
 
     def satisfied(p: Condition) -> bool:
         if not image <= p.universe:
             return False
-        if not _i_is_embedding(p):
+        if not is_partial_embedding(*align(tag, b, p.structure), dict(i)):
             return True
         found = enumerate_embeddings_extending(
             *align(tag, b_prime, p.structure), pin_template, limit=1
@@ -524,12 +510,14 @@ def crossing_amalgamation(
     Graphs: the edge {s,t} is added and {s_bar,t_bar} stays absent.
     Linear orders: the result satisfies s < t and t_bar < s_bar, routed
     through the intermediate extension of the root by s < t < t_bar < s_bar
-    and two separator-rule merges.
+    and two separator-rule merges.  The class spec's `crossing` builds the
+    body once the sides pass the checks here.
     """
     if p_s.tag != p_t.tag:
         raise TagMismatch(f"{p_s.tag} vs {p_t.tag}")
     tag = p_s.tag
-    if tag not in ("Graph", "LinearOrder"):
+    rules = class_spec(tag)
+    if rules.crossing is None:
         raise StructureError("crossing amalgamation supports Graph and LinearOrder")
     root = frozenset(root)
     if not (root <= p_s.universe and root <= p_t.universe):
@@ -546,33 +534,14 @@ def crossing_amalgamation(
         raise IsomorphismTypeMismatch("designated points must be fresh on their side")
     if not _one_point_types_match(p_s.structure, p_t.structure, root, s, t):
         raise IsomorphismTypeMismatch("root+s and root+t are not isomorphic extensions")
-
-    if tag == "Graph":
-        rel = set(p_s.structure.rel("E")) | set(p_t.structure.rel("E"))
-        rel.update({(s, t), (t, s)})
-        body = validate_structure(
-            GRAPH_SIG, set(p_s.universe) | set(p_t.universe), {"E": rel}
-        )
-        return Condition(tag, body)
-
-    if not _one_point_types_match(p_s.structure, p_t.structure, root, s_bar, t_bar):
-        raise IsomorphismTypeMismatch("root+s_bar and root+t_bar are not isomorphic extensions")
-    seq_s = chain_of(p_s.structure)
-    seq_t = chain_of(p_t.structure)
-    if seq_s.index(s) > seq_s.index(s_bar) or seq_t.index(t) > seq_t.index(t_bar):
-        raise IsomorphismTypeMismatch("expected s below s_bar and t below t_bar")
-    # Intermediate extension: the root plus s < t < t_bar < s_bar.
-    mid = []
-    for x in seq_s:
-        if x in root or x in (s, s_bar):
-            if x == s_bar:
-                mid.append(t_bar)
-            mid.append(x)
-            if x == s:
-                mid.append(t)
-    step1 = merge_linear_orders(seq_s, mid, set(root) | {s, s_bar})
-    step2 = merge_linear_orders(step1, seq_t, set(root) | {t, t_bar})
-    return Condition(tag, chain_structure(step2))
+    if rules.linear:
+        if not _one_point_types_match(p_s.structure, p_t.structure, root, s_bar, t_bar):
+            raise IsomorphismTypeMismatch("root+s_bar and root+t_bar are not isomorphic extensions")
+        seq_s = chain_of(p_s.structure)
+        seq_t = chain_of(p_t.structure)
+        if seq_s.index(s) > seq_s.index(s_bar) or seq_t.index(t) > seq_t.index(t_bar):
+            raise IsomorphismTypeMismatch("expected s below s_bar and t below t_bar")
+    return Condition(tag, rules.crossing(p_s.structure, p_t.structure, root, s, s_bar, t, t_bar))
 
 
 @dataclass(frozen=True)
@@ -638,7 +607,7 @@ def knaster_trim(conditions: list[Condition]) -> list[Condition]:
     tag = conditions[0].tag
     if any(c.tag != tag for c in conditions):
         raise TagMismatch("mixed class tags")
-    if not SAP_FLAGS[tag]:
+    if not class_spec(tag).sap:
         raise SAPRequired(f"{tag} lacks strong amalgamation")
     ds = delta_system([c.universe for c in conditions])
     picked = [conditions[i] for i in ds.members]

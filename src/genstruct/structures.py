@@ -91,9 +91,6 @@ class FinStructure:
                 return tuples
         raise UnknownSymbol(name)
 
-    def interp_dict(self) -> dict[str, frozenset[tuple[int, ...]]]:
-        return dict(self.interp)
-
     def sorted_universe(self) -> list[int]:
         return sorted(self.universe)
 
@@ -189,16 +186,6 @@ class Embedding:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.mapping)
-
-    def apply(self, x: int) -> int:
-        return dict(self.mapping)[x]
-
-    def apply_tuple(self, t: tuple[int, ...]) -> tuple[int, ...]:
-        m = dict(self.mapping)
-        return tuple(m[x] for x in t)
-
-    def image(self) -> frozenset[int]:
-        return frozenset(y for _, y in self.mapping)
 
 
 def make_embedding(source: FinStructure, target: FinStructure, mapping: dict[int, int]) -> Embedding:

@@ -18,6 +18,7 @@ from genstruct.classes import (
     metric_distances,
     metric_structure,
     parse_metric_symbol,
+    PropertyVerdict,
     strong_linear_graph_obstruction,
     validate_amalgam,
 )
@@ -265,6 +266,21 @@ def test_check_property_examples():
     verdict = check_property("LinearGraph", "SAP", 5)
     assert not verdict.holds
     assert "degree" in verdict.counterexample["detail"]
+
+
+def test_linear_graph_verdicts_pinned():
+    # Recorded before LinearGraph's connected instances and strong union
+    # were keyed on the class lacking strong amalgamation.
+    for prop in ("HP", "JEP", "AP"):
+        assert check_property("LinearGraph", prop, 4) == PropertyVerdict(True)
+    assert check_property("LinearGraph", "SAP", 4) == PropertyVerdict(False, {
+        "base": graph({0}, []),
+        "left": graph({0, 1}, [(0, 1)]),
+        "right": graph({0, 1, 2}, [(0, 2), (1, 2)]),
+        "f": {0: 0},
+        "g": {0: 2},
+        "detail": "vertex 0 gets degree 3 in any strong amalgam",
+    })
 
 
 def test_check_property_scale_guard():

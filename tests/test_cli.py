@@ -338,3 +338,76 @@ def test_extension_build_bytes_pinned(capsys):
         assert run(*command.split()) == 0, command
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest, command
+
+
+# sha256 of the stdout of outputs that hang on a class decision (chain or
+# edge drawing, connectivity requirements), recorded before those decisions
+# moved into the ClassSpec table.
+SPEC_DECISION_DIGESTS = {
+    "build --class AutOrder --n 6 --seed 1 --format dot":
+        "05bfdbec8869dda9dfa028fee64e01fb7627dea719c839d378c99adbd41c066b",
+    "build --class PartialOrder --n 4 --seed 1 --format dot":
+        "f42cb2ad586c50d119c517880847185874b3ed7ea9383eaf9eb7453cabab49e9",
+    "build --class LinearGraph --n 6 --seed 1 --format dot":
+        "73d3a157afc0463b07517124d8ee7a565720badfe264a022de6999510006e2b6",
+    "build --class Graph --n 4 --seed 1 --format dot":
+        "30d5659cf6b1d2e89beb385461ea3a0581d52396797b34d5bc5a488764831e68",
+    "build --class LinearGraph --n 10 --seed 0 --verify":
+        "37e1619f9b53c1c4f543aef494cfd22977546a9e8f67aec9621818683921dc1f",
+}
+
+
+def test_spec_decision_bytes_pinned(capsys):
+    for command, digest in SPEC_DECISION_DIGESTS.items():
+        assert run(*command.split()) == 0, command
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, command
+
+
+def test_crossing_bytes_pinned(tmp_path: Path, capsys):
+    left = tmp_path / "l.json"
+    right = tmp_path / "r.json"
+    left.write_text(dumps(chain_structure([1, 0, 2])))
+    right.write_text(dumps(chain_structure([3, 0, 4])))
+    assert run("amalgamate", "--op", "crossing", "--class", "LinearOrder",
+               "--left", str(left), "--right", str(right),
+               "--root", "0", "--points", "1,2,3,4") == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "4a28361be67aa32e9b3bb1e8d1186a0168f42c8e4659847854cfe784b03a8796")
+
+    left.write_text(dumps(validate_structure(GRAPH_SIG, {0, 1}, {"E": {(0, 1)}})))
+    right.write_text(dumps(validate_structure(GRAPH_SIG, {2, 3}, {"E": {(2, 3)}})))
+    assert run("amalgamate", "--op", "crossing", "--class", "Tournament",
+               "--left", str(left), "--right", str(right), "--points", "0,1,2,3") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "StructureError: crossing amalgamation supports Graph and LinearOrder\n"
+
+
+def test_build_rejects_ext_size_outside_enumeration_range(capsys):
+    for tag in ("Graph", "LinearOrder", "AutOrder"):
+        for size in ("7", "-1"):
+            assert run("build", "--class", tag, "--n", "3", "--ext-size", size) == 2, (tag, size)
+            captured = capsys.readouterr()
+            assert captured.out == "" and "ext-size" in captured.err
+    assert run("build", "--class", "Graph", "--n", "2", "--ext-size", "0") == 0
+
+
+def test_check_rejects_negative_k(tmp_path: Path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(graph_json({0, 1}, [(0, 1)]))
+    for verifier in ("extension", "universality", "homogeneity"):
+        assert run("check", "--class", "Graph", "--check", verifier,
+                   "--in", str(m), "--k", "-1") == 2, verifier
+        captured = capsys.readouterr()
+        assert captured.out == "" and "k must be nonnegative" in captured.err
+
+
+def test_check_rejects_non_integer_density_ids(tmp_path: Path, capsys):
+    order = tmp_path / "order.json"
+    order.write_text(dumps(chain_structure([0, 5, 1])))
+    assert run("check", "--class", "LinearOrder", "--check", "density",
+               "--in", str(order), "--ids", "a") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--ids" in captured.err

@@ -324,6 +324,16 @@ def test_crossing_order_pattern():
     assert stronger(out, p_s) and stronger(out, p_t)
 
 
+def test_crossing_order_checks_the_barred_points():
+    root = frozenset({9})
+    with pytest.raises(IsomorphismTypeMismatch, match="s below s_bar"):
+        crossing_amalgamation(order_cond([9, 1, 0]), order_cond([9, 2, 3]), root,
+                              CrossingSpec(0, 1, 2, 3))
+    with pytest.raises(IsomorphismTypeMismatch, match="root\\+s_bar"):
+        crossing_amalgamation(order_cond([9, 0, 1]), order_cond([3, 9, 2]), root,
+                              CrossingSpec(0, 1, 2, 3))
+
+
 def test_crossing_rejects_shared_designated_point():
     p_s = graph_cond({0, 1}, [])
     p_t = graph_cond({0, 3}, [])
