@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, permutations, product
+from math import lcm
+from operator import add
 from random import Random
 from typing import Callable, Iterator
 
@@ -135,35 +137,13 @@ def _degrees(a: FinStructure) -> dict[int, int]:
     return deg
 
 
-def components(a: FinStructure) -> list[set[int]]:
-    """Connected components of a graph (a symmetric `E`), ordered by least point."""
-    adj: dict[int, list[int]] = {x: [] for x in a.universe}
-    for x, y in a.rel("E"):
-        adj[x].append(y)
-    out: list[set[int]] = []
-    seen: set[int] = set()
-    for start in sorted(a.universe):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        out.append(comp)
-        seen |= comp
-    return out
-
-
 def _is_connected_graph(a: FinStructure) -> bool:
-    return len(components(a)) <= 1
+    return len(a.components) <= 1
 
 
 def _is_forest(a: FinStructure) -> bool:
     # Acyclic exactly when each component has one edge fewer than points.
-    return len(_edges(a)) == len(a) - len(components(a))
+    return len(_edges(a)) == len(a) - len(a.components)
 
 
 def _is_symmetric_irreflexive(a: FinStructure) -> bool:
@@ -448,17 +428,27 @@ def _adjoin_unrelated(a: FinStructure, m: int, rng: Random | None) -> FinStructu
 
 
 def _is_metric(a: FinStructure) -> bool:
-    for _, tuples in a.interp:
-        if any(t[0] == t[1] or (t[1], t[0]) not in tuples for t in tuples):
-            return False
-    dist = metric_distances(a)
-    points = sorted(a.universe)
-    if any(frozenset(pair) not in dist for pair in combinations(points, 2)):
-        return False
-    for x, y, z in permutations(points, 3):
-        if dist[frozenset((x, z))] > dist[frozenset((x, y))] + dist[frozenset((y, z))]:
-            return False
-    return True
+    """Each pair of distinct points has one distance, the same both ways,
+    and the triangle inequality holds.  Distances are scaled to ints by
+    their common denominator.  The triangles on a pair (x, z) are one `min`
+    over two rows; its y = x and y = z terms equal d(x, z)."""
+    qs = [parse_metric_symbol(name) for name, _ in a.interp]
+    scale = lcm(*(q.denominator for q in qs))
+    index = {x: i for i, x in enumerate(a.universe)}
+    n = len(index)
+    # The zero diagonal makes a loop count as a second distance.
+    rows = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    for q, (_, tuples) in zip(qs, a.interp):
+        d = q.numerator * (scale // q.denominator)
+        for x, y in tuples:
+            i, j = index[x], index[y]
+            if rows[i][j] is not None or (y, x) not in tuples:
+                return False
+            rows[i][j] = d
+    return all(None not in row for row in rows) and all(  # no pair left out
+        min(map(add, row_x, rows[j])) >= row_x[j]
+        for i, row_x in enumerate(rows) for j in range(i + 1, n)
+    )
 
 
 def _glue_metrics(a: FinStructure, b: FinStructure) -> FinStructure:
@@ -679,7 +669,7 @@ def strong_linear_graph_obstruction(f: Embedding, g: Embedding) -> str | None:
 
 def _bridge_components(structure: FinStructure) -> FinStructure:
     """Chain the path components into one path with fresh bridge points."""
-    comps = components(structure)
+    comps = structure.components
     if len(comps) <= 1:
         return structure
     rel = set(structure.rel("E"))

@@ -239,6 +239,9 @@ def _load_structure(path: str) -> structures.FinStructure:
 
 
 def cmd_amalgamate(args) -> int:
+    if args.op != "auto" and args.tag is not None and args.tag not in classes.TAGS:
+        print(f"unknown class {args.tag!r}", file=sys.stderr)
+        return 2
     try:
         if args.op == "class":
             if args.tag is None or args.base is None:

@@ -26,7 +26,6 @@ from genstruct.classes import (
     chain_structure,
     class_signature,
     class_spec,
-    components,
     membership,
 )
 from genstruct.structures import (
@@ -219,8 +218,8 @@ def connectivity_requirement(a: int, b: int) -> DenseRequirement:
     this class forces any ground set onto a single line.
     """
 
-    def _component(p: Condition, x: int) -> set[int]:
-        return next(comp for comp in components(p.structure) if x in comp)
+    def _component(p: Condition, x: int) -> frozenset[int]:
+        return next(comp for comp in p.structure.components if x in comp)
 
     def satisfied(p: Condition) -> bool:
         return a in p.universe and b in p.universe and b in _component(p, a)

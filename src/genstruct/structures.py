@@ -126,6 +126,27 @@ class FinStructure:
         indegree = Counter(t[1] for t in self.rel("<"))
         return tuple(sorted(self.universe, key=indegree.__getitem__))
 
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """Connected components of a graph (a symmetric `E`), ordered by
+        least point.  Raises UnknownSymbol if the signature has no `E`."""
+        adj: dict[int, list[int]] = {x: [] for x in self.universe}
+        for x, y in self.rel("E"):
+            adj[x].append(y)
+        out: list[frozenset[int]] = []
+        seen: set[int] = set()
+        for start in sorted(self.universe):
+            if start not in seen:
+                comp, stack = {start}, [start]
+                while stack:
+                    for y in adj[stack.pop()]:
+                        if y not in comp:
+                            comp.add(y)
+                            stack.append(y)
+                out.append(frozenset(comp))
+                seen |= comp
+        return tuple(out)
+
 
 def validate_structure(
     sig: Signature,
@@ -207,12 +228,13 @@ def make_embedding(source: FinStructure, target: FinStructure, mapping: dict[int
 def is_partial_embedding(a: FinStructure, b: FinStructure, partial: dict[int, int]) -> bool:
     """Does `partial` preserve and reflect every tuple of `a` that lies
     inside its domain?"""
-    dom = set(partial)
+    images: dict[int, list] = {}  # symbols of one arity share their tuples
     for name, tuples in a.interp:
         target_tuples = b.rel(name)
         arity = a.sig.arity(name)
-        for t in _tuples_over(dom, arity):
-            mapped = tuple(partial[x] for x in t)
+        if arity not in images:
+            images[arity] = _image_pairs(partial, arity)
+        for t, mapped in images[arity]:
             if (t in tuples) != (mapped in target_tuples):
                 return False
     return True
@@ -222,14 +244,14 @@ def is_partial_embedding(a: FinStructure, b: FinStructure, partial: dict[int, in
 _is_partial_embedding = is_partial_embedding
 
 
-def _tuples_over(dom: set[int], arity: int):
-    if arity == 1:
-        return [(x,) for x in dom]
+def _image_pairs(partial: dict[int, int], arity: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every tuple over the domain of `partial`, paired with its image."""
+    items = partial.items()
     if arity == 2:
-        return [(x, y) for x in dom for y in dom]
-    out = [()]
+        return [((x, y), (u, v)) for x, u in items for y, v in items]
+    out = [((), ())]
     for _ in range(arity):
-        out = [t + (x,) for t in out for x in dom]
+        out = [(t + (x,), m + (u,)) for t, m in out for x, u in items]
     return out
 
 

@@ -232,6 +232,20 @@ def test_amalgamate_crossing(tmp_path: Path):
     assert data["result"]["interp"]["E"] == [[0, 2], [2, 0]]
 
 
+def test_amalgamate_rejects_unknown_class(tmp_path: Path, capsys):
+    left = tmp_path / "l.json"
+    right = tmp_path / "r.json"
+    left.write_text(graph_json({0, 1}, []))
+    right.write_text(graph_json({0, 2}, []))
+    extra = {"class": ["--base", str(left)], "crossing": ["--points", "0,1,0,2"]}
+    for op, args in extra.items():
+        assert run("amalgamate", "--op", op, "--class", "Nonsense",
+                   "--left", str(left), "--right", str(right), *args) == 2, op
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "unknown class 'Nonsense'\n", op
+
+
 def test_build_metric_and_check_universality(tmp_path: Path):
     out = tmp_path / "m.json"
     assert run("build", "--class", "RationalMetric", "--n", "2", "--seed", "4",
