@@ -1,14 +1,18 @@
 """Verifiers that interrogate built structures: extension properties,
 one-point homogeneity, universality, entangledness and subset density.
 
-Reports are structured item lists so tests can assert exact failure sets.
+Each verifier is one generator of report items (`*_items`), which the
+CLI writes out while it runs; the `Report` functions collect the same
+items into structured lists so tests can assert exact failure sets.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb, factorial
 
 from genstruct.classes import (
     NotInClass,
@@ -28,6 +32,14 @@ from genstruct.structures import (
 
 MAX_REPORT_SIZE = 40
 MAX_REPORT_K = 4
+# Largest item count a report may be estimated at. The 20-point Graph
+# homogeneity report at k=2 (estimate 1,307,220; 660,012 items, 10-14 s)
+# fits; the same check on 22 points does not.
+MAX_REPORT_ITEMS = 2_000_000
+# Rows per json.dumps call when a report is written out; it divides
+# PROGRESS_EVERY, the item interval of write_json's progress calls.
+JSON_BATCH = 250
+PROGRESS_EVERY = 1000
 
 
 @dataclass(frozen=True)
@@ -50,11 +62,43 @@ class Report:
         return [it for it in self.items if not it.verdict]
 
     def to_json(self) -> str:
-        rows = [
-            {"item": it.item, "verdict": it.verdict, "witness": it.witness}
-            for it in self.items
-        ]
-        return json.dumps(rows, separators=(",", ":"))
+        parts: list[str] = []
+        write_json(self.items, parts.append)
+        return "".join(parts)
+
+
+def write_json(
+    items: Iterable[ReportItem],
+    write: Callable[[str], object],
+    progress: Callable[[int, int], object] | None = None,
+) -> tuple[int, int]:
+    """Write the compact JSON array of `items` through `write` while they
+    arrive, JSON_BATCH rows per chunk; call `progress(count, failures)`
+    after every PROGRESS_EVERY items. Returns the item and failure counts."""
+    count = failures = 0
+    batch: list[dict] = []
+    write("[")
+    for it in items:
+        if not it.verdict:
+            failures += 1
+        batch.append({"item": it.item, "verdict": it.verdict, "witness": it.witness})
+        if len(batch) == JSON_BATCH:
+            write(_chunk(batch, count))
+            count += JSON_BATCH
+            batch = []
+            if progress is not None and count % PROGRESS_EVERY == 0:
+                progress(count, failures)
+    if batch:
+        write(_chunk(batch, count))
+        count += len(batch)
+    write("]")
+    return count, failures
+
+
+def _chunk(rows: list[dict], written: int) -> str:
+    """`rows` as JSON array elements, after `written` earlier ones."""
+    text = json.dumps(rows, separators=(",", ":"))[1:-1]
+    return "," + text if written else text
 
 
 def _guard(m: FinStructure, k: int) -> None:
@@ -64,93 +108,131 @@ def _guard(m: FinStructure, k: int) -> None:
         raise ScaleExceeded(f"report capped at k={MAX_REPORT_K}, |M|={MAX_REPORT_SIZE}")
 
 
-def extension_property_report(m: FinStructure, tag: str, k: int) -> Report:
+def _admit(m: FinStructure, tag: str, k: int) -> None:
+    if not membership(tag, m):
+        raise NotInClass("input must belong to the class")
+    _guard(m, k)
+
+
+def _cap(estimate: int) -> None:
+    if estimate > MAX_REPORT_ITEMS:
+        raise ScaleExceeded(
+            f"report estimated at up to {estimate:,} items, over the cap of {MAX_REPORT_ITEMS:,}"
+        )
+
+
+# Each *_items function checks its input and the item estimate at once,
+# then returns the generator of the report's items: a rejected input
+# raises before the first item exists.
+
+
+def extension_items(m: FinStructure, tag: str, k: int) -> Iterator[ReportItem]:
     """Every embedding of a substructure of a class member with at most k
     points must extend to an embedding of the whole member.
 
     One item per (member type, marked substructure, embedding into m); a
     passing report over graphs with k = 2 is the finite shadow of the
-    random-graph extension axioms.
+    random-graph extension axioms.  A type of s points has C(s, r)
+    substructures of r points, each with at most |M|^r embeddings, so it
+    gives at most (|M| + 1)^s items.
     """
-    if not membership(tag, m):
-        raise NotInClass("input must belong to the class")
-    _guard(m, k)
-    items: list[ReportItem] = []
-    for size in range(k + 1):
-        for idx, member in enumerate(enumerate_members(tag, size)):
-            member, target = align(tag, member, m)
-            universe = member.sorted_universe()
-            for r in range(len(universe) + 1):
-                for subset in combinations(universe, r):
-                    part = induced_substructure(member, set(subset))
-                    for emb in enumerate_embeddings_extending(part, target, {}):
-                        pins = emb.as_dict()
-                        found = enumerate_embeddings_extending(member, target, pins, limit=1)
-                        witness = sorted(found[0].as_dict().items()) if found else None
-                        items.append(
-                            ReportItem(
+    _admit(m, tag, k)
+    types = [enumerate_members(tag, size) for size in range(k + 1)]
+    _cap(sum(len(members) * (len(m) + 1) ** size for size, members in enumerate(types)))
+
+    def items() -> Iterator[ReportItem]:
+        for size, members in enumerate(types):
+            for idx, member in enumerate(members):
+                member, target = align(tag, member, m)
+                universe = member.sorted_universe()
+                for r in range(len(universe) + 1):
+                    for subset in combinations(universe, r):
+                        part = induced_substructure(member, set(subset))
+                        for emb in enumerate_embeddings_extending(part, target, {}):
+                            pins = emb.as_dict()
+                            found = enumerate_embeddings_extending(member, target, pins, limit=1)
+                            witness = sorted(found[0].as_dict().items()) if found else None
+                            yield ReportItem(
                                 f"type:{size}.{idx};dom={list(subset)};emb={sorted(pins.items())}",
                                 bool(found),
                                 witness,
                             )
-                        )
-    return Report("extension-property", tuple(items))
+
+    return items()
 
 
-def universality_check(m: FinStructure, tag: str, k: int) -> Report:
+def universality_items(m: FinStructure, tag: str, k: int) -> Iterator[ReportItem]:
     """Does every isomorphism type of the class with at most k elements
-    embed into m?"""
-    if not membership(tag, m):
-        raise NotInClass("input must belong to the class")
-    _guard(m, k)
-    items: list[ReportItem] = []
-    for n in range(k + 1):
-        for idx, member in enumerate(enumerate_members(tag, n)):
-            member, target = align(tag, member, m)
-            found = enumerate_embeddings_extending(member, target, {}, limit=1)
-            witness = sorted(found[0].as_dict().items()) if found else None
-            items.append(ReportItem(f"type:{n}.{idx}", bool(found), witness))
-    return Report("universality", tuple(items))
+    embed into m?  One item per type."""
+    _admit(m, tag, k)
+    types = [enumerate_members(tag, n) for n in range(k + 1)]
+    _cap(sum(map(len, types)))
+
+    def items() -> Iterator[ReportItem]:
+        for n, members in enumerate(types):
+            for idx, member in enumerate(members):
+                member, target = align(tag, member, m)
+                found = enumerate_embeddings_extending(member, target, {}, limit=1)
+                witness = sorted(found[0].as_dict().items()) if found else None
+                yield ReportItem(f"type:{n}.{idx}", bool(found), witness)
+
+    return items()
 
 
-def one_point_homogeneity(m: FinStructure, tag: str, k: int) -> Report:
+def homogeneity_items(m: FinStructure, tag: str, k: int) -> Iterator[ReportItem]:
     """For every isomorphism between substructures on at most k points and
     every one-point enlargement of its domain inside m, can the map follow?
 
     This is the finitely checkable core of homogeneity; finite prefixes
     are typically rigid, so the full automorphism-extension form is out of
-    reach by design.
+    reach by design.  Per size s there are C(|M|, s)^2 pairs of domains,
+    at most s! isomorphisms each and |M| - s enlargements.
     """
-    if not membership(tag, m):
-        raise NotInClass("input must belong to the class")
-    _guard(m, k)
-    items: list[ReportItem] = []
-    elems = m.sorted_universe()
-    for size in range(k + 1):
-        subs = {s: induced_substructure(m, set(s)) for s in combinations(elems, size)}
-        for xs, sub_x in subs.items():
-            for ys, sub_y in subs.items():
-                for iso in enumerate_embeddings_extending(sub_x, sub_y, {}):
-                    phi = iso.as_dict()
-                    for extra in elems:
-                        if extra in xs:
-                            continue
-                        witness = next(
-                            (
-                                cand
-                                for cand in elems
-                                if extends_isomorphism(m, phi, extra, cand)
-                            ),
-                            None,
-                        )
-                        items.append(
-                            ReportItem(
+    _admit(m, tag, k)
+    n = len(m)
+    _cap(sum(comb(n, s) ** 2 * factorial(s) * (n - s) for s in range(k + 1)))
+
+    def items() -> Iterator[ReportItem]:
+        elems = m.sorted_universe()
+        for size in range(k + 1):
+            subs = {s: induced_substructure(m, set(s)) for s in combinations(elems, size)}
+            for xs, sub_x in subs.items():
+                for ys, sub_y in subs.items():
+                    for iso in enumerate_embeddings_extending(sub_x, sub_y, {}):
+                        phi = iso.as_dict()
+                        for extra in elems:
+                            if extra in xs:
+                                continue
+                            witness = next(
+                                (
+                                    cand
+                                    for cand in elems
+                                    if extends_isomorphism(m, phi, extra, cand)
+                                ),
+                                None,
+                            )
+                            yield ReportItem(
                                 f"iso={sorted(phi.items())};add={extra}",
                                 witness is not None,
                                 witness,
                             )
-                        )
-    return Report("one-point-homogeneity", tuple(items))
+
+    return items()
+
+
+# The same verifiers with their items collected, for library callers.
+
+
+def extension_property_report(m: FinStructure, tag: str, k: int) -> Report:
+    return Report("extension-property", tuple(extension_items(m, tag, k)))
+
+
+def universality_check(m: FinStructure, tag: str, k: int) -> Report:
+    return Report("universality", tuple(universality_items(m, tag, k)))
+
+
+def one_point_homogeneity(m: FinStructure, tag: str, k: int) -> Report:
+    return Report("one-point-homogeneity", tuple(homogeneity_items(m, tag, k)))
 
 
 # --- entangledness -------------------------------------------------------------
@@ -195,17 +277,24 @@ def entangled_check(instance: EntangledInstance) -> tuple[int, int] | None:
     return None
 
 
-def interval_density_check(order: FinStructure, ids: set[int] | frozenset[int]) -> Report:
+def density_items(order: FinStructure, ids: set[int] | frozenset[int]) -> Iterator[ReportItem]:
     """Does the given id set hit every open interval of the finite order
     prefix?  A finite prefix can only ever approximate density of an
     infinite set, so this is a per-pair report, not a verdict about the
     limit."""
     seq = chain_of(order)
+    _cap(comb(len(seq), 2))
     pos = {x: i for i, x in enumerate(seq)}
     marks = sorted(pos[x] for x in ids if x in pos)
-    items = []
-    for i, x in enumerate(seq):
-        for y in seq[i + 1:]:
-            hit = next((seq[p] for p in marks if pos[x] < p < pos[y]), None)
-            items.append(ReportItem(f"interval=({x},{y})", hit is not None, hit))
-    return Report("interval-density", tuple(items))
+
+    def items() -> Iterator[ReportItem]:
+        for i, x in enumerate(seq):
+            for y in seq[i + 1:]:
+                hit = next((seq[p] for p in marks if pos[x] < p < pos[y]), None)
+                yield ReportItem(f"interval=({x},{y})", hit is not None, hit)
+
+    return items()
+
+
+def interval_density_check(order: FinStructure, ids: set[int] | frozenset[int]) -> Report:
+    return Report("interval-density", tuple(density_items(order, ids)))

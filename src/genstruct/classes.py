@@ -69,14 +69,22 @@ def parse_metric_symbol(name: str) -> Fraction:
     return Fraction(name[2:])
 
 
+@lru_cache(maxsize=1024)
+def _check_distance_symbol(name: str, arity: int) -> None:
+    """Raise unless `name` is a binary symbol of a positive distance."""
+    q = parse_metric_symbol(name)
+    if arity != 2 or q <= 0:
+        raise SignatureMismatch(f"bad distance symbol {name}")
+
+
 def metric_structure(universe: set[int], dist: dict[frozenset[int], Fraction]) -> FinStructure:
     """Build a rational metric space from an unordered-pair distance map."""
-    values = sorted(set(dist.values()))
-    sig = Signature(tuple((metric_symbol(q), 2) for q in values))
-    interp: dict[str, set[tuple[int, ...]]] = {metric_symbol(q): set() for q in values}
+    names = {q: metric_symbol(q) for q in sorted(set(dist.values()))}
+    sig = Signature(tuple((name, 2) for name in names.values()))
+    interp: dict[str, set[tuple[int, ...]]] = {name: set() for name in names.values()}
     for pair, q in dist.items():
         a, b = sorted(pair)
-        interp[metric_symbol(q)].update({(a, b), (b, a)})
+        interp[names[q]].update({(a, b), (b, a)})
     return validate_structure(sig, universe, interp)
 
 
@@ -568,9 +576,7 @@ def membership(tag: str, a: FinStructure) -> bool:
     spec = class_spec(tag)
     if spec.sig is None:
         for name, arity in a.sig.symbols:
-            q = parse_metric_symbol(name)
-            if arity != 2 or q <= 0:
-                raise SignatureMismatch(f"bad distance symbol {name}")
+            _check_distance_symbol(name, arity)
     elif a.sig != spec.sig:
         raise SignatureMismatch(f"{tag} expects signature {spec.sig.symbols}, got {a.sig.symbols}")
     return spec.member(a)

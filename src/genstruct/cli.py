@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 1 check failed, 2 usage or parse error,
 3 post-build verification failed, 4 precondition violation.
-Set GENERIC_LOG=debug for step tracing on stderr.
+Set GENERIC_LOG=debug for build steps and check progress on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -17,6 +18,7 @@ from itertools import combinations, permutations
 from genstruct import analysis, autorder, classes, forcing, structures
 
 BUILD_CLASSES = classes.TAGS + ("AutOrder",)
+logger = logging.getLogger("genstruct")
 
 
 def _parse_args(argv: list[str]):
@@ -59,15 +61,28 @@ def _parse_args(argv: list[str]):
     return parser.parse_args(argv)
 
 
-def _write_out(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Stdout, or a `.tmp` file next to `path` that replaces `path` once
+    everything is written and is removed if writing fails."""
     if path is None:
-        sys.stdout.write(text + "\n")
+        yield sys.stdout
         return
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
+def _write_out(path: str | None, text: str) -> None:
+    with _output(path) as fh:
         fh.write(text)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _emit(path: str | None, payload: dict) -> None:
@@ -216,18 +231,27 @@ def cmd_check(args) -> int:
         return 2
     try:
         if args.verifier == "extension":
-            report = analysis.extension_property_report(m, args.tag, args.k)
+            items = analysis.extension_items(m, args.tag, args.k)
         elif args.verifier == "universality":
-            report = analysis.universality_check(m, args.tag, args.k)
+            items = analysis.universality_items(m, args.tag, args.k)
         elif args.verifier == "homogeneity":
-            report = analysis.one_point_homogeneity(m, args.tag, args.k)
+            items = analysis.homogeneity_items(m, args.tag, args.k)
         else:
-            report = analysis.interval_density_check(m, ids)
+            items = analysis.density_items(m, ids)
     except structures.StructureError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    _write_out(args.out, report.to_json())
-    return 0 if report.passed else 1
+    progress = _log_progress if logger.isEnabledFor(logging.DEBUG) else None
+    with _output(args.out) as fh:
+        count, failures = analysis.write_json(items, fh.write, progress)
+        fh.write("\n")
+    if progress is not None:
+        logger.debug("check %s done: items=%d failures=%d", args.verifier, count, failures)
+    return 1 if failures else 0
+
+
+def _log_progress(count: int, failures: int) -> None:
+    logger.debug("check items=%d failures=%d", count, failures)
 
 
 # --- amalgamate --------------------------------------------------------------
