@@ -229,25 +229,32 @@ def cmd_check(args) -> int:
     except (OSError, ValueError, KeyError, structures.StructureError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
+    progress = _log_progress if logger.isEnabledFor(logging.DEBUG) else None
+
+    def sink(items) -> analysis.Written:
+        # Called only once the verifier has admitted the input, so a
+        # rejected input opens no output.
+        with _output(args.out) as fh:
+            written = analysis.write_json(items, fh.write, progress)
+            fh.write("\n")
+        return written
+
     try:
         if args.verifier == "extension":
-            items = analysis.extension_items(m, args.tag, args.k)
+            report = analysis.extension_property_report(m, args.tag, args.k, sink)
         elif args.verifier == "universality":
-            items = analysis.universality_items(m, args.tag, args.k)
+            report = analysis.universality_check(m, args.tag, args.k, sink)
         elif args.verifier == "homogeneity":
-            items = analysis.homogeneity_items(m, args.tag, args.k)
+            report = analysis.one_point_homogeneity(m, args.tag, args.k, sink)
         else:
-            items = analysis.density_items(m, ids)
+            report = analysis.interval_density_check(m, ids, sink)
     except structures.StructureError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    progress = _log_progress if logger.isEnabledFor(logging.DEBUG) else None
-    with _output(args.out) as fh:
-        count, failures = analysis.write_json(items, fh.write, progress)
-        fh.write("\n")
     if progress is not None:
-        logger.debug("check %s done: items=%d failures=%d", args.verifier, count, failures)
-    return 1 if failures else 0
+        logger.debug("check %s done: items=%d failures=%d",
+                     args.verifier, len(report.items), report.items.failures)
+    return 1 if report.items.failures else 0
 
 
 def _log_progress(count: int, failures: int) -> None:

@@ -123,7 +123,7 @@ def test_batches_join_to_one_array(count):
     items = [ReportItem(f"i{j}", j % 7 != 3, [j, None] if j % 2 else None) for j in range(count)]
     parts: list[str] = []
     calls = []
-    assert write_json(iter(items), parts.append, lambda *a: calls.append(a)) == (
+    assert write_json(iter(items), parts.append, lambda *a: calls.append(a)) == analysis.Written(
         count, sum(not it.verdict for it in items))
     assert "".join(parts) == reference_json(items)
     every = analysis.PROGRESS_EVERY
@@ -203,13 +203,38 @@ def test_estimates_bound_the_item_counts(monkeypatch):
     assert estimates == {"extension": 79, "universality": 4, "homogeneity": 705}
 
 
-def test_density_estimate_is_the_pair_count(monkeypatch):
-    order = chain_structure([0, 5, 1, 7, 2])
-    monkeypatch.setattr(analysis, "MAX_REPORT_ITEMS", 10)
-    assert len(analysis.interval_density_check(order, {5}).items) == 10
-    monkeypatch.setattr(analysis, "MAX_REPORT_ITEMS", 9)
-    with pytest.raises(analysis.ScaleExceeded, match="up to 10 items"):
-        analysis.density_items(order, {5})
+def test_density_reports_are_not_capped(tmp_path: Path, capsys, monkeypatch):
+    # Neither the item estimate nor the 40-point cap applies to density.
+    monkeypatch.setattr(analysis, "MAX_REPORT_ITEMS", 0)
+    assert len(analysis.interval_density_check(chain_structure([0, 5, 1, 7, 2]), {5}).items) == 10
+    src = tmp_path / "m.json"
+    src.write_text(dumps(chain_structure(range(analysis.MAX_REPORT_SIZE + 1))))
+    assert main(["check", "--class", "LinearOrder", "--check", "density", "--in", str(src),
+                 "--ids", "1"]) == 1
+    assert len(json.loads(capsys.readouterr().out)) == 820
+
+
+@pytest.mark.parametrize("tag,m,verifier,k", [CASES[0], CASES[6], CASES[10], CASES[13]])
+def test_check_writes_inside_the_report_function(tmp_path: Path, monkeypatch, tag, m, verifier, k):
+    """Instrumentation that rebinds the `Report` functions (as the
+    benchmark's tracer does) sees each check's whole run and item count."""
+    name = {"density": "interval_density_check", **{v: f.__name__ for v, f in REPORTS.items()}}[verifier]
+    original = getattr(analysis, name)
+    out = tmp_path / "r.json"
+    calls = []
+
+    def wrapped(*args):
+        report = original(*args)
+        calls.append((len(report.items), out.read_text()))
+        return report
+
+    monkeypatch.setattr(analysis, name, wrapped)
+    src = tmp_path / "m.json"
+    src.write_text(dumps(m))
+    code = main(_argv(tag, src, verifier, k) + ["--out", str(out)])
+    rows = json.loads(out.read_text())
+    assert calls == [(len(rows), out.read_text())]
+    assert code == (0 if all(row["verdict"] for row in rows) else 1)
 
 
 def transitive_tournament(n):
