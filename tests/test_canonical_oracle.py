@@ -7,6 +7,7 @@ with it.  The fast code must return equal keys, and equal member tuples
 in the same order.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -222,6 +223,29 @@ def test_connected_linear_graphs_match_keying_oracle():
     for size in range(6):
         expected = oracle_enumerate_members("LinearGraph", size, connected=True)
         assert enumerate_members("LinearGraph", size, connected=True) == expected
+
+
+# The oracle above reads `class_spec(tag).extensions` itself, so it moves
+# with the generators.  These digests pin the bytes of every member up to
+# `ENUMERATE_TO`: the yield order of the extensions decides which
+# candidate represents each isomorphism type.
+ENUMERATION_SHA256 = {
+    ("Digraph", False): "42234c9b8ac0d801a9adcbd0430d050b0747502b40297c40f4d845e39ebdf08d",
+    ("Graph", False): "c041936fdd3ad763970038b2561fdcb9831ced1c6c56e28f5352178357b040c6",
+    ("LinearGraph", False): "c4ec8a5f98ac01fabbd0c69fa8b2a459d39102fce1eff5c5cbd0c3d9ec50f674",
+    ("LinearGraph", True): "98522a82b4e83dc8e1a2a13bccc47f4ca33df4c064d188b24b181cfb4d823e64",
+    ("LinearOrder", False): "22f9c0094b417500a445160bd7eacaff85b35c522ff3084035174a9cf014ac3c",
+    ("PartialOrder", False): "32eb3300fe47cfb858e3bd2710fcfdfa6f895eddd7fa38ed98e9b684fa204006",
+    ("RationalMetric", False): "63fa746777b2964c21dce80b5f21e95c5a605f2137e068b474af5717a5a9f224",
+    ("Tournament", False): "ace023f6af872281a53367eca562f7b8e8d1906099bf2d8df82701edc378edc1",
+}
+
+
+@pytest.mark.parametrize("tag, connected", sorted(ENUMERATION_SHA256))
+def test_enumerated_members_keep_their_bytes(tag, connected):
+    lines = "".join(dumps(m) + "\n" for size in range(ENUMERATE_TO[tag] + 1)
+                    for m in enumerate_members(tag, size, connected=connected))
+    assert hashlib.sha256(lines.encode()).hexdigest() == ENUMERATION_SHA256[tag, connected]
 
 
 # --- guards ------------------------------------------------------------------
