@@ -74,6 +74,8 @@ class Report:
 
     @property
     def passed(self) -> bool:
+        if isinstance(self.items, Written):
+            return not self.items.failures
         return all(it.verdict for it in self.items)
 
     def failures(self) -> list[ReportItem]:

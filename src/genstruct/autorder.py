@@ -441,9 +441,7 @@ def equivariant_delta_trim(family: list[AutCondition]) -> tuple[frozenset[int], 
         restricted = tuple(sorted((x, y) for x, y in c.phi if x in root and y in root))
         return (induced, restricted)
 
-    tally = Counter(key(c) for c in closed)
-    order = {key(c): i for i, c in reversed(list(enumerate(closed)))}
-    best = max(tally, key=lambda k: (tally[k], -order[k]))
+    best = Counter(map(key, closed)).most_common(1)[0][0]
     return root, [c for c in closed if key(c) == best]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import lcm
 from operator import add
@@ -104,8 +104,9 @@ class ClassSpec:
     `glue(a, b)` is the strong amalgam of two members that agree on their
     shared ids: it keeps every id and decides the relations between the
     a-only and the b-only points.  `extensions(a, new)` yields the
-    one-point extensions enumeration tries, in a fixed order (the first
-    of each isomorphism type is kept).  `add_point(a, m, rng)` adjoins m
+    one-point extensions enumeration tries, in a fixed order; it may
+    yield non-members, which `membership` drops, and the first member of
+    each isomorphism type is kept.  `add_point(a, m, rng)` adjoins m
     with canonical relations, or seeded ones when rng is given.  `cross`,
     when set, is the seeded choice of relations between one old point and
     one new point; the forcing builder resamples free pairs with it.
@@ -191,14 +192,17 @@ def _glue_tournaments(a: FinStructure, b: FinStructure) -> FinStructure:
     return validate_structure(GRAPH_SIG, a.universe | b.universe, {"E": rel})
 
 
-def _graph_extensions(a: FinStructure, new: int, max_new_edges: int | None = None):
+def _subsets(xs: list[int]):
+    for k in range(len(xs) + 1):
+        yield from combinations(xs, k)
+
+
+def _graph_extensions(a: FinStructure, new: int):
     old = a.sorted_universe()
-    most = len(old) if max_new_edges is None else min(len(old), max_new_edges)
-    for k in range(most + 1):
-        for nbrs in combinations(old, k):
-            rel = set(a.rel("E"))
-            rel.update({(x, new) for x in nbrs} | {(new, x) for x in nbrs})
-            yield validate_structure(GRAPH_SIG, set(old) | {new}, {"E": rel})
+    for nbrs in _subsets(old):
+        rel = set(a.rel("E"))
+        rel.update({(x, new) for x in nbrs} | {(new, x) for x in nbrs})
+        yield validate_structure(GRAPH_SIG, set(old) | {new}, {"E": rel})
 
 
 def _digraph_arcs(x: int, n: int, c: int) -> set[tuple[int, int]]:
@@ -206,22 +210,19 @@ def _digraph_arcs(x: int, n: int, c: int) -> set[tuple[int, int]]:
     return {t for t, bit in (((x, n), 1), ((n, x), 2)) if c & bit}
 
 
-def _digraph_extensions(a: FinStructure, new: int):
-    old = a.sorted_universe()
-    for pattern in product(range(4), repeat=len(old)):
-        rel = set(a.rel("E"))
-        for x, c in zip(old, pattern):
-            rel |= _digraph_arcs(x, new, c)
-        yield validate_structure(GRAPH_SIG, set(old) | {new}, {"E": rel})
+def _arc_extensions(choices):
+    """`extensions` giving the new point one `_digraph_arcs` choice per
+    old point, over every combination of `choices` in product order."""
 
+    def extensions(a: FinStructure, new: int):
+        old = a.sorted_universe()
+        for pattern in product(choices, repeat=len(old)):
+            rel = set(a.rel("E"))
+            for x, c in zip(old, pattern):
+                rel |= _digraph_arcs(x, new, c)
+            yield validate_structure(GRAPH_SIG, set(old) | {new}, {"E": rel})
 
-def _tournament_extensions(a: FinStructure, new: int):
-    old = a.sorted_universe()
-    for pattern in product((0, 1), repeat=len(old)):
-        rel = set(a.rel("E"))
-        for x, p in zip(old, pattern):
-            rel.add((x, new) if p else (new, x))
-        yield validate_structure(GRAPH_SIG, set(old) | {new}, {"E": rel})
+    return extensions
 
 
 def _cross_graphs(left: FinStructure, right: FinStructure, root: frozenset[int],
@@ -388,34 +389,13 @@ def _chain_extensions(a: FinStructure, new: int):
         yield chain_structure(seq[:k] + [new] + seq[k:])
 
 
-def _subsets(xs: list[int]):
-    for k in range(len(xs) + 1):
-        yield from combinations(xs, k)
-
-
-def _down_closed(down: set[int], rel) -> bool:
-    return all(x in down for d in down for x, y in rel if y == d)
-
-
-def _up_closed(up: set[int], rel) -> bool:
-    return all(y in up for u in up for x, y in rel if x == u)
-
-
 def _poset_extensions(a: FinStructure, new: int):
+    """Every choice of points below and, from the rest, above the new one;
+    the choices that break transitivity are not members."""
     old = a.sorted_universe()
-    rel = a.rel("<")
-    for downs in _subsets(old):
-        down = set(downs)
-        if not _down_closed(down, rel):
-            continue
-        above = [x for x in old if x not in down]
-        for ups in _subsets(above):
-            up = set(ups)
-            if not _up_closed(up, rel):
-                continue
-            if any((d, u) not in rel for d in down for u in up):
-                continue
-            new_rel = set(rel)
+    for down in _subsets(old):
+        for up in _subsets([x for x in old if x not in down]):
+            new_rel = set(a.rel("<"))
             new_rel.update((d, new) for d in down)
             new_rel.update((new, u) for u in up)
             yield validate_structure(ORDER_SIG, set(old) | {new}, {"<": new_rel})
@@ -513,11 +493,11 @@ SPECS: dict[str, ClassSpec] = {
         crossing=_cross_graphs,
     ),
     "Digraph": ClassSpec(
-        GRAPH_SIG, _is_digraph, _free_union, _digraph_extensions,
+        GRAPH_SIG, _is_digraph, _free_union, _arc_extensions(range(4)),
         _adjoin_by_pairs(_digraph_cross), _digraph_cross, sap=True, symmetric=False,
     ),
     "Tournament": ClassSpec(
-        GRAPH_SIG, _is_tournament, _glue_tournaments, _tournament_extensions,
+        GRAPH_SIG, _is_tournament, _glue_tournaments, _arc_extensions((2, 1)),
         _adjoin_by_pairs(_tournament_cross), _tournament_cross, sap=True, symmetric=False,
     ),
     "LinearOrder": ClassSpec(
@@ -534,14 +514,12 @@ SPECS: dict[str, ClassSpec] = {
         _adjoin_far, None, sap=True, symmetric=True,
     ),
     "LinearGraph": ClassSpec(
-        GRAPH_SIG, _is_linear_graph, _free_union, partial(_graph_extensions, max_new_edges=2),
+        GRAPH_SIG, _is_linear_graph, _free_union, _graph_extensions,
         _adjoin_to_path_end, None, sap=False, symmetric=True,
     ),
 }
 
 TAGS = tuple(SPECS)
-
-SAP_FLAGS = {tag: spec.sap for tag, spec in SPECS.items()}
 
 
 def class_spec(tag: str) -> ClassSpec:
@@ -550,11 +528,6 @@ def class_spec(tag: str) -> ClassSpec:
         return SPECS[tag]
     except KeyError:
         raise StructureError(f"unknown class tag {tag!r}") from None
-
-
-def class_signature(tag: str) -> Signature | None:
-    """Fixed signature of the tag, or None for the per-structure metric one."""
-    return class_spec(tag).sig
 
 
 def align(tag: str, *structures: FinStructure) -> tuple[FinStructure, ...]:
@@ -664,15 +637,6 @@ def _strong_linear_graph_amalgam(f: Embedding, g: Embedding, connected: bool) ->
     return _amalgam(b, c, _bridge_components(union) if connected else union, map_c)
 
 
-def strong_linear_graph_obstruction(f: Embedding, g: Embedding) -> str | None:
-    """Why no strong amalgam of linear graphs exists, or None if one does."""
-    try:
-        _strong_linear_graph_amalgam(f, g, connected=False)
-    except AmalgamationImpossible as exc:
-        return str(exc)
-    return None
-
-
 def _bridge_components(structure: FinStructure) -> FinStructure:
     """Chain the path components into one path with fresh bridge points."""
     comps = structure.components
@@ -724,8 +688,6 @@ def _amalgamate_linear_graph(f: Embedding, g: Embedding, connected: bool) -> Ama
         names = fresh_ids(set(b.universe), len(unmatched))
         for x, y in zip(unmatched, names):
             map_c[x] = y
-        if len(set(map_c.values())) != len(map_c):
-            continue
         image_c = relabel(c, map_c)
         candidate = _free_union(b, image_c)
         if not membership("LinearGraph", candidate):
@@ -757,7 +719,7 @@ def enumerate_members(tag: str, size: int, connected: bool = False) -> tuple[Fin
     if key in _MEMBER_CACHE:
         return _MEMBER_CACHE[key]
     if size == 0:
-        sig = class_signature(tag) or Signature(())
+        sig = class_spec(tag).sig or Signature(())
         out = (empty_structure(sig),)
     else:
         # Isomorphic candidates share their signature and profile multiset,
@@ -779,11 +741,6 @@ def enumerate_members(tag: str, size: int, connected: bool = False) -> tuple[Fin
         out = tuple(keyed[k] for k in sorted(keyed))
     _MEMBER_CACHE[key] = out
     return out
-
-
-def count_iso_types(tag: str, n: int) -> int:
-    """Number of isomorphism types of class members with exactly n elements."""
-    return len(enumerate_members(tag, n))
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,17 @@ def _emit(path: str | None, payload: dict) -> None:
     _write_out(path, json.dumps(payload, separators=(",", ":")))
 
 
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _reject(message: str) -> int:
+    """Print `message` on stderr; exit code 2."""
+    print(message, file=sys.stderr)
+    return 2
+
+
 # --- build -----------------------------------------------------------------
 
 
@@ -96,7 +107,7 @@ def default_schedule(tag: str, n: int, ext_size: int) -> list[forcing.DenseRequi
     """Every point of 0..n-1, then per pair a point between (linear
     orders) or a joining path (no SAP), else the extension schedule."""
     spec = classes.class_spec(tag)
-    reqs = [forcing.point_requirement(tag, m) for m in range(n)]
+    reqs = [forcing.point_requirement(m) for m in range(n)]
     if spec.linear:
         pair = forcing.between_requirement
     elif not spec.sap:
@@ -188,17 +199,13 @@ def _to_dot(payload: dict, tag: str) -> str:
 
 def cmd_build(args) -> int:
     if args.tag not in BUILD_CLASSES:
-        print(f"unknown class {args.tag!r}", file=sys.stderr)
-        return 2
+        return _reject(f"unknown class {args.tag!r}")
     if args.n < 0 or (args.steps is not None and args.steps < 0):
-        print("n and steps must be nonnegative", file=sys.stderr)
-        return 2
+        return _reject("n and steps must be nonnegative")
     if args.alpha0 < 0:
-        print("alpha0 must be nonnegative", file=sys.stderr)
-        return 2
+        return _reject("alpha0 must be nonnegative")
     if not 0 <= args.ext_size <= classes.MAX_ENUM:
-        print(f"ext-size must be in 0..{classes.MAX_ENUM}", file=sys.stderr)
-        return 2
+        return _reject(f"ext-size must be in 0..{classes.MAX_ENUM}")
     payload, problems = _build_aut(args) if args.tag == "AutOrder" else _build_generic(args)
     if problems:
         payload["verify"] = problems
@@ -220,15 +227,12 @@ def cmd_check(args) -> int:
     try:
         ids = set(_ids(args.ids))
     except ValueError:
-        print(f"--ids must be comma-separated integers, got {args.ids!r}", file=sys.stderr)
-        return 2
+        return _reject(f"--ids must be comma-separated integers, got {args.ids!r}")
     try:
-        with open(args.infile, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(args.infile)
         m = structures.from_json_dict({k: data[k] for k in ("sig", "universe", "interp")})
     except (OSError, ValueError, KeyError, structures.StructureError) as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return 2
+        return _reject(f"cannot read input: {exc}")
     progress = _log_progress if logger.isEnabledFor(logging.DEBUG) else None
 
     def sink(items) -> analysis.Written:
@@ -249,8 +253,7 @@ def cmd_check(args) -> int:
         else:
             report = analysis.interval_density_check(m, ids, sink)
     except structures.StructureError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _reject(f"{type(exc).__name__}: {exc}")
     if progress is not None:
         logger.debug("check %s done: items=%d failures=%d",
                      args.verifier, len(report.items), report.items.failures)
@@ -264,69 +267,53 @@ def _log_progress(count: int, failures: int) -> None:
 # --- amalgamate --------------------------------------------------------------
 
 
-def _load_structure(path: str) -> structures.FinStructure:
-    with open(path, encoding="utf-8") as fh:
-        return structures.from_json_dict(json.load(fh))
-
-
 def cmd_amalgamate(args) -> int:
-    if args.op != "auto" and args.tag is not None and args.tag not in classes.TAGS:
-        print(f"unknown class {args.tag!r}", file=sys.stderr)
-        return 2
     try:
+        if args.op != "auto" and args.tag is not None and args.tag not in classes.TAGS:
+            return _reject(f"unknown class {args.tag!r}")
+        if args.op == "class" and (args.tag is None or args.base is None):
+            return _reject("--class and --base are required")
+        if args.op == "crossing":
+            if args.tag is None:
+                return _reject("--class is required")
+            points = _ids(args.points)
+            if len(points) != 4:
+                return _reject("--points must be s,sbar,t,tbar")
+            root = frozenset(_ids(args.root))
+        if args.op == "auto" and (args.a is None or args.b is None):
+            return _reject("--a and --b are required")
+        # auto reads order-with-map conditions and amalgamates them over their shared part.
+        load = autorder.aut_from_json_dict if args.op == "auto" else structures.from_json_dict
+        paths = (args.base, args.left, args.right) if args.op == "class" else (args.left, args.right)
+        *base, left, right = [load(_read_json(path)) for path in paths]
         if args.op == "class":
-            if args.tag is None or args.base is None:
-                print("--class and --base are required", file=sys.stderr)
-                return 2
-            base = _load_structure(args.base)
-            left = _load_structure(args.left)
-            right = _load_structure(args.right)
-            f = structures.inclusion_embedding(base, left)
-            g = structures.inclusion_embedding(base, right)
+            f = structures.inclusion_embedding(base[0], left)
+            g = structures.inclusion_embedding(base[0], right)
             am = classes.amalgamate(args.tag, f, g)
             _emit(args.out, {
                 "result": structures.to_json_dict(am.result),
                 "left_map": sorted(am.emb_left.as_dict().items()),
                 "right_map": sorted(am.emb_right.as_dict().items()),
             })
-            return 0
-        if args.op == "crossing":
-            if args.tag is None:
-                print("--class is required", file=sys.stderr)
-                return 2
-            points = _ids(args.points)
-            if len(points) != 4:
-                print("--points must be s,sbar,t,tbar", file=sys.stderr)
-                return 2
-            p_s = forcing.Condition(args.tag, _load_structure(args.left))
-            p_t = forcing.Condition(args.tag, _load_structure(args.right))
-            spec = forcing.CrossingSpec(*points)
-            out = forcing.crossing_amalgamation(p_s, p_t, frozenset(_ids(args.root)), spec)
+        elif args.op == "crossing":
+            p_s, p_t = forcing.Condition(args.tag, left), forcing.Condition(args.tag, right)
+            out = forcing.crossing_amalgamation(p_s, p_t, root, forcing.CrossingSpec(*points))
             _emit(args.out, {"result": structures.to_json_dict(out.structure)})
-            return 0
-        # auto: amalgamate order-with-map conditions over their shared part
-        with open(args.left, encoding="utf-8") as fh:
-            p1 = autorder.aut_from_json_dict(json.load(fh))
-        with open(args.right, encoding="utf-8") as fh:
-            p2 = autorder.aut_from_json_dict(json.load(fh))
-        if args.a is None or args.b is None:
-            print("--a and --b are required", file=sys.stderr)
-            return 2
-        root = p1.universe & p2.universe
-        if len(p1.chain) != len(p2.chain):
-            print("NotIsomorphicExtensions: sides differ in size", file=sys.stderr)
-            return 4
-        # The order isomorphism between equal-length chains is index-wise;
-        # the amalgamation op rejects it if it fails to fix the root.
-        h = dict(zip(p1.chain, p2.chain))
-        out = autorder.amalgamate_partial_automorphisms(p1, p2, root, h, args.a, args.b)
-        payload = autorder.aut_to_json_dict(out)
-        payload["h"] = sorted(h.items())
-        _emit(args.out, payload)
+        else:
+            if len(left.chain) != len(right.chain):
+                print("NotIsomorphicExtensions: sides differ in size", file=sys.stderr)
+                return 4
+            # The order isomorphism between equal-length chains is index-wise;
+            # the amalgamation op rejects it if it fails to fix the root.
+            h = dict(zip(left.chain, right.chain))
+            root = left.universe & right.universe
+            out = autorder.amalgamate_partial_automorphisms(left, right, root, h, args.a, args.b)
+            payload = autorder.aut_to_json_dict(out)
+            payload["h"] = sorted(h.items())
+            _emit(args.out, payload)
         return 0
     except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return 2
+        return _reject(f"cannot read input: {exc}")
     except structures.StructureError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -24,7 +24,6 @@ from genstruct.classes import (
     align,
     chain_of,
     chain_structure,
-    class_signature,
     class_spec,
     membership,
 )
@@ -87,7 +86,7 @@ class Condition:
 
 
 def empty_condition(tag: str) -> Condition:
-    sig = class_signature(tag) or Signature(())
+    sig = class_spec(tag).sig or Signature(())
     return Condition(tag, empty_structure(sig))
 
 
@@ -172,7 +171,7 @@ def _add_point(p: Condition, m: int, rng: Random | None) -> Condition:
     return Condition(p.tag, class_spec(p.tag).add_point(p.structure, m, rng))
 
 
-def point_requirement(tag: str, m: int) -> DenseRequirement:
+def point_requirement(m: int) -> DenseRequirement:
     """The element m must belong to the condition's universe."""
 
     def satisfied(p: Condition) -> bool:
@@ -613,8 +612,7 @@ def knaster_trim(conditions: list[Condition]) -> list[Condition]:
 
     roots = align(tag, *(induced_substructure(c.structure, ds.root) for c in picked))
     keys = [dumps(r) for r in roots]
-    tally: Counter[str] = Counter(keys)
-    best_key = max(tally, key=lambda k: (tally[k], -keys.index(k)))
+    best_key = Counter(keys).most_common(1)[0][0]
     group = [c for c, k in zip(picked, keys) if k == best_key]
     for i, a in enumerate(group):
         for b in group[i + 1:]:

@@ -531,10 +531,6 @@ def compose(inner: Embedding, outer: Embedding) -> Embedding:
     return make_embedding(inner.source, outer.target, {x: m_out[y] for x, y in m_in.items()})
 
 
-def identity_embedding(a: FinStructure) -> Embedding:
-    return make_embedding(a, a, {x: x for x in a.universe})
-
-
 def inclusion_embedding(a: FinStructure, b: FinStructure) -> Embedding:
     """Identity-map embedding of `a` into `b`; fails if not induced."""
     if induced_substructure(b, a.universe) != a:
@@ -577,7 +573,3 @@ def from_json_dict(data: dict) -> FinStructure:
     sig = Signature(tuple((name, arity) for name, arity in data["sig"]))
     interp = {name: {tuple(t) for t in tuples} for name, tuples in data.get("interp", {}).items()}
     return validate_structure(sig, set(data["universe"]), interp)
-
-
-def loads(text: str) -> FinStructure:
-    return from_json_dict(json.loads(text))

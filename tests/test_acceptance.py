@@ -60,7 +60,7 @@ def order_cond(seq):
 def test_criterion_1_generic_graph_extension_property():
     with criterion(1, "generic graph prefix"):
         started = time.monotonic()
-        schedule = [point_requirement("Graph", m) for m in range(5)]
+        schedule = [point_requirement(m) for m in range(5)]
         schedule += extension_schedule("Graph", 5, 3)
         chain = generic_build(empty_condition("Graph"), schedule, 8 * len(schedule) + 8, seed=0)
         report = extension_property_report(chain.final.structure, "Graph", 2)

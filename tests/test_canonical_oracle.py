@@ -22,7 +22,6 @@ from genstruct import classes
 from genstruct.classes import (
     TAGS,
     _is_connected_graph,
-    class_signature,
     class_spec,
     enumerate_members,
     membership,
@@ -64,7 +63,7 @@ def oracle_enumerate_members(tag: str, size: int, connected: bool = False) -> tu
     if key in _ORACLE_MEMBERS:
         return _ORACLE_MEMBERS[key]
     if size == 0:
-        out = (empty_structure(class_signature(tag) or Signature(())),)
+        out = (empty_structure(class_spec(tag).sig or Signature(())),)
     else:
         seen = {}
         for smaller in oracle_enumerate_members(tag, size - 1):
@@ -87,7 +86,7 @@ def oracle_enumerate_members(tag: str, size: int, connected: bool = False) -> tu
 def random_member(tag: str, size: int, rng: Random) -> FinStructure:
     """A class member on 0..size-1, grown one random one-point extension
     at a time."""
-    a = empty_structure(class_signature(tag) or Signature(()))
+    a = empty_structure(class_spec(tag).sig or Signature(()))
     for m in range(size):
         candidates = list(class_spec(tag).extensions(a, m))
         rng.shuffle(candidates)

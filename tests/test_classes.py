@@ -4,14 +4,14 @@ from random import Random
 import pytest
 
 from genstruct.classes import (
-    SAP_FLAGS,
+    AmalgamationImpossible,
     ScaleExceeded,
     TAGS,
     amalgamate,
     chain_of,
     chain_structure,
     check_property,
-    count_iso_types,
+    class_spec,
     enumerate_members,
     membership,
     merge_linear_orders,
@@ -19,7 +19,7 @@ from genstruct.classes import (
     metric_structure,
     parse_metric_symbol,
     PropertyVerdict,
-    strong_linear_graph_obstruction,
+    _strong_linear_graph_amalgam,
     validate_amalgam,
 )
 from genstruct.structures import (
@@ -250,7 +250,8 @@ def test_linear_graph_amalgam_identifies_when_forced():
     right = graph({0, 3, 4}, [(3, 0), (0, 4)])
     f = inclusion_embedding(base, left)
     g = inclusion_embedding(base, right)
-    assert strong_linear_graph_obstruction(f, g) is not None
+    with pytest.raises(AmalgamationImpossible):
+        _strong_linear_graph_amalgam(f, g, connected=False)
     am = amalgamate("LinearGraph", f, g)
     assert membership("LinearGraph", am.result)
     assert validate_amalgam("LinearGraph", f, g, am, strong=False) is None
@@ -297,23 +298,23 @@ def test_enumerate_members_cache_cannot_be_mutated():
 
 def test_count_iso_types_against_published_values():
     # Independent oracle: published counts of small structures.
-    assert [count_iso_types("LinearOrder", n) for n in range(5)] == [1, 1, 1, 1, 1]
-    assert [count_iso_types("Graph", n) for n in range(6)] == [1, 1, 2, 4, 11, 34]
-    assert [count_iso_types("Tournament", n) for n in range(5)] == [1, 1, 1, 2, 4]
-    assert [count_iso_types("PartialOrder", n) for n in range(6)] == [1, 1, 2, 5, 16, 63]
-    assert [count_iso_types("Digraph", n) for n in range(4)] == [1, 1, 3, 16]
+    assert [len(enumerate_members("LinearOrder", n)) for n in range(5)] == [1, 1, 1, 1, 1]
+    assert [len(enumerate_members("Graph", n)) for n in range(6)] == [1, 1, 2, 4, 11, 34]
+    assert [len(enumerate_members("Tournament", n)) for n in range(5)] == [1, 1, 1, 2, 4]
+    assert [len(enumerate_members("PartialOrder", n)) for n in range(6)] == [1, 1, 2, 5, 16, 63]
+    assert [len(enumerate_members("Digraph", n)) for n in range(4)] == [1, 1, 3, 16]
     # Linear forests = partitions of n into path lengths.
-    assert [count_iso_types("LinearGraph", n) for n in range(6)] == [1, 1, 2, 3, 5, 7]
+    assert [len(enumerate_members("LinearGraph", n)) for n in range(6)] == [1, 1, 2, 3, 5, 7]
 
 
 def test_sap_flags():
-    assert SAP_FLAGS["Graph"] and SAP_FLAGS["LinearOrder"]
-    assert not SAP_FLAGS["LinearGraph"]
+    assert class_spec("Graph").sap and class_spec("LinearOrder").sap
+    assert not class_spec("LinearGraph").sap
     # The flags agree with the exhaustive verifier in both directions;
     # RationalMetric stays at bound 2, where it is quick.
     for tag in TAGS:
         bound = 2 if tag == "RationalMetric" else 3
-        assert check_property(tag, "SAP", bound).holds == SAP_FLAGS[tag], tag
+        assert check_property(tag, "SAP", bound).holds == class_spec(tag).sap, tag
 
 
 def test_strong_amalgamation_across_sap_tags():
@@ -321,7 +322,7 @@ def test_strong_amalgamation_across_sap_tags():
     # the verifier validates each constructed amalgam, so a pass is a
     # constructive proof at that scale.
     for tag in TAGS:
-        if SAP_FLAGS[tag]:
+        if class_spec(tag).sap:
             assert check_property(tag, "SAP", 2).holds, tag
             assert check_property(tag, "JEP", 2).holds, tag
 

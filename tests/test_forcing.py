@@ -87,7 +87,7 @@ def test_common_extension_linear_graph_incompatible():
 
 def test_point_requirement_noop_when_present():
     p = order_cond([5, 7])
-    req = point_requirement("LinearOrder", 5)
+    req = point_requirement(5)
     assert meet(p, req) == p
 
 
@@ -195,7 +195,7 @@ def test_extension_requirement_needs_strong_amalgamation():
 
 
 def test_generic_build_zero_steps():
-    chain = generic_build(empty_condition("Graph"), [point_requirement("Graph", 0)], 0, seed=1)
+    chain = generic_build(empty_condition("Graph"), [point_requirement(0)], 0, seed=1)
     assert len(chain.steps) == 1
     assert len(chain.final.universe) == 0
     # An empty schedule runs no step, whatever the budget.
@@ -210,7 +210,7 @@ def _extension_schedule_upto2(tag, n):
 
 
 def test_generic_graph_realizes_one_point_extensions():
-    schedule = [point_requirement("Graph", m) for m in range(5)]
+    schedule = [point_requirement(m) for m in range(5)]
     schedule += _extension_schedule_upto2("Graph", 5)
     chain = generic_build(empty_condition("Graph"), schedule, 8 * len(schedule) + 8, seed=1)
     m = chain.final.structure
@@ -222,7 +222,7 @@ def test_generic_graph_realizes_one_point_extensions():
 
 
 def test_generic_order_densifies_named_points():
-    schedule = [point_requirement("LinearOrder", m) for m in range(4)]
+    schedule = [point_requirement(m) for m in range(4)]
     schedule += [between_requirement(a, b) for a in range(4) for b in range(a + 1, 4)]
     chain = generic_build(empty_condition("LinearOrder"), schedule, 8 * len(schedule) + 8, seed=2)
     seq = chain_of(chain.final.structure)
@@ -234,7 +234,7 @@ def test_generic_order_densifies_named_points():
 
 
 def test_chain_monotone_and_requirements_permanent():
-    schedule = [point_requirement("Graph", m) for m in range(3)]
+    schedule = [point_requirement(m) for m in range(3)]
     schedule += _extension_schedule_upto2("Graph", 3)
     chain = generic_build(empty_condition("Graph"), schedule, 4 * len(schedule), seed=9)
     for a, b in zip(chain.steps, chain.steps[1:]):
@@ -248,7 +248,7 @@ def test_chain_monotone_and_requirements_permanent():
 
 
 def test_generic_build_determinism():
-    schedule = [point_requirement("Graph", m) for m in range(4)]
+    schedule = [point_requirement(m) for m in range(4)]
     schedule += _extension_schedule_upto2("Graph", 4)
     a = generic_build(empty_condition("Graph"), schedule, 200, seed=77)
     b = generic_build(empty_condition("Graph"), schedule, 200, seed=77)
@@ -475,13 +475,13 @@ def test_strongly_dense_rejects_foreign_elements():
 def test_agreeing_restrictions_are_compatible_for_strong_tags():
     # Two induced restrictions of one member agree on their overlap, so
     # for classes with strong amalgamation a common extension must exist.
-    from genstruct.classes import SAP_FLAGS, TAGS, enumerate_members
+    from genstruct.classes import TAGS, class_spec, enumerate_members
     from genstruct.structures import induced_substructure, relabel_disjoint
     from random import Random
 
     rng = Random(77)
     for tag in TAGS:
-        if not SAP_FLAGS[tag]:
+        if not class_spec(tag).sap:
             continue
         for member in enumerate_members(tag, 4)[:6]:
             moved, _ = relabel_disjoint(member, set(range(rng.randrange(0, 5))))

@@ -32,7 +32,7 @@ from genstruct.classes import (
     _align_signature,
     align,
     amalgamate,
-    class_signature,
+    class_spec,
     enumerate_members,
     metric_symbol,
     parse_metric_symbol,
@@ -209,7 +209,7 @@ def renamed(draw, structure, pool):
 def padded(draw, tag, structure):
     """For metrics, `structure` over a signature that may also list unused
     distances, as the bodies of metric conditions do."""
-    if class_signature(tag) is not None:
+    if class_spec(tag).sig is not None:
         return structure
     extra = draw(st.sets(st.sampled_from((1, 2, 3, 5, Fraction(1, 2)))))
     symbols = {*structure.sig.symbols, *((metric_symbol(q), 2) for q in extra)}

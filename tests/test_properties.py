@@ -114,7 +114,7 @@ def test_point_requirements_meet_everywhere():
     for tag in TAGS:
         current = empty_condition(tag)
         for m in range(6):
-            req = point_requirement(tag, m)
+            req = point_requirement(m)
             new = meet(current, req, rng)
             assert stronger(new, current)
             assert req.satisfied(new)

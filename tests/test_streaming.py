@@ -118,6 +118,17 @@ def test_cases_cover_passing_failing_and_empty_reports():
     assert {case[2] for case in CASES} == {"extension", "universality", "homogeneity", "density"}
 
 
+@pytest.mark.parametrize("m, passed", [
+    (graph({0, 1, 2, 3}, [(0, 1), (2, 3)]), True),
+    (graph({0, 1, 2, 3, 4}, [(0, 1), (1, 2), (3, 4)]), False),
+])
+def test_passed_is_the_same_for_written_reports(m, passed):
+    collected = analysis.one_point_homogeneity(m, "Graph", 2)
+    written = analysis.one_point_homogeneity(m, "Graph", 2, lambda items: write_json(items, len))
+    assert isinstance(written.items, analysis.Written)
+    assert collected.passed == written.passed == passed
+
+
 @pytest.mark.parametrize("count", [0, 1, 249, 250, 251, 1000, 1249, 2000])
 def test_batches_join_to_one_array(count):
     items = [ReportItem(f"i{j}", j % 7 != 3, [j, None] if j % 2 else None) for j in range(count)]
