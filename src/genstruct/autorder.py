@@ -395,8 +395,8 @@ def build_automorphic_order(
     n: int, steps: int | None = None, seed: int = 0, alpha0: int = 0
 ) -> tuple[AutCondition, list[str]]:
     """Meet the membership, totality, density and orbit requirements for
-    the first n ground elements with `forcing.generic_build` (default step
-    budget when steps is None); returns the final condition and a report
+    the first n ground elements with `forcing.generic_build` (no step
+    limit when steps is None); returns the final condition and a report
     line per requirement.
 
     A requirement's `met_at` is the first step after which it held, or -1.

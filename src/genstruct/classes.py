@@ -79,12 +79,12 @@ def _check_distance_symbol(name: str, arity: int) -> None:
 
 def metric_structure(universe: set[int], dist: dict[frozenset[int], Fraction]) -> FinStructure:
     """Build a rational metric space from an unordered-pair distance map."""
-    names = {q: metric_symbol(q) for q in sorted(set(dist.values()))}
-    sig = Signature(tuple((name, 2) for name in names.values()))
-    interp: dict[str, set[tuple[int, ...]]] = {name: set() for name in names.values()}
+    pairs: dict[Fraction, set[tuple[int, int]]] = {}
     for pair, q in dist.items():
         a, b = sorted(pair)
-        interp[names[q]].update({(a, b), (b, a)})
+        pairs.setdefault(q, set()).update({(a, b), (b, a)})
+    interp = {metric_symbol(q): pairs[q] for q in sorted(pairs)}
+    sig = Signature(tuple((name, 2) for name in interp))
     return validate_structure(sig, universe, interp)
 
 
@@ -364,14 +364,20 @@ def _cross_chains(left: FinStructure, right: FinStructure, root: frozenset[int],
 
 
 def _transitive_closure(rel: set[tuple[int, ...]]) -> set[tuple[int, int]]:
-    closed = set(rel)
-    changed = True
-    while changed:
-        changed = False
-        extra = {(x, w) for x, y in closed for z, w in closed if y == z and (x, w) not in closed}
-        if extra:
-            closed |= extra
-            changed = True
+    """Every pair (x, y) with a path from x to y: one depth-first search
+    per source over the successor map."""
+    succ: dict[int, list[int]] = {}
+    for x, y in rel:
+        succ.setdefault(x, []).append(y)
+    closed: set[tuple[int, int]] = set()
+    for x, out in succ.items():
+        reached, stack = set(out), list(out)
+        while stack:
+            for z in succ.get(stack.pop(), ()):
+                if z not in reached:
+                    reached.add(z)
+                    stack.append(z)
+        closed.update((x, y) for y in reached)
     return closed
 
 
@@ -545,14 +551,20 @@ def align(tag: str, *structures: FinStructure) -> tuple[FinStructure, ...]:
 
 
 def membership(tag: str, a: FinStructure) -> bool:
-    """Does `a` satisfy the axioms of the tagged class?"""
+    """Does `a` satisfy the axioms of the tagged class?
+
+    The signature is checked on every call; the axioms only the first
+    time, and the verdict is kept on the structure (`a.verdicts`)."""
     spec = class_spec(tag)
     if spec.sig is None:
         for name, arity in a.sig.symbols:
             _check_distance_symbol(name, arity)
     elif a.sig != spec.sig:
         raise SignatureMismatch(f"{tag} expects signature {spec.sig.symbols}, got {a.sig.symbols}")
-    return spec.member(a)
+    verdicts = a.verdicts
+    if tag not in verdicts:
+        verdicts[tag] = spec.member(a)
+    return verdicts[tag]
 
 
 # --- amalgamation -----------------------------------------------------------

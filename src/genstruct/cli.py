@@ -14,10 +14,20 @@ import logging
 import os
 import sys
 from itertools import combinations, permutations
+from math import comb, perm
 
 from genstruct import analysis, autorder, classes, forcing, structures
 
 BUILD_CLASSES = classes.TAGS + ("AutOrder",)
+# Most requirements a class build may schedule. Graph --n 30 at the default
+# --ext-size 3 (110,138) fits; Digraph --n 50 --ext-size 3 (2,009,321) does not.
+MAX_SCHEDULE = 1_000_000
+# Options each amalgamate op does not read; giving one exits 2.
+UNUSED_OPTIONS = {
+    "class": ("root", "points", "a", "b"),
+    "crossing": ("base", "a", "b"),
+    "auto": ("tag", "base", "root", "points"),
+}
 logger = logging.getLogger("genstruct")
 
 
@@ -52,8 +62,8 @@ def _parse_args(argv: list[str]):
     am.add_argument("--left", required=True)
     am.add_argument("--right", required=True)
     am.add_argument("--base", default=None)
-    am.add_argument("--root", default="", help="comma ids of the crossing root")
-    am.add_argument("--points", default="", help="s,sbar,t,tbar for crossing")
+    am.add_argument("--root", default=None, help="comma ids of the crossing root")
+    am.add_argument("--points", default=None, help="s,sbar,t,tbar for crossing")
     am.add_argument("--a", type=int, default=None)
     am.add_argument("--b", type=int, default=None)
     am.add_argument("--out", default=None)
@@ -115,6 +125,23 @@ def default_schedule(tag: str, n: int, ext_size: int) -> list[forcing.DenseRequi
     else:
         return reqs + extension_schedule(tag, n, ext_size)
     return reqs + [pair(a, b) for a, b in combinations(range(n), 2)]
+
+
+def schedule_length(tag: str, n: int, ext_size: int) -> int:
+    """The length of `default_schedule(tag, n, ext_size)`, counted without
+    building it: n + C(n, 2), or n + the sum over sizes s of
+    types(s) * sum_r C(s, r) * P(n, r).  Sizes are added smallest first,
+    and none is added once the count is over MAX_SCHEDULE."""
+    spec = classes.class_spec(tag)
+    if spec.linear or not spec.sap:
+        return n + comb(n, 2)
+    total = n
+    for size in range(ext_size + 1):
+        if total > MAX_SCHEDULE:
+            break
+        maps = sum(comb(size, r) * perm(n, r) for r in range(size + 1))
+        total += len(classes.enumerate_members(tag, size)) * maps
+    return total
 
 
 def extension_schedule(tag: str, n: int, ext_size: int) -> list[forcing.DenseRequirement]:
@@ -206,7 +233,14 @@ def cmd_build(args) -> int:
         return _reject("alpha0 must be nonnegative")
     if not 0 <= args.ext_size <= classes.MAX_ENUM:
         return _reject(f"ext-size must be in 0..{classes.MAX_ENUM}")
-    payload, problems = _build_aut(args) if args.tag == "AutOrder" else _build_generic(args)
+    if args.tag == "AutOrder":
+        payload, problems = _build_aut(args)
+    else:
+        total = schedule_length(args.tag, args.n, args.ext_size)
+        if total > MAX_SCHEDULE:
+            return _reject(f"schedule has at least {total:,} requirements, "
+                           f"over the cap of {MAX_SCHEDULE:,}")
+        payload, problems = _build_generic(args)
     if problems:
         payload["verify"] = problems
     if args.format == "dot":
@@ -268,6 +302,10 @@ def _log_progress(count: int, failures: int) -> None:
 
 
 def cmd_amalgamate(args) -> int:
+    for dest in UNUSED_OPTIONS[args.op]:
+        if getattr(args, dest) is not None:
+            option = "--class" if dest == "tag" else f"--{dest}"
+            return _reject(f"--op {args.op} does not take {option}")
     try:
         if args.op != "auto" and args.tag is not None and args.tag not in classes.TAGS:
             return _reject(f"unknown class {args.tag!r}")
@@ -276,10 +314,10 @@ def cmd_amalgamate(args) -> int:
         if args.op == "crossing":
             if args.tag is None:
                 return _reject("--class is required")
-            points = _ids(args.points)
+            points = _ids(args.points or "")
             if len(points) != 4:
                 return _reject("--points must be s,sbar,t,tbar")
-            root = frozenset(_ids(args.root))
+            root = frozenset(_ids(args.root or ""))
         if args.op == "auto" and (args.a is None or args.b is None):
             return _reject("--a and --b are required")
         # auto reads order-with-map conditions and amalgamates them over their shared part.

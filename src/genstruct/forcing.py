@@ -388,42 +388,41 @@ class GenericChain(Generic[C]):
 
 def generic_build(start: C, schedule: list[DenseRequirement[C]], steps: int | None = None,
                   seed: int = 0, order: Callable[[C, C], bool] | None = None) -> GenericChain[C]:
-    """Round-robin over the schedule from `start` for at most `steps` meets
-    in the forcing order `order` (as for `meet`).
+    """Round-robin over the schedule from `start` in the forcing order
+    `order` (as for `meet`), for at most `steps` steps (None: no limit).
 
-    The default budget is 8 * len(schedule) + 8 meets; an empty schedule
-    runs none.  Stops early after a quiet pass, one in which every meet
-    left the condition equal: each requirement then held when it was met,
-    on a condition equal to the final one, so all of them hold.
-    Deterministic for a fixed (start, schedule, steps, seed).  At DEBUG,
-    the `genstruct` logger gets each step's log line while the build runs.
+    One pass meets each requirement in turn.  If that pass grew the
+    condition, the next pass is written without calling `meet`: its rows
+    add nothing and its chain entries are the final condition.  `meet`
+    checks that each requirement holds on its result, and satisfaction is
+    upward closed, so every requirement already holds and that pass could
+    only return the condition it was given.  A pass that grew nothing ends
+    the build, and so does an empty schedule.  Deterministic for a fixed
+    (start, schedule, steps, seed).  At DEBUG, the `genstruct` logger gets
+    each step's log line while the build runs.
     """
-    if not schedule:
-        steps = 0
-    elif steps is None:
-        steps = 8 * len(schedule) + 8
+    size = len(schedule)
     debug = logger.isEnabledFor(logging.DEBUG)
     rng = Random(seed)
     current = start
     chain = [current]
     log: list[tuple[int, str, tuple[int, ...]]] = []
-    grew_this_pass = False
-    for idx in range(steps):
-        req = schedule[idx % len(schedule)]
-        new = meet(current, req, rng, order)
+    grew = False
+    for idx in range(2 * size if steps is None else min(steps, 2 * size)):
+        req = schedule[idx % size]
         added = ()
-        if new is not current:
-            added = tuple(sorted(new.universe - current.universe))
-            grew_this_pass = grew_this_pass or new != current
+        if idx < size:
+            new = meet(current, req, rng, order)
+            if new is not current:
+                added = tuple(sorted(new.universe - current.universe))
+                grew = grew or new != current
+            current = new
+        elif not grew:
+            break
         log.append((idx, req.name, added))
         if debug:
             logger.debug("%s", _step_line(idx, req.name, added))
-        chain.append(new)
-        current = new
-        if idx % len(schedule) == len(schedule) - 1:
-            if not grew_this_pass:
-                break
-            grew_this_pass = False
+        chain.append(current)
     return GenericChain(tuple(chain), tuple(log))
 
 

@@ -103,6 +103,12 @@ class FinStructure:
     __getstate__ = field_state
 
     @cached_property
+    def verdicts(self) -> dict[str, bool]:
+        """Class membership verdicts by class tag, filled in by
+        `classes.membership` the first time it decides a tag."""
+        return {}
+
+    @cached_property
     def profiles(self) -> MappingProxyType:
         """Read-only map from each element to its profile: per symbol (in
         `interp` order) and per position, how many tuples have the element

@@ -7,9 +7,16 @@ import sys
 from pathlib import Path
 
 import genstruct
-from genstruct.cli import BUILD_CLASSES, _to_dot, main
+from genstruct.cli import (
+    BUILD_CLASSES,
+    MAX_SCHEDULE,
+    _to_dot,
+    default_schedule,
+    main,
+    schedule_length,
+)
 from genstruct.structures import dumps, validate_structure, GRAPH_SIG
-from genstruct.classes import chain_structure, chain_of
+from genstruct.classes import TAGS, chain_structure, chain_of
 from genstruct.structures import from_json_dict
 
 
@@ -406,6 +413,67 @@ def test_build_rejects_ext_size_outside_enumeration_range(capsys):
             captured = capsys.readouterr()
             assert captured.out == "" and "ext-size" in captured.err
     assert run("build", "--class", "Graph", "--n", "2", "--ext-size", "0") == 0
+
+
+def test_schedule_length_counts_the_default_schedule():
+    for tag in TAGS:
+        for n in range(5):
+            for ext_size in range(4):
+                assert schedule_length(tag, n, ext_size) == len(default_schedule(tag, n, ext_size))
+    # 30 points plus 110,138 extension requirements: under the cap.
+    assert schedule_length("Graph", 30, 3) == 110_168 <= MAX_SCHEDULE
+
+
+def test_build_rejects_a_schedule_over_the_cap(capsys):
+    cases = {("Digraph", "16", "4"): "12,847,167", ("Graph", "30", "4"): "8,475,679",
+             ("Digraph", "50", "3"): "2,009,371"}
+    for (tag, n, ext_size), count in cases.items():
+        assert run("build", "--class", tag, "--n", n, "--ext-size", ext_size) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"schedule has at least {count} requirements, over the cap of 1,000,000\n"
+
+
+def _amalgamate_inputs(tmp_path: Path) -> tuple[str, str, str]:
+    """Two order-with-map files, [0, 1] and [2, 3] with empty maps, and an
+    empty base: every op amalgamates them."""
+    paths = [tmp_path / name for name in ("l.json", "r.json", "base.json")]
+    for path, seq in zip(paths, ([0, 1], [2, 3], [])):
+        path.write_text(json.dumps(dict(json.loads(dumps(chain_structure(seq))), phi=[])))
+    return tuple(str(path) for path in paths)
+
+
+def _rejects_unused(capsys, op: str, needed: list[str], unused: dict[str, str], sides) -> None:
+    argv = ["amalgamate", "--op", op, "--left", sides[0], "--right", sides[1], *needed]
+    assert run(*argv) == 0
+    capsys.readouterr()
+    for option, value in unused.items():
+        assert run(*argv, option, value) == 2, option
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--op {op} does not take {option}\n"
+
+
+def test_amalgamate_class_rejects_unused_options(tmp_path: Path, capsys):
+    left, right, base = _amalgamate_inputs(tmp_path)
+    needed = ["--class", "LinearOrder", "--base", base]
+    _rejects_unused(capsys, "class", needed,
+                    {"--root": "0", "--points": "0,1,2,3", "--a": "0", "--b": "1"}, (left, right))
+
+
+def test_amalgamate_crossing_rejects_unused_options(tmp_path: Path, capsys):
+    left, right, base = _amalgamate_inputs(tmp_path)
+    needed = ["--class", "LinearOrder", "--points", "0,1,2,3"]
+    _rejects_unused(capsys, "crossing", needed, {"--base": base, "--a": "0", "--b": "1"},
+                    (left, right))
+
+
+def test_amalgamate_auto_rejects_unused_options(tmp_path: Path, capsys):
+    left, right, base = _amalgamate_inputs(tmp_path)
+    needed = ["--a", "0", "--b", "1"]
+    _rejects_unused(capsys, "auto", needed,
+                    {"--class": "LinearOrder", "--base": base, "--root": "", "--points": "0,1,2,3"},
+                    (left, right))
 
 
 def test_check_rejects_negative_k(tmp_path: Path, capsys):

@@ -5,14 +5,20 @@ The oracles below are the earlier implementations:
   public `amalgamate`, then renamed the amalgam's fresh points;
 - `generic_build` re-checked every requirement at the end of a pass
   that added nothing;
+- `generic_build` then ran every pass through `meet`, so the pass after
+  one that grew the condition met each requirement again, and each meet
+  returned its argument;
 - `autorder` placed grown points at exact `Fraction` positions (chain
   element i at 2(i+1)) and keyed the twins of an amalgam by thirds.
 The current code must return equal conditions, chains and exceptions.
 """
 
+from argparse import Namespace
 from fractions import Fraction
 from functools import cache
 from random import Random
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +35,7 @@ from genstruct.autorder import (
     orbit_of,
 )
 from genstruct.classes import (
+    TAGS,
     _align_signature,
     align,
     amalgamate,
@@ -37,15 +44,18 @@ from genstruct.classes import (
     metric_symbol,
     parse_metric_symbol,
 )
-from genstruct.cli import default_schedule
+from genstruct.cli import _build_generic, default_schedule
 from genstruct.forcing import (
     Condition,
+    DenseRequirement,
     GenericChain,
+    _add_point,
     _randomize_free_relations,
     _realize_over,
     empty_condition,
     generic_build,
     meet,
+    point_requirement,
 )
 from genstruct.structures import (
     Signature,
@@ -105,6 +115,33 @@ def oracle_generic_build(start, schedule, steps=None, seed=0, order=None):
         current = new
         if idx % len(schedule) == len(schedule) - 1:
             if not grew_this_pass and all(r.satisfied(current) for r in schedule):
+                break
+            grew_this_pass = False
+    return GenericChain(tuple(chain), tuple(log))
+
+
+def oracle_two_pass_build(start, schedule, steps=None, seed=0, order=None):
+    if not schedule:
+        steps = 0
+    elif steps is None:
+        steps = 8 * len(schedule) + 8
+    rng = Random(seed)
+    current = start
+    chain = [current]
+    log = []
+    grew_this_pass = False
+    for idx in range(steps):
+        req = schedule[idx % len(schedule)]
+        new = meet(current, req, rng, order)
+        added = ()
+        if new is not current:
+            added = tuple(sorted(new.universe - current.universe))
+            grew_this_pass = grew_this_pass or new != current
+        log.append((idx, req.name, added))
+        chain.append(new)
+        current = new
+        if idx % len(schedule) == len(schedule) - 1:
+            if not grew_this_pass:
                 break
             grew_this_pass = False
     return GenericChain(tuple(chain), tuple(log))
@@ -291,6 +328,71 @@ def test_generic_build_matches_full_recheck_oracle(tag, n, steps, seed, data):
         start, order = empty_condition(tag), None
     got = generic_build(start, schedule, steps, seed, order)
     assert got == oracle_generic_build(start, schedule, steps, seed, order)
+
+
+# (n, ext_size) per built-in class: small enough to build in well under a
+# second, large enough that the first pass grows the condition.
+BUILD_SIZES = {
+    "Graph": (3, 2), "Digraph": (2, 2), "Tournament": (3, 2), "LinearOrder": (5, 0),
+    "PartialOrder": (3, 2), "RationalMetric": (2, 2), "LinearGraph": (5, 0), "AutOrder": (4, 0),
+}
+
+
+def start_schedule_order(tag):
+    n, ext_size = BUILD_SIZES[tag]
+    if tag == "AutOrder":
+        return empty_aut_condition(), list(aut_schedule(n, 0)), aut_stronger
+    return empty_condition(tag), list(class_schedule(tag, n, ext_size)), None
+
+
+@pytest.mark.parametrize("tag", TAGS + ("AutOrder",))
+def test_generic_build_matches_two_pass_oracle(tag):
+    start, schedule, order = start_schedule_order(tag)
+    size = len(schedule)
+    # The default budget, a cut inside the first pass, cuts 1 and 3 steps
+    # into the pass that is no longer met, and a budget past both passes.
+    for steps in (None, size - 1, size + 1, size + 3, 3 * size):
+        for seed in range(3):
+            got = generic_build(start, schedule, steps, seed, order)
+            want = oracle_two_pass_build(start, schedule, steps, seed, order)
+            assert got == want, (steps, seed)
+            assert len(got.log) == (2 * size if steps is None else min(steps, 2 * size))
+            # The rows written without meeting hold the final condition itself.
+            assert all(c is got.final for c in got.steps[size + 1:])
+    # From a condition that meets the whole schedule, the first pass is
+    # quiet and ends the build.
+    done = generic_build(start, schedule, None, 0, order).final
+    quiet = generic_build(done, schedule, None, 0, order)
+    assert quiet == oracle_two_pass_build(done, schedule, None, 0, order)
+    assert len(quiet.log) == size and all(row[2] == () for row in quiet.log)
+
+
+def odd_size(p):
+    return len(p.universe) % 2 == 1
+
+
+def test_verify_reports_a_requirement_that_is_not_upward_closed(monkeypatch):
+    # An odd number of points is not upward closed.  The extender adds the
+    # least fresh point when the count is even, so each meet keeps its
+    # contract.
+    odd = DenseRequirement(
+        "ODD", odd_size,
+        lambda p, rng: p if odd_size(p) else _add_point(p, fresh_ids(p.universe, 1)[0], rng),
+    )
+    schedule = [odd, point_requirement(5)]
+    start = empty_condition("Graph")
+    chain = generic_build(start, schedule)
+    # The first pass adds 0, then 5; the second is written without meeting
+    # ODD again, so the build ends on two points and ODD does not hold.
+    assert [row[2] for row in chain.log] == [(0,), (5,), (), ()]
+    assert chain.final.universe == {0, 5} and not odd.satisfied(chain.final)
+    # The two-pass loop met ODD again and ended on three points.
+    assert oracle_two_pass_build(start, schedule).final.universe == {0, 1, 5}
+    monkeypatch.setattr("genstruct.cli.default_schedule", lambda tag, n, ext_size: schedule)
+    args = Namespace(tag="Graph", n=0, ext_size=0, steps=None, seed=0, verify=True)
+    payload, problems = _build_generic(args)
+    assert problems == ["unsatisfied requirement ODD"]
+    assert payload["final"]["universe"] == [0, 5]
 
 
 # --- autorder slots --------------------------------------------------------------

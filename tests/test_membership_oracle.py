@@ -2,20 +2,43 @@
 against the code they replaced.
 
 The oracles are the earlier implementations: a `Fraction` triangle scan
-over every ordered triple of points, and a partial-embedding check that
-rebuilds every tuple over the domain and its image per symbol.  The fast
-code must give the same verdict on every input, with one deliberate
-difference: the old metric test let a pair carry two distances (the last
-symbol won), and the new one rejects such a structure.
+over every ordered triple of points, a partial-embedding check that
+rebuilds every tuple over the domain and its image per symbol, and
+`membership` deciding the class axioms (`ClassSpec.member`) on every
+call.  The fast code must give the same verdict on every input, with one
+deliberate difference: the old metric test let a pair carry two
+distances (the last symbol won), and the new one rejects such a
+structure.
 """
 
+import pickle
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from genstruct.classes import _is_metric, membership, metric_distances, metric_symbol
-from genstruct.structures import Signature, is_partial_embedding, validate_structure
+from genstruct.classes import (
+    SPECS,
+    TAGS,
+    _is_metric,
+    chain_structure,
+    class_spec,
+    enumerate_members,
+    membership,
+    metric_distances,
+    metric_symbol,
+)
+from genstruct.structures import (
+    GRAPH_SIG,
+    ORDER_SIG,
+    Signature,
+    SignatureMismatch,
+    dumps,
+    is_partial_embedding,
+    validate_structure,
+)
 
 # --- oracles -----------------------------------------------------------------
 
@@ -235,3 +258,69 @@ def test_is_partial_embedding_cases():
     assert not is_partial_embedding(a, b, {0: 5, 1: 5})  # not injective: E(0, 1) becomes a loop
     assert not is_partial_embedding(a, b, {0: 5, 7: 5})  # 7 is outside a, but E(5, 5) holds
     assert is_partial_embedding(a, b, {1: 9})  # images outside b carry no tuples either
+
+
+# --- membership verdicts kept on the structure ---------------------------------
+
+
+def fresh_copy(a):
+    """An equal structure with no cached views."""
+    return pickle.loads(pickle.dumps(a))
+
+
+def test_membership_matches_the_class_axioms():
+    """On every member of up to 3 points, every one-point extension of the
+    smaller members (members or not), every other class's members and a
+    loop, each tag gets the verdict of its axioms, first from them and then
+    from the cache, or SignatureMismatch both times."""
+    pool = [validate_structure(GRAPH_SIG, {0}, {"E": {(0, 0)}})]
+    for tag in TAGS:
+        for size in range(4):
+            for m in enumerate_members(tag, size):
+                pool.append(m)
+                if size < 3:
+                    pool.extend(class_spec(tag).extensions(m, size))
+    seen = {tag: set() for tag in TAGS}
+    for a in pool:
+        for tag in TAGS:
+            b = fresh_copy(a)
+            try:
+                first = membership(tag, b)
+            except SignatureMismatch:
+                with pytest.raises(SignatureMismatch):
+                    membership(tag, b)
+                assert tag not in b.verdicts
+                continue
+            assert first == class_spec(tag).member(fresh_copy(a))
+            assert membership(tag, b) == first and b.verdicts[tag] == first
+            seen[tag].add(first)
+    assert all(verdicts == {True, False} for verdicts in seen.values())
+
+
+def test_membership_decides_each_tag_once(monkeypatch):
+    spec = class_spec("PartialOrder")
+    calls = []
+
+    def member(a):
+        calls.append(a)
+        return spec.member(a)
+
+    monkeypatch.setitem(SPECS, "PartialOrder", replace(spec, member=member))
+    a = validate_structure(ORDER_SIG, {0, 1, 2}, {"<": {(0, 1), (1, 2)}})  # not transitive
+    assert [membership("PartialOrder", a) for _ in range(3)] == [False] * 3
+    assert len(calls) == 1
+    assert not membership("LinearOrder", a)
+    assert a.verdicts == {"PartialOrder": False, "LinearOrder": False}
+    # The signature is still checked on every call.
+    with pytest.raises(SignatureMismatch):
+        membership("Graph", a)
+
+
+def test_verdicts_stay_out_of_equality_hash_json_and_pickle():
+    a, fresh = chain_structure([2, 0, 1]), chain_structure([2, 0, 1])
+    assert membership("LinearOrder", a) and membership("PartialOrder", a)
+    assert a.verdicts == {"LinearOrder": True, "PartialOrder": True}
+    assert "verdicts" not in fresh.__dict__
+    assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+    assert dumps(a) == dumps(fresh) and pickle.dumps(a) == pickle.dumps(fresh)
+    assert set(fresh_copy(a).__dict__) == {"sig", "universe", "interp"}

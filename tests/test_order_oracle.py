@@ -3,16 +3,17 @@
 The oracles below are the earlier implementations: `chain_of` counted
 each element's in-degree by rescanning the whole `<` relation, and
 linear-order membership checked totality pair by pair, then
-irreflexivity, asymmetry and transitivity.  The fast code must return
-the same list in the same order, and the same verdict, on every `<`
-relation, linear or not.
+irreflexivity, asymmetry and transitivity, and the poset glue closed a
+relation by joining every pair with every pair until nothing changed.
+The fast code must return the same list in the same order, the same
+verdict and the same closure on every `<` relation, linear or not.
 """
 
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from genstruct.classes import chain_of, chain_structure, membership
+from genstruct.classes import _transitive_closure, chain_of, chain_structure, membership
 from genstruct.structures import ORDER_SIG, FinStructure, validate_structure
 
 # --- oracles -----------------------------------------------------------------
@@ -34,6 +35,18 @@ def oracle_is_linear_order(a: FinStructure) -> bool:
     rel = a.rel("<")
     total = all((x, y) in rel or (y, x) in rel for x, y in combinations(sorted(a.universe), 2))
     return total and oracle_is_partial_order(a)
+
+
+def oracle_transitive_closure(rel: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    closed = set(rel)
+    changed = True
+    while changed:
+        changed = False
+        extra = {(x, w) for x, y in closed for z, w in closed if y == z and (x, w) not in closed}
+        if extra:
+            closed |= extra
+            changed = True
+    return closed
 
 
 # --- strategies ----------------------------------------------------------------
@@ -71,6 +84,13 @@ def test_chain_of_and_linear_order_membership_match_oracles(a):
     assert membership("LinearOrder", a) == oracle_is_linear_order(a)
     # The cached chain answers again, unchanged.
     assert chain_of(a) == oracle_chain_of(a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(order_relations())
+def test_transitive_closure_matches_the_pairwise_fixpoint(a):
+    rel = set(a.rel("<"))
+    assert _transitive_closure(rel) == oracle_transitive_closure(rel)
 
 
 @settings(max_examples=100, deadline=None)
