@@ -493,3 +493,33 @@ def test_check_rejects_non_integer_density_ids(tmp_path: Path, capsys):
                "--in", str(order), "--ids", "a") == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--ids" in captured.err
+
+
+# sha256 and exit code of the stdout of `check` on the final structure of a
+# build, recorded before embedding search moved to per-target bitsets. The
+# metric build pads its distance symbols (many are empty on one side) and
+# the poset's `<` is dense; the benchmark checks neither class.
+CHECK_DIGESTS = {
+    ("build --class RationalMetric --n 1 --seed 0", "extension", "2"):
+        (1, "52440c1bee0898c64c8311092d6eafb78996cb2550a94708cf944d173bd16c38"),
+    ("build --class RationalMetric --n 1 --seed 0", "homogeneity", "1"):
+        (1, "8f7e36716e4c3cedcca448da93e89b4071e5ea59f8b82f1a8ee1d824d46ee151"),
+    ("build --class PartialOrder --n 3 --ext-size 2 --seed 0", "extension", "2"):
+        (1, "edb835c78249d95f55df18ebeeb70a1cfc33dc882a4c541fbf74e34ac9d57e1d"),
+    ("build --class PartialOrder --n 3 --ext-size 2 --seed 0", "homogeneity", "1"):
+        (1, "e2eee63474e24eadddbf952ed422d018e69bd784aa18465e67c22d46ab2ffc05"),
+}
+
+
+def test_check_bytes_pinned(tmp_path: Path, capsys):
+    finals: dict[str, Path] = {}
+    for (command, verifier, k), (code, digest) in CHECK_DIGESTS.items():
+        if command not in finals:
+            assert run(*command.split()) == 0, command
+            finals[command] = tmp_path / f"final{len(finals)}.json"
+            finals[command].write_text(json.dumps(json.loads(capsys.readouterr().out)["final"]))
+        tag = command.split()[2]
+        assert run("check", "--class", tag, "--check", verifier, "--k", k,
+                   "--in", str(finals[command])) == code, (command, verifier)
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, (command, verifier)
