@@ -28,7 +28,7 @@ from genstruct.structures import (
     FinStructure,
     StructureError,
     enumerate_embeddings_extending,
-    extends_isomorphism,
+    extension_witnesses,
     induced_substructure,
 )
 
@@ -220,22 +220,13 @@ def homogeneity_items(m: FinStructure, tag: str, k: int) -> Iterator[ReportItem]
                 for ys, sub_y in subs.items():
                     for iso in enumerate_embeddings_extending(sub_x, sub_y, {}):
                         phi = iso.as_dict()
+                        label = f"iso={list(iso.mapping)};add="
                         for extra in elems:
                             if extra in xs:
                                 continue
-                            witness = next(
-                                (
-                                    cand
-                                    for cand in elems
-                                    if extends_isomorphism(m, phi, extra, cand)
-                                ),
-                                None,
-                            )
-                            yield ReportItem(
-                                f"iso={sorted(phi.items())};add={extra}",
-                                witness is not None,
-                                witness,
-                            )
+                            mask = extension_witnesses(m, phi, extra)
+                            witness = elems[(mask & -mask).bit_length() - 1] if mask else None
+                            yield ReportItem(f"{label}{extra}", witness is not None, witness)
 
     return items()
 

@@ -1,7 +1,8 @@
 """Batch front door: build generic prefixes, verify them, amalgamate.
 
 Exit codes: 0 success, 1 check failed, 2 usage or parse error,
-3 post-build verification failed, 4 precondition violation.
+3 post-build verification failed, 4 precondition violation, 141 standard
+output closed early (as a shell reports SIGPIPE; `check ... | head`).
 Set GENERIC_LOG=debug for build steps and check progress on stderr.
 """
 
@@ -19,6 +20,7 @@ from math import comb, perm
 from genstruct import analysis, autorder, classes, forcing, structures
 
 BUILD_CLASSES = classes.TAGS + ("AutOrder",)
+BROKEN_PIPE = 141
 # Most requirements a class build may schedule. Graph --n 30 at the default
 # --ext-size 3 (110,138) fits; Digraph --n 50 --ext-size 3 (2,009,321) does not.
 MAX_SCHEDULE = 1_000_000
@@ -365,11 +367,15 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_args(argv if argv is not None else sys.argv[1:])
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    if args.command == "build":
-        return cmd_build(args)
-    if args.command == "check":
-        return cmd_check(args)
-    return cmd_amalgamate(args)
+    try:
+        code = {"build": cmd_build, "check": cmd_check}.get(args.command, cmd_amalgamate)(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone: stdout's buffer goes to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

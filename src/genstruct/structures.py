@@ -8,10 +8,11 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from types import MappingProxyType
 
 
@@ -123,6 +124,11 @@ class FinStructure:
             for x, row in rows.items():
                 row.append(tuple(counts[x]))
         return MappingProxyType({x: tuple(row) for x, row in rows.items()})
+
+    @cached_property
+    def bitsets(self) -> Bitsets:
+        """Bitset view for embedding search into and from this structure."""
+        return Bitsets(self)
 
     @cached_property
     def chain(self) -> tuple[int, ...]:
@@ -261,105 +267,180 @@ def _image_pairs(partial: dict[int, int], arity: int) -> list[tuple[tuple[int, .
     return out
 
 
+class Bitsets:
+    """A structure as bitsets for embedding search; bit j is `order[j]`.
+
+    A relation is an n-by-n bit matrix in one int, bit i*n + k standing for
+    (order[i], order[k]).  `rels` holds each binary symbol's matrix and its
+    reverse's; `fixed` masks each unary symbol's points and each binary
+    symbol's loops.  Symbols of arity 3 or more (`high`) get a tuple check.
+    """
+
+    __slots__ = ("order", "full", "rels", "fixed", "high", "_interp", "_sig", "_at_least")
+
+    def __init__(self, m: FinStructure) -> None:
+        self.order = tuple(sorted(m.universe))
+        n = len(self.order)
+        index = {x: j for j, x in enumerate(self.order)}
+        self.full = (1 << n) - 1
+        rels, fixed = [], []
+        for name, tuples in m.interp:
+            arity = m.sig.arity(name)
+            if arity == 2:
+                out = into = loops = 0
+                for x, y in tuples:
+                    i, k = index[x], index[y]
+                    out |= 1 << i * n + k
+                    into |= 1 << k * n + i
+                    loops |= (i == k) << i
+                rels += (out, out if into == out else into)  # a symmetric relation shares one int
+                fixed.append(loops)
+            elif arity == 1:
+                fixed.append(sum(1 << index[x] for x, in tuples))
+        self.rels, self.fixed = tuple(rels), tuple(fixed)
+        self.high = tuple(name for name, arity in m.sig.symbols if arity > 2)
+        self._interp, self._sig, self._at_least = m.interp, m.sig, None
+
+    @property
+    def at_least(self) -> tuple[int, ...]:
+        """Per symbol and place, bits (c-1)*n .. c*n - 1 mask the points in at least c
+        tuples there.  Made on first use: a structure only searched from needs none."""
+        if self._at_least is None:
+            n, index = len(self.order), {x: j for j, x in enumerate(self.order)}
+            self._at_least = tuple(
+                sum(1 << c * n + index[x] for x, count in Counter(t[p] for t in tuples).items()
+                    for c in range(count))
+                for name, tuples in self._interp for p in range(self._sig.arity(name)))
+        return self._at_least
+
+    def open_images(self, a: FinStructure, exact: bool) -> list[int]:
+        """Per point of `a` in order, its images with the same marks and loops
+        and at least (if `exact`, exactly) its tuple count per symbol and place."""
+        n, source, profiles = len(self.order), a.bitsets, a.profiles
+        out, at_least, fixed = [], self.at_least, tuple(zip(source.fixed, self.fixed))
+        for i, x in enumerate(source.order):
+            mask = self.full
+            for c, levels in zip(chain.from_iterable(profiles[x]), at_least):
+                if c:
+                    mask &= levels >> (c - 1) * n
+                if exact:
+                    mask &= ~(levels >> c * n)
+            for mine, theirs in fixed:
+                mask &= theirs if mine >> i & 1 else ~theirs
+            out.append(mask)
+        return out
+
+
 def _search_maps(a: FinStructure, b: FinStructure, bijective: bool, partial: dict[int, int], limit: int | None):
     """Backtracking enumeration of embeddings a -> b, lexicographic in image order.
 
     `partial` pins prefixed images; pins that are not an injective map
     from a's universe into b's give no embedding.  `limit` stops after
-    that many results.  A candidate image must match the element's
-    profile (equal for an isomorphism, pointwise at least for an
-    embedding), and each new pair is checked only against the tuples
-    through it.
-    Intended scale is at most a dozen elements per structure.
+    that many results.  Each element of `a` keeps the bitset of its open
+    images in `b`; assigning x -> y narrows each later element's set to the
+    images related to y as it is to x (forward checking), and a branch ends
+    when a set empties.  Intended scale: a dozen elements per structure.
     """
     if a.sig != b.sig:
         raise SignatureMismatch("signatures differ")
-    src = a.sorted_universe()
-    tgt = b.sorted_universe()
-    if bijective and len(src) != len(tgt):
+    if bijective and len(a) != len(b):
         return []
-    prof_a, prof_b = a.profiles, b.profiles
-    results: list[Embedding] = []
     assignment = dict(partial)
-    used = set(assignment.values())
-    if len(used) != len(assignment) or not (
-        a.universe.issuperset(assignment) and b.universe.issuperset(used)
-    ):
+    images = set(assignment.values())
+    if len(images) != len(assignment) or not (
+        a.universe.issuperset(assignment) and b.universe.issuperset(images)
+    ) or (limit is not None and limit < 1):
         return []
+    source, view = a.bitsets, b.bitsets
+    src, tgt, n, high = source.order, view.order, len(view.order), view.high
+    open_sets = view.open_images(a, bijective)
+    # Every bit of an n-by-n matrix but the diagonal's, sum(2^(j*(n+1))).
+    offdiag, m = (1 << n * n) - 1 - ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1), len(src)
+    # Equal pairs, as for a symmetric relation and its reverse, constrain alike.
+    rels = [(mine, theirs, ~theirs) for mine, theirs in set(zip(source.rels, view.rels))]
 
-    def candidates(x: int):
-        pa = prof_a[x]
-        for y in tgt:
-            if y in used:
-                continue
-            pb = prof_b[y]
-            if bijective and pa != pb:
-                continue
-            if not bijective and any(
-                ca > cb for ta, tb in zip(pa, pb) for ca, cb in zip(ta, tb)
-            ):
-                continue
-            yield y
+    def tables(i: int, ks: list[int]) -> list[int]:
+        # Per k, a matrix whose row j masks the images of src[k] once src[i] -> tgt[j].
+        out = [offdiag] * len(ks)
+        for mine, theirs, other in rels:
+            row = mine >> i * m
+            out = [t & (theirs if row >> k & 1 else other) for t, k in zip(out, ks)]
+        return out
 
-    order = [x for x in src if x not in assignment]
+    # The pinned part must itself be consistent; each pin narrows the rest.
+    for x, y in assignment.items():
+        i, j = bisect_left(src, x), bisect_left(tgt, y)
+        if not open_sets[i] >> j & 1:
+            return []
+        others = [k for k in range(m) if k != i]
+        for k, t in zip(others, tables(i, others)):
+            open_sets[k] &= t >> j * n
+    if high and not all(_consistent_with(a, b, assignment, x, high) for x in assignment):
+        return []
+    order = [i for i, x in enumerate(src) if x not in assignment]
+    if not all(open_sets[i] for i in order):
+        return []
+    depth, rows = len(order), [None] * len(order)
+    results: list[Embedding] = []
 
-    def extend(i: int) -> bool:
-        if limit is not None and len(results) >= limit:
-            return True
-        if i == len(order):
+    def extend(p: int, sets: list[int]) -> bool:
+        if p == depth:
             results.append(Embedding(a, b, tuple(sorted(assignment.items()))))
             return limit is not None and len(results) >= limit
-        x = order[i]
-        for y in candidates(x):
-            assignment[x] = y
-            if _consistent_with(a, b, assignment, x):
-                used.add(y)
-                stop = extend(i + 1)
-                used.discard(y)
-                if stop:
-                    return True
+        row = rows[p]
+        if row is None:
+            row = rows[p] = tables(order[p], order[p + 1:])
+        x, rest, left = src[order[p]], sets[1:], sets[0]
+        while left:
+            low = left & -left
+            left ^= low
+            j = low.bit_length() - 1
+            shift = j * n
+            narrowed = [s & t >> shift for s, t in zip(rest, row)]
+            if 0 in narrowed:
+                continue
+            assignment[x] = tgt[j]
+            if (not high or _consistent_with(a, b, assignment, x, high)) and extend(p + 1, narrowed):
+                return True
             del assignment[x]
         return False
 
-    # The pinned part must itself be consistent.
-    for x in partial:
-        if not _consistent_with(a, b, assignment, x):
-            return []
-    extend(0)
+    extend(0, [open_sets[i] for i in order])
     return results
 
 
-def _consistent_with(a: FinStructure, b: FinStructure, assignment: dict[int, int], x: int) -> bool:
-    """Does `assignment` preserve and reflect every tuple of `a` that lies
-    in its domain and passes through `x`?  Tuples missing `x` are taken
-    as already checked."""
-    y = assignment[x]
-    for name, tuples in a.interp:
-        target = b.rel(name)
-        arity = a.sig.arity(name)
-        if arity == 2:
-            for z, w in assignment.items():
-                if ((x, z) in tuples) != ((y, w) in target):
-                    return False
-                if ((z, x) in tuples) != ((w, y) in target):
-                    return False
-        else:
-            for t in product(assignment, repeat=arity):
-                if x in t and (t in tuples) != (tuple(assignment[z] for z in t) in target):
-                    return False
+def _consistent_with(a: FinStructure, b: FinStructure, assignment: dict[int, int], x: int, names: tuple) -> bool:
+    """Does `assignment` preserve and reflect every tuple of the symbols
+    `names` of `a` that lies in its domain and passes through `x`?"""
+    for name in names:
+        tuples, target = a.rel(name), b.rel(name)
+        for t in product(assignment, repeat=a.sig.arity(name)):
+            if x in t and (t in tuples) != (tuple(assignment[z] for z in t) in target):
+                return False
     return True
 
 
-def extends_isomorphism(m: FinStructure, phi: dict[int, int], x: int, y: int) -> bool:
-    """Is `phi` plus x -> y a partial isomorphism of `m`?
-
-    `phi` must already be one and `x` must lie outside its domain; then
-    the extension fails only if `y` is already an image or a tuple
-    through `x` is not preserved and reflected.
-    """
-    if y in phi.values():
-        return False
-    return _consistent_with(m, m, {**phi, x: y}, x)
+def extension_witnesses(m: FinStructure, phi: dict[int, int], x: int) -> int:
+    """The images y for which `phi` plus x -> y is a partial isomorphism of `m`,
+    as a mask over `m.bitsets.order`; `phi` must be one, with `x` outside its domain."""
+    view = m.bitsets
+    order, n, mask = view.order, len(view.order), view.full
+    i = bisect_left(order, x)
+    for marked in view.fixed:
+        mask &= marked if marked >> i & 1 else ~marked
+    for z, w in phi.items():
+        # Row j of the search's table for the pair (z, x), inlined: this is hot.
+        pair, j = bisect_left(order, z) * n + i, bisect_left(order, w)
+        for r, matrix in enumerate(view.rels):
+            if r & 1 and matrix is view.rels[r - 1]:
+                continue  # a symmetric relation's reverse repeats it
+            row = matrix >> j * n
+            mask &= row if matrix >> pair & 1 else ~row
+        mask &= ~(1 << j)
+    if view.high:
+        return sum(1 << j for j, y in enumerate(order)
+                   if mask >> j & 1 and _consistent_with(m, m, {**phi, x: y}, x, view.high))
+    return mask
 
 
 def enumerate_embeddings(a: FinStructure, b: FinStructure) -> list[Embedding]:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import genstruct
 from genstruct.cli import (
+    BROKEN_PIPE,
     BUILD_CLASSES,
     MAX_SCHEDULE,
     _to_dot,
@@ -498,7 +499,7 @@ def test_check_rejects_non_integer_density_ids(tmp_path: Path, capsys):
 # sha256 and exit code of the stdout of `check` on the final structure of a
 # build, recorded before embedding search moved to per-target bitsets. The
 # metric build pads its distance symbols (many are empty on one side) and
-# the poset's `<` is dense; the benchmark checks neither class.
+# the poset's `<` is dense; no `check` item of the benchmark covers either class.
 CHECK_DIGESTS = {
     ("build --class RationalMetric --n 1 --seed 0", "extension", "2"):
         (1, "52440c1bee0898c64c8311092d6eafb78996cb2550a94708cf944d173bd16c38"),
@@ -523,3 +524,19 @@ def test_check_bytes_pinned(tmp_path: Path, capsys):
                    "--in", str(finals[command])) == code, (command, verifier)
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == digest, (command, verifier)
+
+
+def test_check_stops_quietly_when_the_reader_goes_away(tmp_path: Path):
+    # Homogeneity k=2 on 12 points writes megabytes, far past a pipe's buffer.
+    m = tmp_path / "m.json"
+    m.write_text(graph_json(range(12), [(x, (x * 5 + 1) % 12) for x in range(12)]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "genstruct.cli", "check", "--class", "Graph",
+         "--check", "homogeneity", "--k", "2", "--in", str(m)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    assert proc.stdout.read(10) == b'[{"item":"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == BROKEN_PIPE == 141
+    assert err == b""

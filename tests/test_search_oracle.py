@@ -8,6 +8,7 @@ induced substructure per candidate and runs a full partial-embedding
 check on it.  The fast code must return the same lists in the same order.
 """
 
+import pickle
 from itertools import combinations, product
 
 from hypothesis import given, settings, strategies as st
@@ -22,9 +23,11 @@ from genstruct.structures import (
     SignatureMismatch,
     enumerate_embeddings,
     enumerate_embeddings_extending,
+    extension_witnesses,
     find_isomorphism,
     induced_substructure,
     relabel,
+    to_json_dict,
     validate_structure,
 )
 
@@ -288,3 +291,97 @@ def test_one_point_homogeneity_matches_oracle(data):
     assert membership(tag, m)
     expected = oracle_one_point_homogeneity(m, tag, k).to_json()
     assert one_point_homogeneity(m, tag, k).to_json() == expected
+
+
+@st.composite
+def padded_pairs(draw):
+    """(a, b) over 3 or 4 symmetric irreflexive binary symbols with at most
+    one per pair, as `classes.align` pads metric spaces: each structure
+    uses only some symbols, so a symbol is often empty in one of them and
+    not in the other.  a is often a relabelled induced substructure of b."""
+    names = [f"D{r}" for r in range(draw(st.integers(3, 4)))]
+    sig = Signature(tuple((name, 2) for name in names))
+
+    def padded(universe):
+        used = draw(st.lists(st.sampled_from(names), unique=True))
+        interp = {name: set() for name in names}
+        for x, y in combinations(sorted(universe), 2):
+            name = draw(st.sampled_from([None, *used]))
+            if name is not None:
+                interp[name] |= {(x, y), (y, x)}
+        return validate_structure(sig, set(universe), interp)
+
+    b = padded(draw(st.sets(st.integers(0, 9), max_size=6)))
+    if draw(st.booleans()):
+        subset = draw_subset(draw, b.universe)
+        ids = draw(st.permutations(range(10)))
+        a = relabel(induced_substructure(b, subset), {x: ids[i] for i, x in enumerate(sorted(subset))})
+    else:
+        a = padded(draw(st.sets(st.integers(0, 9), max_size=5)))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_pairs(), st.data())
+def test_padded_symbols_match_oracle(pair, data):
+    a, b = pair
+    assert enumerate_embeddings(a, b) == oracle_search_maps(a, b, False, {}, None)
+    if a.universe and b.universe:
+        dom = sorted(draw_subset(data.draw, a.universe, max_size=len(b)))
+        pins = dict(zip(dom, data.draw(st.permutations(sorted(b.universe)))))
+        assert enumerate_embeddings_extending(a, b, pins, limit=1) == oracle_search_maps(a, b, False, pins, 1)
+    found = oracle_search_maps(a, b, True, {}, 1)
+    assert find_isomorphism(a, b) == (found[0] if found else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extension_witnesses_match_oracle(data):
+    sig = SIGNATURES[data.draw(st.sampled_from(["loops", "two-binary", "unary", "ternary"]))]
+    m = data.draw(structures(sig))
+    # A partial isomorphism of m: an embedding of an induced substructure.
+    part = induced_substructure(m, draw_subset(data.draw, m.universe))
+    isos = oracle_search_maps(part, m, False, {}, None)
+    phi = isos[data.draw(st.integers(0, len(isos) - 1))].as_dict()
+    order = m.sorted_universe()
+    for x in m.universe - phi.keys():
+        mask = extension_witnesses(m, phi, x)
+        assert mask >> len(order) == 0
+        assert {y for j, y in enumerate(order) if mask >> j & 1} == {
+            y for y in order if oracle_extends_iso(m, phi, x, y)
+        }
+
+
+def test_pins_that_contradict_a_profile_loop_or_mark_give_no_embedding():
+    # Profile: 1 has two neighbours in the path, 6 has one in b.
+    path = validate_structure(GRAPH_SIG, {0, 1, 2}, {"E": {(0, 1), (1, 0), (1, 2), (2, 1)}})
+    b = validate_structure(GRAPH_SIG, {5, 6, 7, 8}, {
+        "E": {(5, 6), (6, 5), (6, 7), (7, 6), (7, 8), (8, 7)},
+    })
+    cases = [(path, b, {1: 7}, True), (path, b, {1: 5}, False)]
+    # Loops: a's loop at 0 must map onto a loop, and a loopless point onto none.
+    loops = SIGNATURES["loops"]
+    a = validate_structure(loops, {0, 1}, {"R": {(0, 0)}})
+    b = validate_structure(loops, {4, 5, 6}, {"R": {(4, 4), (5, 5)}})
+    cases += [(a, b, {0: 4}, True), (a, b, {0: 6}, False), (a, b, {1: 5}, False)]
+    # Unary marks, both ways.
+    unary = SIGNATURES["unary"]
+    a = validate_structure(unary, {0, 1}, {"P": {(0,)}})
+    b = validate_structure(unary, {4, 5, 6}, {"P": {(4,), (5,)}})
+    cases += [(a, b, {0: 4}, True), (a, b, {0: 6}, False), (a, b, {1: 5}, False)]
+    for a, b, pins, exists in cases:
+        got = enumerate_embeddings_extending(a, b, pins)
+        assert got == oracle_search_maps(a, b, False, pins, None)
+        assert bool(got) == exists, (a, pins)
+
+
+def test_bitsets_stay_out_of_equality_hash_json_and_pickle():
+    def fresh():
+        return validate_structure(SIGNATURES["loops"], {0, 1, 2}, {"R": {(0, 1), (1, 1)}})
+
+    a, b = fresh(), fresh()
+    assert enumerate_embeddings(a, a) and extension_witnesses(a, {0: 0}, 1)
+    assert "bitsets" in a.__dict__ and "bitsets" not in b.__dict__
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert to_json_dict(a) == to_json_dict(b) and pickle.dumps(a) == pickle.dumps(b)
+    assert set(pickle.loads(pickle.dumps(a)).__dict__) == {"sig", "universe", "interp"}
