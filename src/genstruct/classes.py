@@ -446,26 +446,36 @@ def _is_metric(a: FinStructure) -> bool:
 
 
 def _glue_metrics(a: FinStructure, b: FinStructure) -> FinStructure:
-    """Shortest-path gluing over the shared points; exact rational arithmetic.
+    """Shortest-path gluing over the shared points, on distances scaled to
+    ints by their common denominator.
 
     Cross distances are the minimum over shared points of the two-leg
     sums; with nothing shared both sides sit at a constant cross distance
-    no smaller than either diameter.
+    no smaller than either diameter.  A pair in both sides takes b's
+    distance.  The result has one canonically named symbol per distance
+    present, in increasing order.
     """
-    dist_a, dist_b = metric_distances(a), metric_distances(b)
-    dist = {**dist_a, **dist_b}
-    base = sorted(a.universe & b.universe)
-    cross = list(product(sorted(a.universe - b.universe), sorted(b.universe - a.universe)))
-    if base:
-        for x, y in cross:
-            dist[frozenset((x, y))] = min(
-                dist_a[frozenset((x, r))] + dist_b[frozenset((r, y))] for r in base
-            )
-    else:
-        diam = max([*dist_a.values(), *dist_b.values(), Fraction(1)])
-        for x, y in cross:
-            dist[frozenset((x, y))] = diam
-    return metric_structure(a.universe | b.universe, dist)
+    qs = {name: parse_metric_symbol(name) for s in (a, b) for name, _ in s.interp}
+    scale = lcm(*(q.denominator for q in qs.values()))
+    dist: dict[tuple[int, ...], int] = {}
+    for s in (a, b):
+        for name, tuples in s.interp:
+            q = qs[name]
+            d = q.numerator * (scale // q.denominator)
+            for t in tuples:
+                dist[t] = d
+    base = a.universe & b.universe
+    diam = max([scale, *dist.values()])
+    for x in a.universe - b.universe:
+        for y in b.universe - a.universe:
+            d = min(dist[x, r] + dist[r, y] for r in base) if base else diam
+            dist[x, y] = dist[y, x] = d
+    pairs: dict[int, set[tuple[int, ...]]] = {}
+    for t, d in dist.items():
+        pairs.setdefault(d, set()).add(t)
+    interp = {metric_symbol(Fraction(d, scale)): pairs[d] for d in sorted(pairs)}
+    sig = Signature(tuple((name, 2) for name in interp))
+    return validate_structure(sig, a.universe | b.universe, interp)
 
 
 def _metric_extensions(a: FinStructure, new: int):
@@ -725,8 +735,8 @@ MAX_ENUM = 6
 def enumerate_members(tag: str, size: int, connected: bool = False) -> tuple[FinStructure, ...]:
     """All class members with exactly `size` elements, one per isomorphism
     type, universe 0..size-1, ordered by canonical key."""
-    if size > MAX_ENUM:
-        raise ScaleExceeded(f"enumeration capped at {MAX_ENUM} elements")
+    if not 0 <= size <= MAX_ENUM:
+        raise ScaleExceeded(f"enumeration takes sizes 0..{MAX_ENUM}, got {size}")
     key = (tag, size, connected)
     if key in _MEMBER_CACHE:
         return _MEMBER_CACHE[key]
@@ -768,21 +778,32 @@ def _property_members(tag: str, size_bound: int, connected: bool) -> tuple[FinSt
 
 
 def _amalgam_instances(tag: str, size_bound: int, connected: bool):
+    """The amalgamation problems over the members of at most `size_bound`
+    elements, as (base, left, right, f, g) in base, left, right, f, g
+    order, each problem once.
+
+    Every glue reads f and g only through the partial map g(a) -> f(a),
+    and the pairs sharing that map are (f∘σ, g∘σ) for the automorphisms σ
+    of the base.  So a pair is yielded only when its map is new for its
+    (base, left, right): all pairs with one map share a verdict, and the
+    first failing pair in the full order is the first one yielded with its
+    map.  The embeddings of the base into each member are listed once.
+    """
     members = _property_members(tag, size_bound, connected)
     for base in members:
-        for left in members:
-            if len(left) < len(base):
-                continue
-            fs = enumerate_embeddings(base, left)
+        embeddings = [enumerate_embeddings(base, m) if len(m) >= len(base) else [] for m in members]
+        images = [[tuple(y for _, y in e.mapping) for e in es] for es in embeddings]
+        for left, fs, f_images in zip(members, embeddings, images):
             if not fs:
                 continue
-            for right in members:
-                if len(right) < len(base):
-                    continue
-                gs = enumerate_embeddings(base, right)
-                for f in fs:
-                    for g in gs:
-                        yield base, left, right, f, g
+            for right, gs, g_images in zip(members, embeddings, images):
+                seen: set[frozenset[tuple[int, int]]] = set()
+                for f, fi in zip(fs, f_images):
+                    for g, gi in zip(gs, g_images):
+                        h = frozenset(zip(gi, fi))
+                        if h not in seen:
+                            seen.add(h)
+                            yield base, left, right, f, g
 
 
 def _amalgam_failure(tag: str, f: Embedding, g: Embedding, strong: bool, connected: bool) -> str | None:
@@ -825,14 +846,19 @@ def validate_amalgam(
 
 def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
     """Exhaustively verify HP / JEP / AP / SAP on members of at most
-    `size_bound` elements; returns the first counterexample in canonical
-    order, if any.
+    `size_bound` elements (0 to MAX_ENUM); returns the first
+    counterexample in canonical order, if any.
+
+    AP and SAP glue each amalgamation problem once: of the pairs (f, g)
+    over one base, left and right member, only the first with each
+    partial map g(a) -> f(a) is checked, and the counterexample is still
+    the first in the full base, left, right, f, g order.
 
     Without SAP (LinearGraph), every instance ranges over the connected
     members (the paths); membership keeps the hereditary closure.
     """
-    if size_bound > MAX_ENUM:
-        raise ScaleExceeded(f"property check capped at {MAX_ENUM} elements")
+    if not 0 <= size_bound <= MAX_ENUM:
+        raise ScaleExceeded(f"property check takes bounds 0..{MAX_ENUM}, got {size_bound}")
     if prop not in ("HP", "JEP", "AP", "SAP"):
         raise StructureError(f"unknown property {prop!r}")
     connected = not class_spec(tag).sap

@@ -1,6 +1,11 @@
 """Property verdicts of the amalgamation checks, pinned and compared with
 reference implementations.
 
+`oracle_amalgam_instances` is the full instance loop: every pair (f, g)
+of embeddings of every base into every left and right member, with the
+embeddings listed again for each left.  `oracle_glue_metrics` is the
+metric glue in exact `Fraction` arithmetic over a pair-distance map.
+
 The pins are the sha256 digests of the canonical JSON of every
 `check_property` verdict in the benchmark's class sweep: each class, each
 property, at bound 4, or at bound 3 where bound 4 takes seconds.  The
@@ -11,11 +16,91 @@ compact separators.
 
 import hashlib
 import json
+from dataclasses import replace
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from genstruct.classes import check_property
-from genstruct.structures import FinStructure, to_json_dict
+from genstruct.classes import (
+    PropertyVerdict,
+    SPECS,
+    TAGS,
+    _amalgam_failure,
+    _amalgam_instances,
+    _glue_metrics,
+    _property_members,
+    check_property,
+    class_spec,
+    metric_distances,
+    metric_structure,
+    metric_symbol,
+)
+from genstruct.structures import (
+    FinStructure,
+    Signature,
+    enumerate_embeddings,
+    to_json_dict,
+    validate_structure,
+)
+
+# --- oracles -----------------------------------------------------------------
+
+
+def oracle_amalgam_instances(tag, size_bound, connected):
+    members = _property_members(tag, size_bound, connected)
+    for base in members:
+        for left in members:
+            if len(left) < len(base):
+                continue
+            fs = enumerate_embeddings(base, left)
+            if not fs:
+                continue
+            for right in members:
+                if len(right) < len(base):
+                    continue
+                gs = enumerate_embeddings(base, right)
+                for f in fs:
+                    for g in gs:
+                        yield base, left, right, f, g
+
+
+def oracle_amalgamation_verdict(tag, prop, size_bound):
+    """The AP / SAP branch of `check_property` over every instance."""
+    connected = not class_spec(tag).sap
+    for base, left, right, f, g in oracle_amalgam_instances(tag, size_bound, connected):
+        reason = _amalgam_failure(tag, f, g, strong=prop == "SAP", connected=connected)
+        if reason is not None:
+            return PropertyVerdict(False, {
+                "base": base, "left": left, "right": right,
+                "f": f.as_dict(), "g": g.as_dict(), "detail": reason,
+            })
+    return PropertyVerdict(True)
+
+
+def oracle_glue_metrics(a, b):
+    dist_a, dist_b = metric_distances(a), metric_distances(b)
+    dist = {**dist_a, **dist_b}
+    base = sorted(a.universe & b.universe)
+    cross = list(product(sorted(a.universe - b.universe), sorted(b.universe - a.universe)))
+    if base:
+        for x, y in cross:
+            dist[frozenset((x, y))] = min(
+                dist_a[frozenset((x, r))] + dist_b[frozenset((r, y))] for r in base
+            )
+    else:
+        diam = max([*dist_a.values(), *dist_b.values(), Fraction(1)])
+        for x, y in cross:
+            dist[frozenset((x, y))] = diam
+    return metric_structure(a.universe | b.universe, dist)
+
+
+def partial_map(f, g):
+    """The map g(a) -> f(a) through which every glue reads f and g."""
+    fm = f.as_dict()
+    return frozenset((y, fm[a]) for a, y in g.as_dict().items())
+
 
 HOLDS_DIGEST = "0dff80888d8f7ca55fe3a4327979d9d36adeffda1412e021d712a6ec4e647e86"
 
@@ -65,3 +150,158 @@ def verdict_json(verdict) -> str:
 def test_class_sweep_verdict_bytes_pinned(tag, prop, bound):
     text = verdict_json(check_property(tag, prop, bound))
     assert hashlib.sha256(text.encode()).hexdigest() == VERDICT_DIGESTS[(tag, prop, bound)]
+
+
+# --- one instance per partial map --------------------------------------------
+
+
+def instance_keys(instances):
+    return [(base, left, right, partial_map(f, g)) for base, left, right, f, g in instances]
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_instances_are_the_first_pair_of_each_partial_map(tag):
+    connected = not class_spec(tag).sap
+    firsts = {}
+    for key in instance_keys(oracle_amalgam_instances(tag, 3, connected)):
+        firsts.setdefault(key, len(firsts))
+    assert instance_keys(_amalgam_instances(tag, 3, connected)) == list(firsts)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("prop", ("AP", "SAP"))
+@pytest.mark.parametrize("bound", (0, 1, 2, 3))
+def test_amalgamation_verdicts_match_full_loop(tag, prop, bound):
+    assert verdict_json(check_property(tag, prop, bound)) == verdict_json(
+        oracle_amalgamation_verdict(tag, prop, bound)
+    )
+
+
+def test_linear_graph_sap_fails_at_bound_3():
+    # So the comparison above covers a failing verdict of the unbroken glues.
+    assert not check_property("LinearGraph", "SAP", 3).holds
+
+
+def drop_last_new_point(glue, when):
+    """`glue`, but the tuples of the last point of b outside a are dropped
+    when the two sides share points and `when(a, b, x)` holds."""
+
+    def broken(a, b):
+        out = glue(a, b)
+        new = sorted(b.universe - a.universe)
+        if not (a.universe & b.universe) or not new or not when(a, b, new[-1]):
+            return out
+        return validate_structure(out.sig, out.universe, {
+            name: {t for t in tuples if new[-1] not in t} for name, tuples in out.interp
+        })
+
+    return broken
+
+
+def always(a, b, x):
+    return True
+
+
+def tied_to_largest_shared_only(a, b, x):
+    """x relates to the largest shared point, and not to the least, by a
+    tuple of b's first non-empty symbol.  This depends on where g sends
+    each base point, so the first failure need not come with the first g."""
+    shared = a.universe & b.universe
+    tuples = next((ts for _, ts in b.interp if ts), frozenset())
+
+    def tied(r):
+        return (x, r) in tuples or (r, x) in tuples
+
+    return len(shared) >= 2 and tied(max(shared)) and not tied(min(shared))
+
+
+@pytest.mark.parametrize("tag", ("Graph", "Digraph", "RationalMetric"))
+@pytest.mark.parametrize("when", (always, tied_to_largest_shared_only))
+@pytest.mark.parametrize("prop", ("AP", "SAP"))
+def test_broken_glue_counterexamples_match_full_loop(monkeypatch, tag, when, prop):
+    monkeypatch.setitem(SPECS, tag, replace(SPECS[tag], glue=drop_last_new_point(SPECS[tag].glue, when)))
+    for bound in (2, 3):
+        verdict = check_property(tag, prop, bound)
+        assert verdict_json(verdict) == verdict_json(oracle_amalgamation_verdict(tag, prop, bound))
+    assert not verdict.holds
+
+
+@pytest.mark.parametrize("tag", ("Graph", "Digraph", "RationalMetric"))
+def test_pairs_with_one_partial_map_share_a_verdict(monkeypatch, tag):
+    monkeypatch.setitem(SPECS, tag, replace(
+        SPECS[tag], glue=drop_last_new_point(SPECS[tag].glue, tied_to_largest_shared_only)
+    ))
+    reasons = {}
+    for base, left, right, f, g in oracle_amalgam_instances(tag, 3, False):
+        reason = _amalgam_failure(tag, f, g, strong=True, connected=False)
+        key = (base, left, right, partial_map(f, g))
+        assert reasons.setdefault(key, reason) == reason
+    assert any(reason is not None for reason in reasons.values())
+
+
+# --- integer metric glue -----------------------------------------------------
+
+DISTANCES = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
+
+
+def symbol_names(q):
+    """The canonical name of q and two that are not canonical."""
+    return (metric_symbol(q), f"d_{2 * q.numerator}/{2 * q.denominator}",
+            f"d_{3 * q.numerator}/{3 * q.denominator}")
+
+
+def named_metric(draw, points, dist):
+    """A metric space on `points` whose symbols may be non-canonical, may
+    name one distance twice, may be unused and come in any order."""
+    interp = {}
+    for pair, q in dist.items():
+        name = draw(st.sampled_from(symbol_names(q)))
+        x, y = sorted(pair)
+        interp.setdefault(name, set()).update({(x, y), (y, x)})
+    unused = draw(st.sets(st.sampled_from([n for q in DISTANCES for n in symbol_names(q)])))
+    names = draw(st.permutations(sorted(set(interp) | unused)))
+    return validate_structure(Signature(tuple((n, 2) for n in names)), set(points), interp)
+
+
+@st.composite
+def glue_inputs(draw):
+    """Two metric spaces that agree on their shared points, which may be none."""
+    ids = draw(st.permutations(range(12)))
+    n_shared, n_a, n_b = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    shared = ids[:n_shared]
+    a_points = shared + ids[n_shared:n_shared + n_a]
+    b_points = shared + ids[n_shared + n_a:n_shared + n_a + n_b]
+    common = {frozenset(p): draw(st.sampled_from(DISTANCES)) for p in combinations(shared, 2)}
+
+    def side(points):
+        dist = dict(common)
+        for p in combinations(points, 2):
+            dist.setdefault(frozenset(p), draw(st.sampled_from(DISTANCES)))
+        return named_metric(draw, points, dist)
+
+    return side(a_points), side(b_points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(glue_inputs())
+def test_integer_glue_matches_fraction_oracle(inputs):
+    a, b = inputs
+    out = _glue_metrics(a, b)
+    expected = oracle_glue_metrics(a, b)
+    assert out == expected
+    assert out.sig == expected.sig
+
+
+def test_integer_glue_examples():
+    half = Signature((("d_3/6", 2), ("d_6/4", 2), ("d_2", 2)))
+    a = validate_structure(half, {0, 1}, {"d_3/6": {(0, 1), (1, 0)}})
+    b = validate_structure(half, {0, 2}, {"d_6/4": {(0, 2), (2, 0)}})
+    glued = _glue_metrics(a, b)
+    assert glued == oracle_glue_metrics(a, b)
+    assert glued.sig.names() == ("d_1/2", "d_3/2", "d_2")
+    assert glued.rel("d_2") == {(1, 2), (2, 1)}
+    # Nothing shared: the cross distance is the larger diameter, at least 1.
+    c = validate_structure(half, {3, 4}, {"d_3/6": {(3, 4), (4, 3)}})
+    apart = _glue_metrics(a, c)
+    assert apart == oracle_glue_metrics(a, c)
+    assert apart.sig.names() == ("d_1/2", "d_1")

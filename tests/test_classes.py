@@ -289,6 +289,16 @@ def test_check_property_scale_guard():
         check_property("Graph", "AP", 7)
 
 
+def test_negative_sizes_raise():
+    # Enumeration used to recurse until RecursionError, and the checks
+    # returned a vacuous holds=True.
+    with pytest.raises(ScaleExceeded):
+        enumerate_members("Graph", -1)
+    for prop, bound in (("AP", -1), ("HP", -3)):
+        with pytest.raises(ScaleExceeded):
+            check_property("Graph", prop, bound)
+
+
 def test_enumerate_members_cache_cannot_be_mutated():
     members = enumerate_members("Graph", 3)
     with pytest.raises(AttributeError):
