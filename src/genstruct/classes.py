@@ -29,6 +29,7 @@ from genstruct.structures import (
     SignatureMismatch,
     StructureError,
     canonical_key,
+    embedding_by_rows,
     empty_structure,
     enumerate_embeddings,
     find_isomorphism,
@@ -67,6 +68,12 @@ def parse_metric_symbol(name: str) -> Fraction:
     if not name.startswith("d_"):
         raise SignatureMismatch(f"not a distance symbol: {name}")
     return Fraction(name[2:])
+
+
+@lru_cache(maxsize=1024)
+def _scaled_symbol(d: int, scale: int) -> str:
+    """The canonical name of the distance d / scale."""
+    return metric_symbol(Fraction(d, scale))
 
 
 @lru_cache(maxsize=1024)
@@ -473,7 +480,7 @@ def _glue_metrics(a: FinStructure, b: FinStructure) -> FinStructure:
     pairs: dict[int, set[tuple[int, ...]]] = {}
     for t, d in dist.items():
         pairs.setdefault(d, set()).add(t)
-    interp = {metric_symbol(Fraction(d, scale)): pairs[d] for d in sorted(pairs)}
+    interp = {_scaled_symbol(d, scale): pairs[d] for d in sorted(pairs)}
     sig = Signature(tuple((name, 2) for name in interp))
     return validate_structure(sig, a.universe | b.universe, interp)
 
@@ -569,7 +576,7 @@ def membership(tag: str, a: FinStructure) -> bool:
     if spec.sig is None:
         for name, arity in a.sig.symbols:
             _check_distance_symbol(name, arity)
-    elif a.sig != spec.sig:
+    elif a.sig is not spec.sig and a.sig != spec.sig:
         raise SignatureMismatch(f"{tag} expects signature {spec.sig.symbols}, got {a.sig.symbols}")
     verdicts = a.verdicts
     if tag not in verdicts:
@@ -587,12 +594,12 @@ class Amalgam:
     emb_right: Embedding
 
 
-def _setup_amalgam(f: Embedding, g: Embedding) -> tuple[FinStructure, FinStructure, dict[int, int]]:
+def _setup_amalgam(f: Embedding, g: Embedding) -> tuple[FinStructure, FinStructure, dict[int, int], FinStructure]:
     """Common bookkeeping: left keeps its ids, right is renamed.
 
-    Returns (b, c, map_c) where map_c sends the right-hand universe into
-    the result id space: base points land on f's image, the others on
-    the smallest naturals outside b.
+    Returns (b, c, map_c, image_c) where map_c sends the right-hand
+    universe into the result id space (base points land on f's image, the
+    others on the smallest naturals outside b) and image_c = relabel(c, map_c).
     """
     if f.source != g.source:
         raise StructureError("amalgamation requires a common base")
@@ -600,17 +607,17 @@ def _setup_amalgam(f: Embedding, g: Embedding) -> tuple[FinStructure, FinStructu
     fm, gm = f.as_dict(), g.as_dict()
     map_c: dict[int, int] = {gm[a]: fm[a] for a in fm}
     new_points = [x for x in c.sorted_universe() if x not in map_c]
-    names = fresh_ids(b.universe, len(new_points))
-    for x, y in zip(new_points, names):
-        map_c[x] = y
-    return b, c, map_c
+    map_c.update(zip(new_points, fresh_ids(b.universe, len(new_points))))
+    return b, c, map_c, relabel(c, map_c)
 
 
-def _amalgam(b: FinStructure, c: FinStructure, result: FinStructure, map_c: dict[int, int]) -> Amalgam:
+def _amalgam(b: FinStructure, c: FinStructure, result: FinStructure, map_c: dict[int, int],
+             image_c: FinStructure) -> Amalgam:
+    """The amalgam, its embeddings checked against b and image_c = relabel(c, map_c)."""
     return Amalgam(
         result,
-        make_embedding(b, result, {x: x for x in b.universe}),
-        make_embedding(c, result, map_c),
+        embedding_by_rows(b, result, {x: x for x in b.universe}, b),
+        embedding_by_rows(c, result, map_c, image_c),
     )
 
 
@@ -629,11 +636,11 @@ def amalgamate(tag: str, f: Embedding, g: Embedding) -> Amalgam:
             raise NotInClass(f"input not in class {tag}")
     if not spec.sap:
         return _amalgamate_linear_graph(f, g, connected=False)
-    b, c, map_c = _setup_amalgam(f, g)
-    b, c, result = align(tag, b, c, spec.glue(b, relabel(c, map_c)))
+    b, c, map_c, image_c = _setup_amalgam(f, g)
+    b, c, result = align(tag, b, c, spec.glue(b, image_c))
     if not membership(tag, result):
         raise AmalgamationImpossible(f"strategy output left the class {tag}")
-    return _amalgam(b, c, result, map_c)
+    return _amalgam(b, c, result, map_c, image_c)
 
 
 # --- linear graphs ----------------------------------------------------------
@@ -646,8 +653,8 @@ def _strong_linear_graph_amalgam(f: Embedding, g: Embedding, connected: bool) ->
     the only obstructions are an overloaded vertex or a forced cycle in
     the union; AmalgamationImpossible names the one found.
     """
-    b, c, map_c = _setup_amalgam(f, g)
-    union = _free_union(b, relabel(c, map_c))
+    b, c, map_c, image_c = _setup_amalgam(f, g)
+    union = _free_union(b, image_c)
     deg = _degrees(union)
     overloaded = sorted(x for x, d in deg.items() if d > 2)
     if overloaded:
@@ -656,7 +663,7 @@ def _strong_linear_graph_amalgam(f: Embedding, g: Embedding, connected: bool) ->
         )
     if not _is_forest(union):
         raise AmalgamationImpossible("the union over the base contains a cycle")
-    return _amalgam(b, c, _bridge_components(union) if connected else union, map_c)
+    return _amalgam(b, c, _bridge_components(union) if connected else union, map_c, image_c)
 
 
 def _bridge_components(structure: FinStructure) -> FinStructure:
@@ -721,7 +728,7 @@ def _amalgamate_linear_graph(f: Embedding, g: Embedding, connected: bool) -> Ama
             continue
         if connected:
             candidate = _bridge_components(candidate)
-        return _amalgam(b, c, candidate, map_c)
+        return _amalgam(b, c, candidate, map_c, image_c)
     raise AmalgamationImpossible("no linear graph amalgam exists")
 
 
@@ -904,13 +911,19 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
 
 def _align_signature(a: FinStructure, sig: Signature) -> FinStructure:
     """Re-base a structure onto a containing signature; missing symbols
-    get empty interpretations."""
+    get empty interpretations.  The validated rows of `a` are reused."""
     if not set(a.sig.symbols) <= set(sig.symbols):
         raise SignatureMismatch("target signature does not contain the source one")
-    return validate_structure(sig, set(a.universe), {n: set(ts) for n, ts in a.interp})
+    rows = dict(a.interp)
+    return FinStructure(sig, a.universe, tuple((name, rows.get(name, frozenset())) for name, _ in sig.symbols))
 
 
 def _metric_common_signature(*structures: FinStructure) -> Signature:
-    symbols = sorted({sym for s in structures for sym in s.sig.symbols},
-                     key=lambda s: parse_metric_symbol(s[0]))
-    return Signature(tuple(symbols))
+    return _sorted_union(tuple(s.sig for s in structures))
+
+
+@lru_cache(maxsize=1024)
+def _sorted_union(sigs: tuple[Signature, ...]) -> Signature:
+    """The symbols of `sigs` by increasing distance, as one signature."""
+    symbols = {sym for sig in sigs for sym in sig.symbols}
+    return Signature(tuple(sorted(symbols, key=lambda s: parse_metric_symbol(s[0]))))

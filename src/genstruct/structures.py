@@ -8,11 +8,10 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, count as naturals, filterfalse, islice, product
 from types import MappingProxyType
 
 
@@ -223,18 +222,39 @@ class Embedding:
 
 def make_embedding(source: FinStructure, target: FinStructure, mapping: dict[int, int]) -> Embedding:
     """Validated embedding constructor."""
-    if source.sig != target.sig:
+    _check_map(source, target, mapping)
+    if not is_partial_embedding(source, target, mapping):
+        raise StructureError("map does not preserve and reflect relations")
+    return Embedding(source, target, tuple(sorted(mapping.items())))
+
+
+def embedding_by_rows(source: FinStructure, target: FinStructure, mapping: dict[int, int],
+                      image: FinStructure) -> Embedding:
+    """`make_embedding` for a caller holding `image` = relabel(source, mapping),
+    possibly over fewer symbols.  Its relation check compares rows: per symbol
+    by name, the tuples of `target` inside the image must be those of `image`,
+    a missing symbol counting as empty."""
+    _check_map(source, target, mapping)
+    points, rows = set(mapping.values()), dict(image.interp)
+    for name, tuples in target.interp:
+        if rows.pop(name, frozenset()) != {t for t in tuples if points.issuperset(t)}:
+            raise StructureError("map does not preserve and reflect relations")
+    if any(rows.values()):  # symbols of `image` that `target` lacks
+        raise StructureError("map does not preserve and reflect relations")
+    return Embedding(source, target, tuple(sorted(mapping.items())))
+
+
+def _check_map(source: FinStructure, target: FinStructure, mapping: dict[int, int]) -> None:
+    """An embedding's checks before its relations, in order."""
+    if source.sig is not target.sig and source.sig != target.sig:
         raise SignatureMismatch("source and target signatures differ")
-    if set(mapping) != set(source.universe):
+    if mapping.keys() != source.universe:
         raise StructureError("mapping domain must be the source universe")
     if len(set(mapping.values())) != len(mapping):
         raise StructureError("mapping is not injective")
     for y in mapping.values():
         if y not in target.universe:
             raise StructureError(f"image point {y} not in target universe")
-    if not is_partial_embedding(source, target, mapping):
-        raise StructureError("map does not preserve and reflect relations")
-    return Embedding(source, target, tuple(sorted(mapping.items())))
 
 
 def is_partial_embedding(a: FinStructure, b: FinStructure, partial: dict[int, int]) -> bool:
@@ -268,7 +288,7 @@ def _image_pairs(partial: dict[int, int], arity: int) -> list[tuple[tuple[int, .
 
 
 class Bitsets:
-    """A structure as bitsets for embedding search; bit j is `order[j]`.
+    """A structure as bitsets for embedding search; bit j is `order[j]` (`index` inverts it).
 
     A relation is an n-by-n bit matrix in one int, bit i*n + k standing for
     (order[i], order[k]).  `rels` holds each binary symbol's matrix and its
@@ -276,12 +296,12 @@ class Bitsets:
     symbol's loops.  Symbols of arity 3 or more (`high`) get a tuple check.
     """
 
-    __slots__ = ("order", "full", "rels", "fixed", "high", "_interp", "_sig", "_at_least")
+    __slots__ = ("order", "index", "full", "rels", "fixed", "high", "_interp", "_sig", "_at_least")
 
     def __init__(self, m: FinStructure) -> None:
         self.order = tuple(sorted(m.universe))
         n = len(self.order)
-        index = {x: j for j, x in enumerate(self.order)}
+        self.index = index = {x: j for j, x in enumerate(self.order)}
         self.full = (1 << n) - 1
         rels, fixed = [], []
         for name, tuples in m.interp:
@@ -306,7 +326,7 @@ class Bitsets:
         """Per symbol and place, bits (c-1)*n .. c*n - 1 mask the points in at least c
         tuples there.  Made on first use: a structure only searched from needs none."""
         if self._at_least is None:
-            n, index = len(self.order), {x: j for j, x in enumerate(self.order)}
+            n, index = len(self.order), self.index
             self._at_least = tuple(
                 sum(1 << c * n + index[x] for x, count in Counter(t[p] for t in tuples).items()
                     for c in range(count))
@@ -369,7 +389,7 @@ def _search_maps(a: FinStructure, b: FinStructure, bijective: bool, partial: dic
 
     # The pinned part must itself be consistent; each pin narrows the rest.
     for x, y in assignment.items():
-        i, j = bisect_left(src, x), bisect_left(tgt, y)
+        i, j = source.index[x], view.index[y]
         if not open_sets[i] >> j & 1:
             return []
         others = [k for k in range(m) if k != i]
@@ -406,6 +426,7 @@ def _search_maps(a: FinStructure, b: FinStructure, bijective: bool, partial: dic
         return False
 
     extend(0, [open_sets[i] for i in order])
+    del extend  # a closure that calls itself: without this, its state waits for the collector
     return results
 
 
@@ -424,13 +445,13 @@ def extension_witnesses(m: FinStructure, phi: dict[int, int], x: int) -> int:
     """The images y for which `phi` plus x -> y is a partial isomorphism of `m`,
     as a mask over `m.bitsets.order`; `phi` must be one, with `x` outside its domain."""
     view = m.bitsets
-    order, n, mask = view.order, len(view.order), view.full
-    i = bisect_left(order, x)
+    order, index, n, mask = view.order, view.index, len(view.order), view.full
+    i = index[x]
     for marked in view.fixed:
         mask &= marked if marked >> i & 1 else ~marked
     for z, w in phi.items():
         # Row j of the search's table for the pair (z, x), inlined: this is hot.
-        pair, j = bisect_left(order, z) * n + i, bisect_left(order, w)
+        pair, j = index[z] * n + i, index[w]
         for r, matrix in enumerate(view.rels):
             if r & 1 and matrix is view.rels[r - 1]:
                 continue  # a symmetric relation's reverse repeats it
@@ -466,7 +487,7 @@ def relabel(a: FinStructure, renaming: dict[int, int]) -> FinStructure:
     if set(renaming) != set(a.universe) or len(set(renaming.values())) != len(renaming):
         raise StructureError("renaming must be a bijection on the universe")
     rows = tuple(
-        (name, frozenset(tuple(renaming[x] for x in t) for t in tuples))
+        (name, frozenset(tuple(map(renaming.__getitem__, t)) for t in tuples))
         for name, tuples in a.interp
     )
     return FinStructure(a.sig, frozenset(renaming.values()), rows)
@@ -619,23 +640,16 @@ def compose(inner: Embedding, outer: Embedding) -> Embedding:
 
 
 def inclusion_embedding(a: FinStructure, b: FinStructure) -> Embedding:
-    """Identity-map embedding of `a` into `b`; fails if not induced."""
+    """Identity-map embedding of `a` into `b`; fails if not induced, which is
+    the whole embedding check for an identity map."""
     if induced_substructure(b, a.universe) != a:
         raise StructureError("source is not an induced substructure of target")
-    return make_embedding(a, b, {x: x for x in a.universe})
+    return Embedding(a, b, tuple((x, x) for x in sorted(a.universe)))
 
 
 def fresh_ids(used: set[int] | frozenset[int], count: int) -> list[int]:
     """Smallest `count` naturals outside `used`."""
-    out = []
-    x = 0
-    used = set(used)
-    while len(out) < count:
-        if x not in used:
-            out.append(x)
-            used.add(x)
-        x += 1
-    return out
+    return list(islice(filterfalse(used.__contains__, naturals()), max(count, 0)))
 
 
 # --- JSON wire format ------------------------------------------------------
