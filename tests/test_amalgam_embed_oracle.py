@@ -26,6 +26,7 @@ from genstruct.structures import (
     SignatureMismatch,
     StructureError,
     embedding_by_rows,
+    inclusion_embedding,
     make_embedding,
     relabel,
     validate_structure,
@@ -284,3 +285,18 @@ def test_one_more_tuple_counterexamples_match_make_embedding(monkeypatch, tag, r
         assert verdict.holds
     else:
         assert verdict.counterexample["detail"] == "map does not preserve and reflect relations"
+
+
+def test_linear_graph_search_skips_an_identification_that_adds_an_edge_inside_a_side():
+    # The strong union gives 0 degree 3.  Identifying right's 2 with left's 2
+    # gives a path, but adds the edge 1-2 inside the left side, so the row
+    # check must reject it and the search take right's 3 -> 2 instead.
+    def graph(universe, edges):
+        return validate_structure(Signature((("E", 2),)), set(universe),
+                                  {"E": {t for x, y in edges for t in ((x, y), (y, x))}})
+
+    base, left = graph({0, 1}, []), graph({0, 1, 2}, [(0, 2)])
+    right = graph({0, 1, 2, 3}, [(1, 2), (2, 0), (0, 3)])
+    am = classes.amalgamate("LinearGraph", inclusion_embedding(base, left), inclusion_embedding(base, right))
+    assert am.result == graph({0, 1, 2, 3}, [(0, 2), (0, 3), (1, 3)])
+    assert am.emb_right.as_dict() == {0: 0, 1: 1, 2: 3, 3: 2}
