@@ -224,7 +224,7 @@ def homogeneity_items(m: FinStructure, tag: str, k: int) -> Iterator[ReportItem]
                         for extra in elems:
                             if extra in xs:
                                 continue
-                            mask = extension_witnesses(m, phi, extra)
+                            mask = extension_witnesses(m, m, phi, extra)
                             witness = elems[(mask & -mask).bit_length() - 1] if mask else None
                             yield ReportItem(f"{label}{extra}", witness is not None, witness)
 

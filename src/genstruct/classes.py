@@ -920,6 +920,7 @@ def _metric_common_signature(*structures: FinStructure) -> Signature:
 
 @lru_cache(maxsize=1024)
 def _sorted_union(sigs: tuple[Signature, ...]) -> Signature:
-    """The symbols of `sigs` by increasing distance, as one signature."""
+    """The symbols of `sigs` by increasing distance, as one signature.  Two
+    names of one distance (d_1/2, d_2/4) come in name order, not set order."""
     symbols = {sym for sig in sigs for sym in sig.symbols}
-    return Signature(tuple(sorted(symbols, key=lambda s: parse_metric_symbol(s[0]))))
+    return Signature(tuple(sorted(symbols, key=lambda s: (parse_metric_symbol(s[0]), s))))

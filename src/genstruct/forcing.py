@@ -35,7 +35,7 @@ from genstruct.structures import (
     StructureError,
     dumps,
     empty_structure,
-    enumerate_embeddings_extending,
+    extension_by_rows,
     fresh_ids,
     induced_substructure,
     is_partial_embedding,
@@ -294,21 +294,18 @@ def _realize_over(
 # A schedule repeats each (source, target) pair for every injection, so the
 # facts that depend only on the pair are computed once per pair.
 @lru_cache(maxsize=1024)
-def _structure_digest(*structures: FinStructure) -> str:
-    blob = json.dumps([to_json_dict(s) for s in structures], separators=(",", ":"))
-    return hashlib.sha1(blob.encode()).hexdigest()[:8]
-
-
-@lru_cache(maxsize=1024)
-def _target_over_source(f: Embedding) -> FinStructure:
-    """f's target renamed so that f becomes an inclusion: f(x) becomes x,
-    and the other points keep their ids unless the source uses them.  For
-    an inclusion f this is the identity."""
+def _family(f: Embedding) -> tuple[dict[int, int], FinStructure, str]:
+    """f as a dict; f's target renamed so that f becomes an inclusion (f(x)
+    becomes x, and the other points keep their ids unless the source uses
+    them; for an inclusion f this is the identity); and the digest of f's
+    source and target that names the requirements over f."""
     source, target = f.source, f.target
     back = {y: x for x, y in f.mapping}
     clashes = sorted(source.universe & target.universe - back.keys())
     moved = dict(zip(clashes, fresh_ids(source.universe | target.universe, len(clashes))))
-    return relabel(target, {y: back.get(y, moved.get(y, y)) for y in target.universe})
+    b_over = relabel(target, {y: back.get(y, moved.get(y, y)) for y in target.universe})
+    blob = json.dumps([to_json_dict(source), to_json_dict(target)], separators=(",", ":"))
+    return f.as_dict(), b_over, hashlib.sha1(blob.encode()).hexdigest()[:8]
 
 
 def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseRequirement:
@@ -318,8 +315,11 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
     While part of i's image is still missing from the condition the
     requirement counts as unmet; once the image is present the relations
     are frozen, so the verdict (and hence satisfaction) is final.  That
-    keeps satisfaction upward closed along extensions.  The forcing step
-    glues, so the class must have strong amalgamation.
+    keeps satisfaction upward closed along extensions.  The verdict comes
+    from the condition's bit rows (`extension_by_rows`), and when f is
+    onto there is nothing to find: g is i after f's inverse, if i is an
+    embedding at all.  The forcing step glues, so the class must have
+    strong amalgamation.
     """
     if not class_spec(tag).sap:
         raise SAPRequired(f"{tag} lacks strong amalgamation")
@@ -328,23 +328,21 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
         raise StructureError("i must be defined exactly on the small side")
     if len(set(i.values())) != len(i):
         raise StructureError("i must be injective")
-    fm = f.as_dict()
-    pin_template = {fm[x]: i[x] for x in fm}
-    b_over = _target_over_source(f)
+    fm, b_over, digest = _family(f)
     pins = ",".join(f"{x}>{i[x]}" for x in sorted(i))
-    name = f"E[{pins};{_structure_digest(b, b_prime)}]"
-
+    name = f"E[{pins};{digest}]"
     image = set(i.values())
 
-    def satisfied(p: Condition) -> bool:
-        if not image <= p.universe:
-            return False
-        if not is_partial_embedding(*align(tag, b, p.structure), dict(i)):
-            return True
-        found = enumerate_embeddings_extending(
-            *align(tag, b_prime, p.structure), pin_template, limit=1
-        )
-        return bool(found)
+    if len(b_prime) == len(b):
+        def satisfied(p: Condition) -> bool:
+            return image <= p.universe
+    else:
+        pin_template = {fm[x]: i[x] for x in fm}
+
+        def satisfied(p: Condition) -> bool:
+            # Pins that are no embedding (None) make the requirement vacuous.
+            return image <= p.universe and extension_by_rows(
+                *align(tag, b_prime, p.structure), pin_template) is not False
 
     def extend(p: Condition, rng: Random | None) -> Condition:
         if satisfied(p):

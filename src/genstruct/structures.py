@@ -293,10 +293,12 @@ class Bitsets:
     A relation is an n-by-n bit matrix in one int, bit i*n + k standing for
     (order[i], order[k]).  `rels` holds each binary symbol's matrix and its
     reverse's; `fixed` masks each unary symbol's points and each binary
-    symbol's loops.  Symbols of arity 3 or more (`high`) get a tuple check.
+    symbol's loops.  `links` pairs each distinct matrix of `rels` with
+    itself, as the maps of the structure into itself compare them.
+    Symbols of arity 3 or more (`high`) get a tuple check.
     """
 
-    __slots__ = ("order", "index", "full", "rels", "fixed", "high", "_interp", "_sig", "_at_least")
+    __slots__ = ("order", "index", "full", "rels", "links", "fixed", "high", "_interp", "_sig", "_at_least")
 
     def __init__(self, m: FinStructure) -> None:
         self.order = tuple(sorted(m.universe))
@@ -318,6 +320,7 @@ class Bitsets:
             elif arity == 1:
                 fixed.append(sum(1 << index[x] for x, in tuples))
         self.rels, self.fixed = tuple(rels), tuple(fixed)
+        self.links = tuple((r, r) for r in dict.fromkeys(rels))
         self.high = tuple(name for name, arity in m.sig.symbols if arity > 2)
         self._interp, self._sig, self._at_least = m.interp, m.sig, None
 
@@ -441,27 +444,59 @@ def _consistent_with(a: FinStructure, b: FinStructure, assignment: dict[int, int
     return True
 
 
-def extension_witnesses(m: FinStructure, phi: dict[int, int], x: int) -> int:
-    """The images y for which `phi` plus x -> y is a partial isomorphism of `m`,
-    as a mask over `m.bitsets.order`; `phi` must be one, with `x` outside its domain."""
-    view = m.bitsets
-    order, index, n, mask = view.order, view.index, len(view.order), view.full
-    i = index[x]
-    for marked in view.fixed:
-        mask &= marked if marked >> i & 1 else ~marked
+def extension_witnesses(a: FinStructure, b: FinStructure, phi: dict[int, int], x: int) -> int:
+    """The images y for which `phi` plus x -> y is a partial embedding of `a`
+    into `b`, as a mask over `b.bitsets.order`; `phi` must be one, with `x`
+    outside its domain, and `a` and `b` must share a signature."""
+    source, view = a.bitsets, b.bitsets
+    index, n, m, mask = view.index, len(view.order), len(source.order), view.full
+    i = source.index[x]
+    for mine, theirs in zip(source.fixed, view.fixed):
+        mask &= theirs if mine >> i & 1 else ~theirs
+    # Equal pairs, as for a symmetric relation and its reverse, constrain alike.
+    rels = view.links if a is b else set(zip(source.rels, view.rels))
     for z, w in phi.items():
         # Row j of the search's table for the pair (z, x), inlined: this is hot.
-        pair, j = index[z] * n + i, index[w]
-        for r, matrix in enumerate(view.rels):
-            if r & 1 and matrix is view.rels[r - 1]:
-                continue  # a symmetric relation's reverse repeats it
-            row = matrix >> j * n
-            mask &= row if matrix >> pair & 1 else ~row
+        pair, j = source.index[z] * m + i, index[w]
+        for mine, theirs in rels:
+            row = theirs >> j * n
+            mask &= row if mine >> pair & 1 else ~row
         mask &= ~(1 << j)
     if view.high:
-        return sum(1 << j for j, y in enumerate(order)
-                   if mask >> j & 1 and _consistent_with(m, m, {**phi, x: y}, x, view.high))
+        return sum(1 << j for j, y in enumerate(view.order)
+                   if mask >> j & 1 and _consistent_with(a, b, {**phi, x: y}, x, view.high))
     return mask
+
+
+def extension_by_rows(a: FinStructure, b: FinStructure, partial: dict[int, int]) -> bool | None:
+    """Does `partial`, an injective map from points of `a` into `b`'s universe,
+    extend to an embedding of `a` into `b`?  None if `partial` is not itself a
+    partial embedding.  Each pin must lie in its `extension_witnesses` over the
+    pins before it; then each free point of `a`, in order, tries the images in
+    its witness mask, depth first, and the first complete map answers True."""
+    if a.sig is not b.sig and a.sig != b.sig:
+        raise SignatureMismatch("signatures differ")
+    placed: dict[int, int] = {}
+    for x, y in sorted(partial.items()):
+        if not extension_witnesses(a, b, placed, x) >> b.bitsets.index[y] & 1:
+            return None
+        placed[x] = y
+    return _place(a, b, placed, [x for x in a.bitsets.order if x not in placed])
+
+
+def _place(a: FinStructure, b: FinStructure, placed: dict[int, int], free: list[int]) -> bool:
+    """Can the partial embedding `placed` take the points `free` too?"""
+    if not free:
+        return True
+    x, mask, order = free[0], extension_witnesses(a, b, placed, free[0]), b.bitsets.order
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        placed[x] = order[low.bit_length() - 1]
+        if _place(a, b, placed, free[1:]):
+            return True
+    placed.pop(x, None)
+    return False
 
 
 def enumerate_embeddings(a: FinStructure, b: FinStructure) -> list[Embedding]:

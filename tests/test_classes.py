@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import genstruct
 from genstruct.classes import (
     AmalgamationImpossible,
     ScaleExceeded,
@@ -393,3 +398,22 @@ def test_linear_graph_sap_counterexample_is_canonical_first():
     ce = verdict.counterexample
     assert sorted(ce["base"].universe) == [0]
     assert len(ce["left"]) == 2 and len(ce["right"]) == 3
+
+
+def test_metric_signature_order_does_not_depend_on_hash_seed():
+    # d_1/2 and d_2/4 name one distance; they come in name order.
+    script = (
+        "from genstruct.classes import align\n"
+        "from genstruct.structures import Signature, empty_structure\n"
+        "a = empty_structure(Signature((('d_1/2', 2), ('d_1', 2))))\n"
+        "b = empty_structure(Signature((('d_2/4', 2),)))\n"
+        "print(align('RationalMetric', a, b)[0].sig.names())\n"
+    )
+    src = str(Path(genstruct.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = {
+        subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                       timeout=60, env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}).stdout
+        for seed in range(6)
+    }
+    assert outputs == {"('d_1/2', 'd_2/4', 'd_1')\n"}

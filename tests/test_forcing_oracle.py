@@ -9,13 +9,16 @@ The oracles below are the earlier implementations:
   one that grew the condition met each requirement again, and each meet
   returned its argument;
 - `autorder` placed grown points at exact `Fraction` positions (chain
-  element i at 2(i+1)) and keyed the twins of an amalgam by thirds.
+  element i at 2(i+1)) and keyed the twins of an amalgam by thirds;
+- `extension_requirement` checked that i is an embedding of b, then ran a
+  pinned search for g.
 The current code must return equal conditions, chains and exceptions.
 """
 
 from argparse import Namespace
 from fractions import Fraction
 from functools import cache
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
@@ -53,6 +56,7 @@ from genstruct.forcing import (
     _randomize_free_relations,
     _realize_over,
     empty_condition,
+    extension_requirement,
     generic_build,
     meet,
     point_requirement,
@@ -61,10 +65,15 @@ from genstruct.structures import (
     Signature,
     StructureError,
     enumerate_embeddings,
+    enumerate_embeddings_extending,
+    extension_by_rows,
     fresh_ids,
+    inclusion_embedding,
     induced_substructure,
+    is_partial_embedding,
     make_embedding,
     relabel,
+    validate_structure,
 )
 
 # --- oracles -----------------------------------------------------------------
@@ -91,6 +100,17 @@ def oracle_realize_over(p, base, extension, base_to_p, prescribed, rng):
         new_ids = {target_name[x] for x in new_ext_points}
         body = _randomize_free_relations(tag, body, new_ids, set(base_to_p.values()), rng)
     return Condition(tag, body)
+
+
+def oracle_extension_satisfied(i, f, tag, p):
+    b, b_prime = f.source, f.target
+    if not set(i.values()) <= p.universe:
+        return False
+    if not is_partial_embedding(*align(tag, b, p.structure), dict(i)):
+        return True
+    fm = f.as_dict()
+    pin_template = {fm[x]: i[x] for x in fm}
+    return bool(enumerate_embeddings_extending(*align(tag, b_prime, p.structure), pin_template, limit=1))
 
 
 def oracle_generic_build(start, schedule, steps=None, seed=0, order=None):
@@ -448,3 +468,91 @@ def test_oracles_agree_on_a_build():
             assert _grow_forward(c, x) == oracle_grow_forward(c, x)
             assert _grow_backward(c, x) == oracle_grow_backward(c, x)
 
+
+
+# --- extension requirements from bit rows --------------------------------------
+
+
+def extension_cases(tag, n, ext_size):
+    """The (i, f) of each requirement of `cli.extension_schedule`, in order."""
+    for size in range(ext_size + 1):
+        for target in enumerate_members(tag, size):
+            universe = target.sorted_universe()
+            for r in range(len(universe) + 1):
+                for subset in combinations(universe, r):
+                    f = inclusion_embedding(induced_substructure(target, set(subset)), target)
+                    for image in permutations(range(n), r):
+                        yield dict(zip(subset, image)), f
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("tag, n", [("Graph", 5), ("Tournament", 5), ("Digraph", 2),
+                                    ("PartialOrder", 3), ("RationalMetric", 1)])
+def test_extension_verdicts_match_pinned_search_oracle(tag, n, seed):
+    schedule = class_schedule(tag, n, 3)
+    cases = list(extension_cases(tag, n, 3))
+    reqs = schedule[n:]  # after the point requirements
+    assert [r.name for r in reqs] == [extension_requirement(i, f, tag).name for i, f in cases]
+    seen = set()
+    for p in dict.fromkeys(generic_build(empty_condition(tag), list(schedule), seed=seed).steps):
+        for (i, f), req in zip(cases, reqs):
+            verdict = req.satisfied(p)
+            assert verdict == oracle_extension_satisfied(i, f, tag, p), (req.name, p)
+            present = set(i.values()) <= p.universe
+            seen.add((present, verdict, len(f.target) == len(f.source)))
+    # Met and unmet, with the image present, through the row step and the shortcut.
+    assert {(True, True, False), (True, False, False), (True, True, True)} <= seen
+
+
+def pin_cases(draw, a, b):
+    """Injective pins from part of a into b: often the restriction of an
+    embedding, otherwise drawn at random and often no partial embedding."""
+    if not a.universe:
+        return {}
+    points, found = sorted(a.universe), enumerate_embeddings(a, b)
+    if found and draw(st.booleans()):
+        whole = found[draw(st.integers(0, len(found) - 1))].as_dict()
+        return {x: whole[x] for x in draw(st.sets(st.sampled_from(points)))}
+    dom = draw(st.sets(st.sampled_from(points), max_size=len(b)))
+    return dict(zip(sorted(dom), draw(st.permutations(sorted(b.universe)))))
+
+
+def assert_rows_match_search(a, b, pins):
+    pinned = bool(enumerate_embeddings_extending(induced_substructure(a, set(pins)), b, pins, limit=1))
+    found = bool(enumerate_embeddings_extending(a, b, pins, limit=1))
+    assert extension_by_rows(a, b, pins) == (found if pinned else None), pins
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SAP_TAGS), st.data())
+def test_extension_by_rows_matches_pinned_search(tag, data):
+    draw = data.draw
+    members = small_members(tag)
+    a = renamed(draw, draw(st.sampled_from(members)), range(8))
+    b = renamed(draw, draw(st.sampled_from(members + enumerate_members(tag, 4)[:40])), range(4, 12))
+    a, b = align(tag, padded(draw, tag, a), padded(draw, tag, b))
+    assert_rows_match_search(a, b, pin_cases(draw, a, b))
+
+
+TERNARY = Signature((("T", 3), ("E", 2), ("P", 1)))
+
+
+@st.composite
+def ternary_structures(draw, pool):
+    universe = sorted(draw(st.sets(st.sampled_from(pool), max_size=4)))
+    triples = list(permutations(universe, 3)) + [(x, x, y) for x in universe for y in universe]
+    return validate_structure(TERNARY, set(universe), {
+        "T": draw(st.sets(st.sampled_from(triples), max_size=6)) if universe else set(),
+        "E": draw(st.sets(st.sampled_from(list(permutations(universe, 2))))) if len(universe) > 1 else set(),
+        "P": {(x,) for x in draw(st.sets(st.sampled_from(universe)))} if universe else set(),
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(ternary_structures(range(4)), ternary_structures(range(2, 7)), st.data())
+def test_extension_by_rows_checks_ternary_tuples(a, b, data):
+    """A symbol of arity 3 has no bit rows; its tuples are checked one by one."""
+    if b.universe and data.draw(st.booleans()):  # a copy of part of b, so that embeddings exist
+        part = induced_substructure(b, data.draw(st.sets(st.sampled_from(sorted(b.universe)))))
+        a = relabel(part, dict(zip(part.sorted_universe(), range(4))))
+    assert_rows_match_search(a, b, pin_cases(data.draw, a, b))

@@ -345,7 +345,7 @@ def test_extension_witnesses_match_oracle(data):
     phi = isos[data.draw(st.integers(0, len(isos) - 1))].as_dict()
     order = m.sorted_universe()
     for x in m.universe - phi.keys():
-        mask = extension_witnesses(m, phi, x)
+        mask = extension_witnesses(m, m, phi, x)
         assert mask >> len(order) == 0
         assert {y for j, y in enumerate(order) if mask >> j & 1} == {
             y for y in order if oracle_extends_iso(m, phi, x, y)
@@ -380,7 +380,7 @@ def test_bitsets_stay_out_of_equality_hash_json_and_pickle():
         return validate_structure(SIGNATURES["loops"], {0, 1, 2}, {"R": {(0, 1), (1, 1)}})
 
     a, b = fresh(), fresh()
-    assert enumerate_embeddings(a, a) and extension_witnesses(a, {0: 0}, 1)
+    assert enumerate_embeddings(a, a) and extension_witnesses(a, a, {0: 0}, 1)
     assert "bitsets" in a.__dict__ and "bitsets" not in b.__dict__
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert to_json_dict(a) == to_json_dict(b) and pickle.dumps(a) == pickle.dumps(b)
