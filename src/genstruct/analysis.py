@@ -27,17 +27,16 @@ from genstruct.classes import (
 from genstruct.structures import (
     FinStructure,
     StructureError,
-    enumerate_embeddings_extending,
     extension_witnesses,
-    induced_substructure,
+    placements,
 )
 
 MAX_REPORT_SIZE = 40
 MAX_REPORT_K = 4
 # Largest item count an extension, universality or homogeneity report may
 # be estimated at. The 20-point Graph homogeneity report at k=2 (estimate
-# 1,307,220; 660,012 items, 10-14 s) fits; the same check on 22 points
-# does not.
+# 1,307,220; 660,012 items, 5-6 s through the CLI on a 2-core x86-64
+# machine) fits; the same check on 22 points does not.
 MAX_REPORT_ITEMS = 2_000_000
 # Rows per json.dumps call when a report is written out; it divides
 # PROGRESS_EVERY, the item interval of write_json's progress calls.
@@ -167,15 +166,14 @@ def extension_items(m: FinStructure, tag: str, k: int) -> Iterator[ReportItem]:
                 universe = member.sorted_universe()
                 for r in range(len(universe) + 1):
                     for subset in combinations(universe, r):
-                        part = induced_substructure(member, set(subset))
-                        for emb in enumerate_embeddings_extending(part, target, {}):
-                            pins = emb.as_dict()
-                            found = enumerate_embeddings_extending(member, target, pins, limit=1)
-                            witness = sorted(found[0].as_dict().items()) if found else None
+                        free = [x for x in universe if x not in subset]
+                        # Placing subset alone gives the embeddings of the part it induces.
+                        for pins in placements(member, target, {}, subset):
+                            found = next(placements(member, target, pins, free), None)
                             yield ReportItem(
                                 f"type:{size}.{idx};dom={list(subset)};emb={sorted(pins.items())}",
-                                bool(found),
-                                witness,
+                                found is not None,
+                                None if found is None else sorted(found.items()),
                             )
 
     return items()
@@ -192,9 +190,8 @@ def universality_items(m: FinStructure, tag: str, k: int) -> Iterator[ReportItem
         for n, members in enumerate(types):
             for idx, member in enumerate(members):
                 member, target = align(tag, member, m)
-                found = enumerate_embeddings_extending(member, target, {}, limit=1)
-                witness = sorted(found[0].as_dict().items()) if found else None
-                yield ReportItem(f"type:{n}.{idx}", bool(found), witness)
+                found = next(placements(member, target, {}, member.sorted_universe()), None)
+                yield ReportItem(f"type:{n}.{idx}", found is not None, None if found is None else sorted(found.items()))
 
     return items()
 
@@ -213,14 +210,14 @@ def homogeneity_items(m: FinStructure, tag: str, k: int) -> Iterator[ReportItem]
     _cap(sum(comb(n, s) ** 2 * factorial(s) * (n - s) for s in range(k + 1)))
 
     def items() -> Iterator[ReportItem]:
-        elems = m.sorted_universe()
+        elems, index = m.sorted_universe(), m.bitsets.index
         for size in range(k + 1):
-            subs = {s: induced_substructure(m, set(s)) for s in combinations(elems, size)}
-            for xs, sub_x in subs.items():
-                for ys, sub_y in subs.items():
-                    for iso in enumerate_embeddings_extending(sub_x, sub_y, {}):
-                        phi = iso.as_dict()
-                        label = f"iso={list(iso.mapping)};add="
+            domains = [(s, sum(1 << index[y] for y in s)) for s in combinations(elems, size)]
+            for xs, _ in domains:
+                for ys, within in domains:
+                    # The isomorphisms between the parts induced on xs and on ys.
+                    for phi in placements(m, m, {}, xs, within):
+                        label = f"iso={sorted(phi.items())};add="
                         for extra in elems:
                             if extra in xs:
                                 continue

@@ -472,8 +472,7 @@ def extension_by_rows(a: FinStructure, b: FinStructure, partial: dict[int, int])
     """Does `partial`, an injective map from points of `a` into `b`'s universe,
     extend to an embedding of `a` into `b`?  None if `partial` is not itself a
     partial embedding.  Each pin must lie in its `extension_witnesses` over the
-    pins before it; then each free point of `a`, in order, tries the images in
-    its witness mask, depth first, and the first complete map answers True."""
+    pins before it; then the first of the `placements` of the free points answers."""
     if a.sig is not b.sig and a.sig != b.sig:
         raise SignatureMismatch("signatures differ")
     placed: dict[int, int] = {}
@@ -481,22 +480,36 @@ def extension_by_rows(a: FinStructure, b: FinStructure, partial: dict[int, int])
         if not extension_witnesses(a, b, placed, x) >> b.bitsets.index[y] & 1:
             return None
         placed[x] = y
-    return _place(a, b, placed, [x for x in a.bitsets.order if x not in placed])
+    return next(placements(a, b, placed, [x for x in a.bitsets.order if x not in placed]), None) is not None
 
 
-def _place(a: FinStructure, b: FinStructure, placed: dict[int, int], free: list[int]) -> bool:
-    """Can the partial embedding `placed` take the points `free` too?"""
-    if not free:
-        return True
-    x, mask, order = free[0], extension_witnesses(a, b, placed, free[0]), b.bitsets.order
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        placed[x] = order[low.bit_length() - 1]
-        if _place(a, b, placed, free[1:]):
-            return True
-    placed.pop(x, None)
-    return False
+def placements(a: FinStructure, b: FinStructure, placed: dict[int, int],
+               free: list[int] | tuple[int, ...], within: int = -1):
+    """Every completion of the partial embedding `placed` of `a` into `b` over
+    the points `free`, each a new dict: `free[p]` tries the images in its
+    `extension_witnesses` mask over the points before it, ANDed with `within`
+    (a mask over `b.bitsets.order`), lowest first and depth first, so the
+    completions come in the search's lexicographic image order."""
+    if a.sig is not b.sig and a.sig != b.sig:
+        raise SignatureMismatch("signatures differ")
+
+    def walk():
+        done, order, masks = dict(placed), b.bitsets.order, []  # masks[p]: images free[p] has left
+        while True:
+            if len(masks) < len(free):
+                masks.append(extension_witnesses(a, b, done, free[len(masks)]) & within)
+            else:
+                yield dict(done)
+            while masks and not masks[-1]:
+                masks.pop()
+                done.pop(free[len(masks)], None)
+            if not masks:
+                return
+            low = masks[-1] & -masks[-1]
+            masks[-1] ^= low
+            done[free[len(masks) - 1]] = order[low.bit_length() - 1]
+
+    return walk()
 
 
 def enumerate_embeddings(a: FinStructure, b: FinStructure) -> list[Embedding]:

@@ -497,7 +497,8 @@ def test_check_rejects_non_integer_density_ids(tmp_path: Path, capsys):
 
 
 # sha256 and exit code of the stdout of `check` on the final structure of a
-# build, recorded before embedding search moved to per-target bitsets. The
+# build, recorded before embedding search moved to per-target bitsets (the
+# universality rows: before the verifiers moved to `placements`). The
 # metric build pads its distance symbols (many are empty on one side) and
 # the poset's `<` is dense; no `check` item of the benchmark covers either class.
 CHECK_DIGESTS = {
@@ -509,6 +510,10 @@ CHECK_DIGESTS = {
         (1, "edb835c78249d95f55df18ebeeb70a1cfc33dc882a4c541fbf74e34ac9d57e1d"),
     ("build --class PartialOrder --n 3 --ext-size 2 --seed 0", "homogeneity", "1"):
         (1, "e2eee63474e24eadddbf952ed422d018e69bd784aa18465e67c22d46ab2ffc05"),
+    ("build --class RationalMetric --n 1 --seed 0", "universality", "3"):
+        (0, "936f39d1c7e44244b788f67fd5c2b220595a50c25de3f6fd0bfd3033e1a464ea"),
+    ("build --class PartialOrder --n 3 --ext-size 2 --seed 0", "universality", "3"):
+        (1, "2aa9748f090e0300508e858fafb74c9809de530f0a7a0ea69e5d9ded2fed44bd"),
 }
 
 

@@ -1,20 +1,33 @@
-"""Differential tests: the embedding search and the homogeneity verifier
-against the brute-force code they replaced.
+"""Differential tests: the embedding search, `placements` and the
+extension, universality and homogeneity verifiers against the brute-force
+code they replaced.
 
 The oracles below are the earlier implementations: profiles recomputed
 per element by rescanning every tuple, a consistency check that
-enumerates all |dom|^arity tuples, and a homogeneity check that builds an
+enumerates all |dom|^arity tuples, reports that run one search per item
+between induced substructures, and a homogeneity check that builds an
 induced substructure per candidate and runs a full partial-embedding
 check on it.  The fast code must return the same lists in the same order.
 """
 
 import pickle
+from functools import cache
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from genstruct.analysis import Report, ReportItem, _guard, one_point_homogeneity
-from genstruct.classes import NotInClass, membership
+from genstruct.analysis import (
+    Report,
+    ReportItem,
+    _guard,
+    extension_property_report,
+    one_point_homogeneity,
+    universality_check,
+)
+from genstruct.classes import NotInClass, align, enumerate_members, membership
+from genstruct.cli import default_schedule
+from genstruct.forcing import empty_condition, generic_build
 from genstruct.structures import (
     GRAPH_SIG,
     Embedding,
@@ -26,6 +39,7 @@ from genstruct.structures import (
     extension_witnesses,
     find_isomorphism,
     induced_substructure,
+    placements,
     relabel,
     to_json_dict,
     validate_structure,
@@ -128,10 +142,14 @@ def oracle_extends_iso(m, phi, x, y) -> bool:
     return oracle_is_partial_embedding(source, m, mapping)
 
 
-def oracle_one_point_homogeneity(m, tag, k) -> Report:
+def oracle_admit(m, tag, k) -> None:
     if not membership(tag, m):
         raise NotInClass("input must belong to the class")
     _guard(m, k)
+
+
+def oracle_one_point_homogeneity(m, tag, k) -> Report:
+    oracle_admit(m, tag, k)
     items = []
     elems = m.sorted_universe()
     for size in range(k + 1):
@@ -153,6 +171,38 @@ def oracle_one_point_homogeneity(m, tag, k) -> Report:
                             f"iso={sorted(phi.items())};add={extra}", witness is not None, witness
                         ))
     return Report("one-point-homogeneity", tuple(items))
+
+
+def oracle_extension_items(m, tag, k) -> Report:
+    oracle_admit(m, tag, k)
+    items = []
+    for size in range(k + 1):
+        for idx, member in enumerate(enumerate_members(tag, size)):
+            member, target = align(tag, member, m)
+            universe = member.sorted_universe()
+            for r in range(len(universe) + 1):
+                for subset in combinations(universe, r):
+                    part = induced_substructure(member, set(subset))
+                    for emb in oracle_search_maps(part, target, False, {}, None):
+                        pins = emb.as_dict()
+                        found = oracle_search_maps(member, target, False, pins, 1)
+                        items.append(ReportItem(
+                            f"type:{size}.{idx};dom={list(subset)};emb={sorted(pins.items())}",
+                            bool(found),
+                            sorted(found[0].as_dict().items()) if found else None,
+                        ))
+    return Report("extension-property", tuple(items))
+
+
+def oracle_universality_items(m, tag, k) -> Report:
+    oracle_admit(m, tag, k)
+    items = []
+    for size in range(k + 1):
+        for idx, member in enumerate(enumerate_members(tag, size)):
+            found = oracle_search_maps(*align(tag, member, m), False, {}, 1)
+            witness = sorted(found[0].as_dict().items()) if found else None
+            items.append(ReportItem(f"type:{size}.{idx}", bool(found), witness))
+    return Report("universality", tuple(items))
 
 
 # --- strategies --------------------------------------------------------------
@@ -293,6 +343,34 @@ def test_one_point_homogeneity_matches_oracle(data):
     assert one_point_homogeneity(m, tag, k).to_json() == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_extension_and_universality_reports_match_oracle(data):
+    tag = data.draw(st.sampled_from(["Graph", "Tournament", "Digraph"]))
+    m = data.draw(members(tag))
+    k = data.draw(st.integers(0, 2))
+    assert extension_property_report(m, tag, k).to_json() == oracle_extension_items(m, tag, k).to_json()
+    assert universality_check(m, tag, k).to_json() == oracle_universality_items(m, tag, k).to_json()
+
+
+@cache
+def build_final(tag: str, n: int, ext_size: int):
+    """The final structure of `build --class tag --n n --ext-size ext_size --seed 0`."""
+    schedule = default_schedule(tag, n, ext_size)
+    return generic_build(empty_condition(tag), schedule, None, 0).final.structure
+
+
+@pytest.mark.parametrize("tag, n, ext_size", [("RationalMetric", 1, 3), ("PartialOrder", 3, 2)])
+@pytest.mark.parametrize("verifier, oracle", [
+    (extension_property_report, oracle_extension_items),
+    (universality_check, oracle_universality_items),
+])
+def test_reports_on_built_prefixes_match_oracle(tag, n, ext_size, verifier, oracle):
+    # A metric prefix pads its distance symbols through `align`; `<` is not symmetric.
+    m = build_final(tag, n, ext_size)
+    assert verifier(m, tag, 2).to_json() == oracle(m, tag, 2).to_json()
+
+
 @st.composite
 def padded_pairs(draw):
     """(a, b) over 3 or 4 symmetric irreflexive binary symbols with at most
@@ -385,3 +463,38 @@ def test_bitsets_stay_out_of_equality_hash_json_and_pickle():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert to_json_dict(a) == to_json_dict(b) and pickle.dumps(a) == pickle.dumps(b)
     assert set(pickle.loads(pickle.dumps(a)).__dict__) == {"sig", "universe", "interp"}
+
+
+@st.composite
+def placement_cases(draw, pairs):
+    """(a, b, placed, allowed): `placed` is an embedding of an induced part of
+    a into b, and `allowed` is None or a random subset of b's universe."""
+    a, b = draw(pairs)
+    part = induced_substructure(a, draw_subset(draw, a.universe))
+    found = oracle_search_maps(part, b, False, {}, None)
+    placed = found[draw(st.integers(0, len(found) - 1))].as_dict() if found else {}
+    allowed = draw_subset(draw, b.universe) if draw(st.booleans()) else None
+    return a, b, placed, allowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(placement_cases(st.one_of(structure_pairs(), padded_pairs())))
+def test_placements_match_oracle(case):
+    a, b, placed, allowed = case
+    before, free = dict(placed), sorted(a.universe - placed.keys())
+    expected = [e.as_dict() for e in oracle_search_maps(a, b, False, placed, None)]
+    if allowed is None:
+        got = list(placements(a, b, placed, free))
+    else:
+        mask = sum(1 << j for j, y in enumerate(b.sorted_universe()) if y in allowed)
+        got = list(placements(a, b, placed, free, within=mask))
+        expected = [e for e in expected if all(e[x] in allowed for x in free)]
+    assert got == expected
+    assert placed == before
+
+
+def test_placements_reject_a_signature_mismatch_at_the_call():
+    a = validate_structure(GRAPH_SIG, {0}, {})
+    b = validate_structure(SIGNATURES["loops"], {0}, {})
+    with pytest.raises(SignatureMismatch):
+        placements(a, b, {}, [0])
