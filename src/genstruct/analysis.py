@@ -212,7 +212,8 @@ def homogeneity_items(m: FinStructure, tag: str, k: int) -> Iterator[ReportItem]
     def items() -> Iterator[ReportItem]:
         elems, index = m.sorted_universe(), m.bitsets.index
         for size in range(k + 1):
-            domains = [(s, sum(1 << index[y] for y in s)) for s in combinations(elems, size)]
+            # Per set ys, its mask once per point of a domain xs.
+            domains = [(s, [sum(1 << index[y] for y in s)] * size) for s in combinations(elems, size)]
             for xs, _ in domains:
                 for ys, within in domains:
                     # The isomorphisms between the parts induced on xs and on ys.

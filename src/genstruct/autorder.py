@@ -452,5 +452,5 @@ def aut_to_json_dict(c: AutCondition) -> dict:
 
 
 def aut_from_json_dict(data: dict) -> AutCondition:
-    order = from_json_dict({k: data[k] for k in ("sig", "universe", "interp")})
+    order = from_json_dict(data)
     return make_aut_condition(chain_of(order), {x: y for x, y in data.get("phi", [])})

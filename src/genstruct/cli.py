@@ -204,7 +204,7 @@ def _to_dot(payload: dict, tag: str) -> str:
     # An AutOrder payload has no class spec; its map `phi` marks it.
     aut = "phi" in payload
     body = payload if aut else payload.get("final", payload)
-    m = structures.from_json_dict({k: body[k] for k in ("sig", "universe", "interp")})
+    m = structures.from_json_dict(body)
     if aut or classes.class_spec(tag).linear:
         seq = classes.chain_of(m)
         lines.extend(f'  "{a}" -> "{b}";' for a, b in zip(seq, seq[1:]))
@@ -266,7 +266,7 @@ def cmd_check(args) -> int:
         return _reject(f"--ids must be comma-separated integers, got {args.ids!r}")
     try:
         data = _read_json(args.infile)
-        m = structures.from_json_dict({k: data[k] for k in ("sig", "universe", "interp")})
+        m = structures.from_json_dict(data)
     except (OSError, ValueError, KeyError, structures.StructureError) as exc:
         return _reject(f"cannot read input: {exc}")
     progress = _log_progress if logger.isEnabledFor(logging.DEBUG) else None

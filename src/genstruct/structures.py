@@ -11,7 +11,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, count as naturals, filterfalse, islice, product
+from itertools import count as naturals, filterfalse, islice, product
 from types import MappingProxyType
 
 
@@ -52,8 +52,8 @@ class Signature:
         if len(set(names)) != len(names):
             raise StructureError(f"duplicate symbol names in {names}")
         for name, arity in self.symbols:
-            if arity < 1:
-                raise StructureError(f"arity of {name} must be >= 1, got {arity}")
+            if type(arity) is not int or arity < 1:
+                raise StructureError(f"arity of {name} must be an int >= 1, got {arity!r}")
 
     # A cached lookup table, not a field: equality, hashing and pickling
     # ignore it.
@@ -171,7 +171,7 @@ def validate_structure(
     """
     universe = frozenset(universe)
     for x in universe:
-        if not isinstance(x, int) or x < 0:
+        if type(x) is not int or x < 0:
             raise StructureError(f"universe element {x!r} is not a natural number")
     known = set(sig.names())
     for key in interp:
@@ -295,10 +295,11 @@ class Bitsets:
     reverse's; `fixed` masks each unary symbol's points and each binary
     symbol's loops.  `links` pairs each distinct matrix of `rels` with
     itself, as the maps of the structure into itself compare them.
-    Symbols of arity 3 or more (`high`) get a tuple check.
+    Symbols of arity 3 or more (`high`) get a tuple check.  `placements`
+    walks over these rows through `extension_witnesses`.
     """
 
-    __slots__ = ("order", "index", "full", "rels", "links", "fixed", "high", "_interp", "_sig", "_at_least")
+    __slots__ = ("order", "index", "full", "rels", "links", "fixed", "high")
 
     def __init__(self, m: FinStructure) -> None:
         self.order = tuple(sorted(m.universe))
@@ -322,115 +323,6 @@ class Bitsets:
         self.rels, self.fixed = tuple(rels), tuple(fixed)
         self.links = tuple((r, r) for r in dict.fromkeys(rels))
         self.high = tuple(name for name, arity in m.sig.symbols if arity > 2)
-        self._interp, self._sig, self._at_least = m.interp, m.sig, None
-
-    @property
-    def at_least(self) -> tuple[int, ...]:
-        """Per symbol and place, bits (c-1)*n .. c*n - 1 mask the points in at least c
-        tuples there.  Made on first use: a structure only searched from needs none."""
-        if self._at_least is None:
-            n, index = len(self.order), self.index
-            self._at_least = tuple(
-                sum(1 << c * n + index[x] for x, count in Counter(t[p] for t in tuples).items()
-                    for c in range(count))
-                for name, tuples in self._interp for p in range(self._sig.arity(name)))
-        return self._at_least
-
-    def open_images(self, a: FinStructure, exact: bool) -> list[int]:
-        """Per point of `a` in order, its images with the same marks and loops
-        and at least (if `exact`, exactly) its tuple count per symbol and place."""
-        n, source, profiles = len(self.order), a.bitsets, a.profiles
-        out, at_least, fixed = [], self.at_least, tuple(zip(source.fixed, self.fixed))
-        for i, x in enumerate(source.order):
-            mask = self.full
-            for c, levels in zip(chain.from_iterable(profiles[x]), at_least):
-                if c:
-                    mask &= levels >> (c - 1) * n
-                if exact:
-                    mask &= ~(levels >> c * n)
-            for mine, theirs in fixed:
-                mask &= theirs if mine >> i & 1 else ~theirs
-            out.append(mask)
-        return out
-
-
-def _search_maps(a: FinStructure, b: FinStructure, bijective: bool, partial: dict[int, int], limit: int | None):
-    """Backtracking enumeration of embeddings a -> b, lexicographic in image order.
-
-    `partial` pins prefixed images; pins that are not an injective map
-    from a's universe into b's give no embedding.  `limit` stops after
-    that many results.  Each element of `a` keeps the bitset of its open
-    images in `b`; assigning x -> y narrows each later element's set to the
-    images related to y as it is to x (forward checking), and a branch ends
-    when a set empties.  Intended scale: a dozen elements per structure.
-    """
-    if a.sig != b.sig:
-        raise SignatureMismatch("signatures differ")
-    if bijective and len(a) != len(b):
-        return []
-    assignment = dict(partial)
-    images = set(assignment.values())
-    if len(images) != len(assignment) or not (
-        a.universe.issuperset(assignment) and b.universe.issuperset(images)
-    ) or (limit is not None and limit < 1):
-        return []
-    source, view = a.bitsets, b.bitsets
-    src, tgt, n, high = source.order, view.order, len(view.order), view.high
-    open_sets = view.open_images(a, bijective)
-    # Every bit of an n-by-n matrix but the diagonal's, sum(2^(j*(n+1))).
-    offdiag, m = (1 << n * n) - 1 - ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1), len(src)
-    # Equal pairs, as for a symmetric relation and its reverse, constrain alike.
-    rels = [(mine, theirs, ~theirs) for mine, theirs in set(zip(source.rels, view.rels))]
-
-    def tables(i: int, ks: list[int]) -> list[int]:
-        # Per k, a matrix whose row j masks the images of src[k] once src[i] -> tgt[j].
-        out = [offdiag] * len(ks)
-        for mine, theirs, other in rels:
-            row = mine >> i * m
-            out = [t & (theirs if row >> k & 1 else other) for t, k in zip(out, ks)]
-        return out
-
-    # The pinned part must itself be consistent; each pin narrows the rest.
-    for x, y in assignment.items():
-        i, j = source.index[x], view.index[y]
-        if not open_sets[i] >> j & 1:
-            return []
-        others = [k for k in range(m) if k != i]
-        for k, t in zip(others, tables(i, others)):
-            open_sets[k] &= t >> j * n
-    if high and not all(_consistent_with(a, b, assignment, x, high) for x in assignment):
-        return []
-    order = [i for i, x in enumerate(src) if x not in assignment]
-    if not all(open_sets[i] for i in order):
-        return []
-    depth, rows = len(order), [None] * len(order)
-    results: list[Embedding] = []
-
-    def extend(p: int, sets: list[int]) -> bool:
-        if p == depth:
-            results.append(Embedding(a, b, tuple(sorted(assignment.items()))))
-            return limit is not None and len(results) >= limit
-        row = rows[p]
-        if row is None:
-            row = rows[p] = tables(order[p], order[p + 1:])
-        x, rest, left = src[order[p]], sets[1:], sets[0]
-        while left:
-            low = left & -left
-            left ^= low
-            j = low.bit_length() - 1
-            shift = j * n
-            narrowed = [s & t >> shift for s, t in zip(rest, row)]
-            if 0 in narrowed:
-                continue
-            assignment[x] = tgt[j]
-            if (not high or _consistent_with(a, b, assignment, x, high)) and extend(p + 1, narrowed):
-                return True
-            del assignment[x]
-        return False
-
-    extend(0, [open_sets[i] for i in order])
-    del extend  # a closure that calls itself: without this, its state waits for the collector
-    return results
 
 
 def _consistent_with(a: FinStructure, b: FinStructure, assignment: dict[int, int], x: int, names: tuple) -> bool:
@@ -456,7 +348,7 @@ def extension_witnesses(a: FinStructure, b: FinStructure, phi: dict[int, int], x
     # Equal pairs, as for a symmetric relation and its reverse, constrain alike.
     rels = view.links if a is b else set(zip(source.rels, view.rels))
     for z, w in phi.items():
-        # Row j of the search's table for the pair (z, x), inlined: this is hot.
+        # Row j: the images related to w as x is to z, per relation.
         pair, j = source.index[z] * m + i, index[w]
         for mine, theirs in rels:
             row = theirs >> j * n
@@ -468,36 +360,49 @@ def extension_witnesses(a: FinStructure, b: FinStructure, phi: dict[int, int], x
     return mask
 
 
-def extension_by_rows(a: FinStructure, b: FinStructure, partial: dict[int, int]) -> bool | None:
-    """Does `partial`, an injective map from points of `a` into `b`'s universe,
-    extend to an embedding of `a` into `b`?  None if `partial` is not itself a
-    partial embedding.  Each pin must lie in its `extension_witnesses` over the
-    pins before it; then the first of the `placements` of the free points answers."""
+def _pinned(a: FinStructure, b: FinStructure, partial: dict[int, int]) -> dict[int, int] | None:
+    """The pins of `partial` in point order, or None unless they are an
+    injective partial embedding of `a` into `b`: each pin must lie in its
+    `extension_witnesses` mask over the pins before it."""
     if a.sig is not b.sig and a.sig != b.sig:
         raise SignatureMismatch("signatures differ")
     placed: dict[int, int] = {}
+    index = b.bitsets.index
     for x, y in sorted(partial.items()):
-        if not extension_witnesses(a, b, placed, x) >> b.bitsets.index[y] & 1:
+        if x not in a.universe or y not in index or not extension_witnesses(a, b, placed, x) >> index[y] & 1:
             return None
         placed[x] = y
+    return placed
+
+
+def extension_by_rows(a: FinStructure, b: FinStructure, partial: dict[int, int]) -> bool | None:
+    """Does `partial`, a map from points of `a` into `b`'s universe, extend to
+    an embedding of `a` into `b`?  None if `partial` is not itself an
+    injective partial embedding (`_pinned`); otherwise the first of the
+    `placements` of the free points answers."""
+    placed = _pinned(a, b, partial)
+    if placed is None:
+        return None
     return next(placements(a, b, placed, [x for x in a.bitsets.order if x not in placed]), None) is not None
 
 
 def placements(a: FinStructure, b: FinStructure, placed: dict[int, int],
-               free: list[int] | tuple[int, ...], within: int = -1):
+               free: list[int] | tuple[int, ...], within: list[int] | None = None):
     """Every completion of the partial embedding `placed` of `a` into `b` over
     the points `free`, each a new dict: `free[p]` tries the images in its
-    `extension_witnesses` mask over the points before it, ANDed with `within`
-    (a mask over `b.bitsets.order`), lowest first and depth first, so the
-    completions come in the search's lexicographic image order."""
+    `extension_witnesses` mask over the points before it, ANDed with
+    `within[p]` if `within` is given (one mask over `b.bitsets.order` per
+    free point), lowest first and depth first, so the completions come in
+    lexicographic image order.  This walk is the only embedding search."""
     if a.sig is not b.sig and a.sig != b.sig:
         raise SignatureMismatch("signatures differ")
+    limits = [-1] * len(free) if within is None else within
 
     def walk():
         done, order, masks = dict(placed), b.bitsets.order, []  # masks[p]: images free[p] has left
         while True:
             if len(masks) < len(free):
-                masks.append(extension_witnesses(a, b, done, free[len(masks)]) & within)
+                masks.append(extension_witnesses(a, b, done, free[len(masks)]) & limits[len(masks)])
             else:
                 yield dict(done)
             while masks and not masks[-1]:
@@ -512,21 +417,42 @@ def placements(a: FinStructure, b: FinStructure, placed: dict[int, int],
     return walk()
 
 
+def _completions(a: FinStructure, b: FinStructure, placed: dict[int, int], limit: int | None,
+                 within: list[int] | None = None) -> list[Embedding]:
+    """The first `limit` (all if None) `placements` of `a`'s points outside
+    `placed`, in order, as embeddings."""
+    free = [x for x in a.bitsets.order if x not in placed]
+    return [Embedding(a, b, tuple(sorted(done.items())))
+            for done in islice(placements(a, b, placed, free, within), limit)]
+
+
 def enumerate_embeddings(a: FinStructure, b: FinStructure) -> list[Embedding]:
     """All embeddings of `a` into `b`, lexicographically ordered by image."""
-    return _search_maps(a, b, bijective=False, partial={}, limit=None)
+    return _completions(a, b, {}, None)
 
 
 def enumerate_embeddings_extending(
     a: FinStructure, b: FinStructure, partial: dict[int, int], limit: int | None = None
 ) -> list[Embedding]:
-    """Embeddings of `a` into `b` whose restriction equals `partial`."""
-    return _search_maps(a, b, bijective=False, partial=dict(partial), limit=limit)
+    """Embeddings of `a` into `b` whose restriction equals `partial`, at
+    most `limit` of them; none if `partial` is no partial embedding."""
+    placed = _pinned(a, b, partial)
+    if placed is None or limit is not None and limit < 1:
+        return []
+    return _completions(a, b, placed, limit)
 
 
 def find_isomorphism(a: FinStructure, b: FinStructure) -> Embedding | None:
-    """Lexicographically least isomorphism a -> b, or None."""
-    found = _search_maps(a, b, bijective=True, partial={}, limit=1)
+    """Lexicographically least isomorphism a -> b, or None.  Each point's
+    images are limited to the points of `b` with the same `profiles` entry."""
+    if a.sig is not b.sig and a.sig != b.sig:
+        raise SignatureMismatch("signatures differ")
+    if len(a) != len(b):
+        return None
+    index, classes = b.bitsets.index, {}
+    for y, profile in b.profiles.items():
+        classes[profile] = classes.get(profile, 0) | 1 << index[y]
+    found = _completions(a, b, {}, 1, [classes.get(a.profiles[x], 0) for x in a.bitsets.order])
     return found[0] if found else None
 
 
@@ -719,6 +645,18 @@ def dumps(a: FinStructure) -> str:
 
 
 def from_json_dict(data: dict) -> FinStructure:
-    sig = Signature(tuple((name, arity) for name, arity in data["sig"]))
-    interp = {name: {tuple(t) for t in tuples} for name, tuples in data.get("interp", {}).items()}
-    return validate_structure(sig, set(data["universe"]), interp)
+    """The structure a JSON object gives by its keys sig, universe and interp;
+    other keys are ignored.  A missing key raises KeyError, and a value of
+    the wrong JSON type StructureError."""
+    if not isinstance(data, dict):
+        raise StructureError(f"a structure is a JSON object, got {type(data).__name__}")
+    sig, universe, interp = data["sig"], data["universe"], data["interp"]
+    if not (isinstance(sig, list) and all(isinstance(s, list) and len(s) == 2 for s in sig)
+            and isinstance(universe, list) and isinstance(interp, dict)):
+        raise StructureError("sig must be a list of [name, arity] pairs, universe a list and interp an object")
+    for name, tuples in interp.items():
+        if not (isinstance(tuples, list) and all(type(t) is list for t in tuples)
+                and all(type(x) is int for t in tuples for x in t)):
+            raise StructureError(f"{name} must be a list of tuples, each a list of ints")
+    interp = {name: {tuple(t) for t in tuples} for name, tuples in interp.items()}
+    return validate_structure(Signature(tuple(map(tuple, sig))), set(universe), interp)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import genstruct
 from genstruct.cli import (
     BROKEN_PIPE,
@@ -158,6 +160,32 @@ def test_check_parse_error(tmp_path: Path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run("check", "--class", "Graph", "--check", "extension", "--in", str(bad)) == 2
+
+
+# Structure files of the wrong JSON shape, each once a traceback with exit
+# 1 (the code for a failed check) or, for the bool, accepted and echoed.
+MALFORMED = {
+    "string arity": '{"sig":[["E","2"]],"universe":[0,1],"interp":{"E":[]}}',
+    "universe not a list": '{"sig":[["E",2]],"universe":5,"interp":{"E":[]}}',
+    "interp not an object": '{"sig":[["E",2]],"universe":[0,1],"interp":[]}',
+    "tuple not a list": '{"sig":[["E",2]],"universe":[0,1],"interp":{"E":[0]}}',
+    "not an object": '[1]',
+    "bool element": '{"sig":[["E",2]],"universe":[true,0],"interp":{"E":[]}}',
+    "bool in a tuple": '{"sig":[["E",2]],"universe":[0,1],"interp":{"E":[[0,true],[true,0]]}}',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_structure_files_are_rejected(tmp_path: Path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run("check", "--class", "Graph", "--check", "extension", "--k", "1", "--in", str(bad)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cannot read input: ")
+    for op, args in {"class": ["--class", "Graph", "--base", str(bad)], "auto": ["--a", "0", "--b", "1"]}.items():
+        assert run("amalgamate", "--op", op, "--left", str(bad), "--right", str(bad), *args) == 4, op
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("StructureError: "), op
 
 
 def test_check_density(tmp_path: Path):

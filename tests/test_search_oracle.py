@@ -309,14 +309,33 @@ def test_non_injective_pins_give_no_embedding():
 def test_find_isomorphism_matches_oracle(data):
     sig = SIGNATURES[data.draw(st.sampled_from(sorted(SIGNATURES)))]
     a = data.draw(structures(sig))
-    if data.draw(st.booleans()):
+    relabelled = data.draw(st.booleans())
+    if relabelled:
         ids = data.draw(st.permutations(range(10)))
         b = relabel(a, {x: ids[i] for i, x in enumerate(sorted(a.universe))})
     else:
         universe = data.draw(st.sets(st.integers(0, 9), min_size=len(a), max_size=len(a)))
         b = data.draw(structures(sig, universe=universe))
     found = oracle_search_maps(a, b, True, {}, 1)
+    assert found or not relabelled  # a relabelled copy has an isomorphism
     assert find_isomorphism(a, b) == (found[0] if found else None)
+
+
+@pytest.mark.parametrize("tag, size", [("Tournament", 5), ("Tournament", 6), ("Graph", 5)])
+def test_find_isomorphism_between_members_with_one_profile_multiset(tag, size):
+    # Distinct members whose sorted profiles agree (for tournaments, one score
+    # sequence) pass the per-point profile masks; only the walk parts them.
+    # Each member against its own reversed copy has an isomorphism.
+    buckets: dict[tuple, list] = {}
+    for m in enumerate_members(tag, size):
+        buckets.setdefault(tuple(sorted(m.profiles.values())), []).append(m)
+    assert any(len(bucket) > 1 for bucket in buckets.values())
+    for bucket in buckets.values():
+        for a, m in product(bucket, repeat=2):
+            b = relabel(m, {x: size - 1 - x for x in m.universe})
+            found = oracle_search_maps(a, b, True, {}, 1)
+            assert bool(found) == (a is m)
+            assert find_isomorphism(a, b) == (found[0] if found else None)
 
 
 @st.composite
@@ -468,12 +487,14 @@ def test_bitsets_stay_out_of_equality_hash_json_and_pickle():
 @st.composite
 def placement_cases(draw, pairs):
     """(a, b, placed, allowed): `placed` is an embedding of an induced part of
-    a into b, and `allowed` is None or a random subset of b's universe."""
+    a into b, and `allowed` is None or, per free point of a, a random subset
+    of b's universe."""
     a, b = draw(pairs)
     part = induced_substructure(a, draw_subset(draw, a.universe))
     found = oracle_search_maps(part, b, False, {}, None)
     placed = found[draw(st.integers(0, len(found) - 1))].as_dict() if found else {}
-    allowed = draw_subset(draw, b.universe) if draw(st.booleans()) else None
+    free = sorted(a.universe - placed.keys())
+    allowed = {x: draw_subset(draw, b.universe) for x in free} if draw(st.booleans()) else None
     return a, b, placed, allowed
 
 
@@ -486,9 +507,10 @@ def test_placements_match_oracle(case):
     if allowed is None:
         got = list(placements(a, b, placed, free))
     else:
-        mask = sum(1 << j for j, y in enumerate(b.sorted_universe()) if y in allowed)
-        got = list(placements(a, b, placed, free, within=mask))
-        expected = [e for e in expected if all(e[x] in allowed for x in free)]
+        order = b.sorted_universe()
+        masks = [sum(1 << j for j, y in enumerate(order) if y in allowed[x]) for x in free]
+        got = list(placements(a, b, placed, free, within=masks))
+        expected = [e for e in expected if all(e[x] in allowed[x] for x in free)]
     assert got == expected
     assert placed == before
 
