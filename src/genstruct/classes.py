@@ -630,14 +630,24 @@ def amalgamate(tag: str, f: Embedding, g: Embedding) -> Amalgam:
     common signature); LinearGraph searches amalgams that may identify
     points, or fails with AmalgamationImpossible.
     """
-    spec = class_spec(tag)
-    for side in (f.target, g.target, f.source):
+    _check_inputs(tag, f.target, g.target, f.source)
+    if not class_spec(tag).sap:
+        return _amalgamate_linear_graph(f, g, connected=False)
+    return _glue_amalgam(tag, *_setup_amalgam(f, g))
+
+
+def _check_inputs(tag: str, *sides: FinStructure) -> None:
+    """Raise NotInClass at the first side outside the class."""
+    for side in sides:
         if not membership(tag, side):
             raise NotInClass(f"input not in class {tag}")
-    if not spec.sap:
-        return _amalgamate_linear_graph(f, g, connected=False)
-    b, c, map_c, image_c = _setup_amalgam(f, g)
-    b, c, result = align(tag, b, c, spec.glue(b, image_c))
+
+
+def _glue_amalgam(tag: str, b: FinStructure, c: FinStructure, map_c: dict[int, int],
+                  image_c: FinStructure) -> Amalgam:
+    """The strong amalgam of `_setup_amalgam`'s output: the class glue of b
+    and image_c, checked for membership, with both embeddings."""
+    b, c, result = align(tag, b, c, class_spec(tag).glue(b, image_c))
     if not membership(tag, result):
         raise AmalgamationImpossible(f"strategy output left the class {tag}")
     return _amalgam(b, c, result, map_c, image_c)
@@ -782,16 +792,20 @@ def _property_members(tag: str, size_bound: int, connected: bool) -> tuple[FinSt
 
 def _amalgam_instances(tag: str, size_bound: int, connected: bool):
     """The amalgamation problems over the members of at most `size_bound`
-    elements, as (base, left, right, f, g) in base, left, right, f, g
-    order, each problem once.
+    elements: yields (base, left, right, pairs) for each group with a pair,
+    in base, left, right order; `pairs` yields (f, g, setup) in f, g order.
 
-    Every glue reads f and g only through the partial map g(a) -> f(a),
-    and the pairs sharing that map are (f∘σ, g∘σ) for the automorphisms σ
-    of the base.  So a pair is yielded only when its map is new for its
-    (base, left, right): all pairs with one map share a verdict, and the
-    first failing pair in the full order is the first one yielded with its
-    map.  The embeddings of the base into each member are listed once.
+    A strong glue and its checks read f and g only through image_c, the
+    right side relabelled by `setup = _setup_amalgam(f, g)`: the square
+    commutes by how map_c is built, and left meets image_c in f's image
+    as the fresh ids avoid left.  So with SAP only the first pair with
+    each image_c is kept.  LinearGraph's identification search reads the
+    partial map g(a) -> f(a) itself, so there the first pair with each map
+    is kept, with setup None.  Pairs with one map have one image, so the
+    first failing pair in the full order is always kept.  The embeddings
+    of the base into each member are listed once.
     """
+    sap = class_spec(tag).sap
     members = _property_members(tag, size_bound, connected)
     for base in members:
         embeddings = [enumerate_embeddings(base, m) if len(m) >= len(base) else [] for m in members]
@@ -800,24 +814,42 @@ def _amalgam_instances(tag: str, size_bound: int, connected: bool):
             if not fs:
                 continue
             for right, gs, g_images in zip(members, embeddings, images):
-                seen: set[frozenset[tuple[int, int]]] = set()
-                for f, fi in zip(fs, f_images):
-                    for g, gi in zip(gs, g_images):
-                        h = frozenset(zip(gi, fi))
-                        if h not in seen:
-                            seen.add(h)
-                            yield base, left, right, f, g
+                if gs:
+                    yield base, left, right, _distinct_pairs(fs, f_images, gs, g_images, sap)
 
 
-def _amalgam_failure(tag: str, f: Embedding, g: Embedding, strong: bool, connected: bool) -> str | None:
+def _distinct_pairs(fs, f_images, gs, g_images, sap: bool):
+    """The pairs of one group that `_amalgam_instances` keeps."""
+    maps: set[frozenset[tuple[int, int]]] = set()
+    glued: set[FinStructure] = set()
+    for f, fi in zip(fs, f_images):
+        for g, gi in zip(gs, g_images):
+            h = frozenset(zip(gi, fi))
+            if h in maps:
+                continue
+            maps.add(h)
+            if not sap:
+                yield f, g, None
+                continue
+            setup = _setup_amalgam(f, g)
+            if setup[3] not in glued:
+                glued.add(setup[3])
+                yield f, g, setup
+
+
+def _amalgam_failure(tag: str, f: Embedding, g: Embedding, strong: bool, connected: bool,
+                     setup: tuple | None = None) -> str | None:
     """Build an amalgam and validate it; returns a failure reason or None.
 
-    Without SAP (LinearGraph) a strong amalgam is the plain union over
-    the base, when no obstruction rules it out; otherwise the search may
-    identify points.
+    Given `setup` = `_setup_amalgam(f, g)` of inputs already checked for
+    membership, only the glue step of `amalgamate` runs.  Without SAP
+    (LinearGraph) a strong amalgam is the plain union over the base, when
+    no obstruction rules it out; otherwise the search may identify points.
     """
     try:
-        if class_spec(tag).sap:
+        if setup is not None:
+            amalgam = _glue_amalgam(tag, *setup)
+        elif class_spec(tag).sap:
             amalgam = amalgamate(tag, f, g)
         elif strong:
             amalgam = _strong_linear_graph_amalgam(f, g, connected)
@@ -854,8 +886,11 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
 
     AP and SAP glue each amalgamation problem once: of the pairs (f, g)
     over one base, left and right member, only the first with each
-    partial map g(a) -> f(a) is checked, and the counterexample is still
-    the first in the full base, left, right, f, g order.
+    relabelled right side image_c is checked (with each partial map
+    g(a) -> f(a) for LinearGraph), as `_amalgam_instances` explains, and
+    the counterexample is still the first in the full base, left, right,
+    f, g order.  The three members of a group are checked for membership
+    once, before its first pair.
 
     Without SAP (LinearGraph), every instance ranges over the connected
     members (the paths); membership keeps the hereditary closure.
@@ -895,13 +930,20 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
         return PropertyVerdict(True)
 
     strong = prop == "SAP"
-    for base, left, right, f, g in _amalgam_instances(tag, size_bound, connected):
-        reason = _amalgam_failure(tag, f, g, strong=strong, connected=connected)
-        if reason is not None:
-            return PropertyVerdict(False, {
-                "base": base, "left": left, "right": right,
-                "f": f.as_dict(), "g": g.as_dict(), "detail": reason,
-            })
+    for base, left, right, pairs in _amalgam_instances(tag, size_bound, connected):
+        try:
+            _check_inputs(tag, left, right, base)
+            rejected = None
+        except StructureError as exc:
+            rejected = str(exc)
+        for f, g, setup in pairs:
+            reason = rejected if rejected is not None else _amalgam_failure(
+                tag, f, g, strong, connected, setup)
+            if reason is not None:
+                return PropertyVerdict(False, {
+                    "base": base, "left": left, "right": right,
+                    "f": f.as_dict(), "g": g.as_dict(), "detail": reason,
+                })
     return PropertyVerdict(True)
 
 

@@ -325,7 +325,10 @@ def cmd_amalgamate(args) -> int:
         # auto reads order-with-map conditions and amalgamates them over their shared part.
         load = autorder.aut_from_json_dict if args.op == "auto" else structures.from_json_dict
         paths = (args.base, args.left, args.right) if args.op == "class" else (args.left, args.right)
-        *base, left, right = [load(_read_json(path)) for path in paths]
+        try:
+            *base, left, right = [load(_read_json(path)) for path in paths]
+        except structures.StructureError as exc:
+            return _reject(f"cannot read input: {exc}")
         if args.op == "class":
             f = structures.inclusion_embedding(base[0], left)
             g = structures.inclusion_embedding(base[0], right)

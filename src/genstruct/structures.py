@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import cached_property
 from itertools import count as naturals, filterfalse, islice, product
 from types import MappingProxyType
 
@@ -33,6 +32,25 @@ class SubsetNotContained(StructureError):
 
 class SignatureMismatch(StructureError):
     pass
+
+
+class _cached_view:
+    """`functools.cached_property` without its lock: the first read stores
+    the value in the instance `__dict__`, where later reads find it before
+    this descriptor.  Two threads racing on a first read may both compute
+    the view; the later store wins."""
+
+    def __init__(self, fn) -> None:
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def field_state(self) -> dict:
@@ -59,7 +77,7 @@ class Signature:
     # ignore it.
     __getstate__ = field_state
 
-    @cached_property
+    @_cached_view
     def _arities(self) -> dict[str, int]:
         return dict(self.symbols)
 
@@ -102,13 +120,13 @@ class FinStructure:
     # them.
     __getstate__ = field_state
 
-    @cached_property
+    @_cached_view
     def verdicts(self) -> dict[str, bool]:
         """Class membership verdicts by class tag, filled in by
         `classes.membership` the first time it decides a tag."""
         return {}
 
-    @cached_property
+    @_cached_view
     def profiles(self) -> MappingProxyType:
         """Read-only map from each element to its profile: per symbol (in
         `interp` order) and per position, how many tuples have the element
@@ -124,12 +142,12 @@ class FinStructure:
                 row.append(tuple(counts[x]))
         return MappingProxyType({x: tuple(row) for x, row in rows.items()})
 
-    @cached_property
+    @_cached_view
     def bitsets(self) -> Bitsets:
         """Bitset view for embedding search into and from this structure."""
         return Bitsets(self)
 
-    @cached_property
+    @_cached_view
     def chain(self) -> tuple[int, ...]:
         """The universe sorted by in-degree under `<`, ties in `universe`
         iteration order: a linear order's elements from least to greatest.
@@ -137,7 +155,7 @@ class FinStructure:
         indegree = Counter(t[1] for t in self.rel("<"))
         return tuple(sorted(self.universe, key=indegree.__getitem__))
 
-    @cached_property
+    @_cached_view
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components of a graph (a symmetric `E`), ordered by
         least point.  Raises UnknownSymbol if the signature has no `E`."""
@@ -184,9 +202,9 @@ def validate_structure(
             t = tuple(t)
             if len(t) != arity:
                 raise StructureError(f"tuple {t} has wrong arity for {name}")
-            for x in t:
-                if x not in universe:
-                    raise TupleOutOfUniverse(f"{name}{t}: {x} not in universe")
+            if not universe.issuperset(t):
+                x = next(x for x in t if x not in universe)
+                raise TupleOutOfUniverse(f"{name}{t}: {x} not in universe")
             tuples.add(t)
         rows.append((name, frozenset(tuples)))
     return FinStructure(sig, universe, tuple(rows))
@@ -460,8 +478,12 @@ def relabel(a: FinStructure, renaming: dict[int, int]) -> FinStructure:
     """Apply an injective renaming of the universe."""
     if set(renaming) != set(a.universe) or len(set(renaming.values())) != len(renaming):
         raise StructureError("renaming must be a bijection on the universe")
+    get = renaming.__getitem__
+    # Pairs are built directly: a map object per tuple costs more than the
+    # renaming itself, and every built-in class is binary.
     rows = tuple(
-        (name, frozenset(tuple(map(renaming.__getitem__, t)) for t in tuples))
+        (name, frozenset([(get(x), get(y)) for x, y in tuples] if a.sig.arity(name) == 2
+                         else [tuple(map(get, t)) for t in tuples]))
         for name, tuples in a.interp
     )
     return FinStructure(a.sig, frozenset(renaming.values()), rows)

@@ -31,8 +31,10 @@ from genstruct.classes import (
     _amalgam_instances,
     _glue_metrics,
     _property_members,
+    _setup_amalgam,
     check_property,
     class_spec,
+    enumerate_members,
     metric_distances,
     metric_structure,
     metric_symbol,
@@ -41,6 +43,8 @@ from genstruct.structures import (
     FinStructure,
     Signature,
     enumerate_embeddings,
+    fresh_ids,
+    relabel,
     to_json_dict,
     validate_structure,
 )
@@ -102,6 +106,16 @@ def partial_map(f, g):
     return frozenset((y, fm[a]) for a, y in g.as_dict().items())
 
 
+def right_image(f, g):
+    """The right side renamed by the partial map g(a) -> f(a), its other
+    points on the smallest naturals outside the left side, in order: the
+    one input through which a strong glue reads f and g."""
+    renaming = dict(partial_map(f, g))
+    rest = [x for x in g.target.sorted_universe() if x not in renaming]
+    renaming.update(zip(rest, fresh_ids(f.target.universe, len(rest))))
+    return relabel(g.target, renaming)
+
+
 HOLDS_DIGEST = "0dff80888d8f7ca55fe3a4327979d9d36adeffda1412e021d712a6ec4e647e86"
 
 VERDICT_DIGESTS = {
@@ -152,20 +166,32 @@ def test_class_sweep_verdict_bytes_pinned(tag, prop, bound):
     assert hashlib.sha256(text.encode()).hexdigest() == VERDICT_DIGESTS[(tag, prop, bound)]
 
 
-# --- one instance per partial map --------------------------------------------
+# --- one instance per image --------------------------------------------------
 
 
-def instance_keys(instances):
-    return [(base, left, right, partial_map(f, g)) for base, left, right, f, g in instances]
+def instance_keys(tag, instances):
+    """Each instance's group and what its glue reads: the relabelled right
+    side with SAP, the partial map without (LinearGraph)."""
+    key = right_image if class_spec(tag).sap else partial_map
+    return [(base, left, right, key(f, g)) for base, left, right, f, g in instances]
+
+
+def flat_instances(tag, size_bound, connected):
+    for base, left, right, pairs in _amalgam_instances(tag, size_bound, connected):
+        for f, g, setup in pairs:
+            assert setup == (_setup_amalgam(f, g) if class_spec(tag).sap else None)
+            yield base, left, right, f, g
 
 
 @pytest.mark.parametrize("tag", TAGS)
-def test_instances_are_the_first_pair_of_each_partial_map(tag):
+def test_instances_are_the_first_pair_of_each_image(tag):
     connected = not class_spec(tag).sap
     firsts = {}
-    for key in instance_keys(oracle_amalgam_instances(tag, 3, connected)):
+    for key in instance_keys(tag, oracle_amalgam_instances(tag, 3, connected)):
         firsts.setdefault(key, len(firsts))
-    assert instance_keys(_amalgam_instances(tag, 3, connected)) == list(firsts)
+    assert instance_keys(tag, flat_instances(tag, 3, connected)) == list(firsts)
+    groups = [(base, left, right) for base, left, right, _ in _amalgam_instances(tag, 3, connected)]
+    assert groups == list(dict.fromkeys(key[:3] for key in firsts))
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -175,6 +201,16 @@ def test_amalgamation_verdicts_match_full_loop(tag, prop, bound):
     assert verdict_json(check_property(tag, prop, bound)) == verdict_json(
         oracle_amalgamation_verdict(tag, prop, bound)
     )
+
+
+@pytest.mark.parametrize("tag", ("Graph", "PartialOrder"))
+def test_a_member_outside_the_class_fails_its_first_instance(monkeypatch, tag):
+    # The group check reports the member where `amalgamate` would.
+    monkeypatch.setitem(enumerate_members(tag, 2)[-1].verdicts, tag, False)
+    for prop in ("AP", "SAP"):
+        verdict = check_property(tag, prop, 3)
+        assert verdict.counterexample["detail"] == f"input not in class {tag}"
+        assert verdict_json(verdict) == verdict_json(oracle_amalgamation_verdict(tag, prop, 3))
 
 
 def test_linear_graph_sap_fails_at_bound_3():
@@ -203,19 +239,16 @@ def always(a, b, x):
 
 
 def tied_to_largest_shared_only(a, b, x):
-    """x relates to the largest shared point, and not to the least, by a
-    tuple of b's first non-empty symbol.  This depends on where g sends
-    each base point, so the first failure need not come with the first g."""
+    """(x, r) is a tuple of b's first non-empty symbol for the largest
+    shared point r, and not for the least.  This depends on where g sends
+    each base point, so the first failure need not come with the first g.
+    The tuples are read one way, as a tournament relates every pair."""
     shared = a.universe & b.universe
     tuples = next((ts for _, ts in b.interp if ts), frozenset())
-
-    def tied(r):
-        return (x, r) in tuples or (r, x) in tuples
-
-    return len(shared) >= 2 and tied(max(shared)) and not tied(min(shared))
+    return len(shared) >= 2 and (x, max(shared)) in tuples and (x, min(shared)) not in tuples
 
 
-@pytest.mark.parametrize("tag", ("Graph", "Digraph", "RationalMetric"))
+@pytest.mark.parametrize("tag", ("Graph", "Digraph", "RationalMetric", "Tournament", "PartialOrder"))
 @pytest.mark.parametrize("when", (always, tied_to_largest_shared_only))
 @pytest.mark.parametrize("prop", ("AP", "SAP"))
 def test_broken_glue_counterexamples_match_full_loop(monkeypatch, tag, when, prop):
@@ -237,6 +270,23 @@ def test_pairs_with_one_partial_map_share_a_verdict(monkeypatch, tag):
         key = (base, left, right, partial_map(f, g))
         assert reasons.setdefault(key, reason) == reason
     assert any(reason is not None for reason in reasons.values())
+
+
+@pytest.mark.parametrize("tag", ("Graph", "Digraph", "RationalMetric", "Tournament", "PartialOrder"))
+def test_pairs_with_one_image_share_a_verdict(monkeypatch, tag):
+    monkeypatch.setitem(SPECS, tag, replace(
+        SPECS[tag], glue=drop_last_new_point(SPECS[tag].glue, tied_to_largest_shared_only)
+    ))
+    reasons, maps = {}, {}
+    for prop in ("AP", "SAP"):
+        for base, left, right, f, g in oracle_amalgam_instances(tag, 3, False):
+            reason = _amalgam_failure(tag, f, g, strong=prop == "SAP", connected=False)
+            key = (prop, base, left, right, right_image(f, g))
+            assert reasons.setdefault(key, reason) == reason
+            maps.setdefault(key, set()).add(partial_map(f, g))
+    assert any(reason is not None for reason in reasons.values())
+    # Some images come from more than one partial map, so this is coarser.
+    assert any(len(ms) > 1 for ms in maps.values())
 
 
 # --- integer metric glue -----------------------------------------------------

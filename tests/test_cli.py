@@ -162,8 +162,10 @@ def test_check_parse_error(tmp_path: Path):
     assert run("check", "--class", "Graph", "--check", "extension", "--in", str(bad)) == 2
 
 
-# Structure files of the wrong JSON shape, each once a traceback with exit
-# 1 (the code for a failed check) or, for the bool, accepted and echoed.
+# Structure files that cannot be read as a structure.  Those of the wrong
+# JSON shape were each once a traceback with exit 1 (the code for a failed
+# check) or, for the bool, accepted and echoed; all once left `amalgamate`
+# with exit 4, the code for a precondition violation.
 MALFORMED = {
     "string arity": '{"sig":[["E","2"]],"universe":[0,1],"interp":{"E":[]}}',
     "universe not a list": '{"sig":[["E",2]],"universe":5,"interp":{"E":[]}}',
@@ -172,6 +174,7 @@ MALFORMED = {
     "not an object": '[1]',
     "bool element": '{"sig":[["E",2]],"universe":[true,0],"interp":{"E":[]}}',
     "bool in a tuple": '{"sig":[["E",2]],"universe":[0,1],"interp":{"E":[[0,true],[true,0]]}}',
+    "tuple outside the universe": '{"sig":[["E",2]],"universe":[0,1],"interp":{"E":[[0,2],[2,0]]}}',
 }
 
 
@@ -183,9 +186,9 @@ def test_malformed_structure_files_are_rejected(tmp_path: Path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("cannot read input: ")
     for op, args in {"class": ["--class", "Graph", "--base", str(bad)], "auto": ["--a", "0", "--b", "1"]}.items():
-        assert run("amalgamate", "--op", op, "--left", str(bad), "--right", str(bad), *args) == 4, op
+        assert run("amalgamate", "--op", op, "--left", str(bad), "--right", str(bad), *args) == 2, op
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("StructureError: "), op
+        assert captured.out == "" and captured.err.startswith("cannot read input: "), op
 
 
 def test_check_density(tmp_path: Path):

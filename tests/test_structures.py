@@ -22,6 +22,7 @@ from genstruct.structures import (
     from_json_dict,
     induced_substructure,
     make_embedding,
+    relabel,
     relabel_disjoint,
     validate_structure,
 )
@@ -46,8 +47,19 @@ def test_validate_one_edge():
 
 
 def test_validate_tuple_out_of_universe():
-    with pytest.raises(TupleOutOfUniverse):
+    with pytest.raises(TupleOutOfUniverse, match=r"^E\(0, 2\): 2 not in universe$"):
         validate_structure(GRAPH_SIG, {0, 1}, {"E": {(0, 2)}})
+    # The first point outside is named.
+    ternary = Signature((("T", 3),))
+    with pytest.raises(TupleOutOfUniverse, match=r"^T\(1, 7, 5\): 7 not in universe$"):
+        validate_structure(ternary, {0, 1}, {"T": [[1, 7, 5]]})
+
+
+def test_relabel_maps_tuples_of_every_arity():
+    sig = Signature((("P", 1), ("E", 2), ("T", 3)))
+    a = validate_structure(sig, {0, 1, 2}, {"P": {(1,)}, "E": {(0, 1), (2, 2)}, "T": {(0, 1, 2), (2, 2, 0)}})
+    assert relabel(a, {0: 7, 1: 3, 2: 5}) == validate_structure(
+        sig, {3, 5, 7}, {"P": {(3,)}, "E": {(7, 3), (5, 5)}, "T": {(7, 3, 5), (5, 5, 7)}})
 
 
 def test_validate_unknown_symbol():
@@ -278,3 +290,24 @@ def test_cached_views_stay_out_of_equality_hash_json_and_pickle():
     assert set(pickle.loads(pickle.dumps(order)).__dict__) == {"sig", "universe", "interp"}
     with pytest.raises(UnknownSymbol):
         a.chain
+
+
+def test_every_view_survives_a_pickle_round_trip():
+    import pickle
+
+    a = graph({0, 1, 2, 3}, [(0, 1), (1, 2)])
+    order = validate_structure(ORDER_SIG, {3, 5, 9}, {"<": {(9, 3), (9, 5), (3, 5)}})
+    first = (a.verdicts, a.profiles, a.bitsets, a.components, order.chain, a.sig._arities)
+    # A view is computed once and then read from the instance itself.
+    assert (a.verdicts, a.profiles, a.bitsets, a.components, order.chain, a.sig._arities) == first
+    assert all(view is again for view, again in zip(first, (
+        a.verdicts, a.profiles, a.bitsets, a.components, order.chain, a.sig._arities)))
+    a.verdicts["Graph"] = True
+    copy, order_copy = pickle.loads(pickle.dumps((a, order)))
+    assert copy == a and hash(copy) == hash(a) and repr(copy) == repr(a)
+    assert order_copy == order and hash(order_copy) == hash(order)
+    assert set(copy.__dict__) == {"sig", "universe", "interp"}
+    assert copy.verdicts == {}  # verdicts are not pickled; the copy decides again
+    assert copy.profiles == a.profiles and copy.components == a.components
+    assert order_copy.chain == (9, 3, 5) and copy.sig.arity("E") == 2
+    assert copy.bitsets.order == a.bitsets.order and copy.bitsets.rels == a.bitsets.rels
