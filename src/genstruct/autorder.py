@@ -8,13 +8,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from random import Random
 from types import MappingProxyType
 
 from genstruct.forcing import DenseRequirement, delta_system, generic_build
 from genstruct.structures import (
     StructureError,
+    _cached_view,
     field_state,
     fresh_ids,
     from_json_dict,
@@ -46,21 +46,21 @@ class AutCondition:
 
     __getstate__ = field_state
 
-    @cached_property
+    @_cached_view
     def universe(self) -> frozenset[int]:
         return frozenset(self.chain)
 
-    @cached_property
+    @_cached_view
     def positions(self) -> MappingProxyType:
         """Read-only map from each element to its index in the chain."""
         return MappingProxyType({x: i for i, x in enumerate(self.chain)})
 
-    @cached_property
+    @_cached_view
     def phi_map(self) -> MappingProxyType:
         """Read-only view of phi as a map."""
         return MappingProxyType(dict(self.phi))
 
-    @cached_property
+    @_cached_view
     def inv_map(self) -> MappingProxyType:
         """Read-only view of the inverse of phi."""
         return MappingProxyType({y: x for x, y in self.phi})

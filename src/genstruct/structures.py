@@ -202,9 +202,9 @@ def validate_structure(
             t = tuple(t)
             if len(t) != arity:
                 raise StructureError(f"tuple {t} has wrong arity for {name}")
-            if not universe.issuperset(t):
-                x = next(x for x in t if x not in universe)
-                raise TupleOutOfUniverse(f"{name}{t}: {x} not in universe")
+            for x in t:
+                if x not in universe:
+                    raise TupleOutOfUniverse(f"{name}{t}: {x} not in universe")
             tuples.add(t)
         rows.append((name, frozenset(tuples)))
     return FinStructure(sig, universe, tuple(rows))
@@ -478,12 +478,8 @@ def relabel(a: FinStructure, renaming: dict[int, int]) -> FinStructure:
     """Apply an injective renaming of the universe."""
     if set(renaming) != set(a.universe) or len(set(renaming.values())) != len(renaming):
         raise StructureError("renaming must be a bijection on the universe")
-    get = renaming.__getitem__
-    # Pairs are built directly: a map object per tuple costs more than the
-    # renaming itself, and every built-in class is binary.
     rows = tuple(
-        (name, frozenset([(get(x), get(y)) for x, y in tuples] if a.sig.arity(name) == 2
-                         else [tuple(map(get, t)) for t in tuples]))
+        (name, frozenset(tuple(map(renaming.__getitem__, t)) for t in tuples))
         for name, tuples in a.interp
     )
     return FinStructure(a.sig, frozenset(renaming.values()), rows)
