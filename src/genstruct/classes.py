@@ -28,14 +28,15 @@ from genstruct.structures import (
     Signature,
     SignatureMismatch,
     StructureError,
+    _check_rows,
     canonical_key,
-    embedding_by_rows,
     empty_structure,
     enumerate_embeddings,
     find_isomorphism,
     fresh_ids,
     induced_substructure,
     make_embedding,
+    parse_metric_symbol,
     relabel,
     validate_structure,
 )
@@ -61,13 +62,6 @@ class ScaleExceeded(StructureError):
 def metric_symbol(q: Fraction) -> str:
     q = Fraction(q)
     return f"d_{q.numerator}" if q.denominator == 1 else f"d_{q.numerator}/{q.denominator}"
-
-
-@lru_cache(maxsize=1024)
-def parse_metric_symbol(name: str) -> Fraction:
-    if not name.startswith("d_"):
-        raise SignatureMismatch(f"not a distance symbol: {name}")
-    return Fraction(name[2:])
 
 
 @lru_cache(maxsize=1024)
@@ -429,48 +423,40 @@ def _adjoin_unrelated(a: FinStructure, m: int, rng: Random | None) -> FinStructu
 
 
 def _is_metric(a: FinStructure) -> bool:
-    """Each pair of distinct points has one distance, the same both ways,
-    and the triangle inequality holds.  Distances are scaled to ints by
-    their common denominator.  The triangles on a pair (x, z) are one `min`
-    over two rows; its y = x and y = z terms equal d(x, z)."""
-    qs = [parse_metric_symbol(name) for name, _ in a.interp]
-    scale = lcm(*(q.denominator for q in qs))
+    """Each pair of distinct points has one distance, the same both ways
+    (`a.distances` is not None and leaves no pair out), and the triangle
+    inequality holds on those integer distances.  The triangles on a pair
+    (x, z) are one `min` over two rows; its y = x and y = z terms equal
+    d(x, z)."""
+    dist = a.distances[1]
+    n = len(a.universe)
+    if dist is None or len(dist) != n * (n - 1):
+        return False
     index = {x: i for i, x in enumerate(a.universe)}
-    n = len(index)
-    # The zero diagonal makes a loop count as a second distance.
-    rows = [[0 if i == j else None for j in range(n)] for i in range(n)]
-    for q, (_, tuples) in zip(qs, a.interp):
-        d = q.numerator * (scale // q.denominator)
-        for x, y in tuples:
-            i, j = index[x], index[y]
-            if rows[i][j] is not None or (y, x) not in tuples:
-                return False
-            rows[i][j] = d
-    return all(None not in row for row in rows) and all(  # no pair left out
+    rows = [[0] * n for _ in range(n)]
+    for (x, y), d in dist.items():
+        rows[index[x]][index[y]] = d
+    return all(
         min(map(add, row_x, rows[j])) >= row_x[j]
         for i, row_x in enumerate(rows) for j in range(i + 1, n)
     )
 
 
 def _glue_metrics(a: FinStructure, b: FinStructure) -> FinStructure:
-    """Shortest-path gluing over the shared points, on distances scaled to
-    ints by their common denominator.
+    """Shortest-path gluing over the shared points, on both sides'
+    `distances` scaled to ints by their common denominator.
 
     Cross distances are the minimum over shared points of the two-leg
     sums; with nothing shared both sides sit at a constant cross distance
     no smaller than either diameter.  A pair in both sides takes b's
     distance.  The result has one canonically named symbol per distance
-    present, in increasing order.
+    present, in increasing order, and its `distances` are the glued ones.
     """
-    qs = {name: parse_metric_symbol(name) for s in (a, b) for name, _ in s.interp}
-    scale = lcm(*(q.denominator for q in qs.values()))
+    scale = lcm(a.distances[0], b.distances[0])
     dist: dict[tuple[int, ...], int] = {}
-    for s in (a, b):
-        for name, tuples in s.interp:
-            q = qs[name]
-            d = q.numerator * (scale // q.denominator)
-            for t in tuples:
-                dist[t] = d
+    for side_scale, side in (a.distances, b.distances):
+        k = scale // side_scale
+        dist.update(side if k == 1 else {t: d * k for t, d in side.items()})
     base = a.universe & b.universe
     diam = max([scale, *dist.values()])
     for x in a.universe - b.universe:
@@ -482,7 +468,9 @@ def _glue_metrics(a: FinStructure, b: FinStructure) -> FinStructure:
         pairs.setdefault(d, set()).add(t)
     interp = {_scaled_symbol(d, scale): pairs[d] for d in sorted(pairs)}
     sig = Signature(tuple((name, 2) for name in interp))
-    return validate_structure(sig, a.universe | b.universe, interp)
+    out = validate_structure(sig, a.universe | b.universe, interp)
+    FinStructure.distances.seed(out, (scale, dist))
+    return out
 
 
 def _metric_extensions(a: FinStructure, new: int):
@@ -604,20 +592,24 @@ def _setup_amalgam(f: Embedding, g: Embedding) -> tuple[FinStructure, FinStructu
     if f.source != g.source:
         raise StructureError("amalgamation requires a common base")
     b, c = f.target, g.target
-    fm, gm = f.as_dict(), g.as_dict()
-    map_c: dict[int, int] = {gm[a]: fm[a] for a in fm}
-    new_points = [x for x in c.sorted_universe() if x not in map_c]
-    map_c.update(zip(new_points, fresh_ids(b.universe, len(new_points))))
+    map_c = _right_map(f.as_dict(), g.as_dict(), c.sorted_universe(), fresh_ids(b.universe, len(c)))
     return b, c, map_c, relabel(c, map_c)
 
 
-def _amalgam(b: FinStructure, c: FinStructure, result: FinStructure, map_c: dict[int, int],
-             image_c: FinStructure) -> Amalgam:
-    """The amalgam, its embeddings checked against b and image_c = relabel(c, map_c)."""
+def _right_map(fm: dict[int, int], gm: dict[int, int], c_order: list[int], fresh: list[int]) -> dict[int, int]:
+    """map_c: g(a) -> f(a) for each base point a, and the right side's
+    other points, in `c_order`, onto `fresh` in order."""
+    map_c = {gm[a]: fm[a] for a in fm}
+    map_c.update(zip([x for x in c_order if x not in map_c], fresh))
+    return map_c
+
+
+def _amalgam(b: FinStructure, c: FinStructure, result: FinStructure, map_c: dict[int, int]) -> Amalgam:
+    """The amalgam of two checked sides: b by its own ids, c by map_c."""
     return Amalgam(
         result,
-        embedding_by_rows(b, result, {x: x for x in b.universe}, b),
-        embedding_by_rows(c, result, map_c, image_c),
+        Embedding(b, result, tuple((x, x) for x in sorted(b.universe))),
+        Embedding(c, result, tuple(sorted(map_c.items()))),
     )
 
 
@@ -633,7 +625,8 @@ def amalgamate(tag: str, f: Embedding, g: Embedding) -> Amalgam:
     _check_inputs(tag, f.target, g.target, f.source)
     if not class_spec(tag).sap:
         return _amalgamate_linear_graph(f, g, connected=False)
-    return _glue_amalgam(tag, *_setup_amalgam(f, g))
+    b, c, map_c, image_c = _setup_amalgam(f, g)
+    return _amalgam(*_glue_and_check(tag, b, c, {x: x for x in b.universe}, map_c, image_c), map_c)
 
 
 def _check_inputs(tag: str, *sides: FinStructure) -> None:
@@ -643,14 +636,25 @@ def _check_inputs(tag: str, *sides: FinStructure) -> None:
             raise NotInClass(f"input not in class {tag}")
 
 
-def _glue_amalgam(tag: str, b: FinStructure, c: FinStructure, map_c: dict[int, int],
-                  image_c: FinStructure) -> Amalgam:
-    """The strong amalgam of `_setup_amalgam`'s output: the class glue of b
-    and image_c, checked for membership, with both embeddings."""
+def _glue_and_check(tag: str, b: FinStructure, c: FinStructure, left_map: dict[int, int],
+                    map_c: dict[int, int], image_c: FinStructure) -> tuple[FinStructure, ...]:
+    """The strong amalgam of b and image_c = relabel(c, map_c): the class
+    glue, aligned with b and c and checked for membership, then both sides
+    by `_check_sides`.  Returns the aligned (b, c, result)."""
     b, c, result = align(tag, b, c, class_spec(tag).glue(b, image_c))
     if not membership(tag, result):
         raise AmalgamationImpossible(f"strategy output left the class {tag}")
-    return _amalgam(b, c, result, map_c, image_c)
+    _check_sides(b, c, result, left_map, map_c, image_c)
+    return b, c, result
+
+
+def _check_sides(b: FinStructure, c: FinStructure, result: FinStructure, left_map: dict[int, int],
+                 map_c: dict[int, int], image_c: FinStructure) -> None:
+    """The embedding checks of both sides into `result`, on its rows (the
+    one side check, `structures._check_rows`): b by `left_map`, the
+    identity on its ids, then c by map_c."""
+    _check_rows(b, result, left_map, b)
+    _check_rows(c, result, map_c, image_c)
 
 
 # --- linear graphs ----------------------------------------------------------
@@ -673,7 +677,9 @@ def _strong_linear_graph_amalgam(f: Embedding, g: Embedding, connected: bool) ->
         )
     if not _is_forest(union):
         raise AmalgamationImpossible("the union over the base contains a cycle")
-    return _amalgam(b, c, _bridge_components(union) if connected else union, map_c, image_c)
+    result = _bridge_components(union) if connected else union
+    _check_sides(b, c, result, {x: x for x in b.universe}, map_c, image_c)
+    return _amalgam(b, c, result, map_c)
 
 
 def _bridge_components(structure: FinStructure) -> FinStructure:
@@ -732,9 +738,11 @@ def _amalgamate_linear_graph(f: Embedding, g: Embedding, connected: bool) -> Ama
         if not membership("LinearGraph", candidate):
             continue
         try:  # identification must not create adjacencies inside either image
-            return _amalgam(b, c, _bridge_components(candidate) if connected else candidate, map_c, image_c)
+            result = _bridge_components(candidate) if connected else candidate
+            _check_sides(b, c, result, {x: x for x in b.universe}, map_c, image_c)
         except StructureError:
-            pass
+            continue
+        return _amalgam(b, c, result, map_c)
     raise AmalgamationImpossible("no linear graph amalgam exists")
 
 
@@ -796,60 +804,73 @@ def _amalgam_instances(tag: str, size_bound: int, connected: bool):
     in base, left, right order; `pairs` yields (f, g, setup) in f, g order.
 
     A strong glue and its checks read f and g only through image_c, the
-    right side relabelled by `setup = _setup_amalgam(f, g)`: the square
-    commutes by how map_c is built, and left meets image_c in f's image
-    as the fresh ids avoid left.  So with SAP only the first pair with
-    each image_c is kept.  LinearGraph's identification search reads the
+    right side relabelled by map_c (`_right_map`): the square commutes by
+    how map_c is built, and left meets image_c in f's image as the fresh
+    ids avoid left.  So with SAP only the first pair with each image_c is
+    kept, with setup (fm, gm, map_c, image_c): f's, g's and c's maps as
+    dicts, then image_c.  LinearGraph's identification search reads the
     partial map g(a) -> f(a) itself, so there the first pair with each map
     is kept, with setup None.  Pairs with one map have one image, so the
     first failing pair in the full order is always kept.  The embeddings
-    of the base into each member are listed once.
+    of the base into each member, their maps and images are listed once,
+    the fresh ids once per group, and each relabelled right side once per
+    base and left universe.
     """
     sap = class_spec(tag).sap
     members = _property_members(tag, size_bound, connected)
     for base in members:
-        embeddings = [enumerate_embeddings(base, m) if len(m) >= len(base) else [] for m in members]
-        images = [[tuple(y for _, y in e.mapping) for e in es] for es in embeddings]
-        for left, fs, f_images in zip(members, embeddings, images):
+        embeddings = [
+            [(e, e.as_dict(), tuple(y for _, y in e.mapping)) for e in enumerate_embeddings(base, m)]
+            if len(m) >= len(base) else [] for m in members
+        ]
+        universe = None
+        for left, fs in zip(members, embeddings):
             if not fs:
                 continue
-            for right, gs, g_images in zip(members, embeddings, images):
+            if left.universe != universe:  # right's fresh ids follow left's universe
+                universe, renamed = left.universe, [{} for _ in members]
+            for right, gs, cache in zip(members, embeddings, renamed):
                 if gs:
-                    yield base, left, right, _distinct_pairs(fs, f_images, gs, g_images, sap)
+                    fresh = fresh_ids(left.universe, len(right)) if sap else None
+                    yield base, left, right, _distinct_pairs(fs, gs, right, fresh, cache)
 
 
-def _distinct_pairs(fs, f_images, gs, g_images, sap: bool):
-    """The pairs of one group that `_amalgam_instances` keeps."""
+def _distinct_pairs(fs, gs, right: FinStructure, fresh: list[int] | None, renamed: dict):
+    """The pairs of one group that `_amalgam_instances` keeps; with SAP,
+    `fresh` holds the ids of right's new points, and `renamed` image_c by
+    the partial map's pairs in base point order, shared with the groups of
+    the same base and right whose left has the same universe."""
     maps: set[frozenset[tuple[int, int]]] = set()
     glued: set[FinStructure] = set()
-    for f, fi in zip(fs, f_images):
-        for g, gi in zip(gs, g_images):
-            h = frozenset(zip(gi, fi))
+    order = right.sorted_universe()
+    for f, fm, fi in fs:
+        for g, gm, gi in gs:
+            pairs = tuple(zip(gi, fi))
+            h = frozenset(pairs)
             if h in maps:
                 continue
             maps.add(h)
-            if not sap:
+            if fresh is None:
                 yield f, g, None
                 continue
-            setup = _setup_amalgam(f, g)
-            if setup[3] not in glued:
-                glued.add(setup[3])
-                yield f, g, setup
+            map_c = _right_map(fm, gm, order, fresh)
+            if pairs not in renamed:
+                renamed[pairs] = relabel(right, map_c)
+            image_c = renamed[pairs]
+            if image_c not in glued:
+                glued.add(image_c)
+                yield f, g, (fm, gm, map_c, image_c)
 
 
-def _amalgam_failure(tag: str, f: Embedding, g: Embedding, strong: bool, connected: bool,
-                     setup: tuple | None = None) -> str | None:
+def _amalgam_failure(tag: str, f: Embedding, g: Embedding, strong: bool, connected: bool) -> str | None:
     """Build an amalgam and validate it; returns a failure reason or None.
 
-    Given `setup` = `_setup_amalgam(f, g)` of inputs already checked for
-    membership, only the glue step of `amalgamate` runs.  Without SAP
-    (LinearGraph) a strong amalgam is the plain union over the base, when
-    no obstruction rules it out; otherwise the search may identify points.
+    Without SAP (LinearGraph) a strong amalgam is the plain union over the
+    base, when no obstruction rules it out; otherwise the search may
+    identify points.
     """
     try:
-        if setup is not None:
-            amalgam = _glue_amalgam(tag, *setup)
-        elif class_spec(tag).sap:
+        if class_spec(tag).sap:
             amalgam = amalgamate(tag, f, g)
         elif strong:
             amalgam = _strong_linear_graph_amalgam(f, g, connected)
@@ -863,12 +884,18 @@ def _amalgam_failure(tag: str, f: Embedding, g: Embedding, strong: bool, connect
 def validate_amalgam(
     tag: str, f: Embedding, g: Embedding, amalgam: Amalgam, strong: bool, connected: bool = False
 ) -> str | None:
-    if not membership(tag, amalgam.result):
+    return _verdict(tag, f.as_dict(), g.as_dict(), amalgam.emb_left.as_dict(),
+                    amalgam.emb_right.as_dict(), amalgam.result, strong, connected)
+
+
+def _verdict(tag: str, fm: dict[int, int], gm: dict[int, int], lm: dict[int, int], rm: dict[int, int],
+             result: FinStructure, strong: bool, connected: bool) -> str | None:
+    """`validate_amalgam` on plain maps: f and g as fm and gm, the left and
+    right embeddings into `result` as lm and rm."""
+    if not membership(tag, result):
         return "result not in class"
-    if connected and not _is_connected_graph(amalgam.result):
+    if connected and not _is_connected_graph(result):
         return "result not connected"
-    fm, gm = f.as_dict(), g.as_dict()
-    lm, rm = amalgam.emb_left.as_dict(), amalgam.emb_right.as_dict()
     for a in fm:
         if lm[fm[a]] != rm[gm[a]]:
             return "square does not commute"
@@ -936,9 +963,20 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
             rejected = None
         except StructureError as exc:
             rejected = str(exc)
+        identity = {x: x for x in left.universe}
         for f, g, setup in pairs:
-            reason = rejected if rejected is not None else _amalgam_failure(
-                tag, f, g, strong, connected, setup)
+            if rejected is not None:
+                reason = rejected
+            elif setup is None:
+                reason = _amalgam_failure(tag, f, g, strong, connected)
+            else:  # the strong glue of inputs already checked, on plain maps
+                fm, gm, map_c, image_c = setup
+                try:
+                    result = _glue_and_check(tag, left, right, identity, map_c, image_c)[2]
+                except StructureError as exc:
+                    reason = str(exc)
+                else:
+                    reason = _verdict(tag, fm, gm, identity, map_c, result, strong, connected)
             if reason is not None:
                 return PropertyVerdict(False, {
                     "base": base, "left": left, "right": right,

@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import count as naturals, filterfalse, islice, product
+from math import lcm
 from types import MappingProxyType
 
 
@@ -52,6 +54,11 @@ class _cached_view:
         value = obj.__dict__[self.name] = self.fn(obj)
         return value
 
+    def seed(self, obj, value) -> None:
+        """Store `value` as the view of `obj`, for a caller that built it
+        along with `obj`."""
+        obj.__dict__[self.name] = value
+
 
 def field_state(self) -> dict:
     """Pickle state of a dataclass with cached views: its fields only, so
@@ -89,6 +96,20 @@ class Signature:
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.symbols)
+
+
+@lru_cache(maxsize=1024)
+def parse_metric_symbol(name: str):
+    """The distance, a `Fraction`, that a metric space's symbol `d_<q>`
+    names."""
+    # Imported on first use: loading fractions while the package itself
+    # is still being imported raised a fresh process's peak memory by
+    # about 0.2 MB.
+    from fractions import Fraction
+
+    if not name.startswith("d_"):
+        raise SignatureMismatch(f"not a distance symbol: {name}")
+    return Fraction(name[2:])
 
 
 GRAPH_SIG = Signature((("E", 2),))
@@ -154,6 +175,25 @@ class FinStructure:
         Raises UnknownSymbol if the signature has no `<`."""
         indegree = Counter(t[1] for t in self.rel("<"))
         return tuple(sorted(self.universe, key=indegree.__getitem__))
+
+    @_cached_view
+    def distances(self) -> tuple[int, dict[tuple[int, int], int] | None]:
+        """A metric space's distances as ints: (scale, dist), where scale is
+        a common denominator of the distances its symbols name (the least,
+        unless the view was seeded) and dist maps each pair to scale times
+        its symbol's distance.  dist is None if a pair is a loop, lies in
+        two symbols, or its reverse is not in its own symbol.  Raises
+        SignatureMismatch on a symbol not named `d_<q>`."""
+        qs = [parse_metric_symbol(name) for name, _ in self.interp]
+        scale = lcm(*(q.denominator for q in qs))
+        dist: dict[tuple[int, int], int] = {}
+        for q, (_, tuples) in zip(qs, self.interp):
+            d = q.numerator * (scale // q.denominator)
+            for x, y in tuples:
+                if x == y or (x, y) in dist or (y, x) not in tuples:
+                    return scale, None
+                dist[x, y] = d
+        return scale, dist
 
     @_cached_view
     def components(self) -> tuple[frozenset[int], ...]:
@@ -246,22 +286,6 @@ def make_embedding(source: FinStructure, target: FinStructure, mapping: dict[int
     return Embedding(source, target, tuple(sorted(mapping.items())))
 
 
-def embedding_by_rows(source: FinStructure, target: FinStructure, mapping: dict[int, int],
-                      image: FinStructure) -> Embedding:
-    """`make_embedding` for a caller holding `image` = relabel(source, mapping),
-    possibly over fewer symbols.  Its relation check compares rows: per symbol
-    by name, the tuples of `target` inside the image must be those of `image`,
-    a missing symbol counting as empty."""
-    _check_map(source, target, mapping)
-    points, rows = set(mapping.values()), dict(image.interp)
-    for name, tuples in target.interp:
-        if rows.pop(name, frozenset()) != {t for t in tuples if points.issuperset(t)}:
-            raise StructureError("map does not preserve and reflect relations")
-    if any(rows.values()):  # symbols of `image` that `target` lacks
-        raise StructureError("map does not preserve and reflect relations")
-    return Embedding(source, target, tuple(sorted(mapping.items())))
-
-
 def _check_map(source: FinStructure, target: FinStructure, mapping: dict[int, int]) -> None:
     """An embedding's checks before its relations, in order."""
     if source.sig is not target.sig and source.sig != target.sig:
@@ -273,6 +297,22 @@ def _check_map(source: FinStructure, target: FinStructure, mapping: dict[int, in
     for y in mapping.values():
         if y not in target.universe:
             raise StructureError(f"image point {y} not in target universe")
+
+
+def _check_rows(source: FinStructure, target: FinStructure, mapping: dict[int, int],
+                image: FinStructure) -> None:
+    """`make_embedding`'s checks, raising its errors, for a caller holding
+    `image` = relabel(source, mapping), possibly over fewer symbols.  The
+    relation check compares rows: per symbol by name, the tuples of
+    `target` inside the image must be those of `image`, a missing symbol
+    counting as empty."""
+    _check_map(source, target, mapping)
+    points, rows = image.universe, dict(image.interp)
+    for name, tuples in target.interp:
+        if rows.pop(name, frozenset()) != {t for t in tuples if points.issuperset(t)}:
+            raise StructureError("map does not preserve and reflect relations")
+    if any(rows.values()):  # symbols of `image` that `target` lacks
+        raise StructureError("map does not preserve and reflect relations")
 
 
 def is_partial_embedding(a: FinStructure, b: FinStructure, partial: dict[int, int]) -> bool:

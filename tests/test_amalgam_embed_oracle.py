@@ -1,10 +1,11 @@
 """The amalgam's embedding checks and the metric signature alignment,
 compared with the validating constructors they stand in for.
 
-`classes._amalgam` checks each side's embedding against rows it already
-holds: the result's rows on the image of each side, compared with that
-side's rows as the glue received them.  `make_embedding` and
-`validate_structure` are the oracles.  The CLI pins are the sha256 of
+`structures._check_rows`, the one side check of every amalgam, checks
+each side's embedding against rows the caller already holds: the
+result's rows on the image of each side, compared with that side's rows
+as the glue received them.  `make_embedding` and `validate_structure`
+are the oracles.  The CLI pins are the sha256 of
 `genstruct amalgamate --op class` output on three fixed triples; the
 metric one glues a distance, 3, that neither side uses, so the result's
 signature grows and both sides are padded.
@@ -19,19 +20,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genstruct import classes
-from genstruct.classes import Amalgam, SPECS, _align_signature, check_property, membership
+from genstruct.classes import SPECS, _align_signature, check_property, membership
 from genstruct.cli import main
 from genstruct.structures import (
     Signature,
     SignatureMismatch,
     StructureError,
-    embedding_by_rows,
+    _check_rows,
     inclusion_embedding,
     make_embedding,
     relabel,
     validate_structure,
 )
-from test_amalgam_oracle import oracle_amalgamation_verdict, verdict_json
+from test_amalgam_oracle import (
+    always,
+    oracle_amalgamation_verdict,
+    tied_to_largest_shared_only,
+    verdict_json,
+)
 
 
 def symmetric(pairs):
@@ -93,12 +99,14 @@ SIGS = (
 )
 
 
-def outcome(build, *args):
-    """The embedding `build` returns, or the type and message it raises."""
+def outcome(check, *args):
+    """None if `check` accepts its arguments, else the type and message it
+    raises: `make_embedding` and the side check raise alike."""
     try:
-        return build(*args)
+        check(*args)
     except StructureError as exc:
         return type(exc), str(exc)
+    return None
 
 
 @st.composite
@@ -160,7 +168,7 @@ def embedding_cases(draw):
 @given(embedding_cases())
 def test_row_check_accepts_exactly_what_make_embedding_accepts(case):
     source, target, mapping, image = case
-    assert outcome(embedding_by_rows, source, target, mapping, image) == outcome(
+    assert outcome(_check_rows, source, target, mapping, image) == outcome(
         make_embedding, source, target, mapping)
 
 
@@ -179,8 +187,9 @@ def test_row_check_failure_messages():
     ]
     for source, target, mapping in cases:
         image = relabel(source, mapping) if len(set(mapping.values())) == len(mapping) == 2 else source
-        assert outcome(embedding_by_rows, source, target, mapping, image) == outcome(
+        assert outcome(_check_rows, source, target, mapping, image) == outcome(
             make_embedding, source, target, mapping)
+    assert outcome(make_embedding, *cases[-1]) is None
     assert [outcome(make_embedding, *case)[1] for case in cases[:-1]] == [
         "source and target signatures differ", "mapping domain must be the source universe",
         "mapping is not injective", "image point 7 not in target universe",
@@ -232,13 +241,9 @@ def test_align_signature_rejects_a_signature_that_does_not_contain_the_input():
 # --- broken glues against the make_embedding amalgam ------------------------------
 
 
-def oracle_amalgam(b, c, result, map_c, image_c):
-    """`_amalgam` with both embeddings built by `make_embedding`."""
-    return Amalgam(
-        result,
-        make_embedding(b, result, {x: x for x in b.universe}),
-        make_embedding(c, result, map_c),
-    )
+def oracle_check_rows(source, target, mapping, image):
+    """The side check by `make_embedding`, which ignores `image`."""
+    make_embedding(source, target, mapping)
 
 
 def one_more_tuple(tag, glue, region):
@@ -279,12 +284,66 @@ def one_more_tuple(tag, glue, region):
 def test_one_more_tuple_counterexamples_match_make_embedding(monkeypatch, tag, region, prop):
     monkeypatch.setitem(SPECS, tag, replace(SPECS[tag], glue=one_more_tuple(tag, SPECS[tag].glue, region)))
     verdict = check_property(tag, prop, 3)
-    monkeypatch.setattr(classes, "_amalgam", oracle_amalgam)
+    monkeypatch.setattr(classes, "_check_rows", oracle_check_rows)
     assert verdict_json(verdict) == verdict_json(oracle_amalgamation_verdict(tag, prop, 3))
     if region == "across":
         assert verdict.holds
     else:
         assert verdict.counterexample["detail"] == "map does not preserve and reflect relations"
+
+
+def drop_new_point(glue, side, when):
+    """`glue`, but the result loses the last point of one side outside the
+    other, with its tuples: of a outside b for side "left", of b outside a
+    for "right".  Only when the two sides share points and `when(other,
+    own, x)` holds, `own` being the side of the dropped point x."""
+
+    def broken(a, b):
+        out = glue(a, b)
+        own, other = (a, b) if side == "left" else (b, a)
+        new = sorted(own.universe - other.universe)
+        if not (a.universe & b.universe) or not new or not when(other, own, new[-1]):
+            return out
+        x = new[-1]
+        return validate_structure(out.sig, out.universe - {x}, {
+            name: {t for t in tuples if x not in t} for name, tuples in out.interp
+        })
+
+    return broken
+
+
+# sha256 of the AP and SAP verdicts at bounds 2 and 3, in that order, one
+# JSON text a line: every one reports "image point ... not in target
+# universe" or, for the left RationalMetric point tied to the largest
+# shared point only, holds.
+DROPPED_POINT_DIGESTS = {
+    ("Graph", "left", "always"): "c582aec16003c63803f04857d2edef990a195d4885d1bed5833a3da330f71a26",
+    ("Graph", "right", "always"): "8a23cca92c27c6cccdc98a1d50f04bb996a630f317ed8127198a2613f4bcad60",
+    ("Digraph", "left", "always"): "c582aec16003c63803f04857d2edef990a195d4885d1bed5833a3da330f71a26",
+    ("Digraph", "right", "always"): "8a23cca92c27c6cccdc98a1d50f04bb996a630f317ed8127198a2613f4bcad60",
+    ("RationalMetric", "left", "always"): "47c40b0671b236e37cf0ec3112e660bf222d2f2fbcac0979641d8c5e1fab306f",
+    ("RationalMetric", "right", "always"): "2947ddc1b7b28883deeb9b88a0063db5575ffd97071e8ca172a547dbb7903e36",
+    ("Graph", "left", "tied"): "f2bb2cc7c4ed0c8dded7e223644d9e00454f09b5ce4b0a73e4939acbf22ecebc",
+    ("Graph", "right", "tied"): "d25dded52e82816f9a16695e78a4fcc7c43eed57dcfd4da369068145347fe278",
+    ("Digraph", "left", "tied"): "3ed41146380a985026f127c858ef48dadb87d05a887afdcf0f890c452adbaaca",
+    ("Digraph", "right", "tied"): "9e4842cc6a589e190fd01e44763261863c7e57a9ddd593b410fd46e3c95a7f24",
+    ("RationalMetric", "left", "tied"): "09a850b39669c8de4409fcb580cf2c30246f210db9a7bb5560212bb7d9ef60fa",
+    ("RationalMetric", "right", "tied"): "f1c4c8d26511d235b12ba8b2b1b0d866833049c03e84a0e0d72cd8042a63a974",
+}
+
+
+@pytest.mark.parametrize("tag, side, when", sorted(DROPPED_POINT_DIGESTS))
+def test_dropped_point_counterexamples_match_make_embedding(monkeypatch, tag, side, when):
+    glue = drop_new_point(SPECS[tag].glue, side, {"always": always, "tied": tied_to_largest_shared_only}[when])
+    monkeypatch.setitem(SPECS, tag, replace(SPECS[tag], glue=glue))
+    cases = [(prop, bound) for prop in ("AP", "SAP") for bound in (2, 3)]
+    texts = [verdict_json(check_property(tag, prop, bound)) for prop, bound in cases]
+    monkeypatch.setattr(classes, "_check_rows", oracle_check_rows)
+    assert texts == [verdict_json(oracle_amalgamation_verdict(tag, prop, bound)) for prop, bound in cases]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == DROPPED_POINT_DIGESTS[(tag, side, when)]
+    if when == "always":
+        assert "image point" in json.loads(texts[-1])["counterexample"]["detail"]
 
 
 def test_linear_graph_search_skips_an_identification_that_adds_an_edge_inside_a_side():

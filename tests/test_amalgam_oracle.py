@@ -16,6 +16,7 @@ compact separators.
 
 import hashlib
 import json
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -179,7 +180,8 @@ def instance_keys(tag, instances):
 def flat_instances(tag, size_bound, connected):
     for base, left, right, pairs in _amalgam_instances(tag, size_bound, connected):
         for f, g, setup in pairs:
-            assert setup == (_setup_amalgam(f, g) if class_spec(tag).sap else None)
+            expected = (f.as_dict(), g.as_dict(), *_setup_amalgam(f, g)[2:]) if class_spec(tag).sap else None
+            assert setup == expected
             yield base, left, right, f, g
 
 
@@ -366,6 +368,30 @@ def test_integer_glue_matches_fraction_oracle(inputs):
     expected = oracle_glue_metrics(a, b)
     assert out == expected
     assert out.sig == expected.sig
+    # The glue seeds the result's distances with its own scale.
+    assert scaled_back(out.distances) == scaled_back(fresh_copy(out).distances)
+
+
+def scaled_back(view):
+    scale, dist = view
+    return {t: Fraction(d, scale) for t, d in dist.items()}
+
+
+def fresh_copy(a):
+    """An equal structure with no cached views."""
+    return pickle.loads(pickle.dumps(a))
+
+
+def test_distances_view_stays_out_of_equality_hash_repr_and_pickle():
+    half = Signature((("d_1/2", 2), ("d_1", 2)))
+    a = validate_structure(half, {0, 1}, {"d_1/2": {(0, 1), (1, 0)}})
+    b = validate_structure(half, {0, 2}, {"d_1": {(0, 2), (2, 0)}})
+    glued = _glue_metrics(a, b)
+    fresh = fresh_copy(glued)
+    assert "distances" in glued.__dict__ and set(fresh.__dict__) == {"sig", "universe", "interp"}
+    assert glued == fresh and hash(glued) == hash(fresh) and repr(glued) == repr(fresh)
+    assert pickle.dumps(glued) == pickle.dumps(fresh)
+    assert fresh.distances == (2, {(0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2, (1, 2): 3, (2, 1): 3})
 
 
 def test_integer_glue_examples():
