@@ -35,7 +35,6 @@ from genstruct.structures import (
     find_isomorphism,
     fresh_ids,
     induced_substructure,
-    make_embedding,
     parse_metric_symbol,
     relabel,
     validate_structure,
@@ -863,19 +862,12 @@ def _distinct_pairs(fs, gs, right: FinStructure, fresh: list[int] | None, rename
 
 
 def _amalgam_failure(tag: str, f: Embedding, g: Embedding, strong: bool, connected: bool) -> str | None:
-    """Build an amalgam and validate it; returns a failure reason or None.
-
-    Without SAP (LinearGraph) a strong amalgam is the plain union over the
-    base, when no obstruction rules it out; otherwise the search may
-    identify points.
-    """
+    """Build a LinearGraph amalgam and validate it; returns a failure
+    reason or None.  A strong amalgam is the plain union over the base,
+    when no obstruction rules it out; otherwise the search may identify
+    points."""
     try:
-        if class_spec(tag).sap:
-            amalgam = amalgamate(tag, f, g)
-        elif strong:
-            amalgam = _strong_linear_graph_amalgam(f, g, connected)
-        else:
-            amalgam = _amalgamate_linear_graph(f, g, connected=connected)
+        amalgam = (_strong_linear_graph_amalgam if strong else _amalgamate_linear_graph)(f, g, connected)
     except StructureError as exc:
         return str(exc)
     return validate_amalgam(tag, f, g, amalgam, strong=strong, connected=connected)
@@ -917,7 +909,10 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
     g(a) -> f(a) for LinearGraph), as `_amalgam_instances` explains, and
     the counterexample is still the first in the full base, left, right,
     f, g order.  The three members of a group are checked for membership
-    once, before its first pair.
+    once, before its first pair.  JEP is AP over the empty base: the
+    empty member comes first, its groups are the (left, right) pairs in
+    order, each with its one pair of empty maps, and the counterexample
+    names only left and right.
 
     Without SAP (LinearGraph), every instance ranges over the connected
     members (the paths); membership keeps the hereditary closure.
@@ -944,20 +939,10 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
                         })
         return PropertyVerdict(True)
 
-    if prop == "JEP":
-        members = _property_members(tag, size_bound, connected)
-        for left in members:
-            for right in members:
-                base = empty_structure(left.sig)
-                f = make_embedding(base, left, {})
-                g = make_embedding(base, right, {})
-                reason = _amalgam_failure(tag, f, g, strong=False, connected=connected)
-                if reason is not None:
-                    return PropertyVerdict(False, {"left": left, "right": right, "detail": reason})
-        return PropertyVerdict(True)
-
     strong = prop == "SAP"
     for base, left, right, pairs in _amalgam_instances(tag, size_bound, connected):
+        if prop == "JEP" and len(base):
+            break
         try:
             _check_inputs(tag, left, right, base)
             rejected = None
@@ -978,6 +963,8 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
                 else:
                     reason = _verdict(tag, fm, gm, identity, map_c, result, strong, connected)
             if reason is not None:
+                if prop == "JEP":
+                    return PropertyVerdict(False, {"left": left, "right": right, "detail": reason})
                 return PropertyVerdict(False, {
                     "base": base, "left": left, "right": right,
                     "f": f.as_dict(), "g": g.as_dict(), "detail": reason,

@@ -21,8 +21,9 @@ from genstruct import analysis, autorder, classes, forcing, structures
 
 BUILD_CLASSES = classes.TAGS + ("AutOrder",)
 BROKEN_PIPE = 141
-# Most requirements a class build may schedule. Graph --n 30 at the default
-# --ext-size 3 (110,138) fits; Digraph --n 50 --ext-size 3 (2,009,321) does not.
+# Most requirements a build may schedule. Graph --n 30 at the default
+# --ext-size 3 (110,168) fits; Digraph --n 50 --ext-size 3 (2,009,371) and
+# AutOrder --n 2000 (2,007,000) do not.
 MAX_SCHEDULE = 1_000_000
 # Options each amalgamate op does not read; giving one exits 2.
 UNUSED_OPTIONS = {
@@ -129,11 +130,15 @@ def default_schedule(tag: str, n: int, ext_size: int) -> list[forcing.DenseRequi
     return reqs + [pair(a, b) for a, b in combinations(range(n), 2)]
 
 
-def schedule_length(tag: str, n: int, ext_size: int) -> int:
-    """The length of `default_schedule(tag, n, ext_size)`, counted without
+def schedule_length(tag: str, n: int, ext_size: int, alpha0: int = 0) -> int:
+    """The length of `default_schedule(tag, n, ext_size)`, or for AutOrder
+    of `autorder.default_aut_schedule(n, alpha0)`, counted without
     building it: n + C(n, 2), or n + the sum over sizes s of
-    types(s) * sum_r C(s, r) * P(n, r).  Sizes are added smallest first,
-    and none is added once the count is over MAX_SCHEDULE."""
+    types(s) * sum_r C(s, r) * P(n, r), or for AutOrder 4n + C(n, 2)
+    plus one when 0 < n <= alpha0.  Sizes are added smallest first, and
+    none is added once the count is over MAX_SCHEDULE."""
+    if tag == "AutOrder":
+        return 4 * n + comb(n, 2) + (0 < n <= alpha0)
     spec = classes.class_spec(tag)
     if spec.linear or not spec.sap:
         return n + comb(n, 2)
@@ -235,14 +240,11 @@ def cmd_build(args) -> int:
         return _reject("alpha0 must be nonnegative")
     if not 0 <= args.ext_size <= classes.MAX_ENUM:
         return _reject(f"ext-size must be in 0..{classes.MAX_ENUM}")
-    if args.tag == "AutOrder":
-        payload, problems = _build_aut(args)
-    else:
-        total = schedule_length(args.tag, args.n, args.ext_size)
-        if total > MAX_SCHEDULE:
-            return _reject(f"schedule has at least {total:,} requirements, "
-                           f"over the cap of {MAX_SCHEDULE:,}")
-        payload, problems = _build_generic(args)
+    total = schedule_length(args.tag, args.n, args.ext_size, args.alpha0)
+    if total > MAX_SCHEDULE:
+        return _reject(f"schedule has at least {total:,} requirements, "
+                       f"over the cap of {MAX_SCHEDULE:,}")
+    payload, problems = (_build_aut if args.tag == "AutOrder" else _build_generic)(args)
     if problems:
         payload["verify"] = problems
     if args.format == "dot":
@@ -286,7 +288,11 @@ def cmd_check(args) -> int:
             report = analysis.universality_check(m, args.tag, args.k, sink)
         elif args.verifier == "homogeneity":
             report = analysis.one_point_homogeneity(m, args.tag, args.k, sink)
-        else:
+        else:  # no size limit, but the input must be a member of a linear class
+            if not classes.class_spec(args.tag).linear:
+                raise structures.StructureError(f"density checks linear orders, not {args.tag}")
+            if not classes.membership(args.tag, m):
+                raise classes.NotInClass("input must belong to the class")
             report = analysis.interval_density_check(m, ids, sink)
     except structures.StructureError as exc:
         return _reject(f"{type(exc).__name__}: {exc}")

@@ -3,8 +3,12 @@ reference implementations.
 
 `oracle_amalgam_instances` is the full instance loop: every pair (f, g)
 of embeddings of every base into every left and right member, with the
-embeddings listed again for each left.  `oracle_glue_metrics` is the
-metric glue in exact `Fraction` arithmetic over a pair-distance map.
+embeddings listed again for each left.  `oracle_amalgam_failure` checks
+one instance with the public `amalgamate` and `validate_amalgam`, and
+`oracle_jep_verdict` is JEP's own loop over (left, right) member pairs,
+each amalgamated over an empty base by `make_embedding`.
+`oracle_glue_metrics` is the metric glue in exact `Fraction` arithmetic
+over a pair-distance map.
 
 The pins are the sha256 digests of the canonical JSON of every
 `check_property` verdict in the benchmark's class sweep: each class, each
@@ -33,18 +37,23 @@ from genstruct.classes import (
     _glue_metrics,
     _property_members,
     _setup_amalgam,
+    amalgamate,
     check_property,
     class_spec,
     enumerate_members,
     metric_distances,
     metric_structure,
     metric_symbol,
+    validate_amalgam,
 )
 from genstruct.structures import (
     FinStructure,
     Signature,
+    StructureError,
+    empty_structure,
     enumerate_embeddings,
     fresh_ids,
+    make_embedding,
     relabel,
     to_json_dict,
     validate_structure,
@@ -71,11 +80,42 @@ def oracle_amalgam_instances(tag, size_bound, connected):
                         yield base, left, right, f, g
 
 
+def oracle_amalgam_failure(tag, f, g, strong, connected):
+    """One instance's failure reason, or None: with SAP the strong glue
+    through `amalgamate`, checked by `validate_amalgam`; LinearGraph's
+    union or identification search without."""
+    if not class_spec(tag).sap:
+        return _amalgam_failure(tag, f, g, strong, connected)
+    try:
+        amalgam = amalgamate(tag, f, g)
+    except StructureError as exc:
+        return str(exc)
+    return validate_amalgam(tag, f, g, amalgam, strong=strong, connected=connected)
+
+
+def oracle_jep_verdict(tag, size_bound):
+    """JEP by its own loop: every (left, right) pair of members, in order,
+    amalgamated over an empty base."""
+    connected = not class_spec(tag).sap
+    members = _property_members(tag, size_bound, connected)
+    for left in members:
+        for right in members:
+            base = empty_structure(left.sig)
+            f = make_embedding(base, left, {})
+            g = make_embedding(base, right, {})
+            reason = oracle_amalgam_failure(tag, f, g, strong=False, connected=connected)
+            if reason is not None:
+                return PropertyVerdict(False, {"left": left, "right": right, "detail": reason})
+    return PropertyVerdict(True)
+
+
 def oracle_amalgamation_verdict(tag, prop, size_bound):
-    """The AP / SAP branch of `check_property` over every instance."""
+    """The JEP / AP / SAP branch of `check_property` over every instance."""
+    if prop == "JEP":
+        return oracle_jep_verdict(tag, size_bound)
     connected = not class_spec(tag).sap
     for base, left, right, f, g in oracle_amalgam_instances(tag, size_bound, connected):
-        reason = _amalgam_failure(tag, f, g, strong=prop == "SAP", connected=connected)
+        reason = oracle_amalgam_failure(tag, f, g, strong=prop == "SAP", connected=connected)
         if reason is not None:
             return PropertyVerdict(False, {
                 "base": base, "left": left, "right": right,
@@ -209,7 +249,7 @@ def test_amalgamation_verdicts_match_full_loop(tag, prop, bound):
 def test_a_member_outside_the_class_fails_its_first_instance(monkeypatch, tag):
     # The group check reports the member where `amalgamate` would.
     monkeypatch.setitem(enumerate_members(tag, 2)[-1].verdicts, tag, False)
-    for prop in ("AP", "SAP"):
+    for prop in ("JEP", "AP", "SAP"):
         verdict = check_property(tag, prop, 3)
         assert verdict.counterexample["detail"] == f"input not in class {tag}"
         assert verdict_json(verdict) == verdict_json(oracle_amalgamation_verdict(tag, prop, 3))
@@ -294,7 +334,7 @@ def test_pairs_with_one_partial_map_share_a_verdict(monkeypatch, tag):
     ))
     reasons = {}
     for base, left, right, f, g in oracle_amalgam_instances(tag, 3, False):
-        reason = _amalgam_failure(tag, f, g, strong=True, connected=False)
+        reason = oracle_amalgam_failure(tag, f, g, strong=True, connected=False)
         key = (base, left, right, partial_map(f, g))
         assert reasons.setdefault(key, reason) == reason
     assert any(reason is not None for reason in reasons.values())
@@ -308,13 +348,50 @@ def test_pairs_with_one_image_share_a_verdict(monkeypatch, tag):
     reasons, maps = {}, {}
     for prop in ("AP", "SAP"):
         for base, left, right, f, g in oracle_amalgam_instances(tag, 3, False):
-            reason = _amalgam_failure(tag, f, g, strong=prop == "SAP", connected=False)
+            reason = oracle_amalgam_failure(tag, f, g, strong=prop == "SAP", connected=False)
             key = (prop, base, left, right, right_image(f, g))
             assert reasons.setdefault(key, reason) == reason
             maps.setdefault(key, set()).add(partial_map(f, g))
     assert any(reason is not None for reason in reasons.values())
     # Some images come from more than one partial map, so this is coarser.
     assert any(len(ms) > 1 for ms in maps.values())
+
+
+def drop_last_right_point(glue, when):
+    """`glue`, but the last point of b outside a leaves the result, with
+    its tuples, when `when(a, b)` holds; it fires with nothing shared."""
+
+    def broken(a, b):
+        out = glue(a, b)
+        new = sorted(b.universe - a.universe)
+        if not new or not when(a, b):
+            return out
+        return validate_structure(out.sig, out.universe - {new[-1]}, {
+            name: {t for t in tuples if new[-1] not in t} for name, tuples in out.interp
+        })
+
+    return broken
+
+
+# Glues that JEP's empty-base pairs reach (every class but LinearGraph
+# glues them with the class glue), by how they break.
+JEP_GLUES = {
+    # Fires only over a shared point, so JEP still holds, and a loop that
+    # went on past the empty base would fail at bound 2.
+    "shared_only": lambda glue: drop_last_new_point(glue, always),
+    "first_pair": lambda glue: drop_last_right_point(glue, lambda a, b: True),
+    "two_points_each": lambda glue: drop_last_right_point(glue, lambda a, b: len(a) >= 2 and len(b) >= 2),
+}
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("broken", JEP_GLUES)
+def test_jep_verdicts_match_own_loop(monkeypatch, tag, broken):
+    monkeypatch.setitem(SPECS, tag, replace(SPECS[tag], glue=JEP_GLUES[broken](SPECS[tag].glue)))
+    for bound in (1, 2, 3):
+        verdict = check_property(tag, "JEP", bound)
+        assert verdict_json(verdict) == verdict_json(oracle_jep_verdict(tag, bound))
+    assert verdict.holds == (broken == "shared_only" or not class_spec(tag).sap)
 
 
 # --- integer metric glue -----------------------------------------------------

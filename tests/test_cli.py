@@ -18,6 +18,7 @@ from genstruct.cli import (
     main,
     schedule_length,
 )
+from genstruct.autorder import default_aut_schedule
 from genstruct.structures import dumps, validate_structure, GRAPH_SIG
 from genstruct.classes import TAGS, chain_structure, chain_of
 from genstruct.structures import from_json_dict
@@ -452,13 +453,17 @@ def test_schedule_length_counts_the_default_schedule():
         for n in range(5):
             for ext_size in range(4):
                 assert schedule_length(tag, n, ext_size) == len(default_schedule(tag, n, ext_size))
+    for n in range(5):
+        for alpha0 in range(6):
+            assert schedule_length("AutOrder", n, 3, alpha0) == len(default_aut_schedule(n, alpha0))
     # 30 points plus 110,138 extension requirements: under the cap.
     assert schedule_length("Graph", 30, 3) == 110_168 <= MAX_SCHEDULE
 
 
 def test_build_rejects_a_schedule_over_the_cap(capsys):
+    # AutOrder --n 2000: 4 * 2000 + C(2000, 2) requirements, counted, not built.
     cases = {("Digraph", "16", "4"): "12,847,167", ("Graph", "30", "4"): "8,475,679",
-             ("Digraph", "50", "3"): "2,009,371"}
+             ("Digraph", "50", "3"): "2,009,371", ("AutOrder", "2000", "3"): "2,007,000"}
     for (tag, n, ext_size), count in cases.items():
         assert run("build", "--class", tag, "--n", n, "--ext-size", ext_size) == 2
         captured = capsys.readouterr()

@@ -184,8 +184,16 @@ def test_failure_while_streaming_removes_the_tmp_file(tmp_path: Path, monkeypatc
 def test_unordered_density_input_leaves_no_output(tmp_path: Path, capsys):
     src = tmp_path / "m.json"
     src.write_text(dumps(graph({0, 1, 2}, [(0, 1)])))
-    _no_output(tmp_path, capsys, ["check", "--class", "LinearOrder", "--check", "density",
-                                  "--in", str(src), "--ids", "1"])
+    argv = ["check", "--check", "density", "--in", str(src), "--ids", "1"]
+    _no_output(tmp_path, capsys, argv + ["--class", "LinearOrder"])
+    # A V: 1 and 2 both lie above 0 and are incomparable, so no chain
+    # orders them and 1 is no witness between 0 and 2.
+    src.write_text('{"sig":[["<",2]],"universe":[0,1,2],"interp":{"<":[[0,1],[0,2]]}}')
+    argv[-1] = "0,1,2"
+    assert "NotInClass" in _no_output(tmp_path, capsys, argv + ["--class", "LinearOrder"])
+    assert "not PartialOrder" in _no_output(tmp_path, capsys, argv + ["--class", "PartialOrder"])
+    src.write_text(dumps(chain_structure([0, 1, 2])))
+    assert "unknown class tag 'Nope'" in _no_output(tmp_path, capsys, argv + ["--class", "Nope"])
 
 
 def test_over_estimate_exits_2_at_once(tmp_path: Path, capsys):
