@@ -29,6 +29,7 @@ from genstruct.structures import (
     SignatureMismatch,
     StructureError,
     _check_rows,
+    _glued,
     canonical_key,
     empty_structure,
     enumerate_embeddings,
@@ -139,11 +140,8 @@ def _edges(a: FinStructure) -> set[frozenset[int]]:
 
 
 def _degrees(a: FinStructure) -> dict[int, int]:
-    deg = {x: 0 for x in a.universe}
-    for e in _edges(a):
-        for x in e:
-            deg[x] += 1
-    return deg
+    deg = Counter(x for e in _edges(a) for x in e)
+    return {x: deg[x] for x in a.universe}
 
 
 def _is_connected_graph(a: FinStructure) -> bool:
@@ -165,10 +163,9 @@ def _is_digraph(a: FinStructure) -> bool:
 
 
 def _is_tournament(a: FinStructure) -> bool:
-    rel = a.rel("E")
-    return _is_digraph(a) and all(
-        ((x, y) in rel) != ((y, x) in rel) for x, y in combinations(sorted(a.universe), 2)
-    )
+    # n(n-1)/2 arcs, none whose reverse is an arc (a loop is its own): one per pair.
+    rel, n = a.rel("E"), len(a.universe)
+    return len(rel) == n * (n - 1) // 2 and rel.isdisjoint([(y, x) for x, y in rel])
 
 
 def _is_linear_graph(a: FinStructure) -> bool:
@@ -181,15 +178,12 @@ def _is_linear_graph(a: FinStructure) -> bool:
 
 def _free_union(a: FinStructure, b: FinStructure) -> FinStructure:
     """Union of the arcs; no arc between a-only and b-only points."""
-    rel = set(a.rel("E")) | set(b.rel("E"))
-    return validate_structure(GRAPH_SIG, a.universe | b.universe, {"E": rel})
+    return _glued(GRAPH_SIG, a, b, {})
 
 
 def _glue_tournaments(a: FinStructure, b: FinStructure) -> FinStructure:
     """Union of the arcs plus an arc from every a-only to every b-only point."""
-    rel = set(a.rel("E")) | set(b.rel("E"))
-    rel.update((x, y) for x in a.universe - b.universe for y in b.universe - a.universe)
-    return validate_structure(GRAPH_SIG, a.universe | b.universe, {"E": rel})
+    return _glued(GRAPH_SIG, a, b, {"E": {(x, y) for x in a.universe - b.universe for y in b.universe - a.universe}})
 
 
 def _subsets(xs: list[int]):
@@ -228,8 +222,7 @@ def _arc_extensions(choices):
 def _cross_graphs(left: FinStructure, right: FinStructure, root: frozenset[int],
                   s: int, s_bar: int, t: int, t_bar: int) -> FinStructure:
     """The free union of the two sides plus the edge {s,t}; {s_bar,t_bar} stays absent."""
-    union = _free_union(left, right)
-    return validate_structure(GRAPH_SIG, union.universe, {"E": union.rel("E") | {(s, t), (t, s)}})
+    return _glued(GRAPH_SIG, left, right, {"E": {(s, t), (t, s)}})
 
 
 def _graph_cross(x: int, n: int, rng: Random | None) -> set[tuple[int, int]]:
@@ -383,10 +376,11 @@ def _transitive_closure(rel: set[tuple[int, ...]]) -> set[tuple[int, int]]:
 
 def _glue_posets(a: FinStructure, b: FinStructure) -> FinStructure:
     """Transitive closure of the union."""
-    closed = _transitive_closure(set(a.rel("<")) | set(b.rel("<")))
+    union = a.rel("<") | b.rel("<")
+    closed = _transitive_closure(union)
     if any((y, x) in closed for x, y in closed) or any(x == y for x, y in closed):
         raise AmalgamationImpossible("transitive closure breaks antisymmetry")
-    return validate_structure(ORDER_SIG, a.universe | b.universe, {"<": closed})
+    return _glued(ORDER_SIG, a, b, {"<": closed - union})
 
 
 def _chain_extensions(a: FinStructure, new: int):
@@ -449,7 +443,8 @@ def _glue_metrics(a: FinStructure, b: FinStructure) -> FinStructure:
     sums; with nothing shared both sides sit at a constant cross distance
     no smaller than either diameter.  A pair in both sides takes b's
     distance.  The result has one canonically named symbol per distance
-    present, in increasing order, and its `distances` are the glued ones.
+    present, in increasing order, and its `distances` are the glued ones;
+    of its tuples only the cross pairs are new.
     """
     scale = lcm(a.distances[0], b.distances[0])
     dist: dict[tuple[int, ...], int] = {}
@@ -458,16 +453,17 @@ def _glue_metrics(a: FinStructure, b: FinStructure) -> FinStructure:
         dist.update(side if k == 1 else {t: d * k for t, d in side.items()})
     base = a.universe & b.universe
     diam = max([scale, *dist.values()])
+    old, new = {}, {}  # the sides' pairs and the cross pairs, by distance
+    for t, d in dist.items():
+        old.setdefault(d, set()).add(t)
     for x in a.universe - b.universe:
         for y in b.universe - a.universe:
             d = min(dist[x, r] + dist[r, y] for r in base) if base else diam
             dist[x, y] = dist[y, x] = d
-    pairs: dict[int, set[tuple[int, ...]]] = {}
-    for t, d in dist.items():
-        pairs.setdefault(d, set()).add(t)
-    interp = {_scaled_symbol(d, scale): pairs[d] for d in sorted(pairs)}
-    sig = Signature(tuple((name, 2) for name in interp))
-    out = validate_structure(sig, a.universe | b.universe, interp)
+            new.setdefault(d, set()).update(((x, y), (y, x)))
+    names = {d: _scaled_symbol(d, scale) for d in sorted(old.keys() | new.keys())}
+    sig = Signature(tuple((name, 2) for name in names.values()))
+    out = _glued(sig, a, b, {names[d]: ts for d, ts in new.items()}, {names[d]: ts for d, ts in old.items()})
     FinStructure.distances.seed(out, (scale, dist))
     return out
 
@@ -476,19 +472,14 @@ def _metric_extensions(a: FinStructure, new: int):
     old = a.sorted_universe()
     dist = metric_distances(a)
     for pattern in product(METRIC_PALETTE, repeat=len(old)):
-        new_dist = dict(dist)
-        for x, q in zip(old, pattern):
-            new_dist[frozenset((x, new))] = q
-        yield metric_structure(set(old) | {new}, new_dist)
+        yield metric_structure(set(old) | {new}, {**dist, **{frozenset((x, new)): q for x, q in zip(old, pattern)}})
 
 
 def _adjoin_far(a: FinStructure, m: int, rng: Random | None) -> FinStructure:
     """m sits at the largest distance present (at least 1) from every point."""
     dist = metric_distances(a)
-    if a.universe:
-        c = max(list(dist.values()) + [1])
-        for x in a.universe:
-            dist[frozenset((x, m))] = c
+    c = max([*dist.values(), 1])
+    dist.update({frozenset((x, m)): c for x in a.universe})
     return metric_structure(a.universe | {m}, dist)
 
 
@@ -605,11 +596,8 @@ def _right_map(fm: dict[int, int], gm: dict[int, int], c_order: list[int], fresh
 
 def _amalgam(b: FinStructure, c: FinStructure, result: FinStructure, map_c: dict[int, int]) -> Amalgam:
     """The amalgam of two checked sides: b by its own ids, c by map_c."""
-    return Amalgam(
-        result,
-        Embedding(b, result, tuple((x, x) for x in sorted(b.universe))),
-        Embedding(c, result, tuple(sorted(map_c.items()))),
-    )
+    return Amalgam(result, Embedding(b, result, tuple((x, x) for x in sorted(b.universe))),
+                   Embedding(c, result, tuple(sorted(map_c.items()))))
 
 
 def amalgamate(tag: str, f: Embedding, g: Embedding) -> Amalgam:
@@ -619,13 +607,16 @@ def amalgamate(tag: str, f: Embedding, g: Embedding) -> Amalgam:
     naturals.  Classes with strong amalgamation glue the two sides with no
     identification beyond the base (a metric result carries the padded
     common signature); LinearGraph searches amalgams that may identify
-    points, or fails with AmalgamationImpossible.
+    points, or fails with AmalgamationImpossible.  The glues trust the
+    sides' tuples, so `validate_structure` checks them first.
     """
+    for side in (f.target, g.target):
+        validate_structure(side.sig, side.universe, dict(side.interp))
     _check_inputs(tag, f.target, g.target, f.source)
     if not class_spec(tag).sap:
         return _amalgamate_linear_graph(f, g, connected=False)
     b, c, map_c, image_c = _setup_amalgam(f, g)
-    return _amalgam(*_glue_and_check(tag, b, c, {x: x for x in b.universe}, map_c, image_c), map_c)
+    return _amalgam(*_glue_and_check(tag, b, c, map_c, image_c), map_c)
 
 
 def _check_inputs(tag: str, *sides: FinStructure) -> None:
@@ -635,25 +626,18 @@ def _check_inputs(tag: str, *sides: FinStructure) -> None:
             raise NotInClass(f"input not in class {tag}")
 
 
-def _glue_and_check(tag: str, b: FinStructure, c: FinStructure, left_map: dict[int, int],
-                    map_c: dict[int, int], image_c: FinStructure) -> tuple[FinStructure, ...]:
-    """The strong amalgam of b and image_c = relabel(c, map_c): the class
-    glue, aligned with b and c and checked for membership, then both sides
-    by `_check_sides`.  Returns the aligned (b, c, result)."""
+def _glue_and_check(tag: str, b: FinStructure, c: FinStructure, map_c: dict[int, int],
+                    image_c: FinStructure) -> tuple[FinStructure, ...]:
+    """The strong amalgam of the validated b and image_c = relabel(c, map_c):
+    the class glue, which checks only the tuples it adds, aligned with b
+    and c and checked for membership, then the embeddings of b by the
+    identity and c by map_c, in one pass over the result's rows
+    (`structures._check_rows`).  Returns the aligned (b, c, result)."""
     b, c, result = align(tag, b, c, class_spec(tag).glue(b, image_c))
     if not membership(tag, result):
         raise AmalgamationImpossible(f"strategy output left the class {tag}")
-    _check_sides(b, c, result, left_map, map_c, image_c)
+    _check_rows(result, b, c, map_c, image_c)
     return b, c, result
-
-
-def _check_sides(b: FinStructure, c: FinStructure, result: FinStructure, left_map: dict[int, int],
-                 map_c: dict[int, int], image_c: FinStructure) -> None:
-    """The embedding checks of both sides into `result`, on its rows (the
-    one side check, `structures._check_rows`): b by `left_map`, the
-    identity on its ids, then c by map_c."""
-    _check_rows(b, result, left_map, b)
-    _check_rows(c, result, map_c, image_c)
 
 
 # --- linear graphs ----------------------------------------------------------
@@ -677,7 +661,7 @@ def _strong_linear_graph_amalgam(f: Embedding, g: Embedding, connected: bool) ->
     if not _is_forest(union):
         raise AmalgamationImpossible("the union over the base contains a cycle")
     result = _bridge_components(union) if connected else union
-    _check_sides(b, c, result, {x: x for x in b.universe}, map_c, image_c)
+    _check_rows(result, b, c, map_c, image_c)
     return _amalgam(b, c, result, map_c)
 
 
@@ -686,13 +670,9 @@ def _bridge_components(structure: FinStructure) -> FinStructure:
     comps = structure.components
     if len(comps) <= 1:
         return structure
-    rel = set(structure.rel("E"))
-    universe = set(structure.universe)
-    deg = _degrees(structure)
+    rel, universe, deg = set(structure.rel("E")), set(structure.universe), _degrees(structure)
     bridges = fresh_ids(universe, len(comps) - 1)
-    ends = []
-    for comp in comps:
-        ends.append(sorted(x for x in comp if deg.get(x, 0) <= 1))
+    ends = [sorted(x for x in comp if deg.get(x, 0) <= 1) for comp in comps]
     for i, z in enumerate(bridges):
         left_end = [x for x in ends[i] if deg[x] <= 1][-1]
         right_end = [x for x in ends[i + 1] if deg[x] <= 1][0]
@@ -726,19 +706,15 @@ def _amalgamate_linear_graph(f: Embedding, g: Embedding, connected: bool) -> Ama
     right_new = [x for x in c.sorted_universe() if x not in base_map]
 
     for ident in _partial_injections(right_new, left_new):
-        map_c = dict(base_map)
-        map_c.update(ident)
         unmatched = [x for x in right_new if x not in ident]
-        names = fresh_ids(set(b.universe), len(unmatched))
-        for x, y in zip(unmatched, names):
-            map_c[x] = y
+        map_c = {**base_map, **ident, **dict(zip(unmatched, fresh_ids(b.universe, len(unmatched))))}
         image_c = relabel(c, map_c)
         candidate = _free_union(b, image_c)
         if not membership("LinearGraph", candidate):
             continue
         try:  # identification must not create adjacencies inside either image
             result = _bridge_components(candidate) if connected else candidate
-            _check_sides(b, c, result, {x: x for x in b.universe}, map_c, image_c)
+            _check_rows(result, b, c, map_c, image_c)
         except StructureError:
             continue
         return _amalgam(b, c, result, map_c)
@@ -812,8 +788,8 @@ def _amalgam_instances(tag: str, size_bound: int, connected: bool):
     is kept, with setup None.  Pairs with one map have one image, so the
     first failing pair in the full order is always kept.  The embeddings
     of the base into each member, their maps and images are listed once,
-    the fresh ids once per group, and each relabelled right side once per
-    base and left universe.
+    the fresh ids once per group, and each map_c and relabelled right side
+    once per base and left universe.
     """
     sap = class_spec(tag).sap
     members = _property_members(tag, size_bound, connected)
@@ -836,9 +812,9 @@ def _amalgam_instances(tag: str, size_bound: int, connected: bool):
 
 def _distinct_pairs(fs, gs, right: FinStructure, fresh: list[int] | None, renamed: dict):
     """The pairs of one group that `_amalgam_instances` keeps; with SAP,
-    `fresh` holds the ids of right's new points, and `renamed` image_c by
-    the partial map's pairs in base point order, shared with the groups of
-    the same base and right whose left has the same universe."""
+    `fresh` holds the ids of right's new points, and `renamed` (map_c,
+    image_c) by the partial map's pairs in base point order, shared with
+    the groups of the same base and right whose left has the same universe."""
     maps: set[frozenset[tuple[int, int]]] = set()
     glued: set[FinStructure] = set()
     order = right.sorted_universe()
@@ -852,10 +828,10 @@ def _distinct_pairs(fs, gs, right: FinStructure, fresh: list[int] | None, rename
             if fresh is None:
                 yield f, g, None
                 continue
-            map_c = _right_map(fm, gm, order, fresh)
             if pairs not in renamed:
-                renamed[pairs] = relabel(right, map_c)
-            image_c = renamed[pairs]
+                map_c = _right_map(fm, gm, order, fresh)
+                renamed[pairs] = map_c, relabel(right, map_c)
+            map_c, image_c = renamed[pairs]
             if image_c not in glued:
                 glued.add(image_c)
                 yield f, g, (fm, gm, map_c, image_c)
@@ -876,14 +852,14 @@ def _amalgam_failure(tag: str, f: Embedding, g: Embedding, strong: bool, connect
 def validate_amalgam(
     tag: str, f: Embedding, g: Embedding, amalgam: Amalgam, strong: bool, connected: bool = False
 ) -> str | None:
-    return _verdict(tag, f.as_dict(), g.as_dict(), amalgam.emb_left.as_dict(),
-                    amalgam.emb_right.as_dict(), amalgam.result, strong, connected)
+    return _verdict(tag, f.as_dict(), g.as_dict(), amalgam.emb_left.as_dict(), amalgam.emb_right.as_dict(),
+                    amalgam.result, strong, connected, {y for _, y in amalgam.emb_left.mapping})
 
 
 def _verdict(tag: str, fm: dict[int, int], gm: dict[int, int], lm: dict[int, int], rm: dict[int, int],
-             result: FinStructure, strong: bool, connected: bool) -> str | None:
+             result: FinStructure, strong: bool, connected: bool, left_image: set[int] | frozenset[int]) -> str | None:
     """`validate_amalgam` on plain maps: f and g as fm and gm, the left and
-    right embeddings into `result` as lm and rm."""
+    right embeddings into `result` as lm and rm, and lm's image set."""
     if not membership(tag, result):
         return "result not in class"
     if connected and not _is_connected_graph(result):
@@ -893,7 +869,7 @@ def _verdict(tag: str, fm: dict[int, int], gm: dict[int, int], lm: dict[int, int
             return "square does not commute"
     if strong:
         base_image = {lm[fm[a]] for a in fm}
-        if set(lm.values()) & set(rm.values()) != base_image:
+        if left_image & set(rm.values()) != base_image:
             return "images overlap beyond the base"
     return None
 
@@ -909,7 +885,8 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
     g(a) -> f(a) for LinearGraph), as `_amalgam_instances` explains, and
     the counterexample is still the first in the full base, left, right,
     f, g order.  The three members of a group are checked for membership
-    once, before its first pair.  JEP is AP over the empty base: the
+    once, before its first pair; a pair's glue checks only the tuples it
+    adds to them (`_glue_and_check`).  JEP is AP over the empty base: the
     empty member comes first, its groups are the (left, right) pairs in
     order, each with its one pair of empty maps, and the counterexample
     names only left and right.
@@ -957,11 +934,11 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
             else:  # the strong glue of inputs already checked, on plain maps
                 fm, gm, map_c, image_c = setup
                 try:
-                    result = _glue_and_check(tag, left, right, identity, map_c, image_c)[2]
+                    result = _glue_and_check(tag, left, right, map_c, image_c)[2]
                 except StructureError as exc:
                     reason = str(exc)
                 else:
-                    reason = _verdict(tag, fm, gm, identity, map_c, result, strong, connected)
+                    reason = _verdict(tag, fm, gm, identity, map_c, result, strong, connected, left.universe)
             if reason is not None:
                 if prop == "JEP":
                     return PropertyVerdict(False, {"left": left, "right": right, "detail": reason})
@@ -974,11 +951,15 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
 
 def _align_signature(a: FinStructure, sig: Signature) -> FinStructure:
     """Re-base a structure onto a containing signature; missing symbols
-    get empty interpretations.  The validated rows of `a` are reused."""
+    get empty interpretations.  The validated rows of `a` are reused, and
+    so are its `distances` once built: the new symbols are empty."""
     if not set(a.sig.symbols) <= set(sig.symbols):
         raise SignatureMismatch("target signature does not contain the source one")
     rows = dict(a.interp)
-    return FinStructure(sig, a.universe, tuple((name, rows.get(name, frozenset())) for name, _ in sig.symbols))
+    out = FinStructure(sig, a.universe, tuple((name, rows.get(name, frozenset())) for name, _ in sig.symbols))
+    if "distances" in vars(a):
+        FinStructure.distances.seed(out, a.distances)
+    return out
 
 
 def _metric_common_signature(*structures: FinStructure) -> Signature:

@@ -180,7 +180,8 @@ class FinStructure:
     def distances(self) -> tuple[int, dict[tuple[int, int], int] | None]:
         """A metric space's distances as ints: (scale, dist), where scale is
         a common denominator of the distances its symbols name (the least,
-        unless the view was seeded) and dist maps each pair to scale times
+        unless the view was seeded; a seeded one need not cover the empty
+        symbols of a padded copy) and dist maps each pair to scale times
         its symbol's distance.  dist is None if a pair is a loop, lies in
         two symbols, or its reverse is not in its own symbol.  Raises
         SignatureMismatch on a symbol not named `d_<q>`."""
@@ -250,6 +251,19 @@ def validate_structure(
     return FinStructure(sig, universe, tuple(rows))
 
 
+def _glued(sig: Signature, a: FinStructure, b: FinStructure, new: dict, rows: dict | None = None) -> FinStructure:
+    """A glue of the validated a and b over `sig`: their points and rows (or `rows`,
+    drawn from theirs) plus the `new` tuples by symbol, of which only the new are
+    checked; on a fault `validate_structure` raises its own error for the whole."""
+    universe, arity = a.universe | b.universe, sig._arities
+    interp = {name: a.rel(name).union(b.rel(name), new.get(name, ())) if rows is None
+              else frozenset(rows.get(name, ())).union(new.get(name, ())) for name in arity}
+    for name, tuples in new.items():
+        if name not in arity or {*map(len, tuples)} - {arity[name]} or not all(map(universe.issuperset, tuples)):
+            validate_structure(sig, universe, {**new, **interp})
+    return FinStructure(sig, universe, tuple(interp.items()))
+
+
 def empty_structure(sig: Signature) -> FinStructure:
     return validate_structure(sig, set(), {})
 
@@ -294,24 +308,38 @@ def _check_map(source: FinStructure, target: FinStructure, mapping: dict[int, in
         raise StructureError("mapping domain must be the source universe")
     if len(set(mapping.values())) != len(mapping):
         raise StructureError("mapping is not injective")
-    for y in mapping.values():
-        if y not in target.universe:
-            raise StructureError(f"image point {y} not in target universe")
+    if not target.universe.issuperset(mapping.values()):
+        y = next(y for y in mapping.values() if y not in target.universe)
+        raise StructureError(f"image point {y} not in target universe")
 
 
-def _check_rows(source: FinStructure, target: FinStructure, mapping: dict[int, int],
+def _check_rows(target: FinStructure, left: FinStructure, source: FinStructure, mapping: dict[int, int],
                 image: FinStructure) -> None:
-    """`make_embedding`'s checks, raising its errors, for a caller holding
-    `image` = relabel(source, mapping), possibly over fewer symbols.  The
-    relation check compares rows: per symbol by name, the tuples of
-    `target` inside the image must be those of `image`, a missing symbol
-    counting as empty."""
-    _check_map(source, target, mapping)
-    points, rows = image.universe, dict(image.interp)
+    """`make_embedding`'s checks into `target`, raising its errors: of the
+    validated `left` by the identity (whose map check is the signature and
+    a subset test), then of `source` by `mapping`, given image =
+    relabel(source, mapping), possibly over fewer symbols.  A side's rows
+    lie inside its points, so they are target's tuples there when they are
+    part of target's rows and as many: one pass counts both sides."""
+    points, inside = left.universe, image.universe
+    if left.sig is not target.sig and left.sig != target.sig or not points <= target.universe:
+        _check_map(left, target, {x: x for x in points})
+    left_rows, image_rows = dict(left.interp), dict(image.interp)
+    left_ok = image_ok = True
     for name, tuples in target.interp:
-        if rows.pop(name, frozenset()) != {t for t in tuples if points.issuperset(t)}:
-            raise StructureError("map does not preserve and reflect relations")
-    if any(rows.values()):  # symbols of `image` that `target` lacks
+        n_left = n_image = 0
+        for t in tuples:
+            if points.issuperset(t):
+                n_left += 1
+            if inside.issuperset(t):
+                n_image += 1
+        row, image_row = left_rows[name], image_rows.pop(name, frozenset())
+        left_ok = left_ok and n_left == len(row) and row <= tuples
+        image_ok = image_ok and n_image == len(image_row) and image_row <= tuples
+    if not left_ok:
+        raise StructureError("map does not preserve and reflect relations")
+    _check_map(source, target, mapping)
+    if not image_ok or any(image_rows.values()):  # symbols of `image` that `target` lacks
         raise StructureError("map does not preserve and reflect relations")
 
 
@@ -531,18 +559,9 @@ def relabel_disjoint(a: FinStructure, forbidden: set[int] | frozenset[int]) -> t
     Fresh ids are the smallest naturals outside forbidden and the
     original universe.
     """
-    forbidden = set(forbidden)
-    renaming: dict[int, int] = {}
-    used = set(a.universe) | forbidden
-    next_fresh = 0
-    for x in a.sorted_universe():
-        if x not in forbidden:
-            renaming[x] = x
-        else:
-            while next_fresh in used:
-                next_fresh += 1
-            renaming[x] = next_fresh
-            used.add(next_fresh)
+    clashes = [x for x in a.sorted_universe() if x in forbidden]
+    moved = dict(zip(clashes, fresh_ids(a.universe | set(forbidden), len(clashes))))
+    renaming = {x: moved.get(x, x) for x in a.sorted_universe()}
     return relabel(a, renaming), renaming
 
 

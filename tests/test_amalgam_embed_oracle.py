@@ -2,10 +2,12 @@
 compared with the validating constructors they stand in for.
 
 `structures._check_rows`, the one side check of every amalgam, checks
-each side's embedding against rows the caller already holds: the
-result's rows on the image of each side, compared with that side's rows
-as the glue received them.  `make_embedding` and `validate_structure`
-are the oracles.  The CLI pins are the sha256 of
+both sides' embeddings against rows the caller already holds: the
+result's rows on the image of each side, counted in one pass and
+compared with that side's rows as the glue received them.
+`structures._glued`, the constructor of every glue result, checks only
+the tuples a glue adds to its two validated sides.  `make_embedding` and
+`validate_structure` are the oracles.  The CLI pins are the sha256 of
 `genstruct amalgamate --op class` output on three fixed triples; the
 metric one glues a distance, 3, that neither side uses, so the result's
 signature grows and both sides are padded.
@@ -22,17 +24,25 @@ from hypothesis import given, settings, strategies as st
 from genstruct import classes
 from genstruct.classes import SPECS, _align_signature, check_property, membership
 from genstruct.cli import main
+from genstruct.forcing import Condition, common_extension
 from genstruct.structures import (
+    Embedding,
+    FinStructure,
     Signature,
     SignatureMismatch,
     StructureError,
+    TupleOutOfUniverse,
     _check_rows,
+    _glued,
+    empty_structure,
     inclusion_embedding,
+    induced_substructure,
     make_embedding,
     relabel,
     validate_structure,
 )
 from test_amalgam_oracle import (
+    VERDICT_DIGESTS,
     always,
     oracle_amalgamation_verdict,
     tied_to_largest_shared_only,
@@ -97,6 +107,11 @@ SIGS = (
     Signature((("R", 3),)),
     Signature((("d_1", 2), ("d_2", 2), ("d_3", 2))),
 )
+
+
+def one_side(source, target, mapping, image):
+    """The side check of `source` alone: the left side is empty."""
+    _check_rows(target, empty_structure(source.sig), source, mapping, image)
 
 
 def outcome(check, *args):
@@ -168,8 +183,32 @@ def embedding_cases(draw):
 @given(embedding_cases())
 def test_row_check_accepts_exactly_what_make_embedding_accepts(case):
     source, target, mapping, image = case
-    assert outcome(_check_rows, source, target, mapping, image) == outcome(
+    assert outcome(one_side, source, target, mapping, image) == outcome(
         make_embedding, source, target, mapping)
+
+
+@st.composite
+def two_side_cases(draw):
+    """(left, source, target, mapping, image): an `embedding_cases` case and
+    a left side on some of the target's points, mostly induced by it; at
+    times any structure there, with a point that may lie outside the
+    target, or over another signature."""
+    source, target, mapping, image = draw(embedding_cases())
+    points = draw(st.sets(st.sampled_from(sorted(target.universe)), max_size=4)) if target.universe else set()
+    left = induced_substructure(target, points)
+    if draw(st.integers(0, 2)) == 0:
+        sig = target.sig if draw(st.integers(0, 5)) else draw(st.sampled_from(SIGS))
+        left = draw(structures_on(sig, points | draw(st.sets(st.integers(0, 9), max_size=1))))
+    return left, source, target, mapping, image
+
+
+@settings(max_examples=600, deadline=None)
+@given(two_side_cases())
+def test_two_side_check_raises_the_first_make_embedding_error(case):
+    left, source, target, mapping, image = case
+    assert outcome(_check_rows, target, left, source, mapping, image) == (
+        outcome(make_embedding, left, target, {x: x for x in left.universe})
+        or outcome(make_embedding, source, target, mapping))
 
 
 def test_row_check_failure_messages():
@@ -187,7 +226,7 @@ def test_row_check_failure_messages():
     ]
     for source, target, mapping in cases:
         image = relabel(source, mapping) if len(set(mapping.values())) == len(mapping) == 2 else source
-        assert outcome(_check_rows, source, target, mapping, image) == outcome(
+        assert outcome(one_side, source, target, mapping, image) == outcome(
             make_embedding, source, target, mapping)
     assert outcome(make_embedding, *cases[-1]) is None
     assert [outcome(make_embedding, *case)[1] for case in cases[:-1]] == [
@@ -241,8 +280,9 @@ def test_align_signature_rejects_a_signature_that_does_not_contain_the_input():
 # --- broken glues against the make_embedding amalgam ------------------------------
 
 
-def oracle_check_rows(source, target, mapping, image):
+def oracle_check_rows(target, left, source, mapping, image):
     """The side check by `make_embedding`, which ignores `image`."""
+    make_embedding(left, target, {x: x for x in left.universe})
     make_embedding(source, target, mapping)
 
 
@@ -359,3 +399,94 @@ def test_linear_graph_search_skips_an_identification_that_adds_an_edge_inside_a_
     am = classes.amalgamate("LinearGraph", inclusion_embedding(base, left), inclusion_embedding(base, right))
     assert am.result == graph({0, 1, 2, 3}, [(0, 2), (0, 3), (1, 3)])
     assert am.emb_right.as_dict() == {0: 0, 1: 1, 2: 3, 3: 2}
+
+
+# --- glue results built from checked sides ----------------------------------------
+
+
+def raw_left_with_a_stray_arc():
+    """A left side built without `validate_structure`: the arc (1, 7) leaves
+    its universe {0, 1}, and the right side has no 7."""
+    e = Signature((("E", 2),))
+    base = validate_structure(e, {0}, {})
+    left = FinStructure(e, frozenset({0, 1}), (("E", frozenset({(0, 1), (1, 7)})),))
+    right = validate_structure(e, {0, 2}, {"E": {(0, 2)}})
+    return base, left, right
+
+
+@pytest.mark.parametrize("tag", ("Digraph", "Tournament"))
+def test_amalgamate_rejects_a_raw_side_with_a_tuple_outside_its_universe(tag):
+    base, left, right = raw_left_with_a_stray_arc()
+    f, g = Embedding(base, left, ((0, 0),)), Embedding(base, right, ((0, 0),))
+    with pytest.raises(TupleOutOfUniverse) as info:
+        classes.amalgamate(tag, f, g)
+    assert str(info.value) == "E(1, 7): 7 not in universe"
+
+
+def test_common_extension_of_a_raw_condition_with_a_stray_arc_is_none():
+    _, left, right = raw_left_with_a_stray_arc()
+    assert common_extension(Condition("Digraph", left), Condition("Digraph", right)) is None
+
+
+def validating_glued(sig, a, b, new, rows=None):
+    """`_glued` by `validate_structure` over every tuple of the result."""
+    rows = {name: a.rel(name) | b.rel(name) for name in sig.names()} if rows is None else rows
+    return validate_structure(sig, a.universe | b.universe,
+                              {name: set(rows.get(name, ())) | set(new.get(name, ())) for name in [*rows, *new]})
+
+
+def test_sweep_with_fully_validated_glues_gives_the_pinned_verdicts(monkeypatch):
+    monkeypatch.setattr(classes, "_glued", validating_glued)
+    for (tag, prop, bound), digest in VERDICT_DIGESTS.items():
+        text = verdict_json(check_property(tag, prop, bound))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (tag, prop, bound)
+
+
+@st.composite
+def glue_cases(draw):
+    """(sig, a, b, new): two structures on overlapping universes and the
+    tuples a glue adds, at times one of them over an unknown symbol, of
+    the wrong arity or with a point outside both universes."""
+    sig = draw(st.sampled_from(SIGS))
+    a = draw(structures_on(sig, draw(st.sets(st.integers(0, 4), max_size=3))))
+    b = draw(structures_on(sig, draw(st.sets(st.integers(2, 6), max_size=3))))
+    points = sorted(a.universe | b.universe)
+    new = {}
+    for name, arity in sig.symbols:
+        tuples = list(product(points, repeat=arity))
+        new[name] = set(draw(st.lists(st.sampled_from(tuples), max_size=4))) if tuples else set()
+    fault = draw(st.sampled_from((None, None, "symbol", "arity", "point")))
+    name, arity = sig.symbols[0]
+    if fault == "symbol":
+        new["X"] = {(0,) * arity}
+    elif fault == "arity":
+        new[name].add(tuple(points[:1] or [0]) * (arity + 1))
+    elif fault == "point":
+        new[name].add((9,) * arity)
+    return sig, a, b, new
+
+
+@settings(max_examples=400, deadline=None)
+@given(glue_cases())
+def test_glued_matches_validate_structure_over_the_whole(case):
+    sig, a, b, new = case
+    assert outcome(_glued, sig, a, b, new) == outcome(validating_glued, sig, a, b, new)
+    if outcome(_glued, sig, a, b, new) is None:
+        out, expected = _glued(sig, a, b, new), validating_glued(sig, a, b, new)
+        assert (out, out.sig, out.interp) == (expected, expected.sig, expected.interp)
+
+
+def test_glued_new_tuple_faults_raise_validate_structure_errors():
+    e = Signature((("E", 2),))
+    a = validate_structure(e, {0, 1}, {"E": {(0, 1)}})
+    b = validate_structure(e, {1, 2}, {"E": {(1, 2)}})
+    whole = {"E": {(0, 1), (1, 2)}}
+    with pytest.raises(TupleOutOfUniverse) as info:
+        _glued(e, a, b, {"E": {(0, 5)}})
+    assert str(info.value) == "E(0, 5): 5 not in universe"
+    assert outcome(_glued, e, a, b, {"E": {(0, 5)}}) == outcome(
+        validate_structure, e, {0, 1, 2}, {"E": whole["E"] | {(0, 5)}})
+    assert outcome(_glued, e, a, b, {"E": {(0, 1, 2)}}) == outcome(
+        validate_structure, e, {0, 1, 2}, {"E": whole["E"] | {(0, 1, 2)}}) == (
+        StructureError, "tuple (0, 1, 2) has wrong arity for E")
+    assert _glued(e, a, b, {}) == validate_structure(e, {0, 1, 2}, whole)
