@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 from genstruct.classes import (
@@ -27,7 +27,6 @@ from genstruct.classes import (
 from genstruct.structures import (
     FinStructure,
     StructureError,
-    extension_witnesses,
     placements,
 )
 
@@ -204,27 +203,45 @@ def homogeneity_items(m: FinStructure, tag: str, k: int) -> Iterator[ReportItem]
     are typically rigid, so the full automorphism-extension form is out of
     reach by design.  Per size s there are C(|M|, s)^2 pairs of domains,
     at most s! isomorphisms each and |M| - s enlargements.
+
+    Answered on m's `Bitsets` rows.  A tuple's type is its points' `fixed`
+    types and the links' bits on its ordered pairs; phi: xs -> ys is an
+    isomorphism exactly when xs and phi's images have one type, so the
+    permutations of each s-set are typed once and xs looks up its own type,
+    in the lexicographic image order of `placements`.  Per phi each image's
+    rows are taken once; per extra point, one bit test per (pin, link) picks
+    a row or its complement.  `_admit` requires class membership and every
+    class signature is binary, so `Bitsets.high` is empty here.
     """
     _admit(m, tag, k)
     n = len(m)
     _cap(sum(comb(n, s) ** 2 * factorial(s) * (n - s) for s in range(k + 1)))
 
     def items() -> Iterator[ReportItem]:
-        elems, index = m.sorted_universe(), m.bitsets.index
+        elems, view = m.sorted_universe(), m.bitsets
+        links = [r for r, _ in view.links]
+        # code[i*n + j]: point i's fixed type if i == j, else the links' bits on (i, j).
+        code = [sum((r >> i * n + j & 1) << b for b, r in enumerate(links)) if i != j
+                else sum((f >> i & 1) << b for b, f in enumerate(view.fixed))
+                for i in range(n) for j in range(n)]
+        base = [sum(1 << j for j in range(n) if code[j * n + j] == code[i * n + i]) for i in range(n)]
         for size in range(k + 1):
-            # Per set ys, its mask once per point of a domain xs.
-            domains = [(s, [sum(1 << index[y] for y in s)] * size) for s in combinations(elems, size)]
-            for xs, _ in domains:
-                for ys, within in domains:
-                    # The isomorphisms between the parts induced on xs and on ys.
-                    for phi in placements(m, m, {}, xs, within):
-                        label = f"iso={sorted(phi.items())};add="
-                        for extra in elems:
-                            if extra in xs:
-                                continue
-                            mask = extension_witnesses(m, m, phi, extra)
-                            witness = elems[(mask & -mask).bit_length() - 1] if mask else None
-                            yield ReportItem(f"{label}{extra}", witness is not None, witness)
+            images: dict[tuple, list] = {}  # type -> the permutations of that type, in order
+            for ys in combinations(range(n), size):
+                for p in permutations(ys):
+                    images.setdefault(tuple(code[i * n + j] for i in p for j in p), []).append(p)
+            for xs in combinations(range(n), size):
+                extras = [i for i in range(n) if i not in xs]
+                for p in images[tuple(code[i * n + j] for i in xs for j in xs)]:
+                    label = f"iso={[(elems[x], elems[y]) for x, y in zip(xs, p)]};add="
+                    outside = view.full ^ sum(1 << y for y in p)
+                    rows = [(x * n, r, r >> y * n & view.full) for x, y in zip(xs, p) for r in links]
+                    for i in extras:
+                        mask = base[i] & outside
+                        for at, r, row in rows:
+                            mask &= row if r >> at + i & 1 else ~row
+                        witness = elems[(mask & -mask).bit_length() - 1] if mask else None
+                        yield ReportItem(f"{label}{elems[i]}", witness is not None, witness)
 
     return items()
 

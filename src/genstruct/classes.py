@@ -852,18 +852,19 @@ def _amalgam_failure(tag: str, f: Embedding, g: Embedding, strong: bool, connect
 def validate_amalgam(
     tag: str, f: Embedding, g: Embedding, amalgam: Amalgam, strong: bool, connected: bool = False
 ) -> str | None:
-    return _verdict(tag, f.as_dict(), g.as_dict(), amalgam.emb_left.as_dict(), amalgam.emb_right.as_dict(),
-                    amalgam.result, strong, connected, {y for _, y in amalgam.emb_left.mapping})
-
-
-def _verdict(tag: str, fm: dict[int, int], gm: dict[int, int], lm: dict[int, int], rm: dict[int, int],
-             result: FinStructure, strong: bool, connected: bool, left_image: set[int] | frozenset[int]) -> str | None:
-    """`validate_amalgam` on plain maps: f and g as fm and gm, the left and
-    right embeddings into `result` as lm and rm, and lm's image set."""
-    if not membership(tag, result):
+    if not membership(tag, amalgam.result):
         return "result not in class"
-    if connected and not _is_connected_graph(result):
+    if connected and not _is_connected_graph(amalgam.result):
         return "result not connected"
+    return _verdict(f.as_dict(), g.as_dict(), amalgam.emb_left.as_dict(), amalgam.emb_right.as_dict(),
+                    strong, {y for _, y in amalgam.emb_left.mapping})
+
+
+def _verdict(fm: dict[int, int], gm: dict[int, int], lm: dict[int, int], rm: dict[int, int],
+             strong: bool, left_image: set[int] | frozenset[int]) -> str | None:
+    """The square and image checks of `validate_amalgam` on plain maps: f
+    and g as fm and gm, the left and right embeddings as lm and rm, and lm's
+    image set; `_glue_and_check` has checked its results' membership."""
     for a in fm:
         if lm[fm[a]] != rm[gm[a]]:
             return "square does not commute"
@@ -934,11 +935,11 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
             else:  # the strong glue of inputs already checked, on plain maps
                 fm, gm, map_c, image_c = setup
                 try:
-                    result = _glue_and_check(tag, left, right, map_c, image_c)[2]
+                    _glue_and_check(tag, left, right, map_c, image_c)
                 except StructureError as exc:
                     reason = str(exc)
                 else:
-                    reason = _verdict(tag, fm, gm, identity, map_c, result, strong, connected, left.universe)
+                    reason = _verdict(fm, gm, identity, map_c, strong, left.universe)
             if reason is not None:
                 if prop == "JEP":
                     return PropertyVerdict(False, {"left": left, "right": right, "detail": reason})

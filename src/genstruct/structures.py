@@ -320,7 +320,9 @@ def _check_rows(target: FinStructure, left: FinStructure, source: FinStructure, 
     a subset test), then of `source` by `mapping`, given image =
     relabel(source, mapping), possibly over fewer symbols.  A side's rows
     lie inside its points, so they are target's tuples there when they are
-    part of target's rows and as many: one pass counts both sides."""
+    part of target's rows and as many: one pass counts both sides.  Every
+    symbol of `image` is one of source's, which `_check_map` requires to
+    be target's, so no symbol of `image` is left uncounted."""
     points, inside = left.universe, image.universe
     if left.sig is not target.sig and left.sig != target.sig or not points <= target.universe:
         _check_map(left, target, {x: x for x in points})
@@ -333,13 +335,13 @@ def _check_rows(target: FinStructure, left: FinStructure, source: FinStructure, 
                 n_left += 1
             if inside.issuperset(t):
                 n_image += 1
-        row, image_row = left_rows[name], image_rows.pop(name, frozenset())
+        row, image_row = left_rows[name], image_rows.get(name, frozenset())
         left_ok = left_ok and n_left == len(row) and row <= tuples
         image_ok = image_ok and n_image == len(image_row) and image_row <= tuples
     if not left_ok:
         raise StructureError("map does not preserve and reflect relations")
     _check_map(source, target, mapping)
-    if not image_ok or any(image_rows.values()):  # symbols of `image` that `target` lacks
+    if not image_ok:
         raise StructureError("map does not preserve and reflect relations")
 
 

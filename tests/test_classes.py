@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -261,6 +262,23 @@ def test_linear_graph_amalgam_identifies_when_forced():
     assert membership("LinearGraph", am.result)
     assert validate_amalgam("LinearGraph", f, g, am, strong=False) is None
     assert len(am.result) == 3  # both arms folded together
+
+
+def test_validate_amalgam_checks_the_result_itself():
+    # check_property checks its glued results' membership as it glues them;
+    # validate_amalgam still rejects a result outside the class or, with
+    # `connected`, one in pieces.
+    base, left, right = graph({0}, []), graph({0, 1}, [(0, 1)]), graph({0, 2}, [(0, 2)])
+    f, g = inclusion_embedding(base, left), inclusion_embedding(base, right)
+    am = amalgamate("LinearGraph", f, g)
+    assert validate_amalgam("LinearGraph", f, g, am, strong=True, connected=True) is None
+    new = max(am.result.universe) + 1
+    edges = {tuple(e) for e in am.result.rel("E")}
+    star = replace(am, result=graph(am.result.universe | {new}, edges | {(0, new)}))
+    assert validate_amalgam("LinearGraph", f, g, star, strong=True) == "result not in class"
+    apart = replace(am, result=graph(am.result.universe | {new}, edges))
+    assert validate_amalgam("LinearGraph", f, g, apart, strong=True) is None
+    assert validate_amalgam("LinearGraph", f, g, apart, strong=True, connected=True) == "result not connected"
 
 
 # --- verdicts and counts --------------------------------------------------------

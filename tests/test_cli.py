@@ -546,6 +546,11 @@ CHECK_DIGESTS = {
         (1, "edb835c78249d95f55df18ebeeb70a1cfc33dc882a4c541fbf74e34ac9d57e1d"),
     ("build --class PartialOrder --n 3 --ext-size 2 --seed 0", "homogeneity", "1"):
         (1, "e2eee63474e24eadddbf952ed422d018e69bd784aa18465e67c22d46ab2ffc05"),
+    # k=2 on a directed relation whose reverse is a second link, and on a dense order.
+    ("build --class Tournament --n 4 --seed 1", "homogeneity", "2"):
+        (1, "ed92ee2dadcd8224693c0e6231bacaed5903622a9c01d694cea94edcd5f1f36f"),
+    ("build --class PartialOrder --n 3 --ext-size 2 --seed 0", "homogeneity", "2"):
+        (1, "a7e6949471ad394418206b9d5dc9bd35ef7cbe1281ca2bca881e5d0c8eb4811c"),
     ("build --class RationalMetric --n 1 --seed 0", "universality", "3"):
         (0, "936f39d1c7e44244b788f67fd5c2b220595a50c25de3f6fd0bfd3033e1a464ea"),
     ("build --class PartialOrder --n 3 --ext-size 2 --seed 0", "universality", "3"):

@@ -17,6 +17,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genstruct import analysis
 from genstruct.analysis import (
     Report,
     ReportItem,
@@ -25,7 +26,7 @@ from genstruct.analysis import (
     one_point_homogeneity,
     universality_check,
 )
-from genstruct.classes import NotInClass, align, enumerate_members, membership
+from genstruct.classes import TAGS, NotInClass, align, enumerate_members, membership
 from genstruct.cli import default_schedule
 from genstruct.forcing import empty_condition, generic_build
 from genstruct.structures import (
@@ -351,15 +352,45 @@ def members(draw, tag: str) -> FinStructure:
     return validate_structure(GRAPH_SIG, set(elems), {"E": arcs})
 
 
-@settings(max_examples=40, deadline=None)
+# Enumerating the 9,608 five-point digraphs takes seconds; random digraphs reach 6 points.
+ENUMERATED_SIZES = {tag: 4 if tag == "Digraph" else 5 for tag in TAGS}
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_one_point_homogeneity_matches_oracle(data):
-    tag = data.draw(st.sampled_from(["Graph", "Tournament", "Digraph"]))
-    m = data.draw(members(tag))
-    k = data.draw(st.integers(0, 2))
+    # A random Graph, Tournament or Digraph, or an enumerated member of any
+    # class: RationalMetric brings several binary symbols, LinearGraph its paths.
+    tag = data.draw(st.sampled_from(TAGS))
+    if tag in ("Graph", "Tournament", "Digraph") and data.draw(st.booleans()):
+        m = data.draw(members(tag))
+    else:
+        m = data.draw(st.sampled_from(enumerate_members(tag, data.draw(st.integers(0, ENUMERATED_SIZES[tag])))))
+    k = data.draw(st.integers(0, 3))
     assert membership(tag, m)
     expected = oracle_one_point_homogeneity(m, tag, k).to_json()
     assert one_point_homogeneity(m, tag, k).to_json() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_point_homogeneity_matches_oracle_on_unary_and_loop_types(data):
+    # No class member has a unary symbol or a loop, so membership is waived
+    # to reach the `fixed` types that the homogeneity check also compares.
+    m = data.draw(structures(Signature((("P", 1), ("R", 2)))))
+    k = data.draw(st.integers(0, 3))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "membership", lambda tag, m: True)
+        patch.setitem(globals(), "membership", lambda tag, m: True)
+        assert one_point_homogeneity(m, "Digraph", k).to_json() == oracle_one_point_homogeneity(m, "Digraph", k).to_json()
+
+
+def test_every_class_signature_is_binary():
+    # homogeneity_items reads binary rows only; a symbol of arity 3 or more
+    # would need a tuple-by-tuple check there.
+    for tag in TAGS:
+        for n in range(4):
+            assert all(not m.bitsets.high for m in enumerate_members(tag, n)), (tag, n)
 
 
 @settings(max_examples=40, deadline=None)
