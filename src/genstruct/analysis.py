@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb, factorial
+from typing import NamedTuple
 
 from genstruct.classes import (
     NotInClass,
@@ -43,8 +44,7 @@ JSON_BATCH = 250
 PROGRESS_EVERY = 1000
 
 
-@dataclass(frozen=True)
-class ReportItem:
+class ReportItem(NamedTuple):
     item: str
     verdict: bool
     witness: object = None
@@ -94,21 +94,15 @@ def write_json(
     arrive, JSON_BATCH rows per chunk; call `progress(count, failures)`
     after every PROGRESS_EVERY items."""
     count = failures = 0
-    batch: list[dict] = []
+    items = iter(items)
     write("[")
-    for it in items:
-        if not it.verdict:
-            failures += 1
-        batch.append({"item": it.item, "verdict": it.verdict, "witness": it.witness})
-        if len(batch) == JSON_BATCH:
-            write(_chunk(batch, count))
-            count += JSON_BATCH
-            batch = []
-            if progress is not None and count % PROGRESS_EVERY == 0:
-                progress(count, failures)
-    if batch:
-        write(_chunk(batch, count))
+    while batch := list(islice(items, JSON_BATCH)):
+        failures += sum(not verdict for _, verdict, _ in batch)
+        rows = [{"item": item, "verdict": verdict, "witness": witness} for item, verdict, witness in batch]
+        write(_chunk(rows, count))
         count += len(batch)
+        if progress is not None and count % PROGRESS_EVERY == 0:
+            progress(count, failures)
     write("]")
     return Written(count, failures)
 

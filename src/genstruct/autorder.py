@@ -15,12 +15,12 @@ from genstruct.forcing import DenseRequirement, delta_system, generic_build
 from genstruct.structures import (
     StructureError,
     _cached_view,
+    _natural_universe,
     field_state,
     fresh_ids,
     from_json_dict,
-    to_json_dict,
 )
-from genstruct.classes import chain_of, chain_structure
+from genstruct.classes import chain_of
 
 
 class SameOrbit(StructureError):
@@ -312,9 +312,7 @@ def aut_point_requirement(m: int) -> DenseRequirement[AutCondition]:
         if m in p.universe:
             return p
         slot = rng.randrange(len(p.chain) + 1) if rng else len(p.chain)
-        chain = list(p.chain)
-        chain.insert(slot, m)
-        return AutCondition(tuple(chain), p.phi)
+        return AutCondition(p.chain[:slot] + (m,) + p.chain[slot:], p.phi)
 
     return DenseRequirement(f"D_{m}", satisfied, extend)
 
@@ -332,9 +330,7 @@ def aut_between_requirement(a: int, b: int) -> DenseRequirement[AutCondition]:
         if hi - lo > 1:
             return p
         mid = fresh_ids(p.universe, 1)[0]
-        chain = list(p.chain)
-        chain.insert(lo + 1, mid)
-        return AutCondition(tuple(chain), p.phi)
+        return AutCondition(p.chain[:lo + 1] + (mid,) + p.chain[lo + 1:], p.phi)
 
     return DenseRequirement(f"D_{a},{b}", satisfied, extend)
 
@@ -401,17 +397,17 @@ def build_automorphic_order(
 
     A requirement's `met_at` is the first step after which it held, or -1.
     Satisfaction is upward closed along the chain, so it is found by
-    bisection over the conditions after each step.
+    bisection over the new conditions, each at the step that made it.
     """
     if alpha0 < 0:
         raise StructureError("alpha0 must be nonnegative")
     schedule = default_aut_schedule(n, alpha0)
     chain = generic_build(empty_aut_condition(), schedule, steps, seed, aut_stronger)
     after = chain.steps[1:]
-    report = []
-    for req in schedule:
-        met_at = bisect_left(after, True, key=req.satisfied)
-        report.append(f"req={req.name} met_at={met_at if met_at < len(after) else -1}")
+    made = [j for j, c in enumerate(after) if j == 0 or c is not after[j - 1]]
+    conds = [after[j] for j in made]
+    made.append(-1)  # met by no condition
+    report = [f"req={req.name} met_at={made[bisect_left(conds, True, key=req.satisfied)]}" for req in schedule]
     return chain.final, report
 
 
@@ -446,9 +442,10 @@ def equivariant_delta_trim(family: list[AutCondition]) -> tuple[frozenset[int], 
 
 
 def aut_to_json_dict(c: AutCondition) -> dict:
-    data = to_json_dict(chain_structure(list(c.chain)))
-    data["phi"] = [[x, y] for x, y in c.phi]
-    return data
+    """`to_json_dict` of the order on c's chain, its rows read off the chain, plus phi."""
+    elems, pos = sorted(_natural_universe(set(c.chain))), c.positions
+    rows = [[x, y] for x in elems for y in sorted(c.chain[pos[x] + 1:])]
+    return {"sig": [["<", 2]], "universe": elems, "interp": {"<": rows}, "phi": [[x, y] for x, y in c.phi]}
 
 
 def aut_from_json_dict(data: dict) -> AutCondition:

@@ -18,7 +18,7 @@ from itertools import combinations, permutations, product
 from math import lcm
 from operator import add
 from random import Random
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from genstruct.structures import (
     Embedding,
@@ -30,6 +30,7 @@ from genstruct.structures import (
     StructureError,
     _check_rows,
     _glued,
+    _natural_universe,
     canonical_key,
     empty_structure,
     enumerate_embeddings,
@@ -280,26 +281,22 @@ def _is_partial_order(a: FinStructure) -> bool:
 
 
 def _is_linear_order(a: FinStructure) -> bool:
-    # A relation with n(n-1)/2 pairs, all going forward in one ordering of
-    # the universe, is that ordering's strict order; a linear order's
-    # in-degree chain is such an ordering.
-    rel = a.rel("<")
-    n = len(a.universe)
-    if len(rel) != n * (n - 1) // 2:
-        return False
-    pos = {x: i for i, x in enumerate(a.chain)}
-    return all(pos[x] < pos[y] for x, y in rel)
+    # A linear order is the strict order of its in-degree chain.
+    return a.rel("<") == frozenset(combinations(a.chain, 2))
 
 
 def chain_of(a: FinStructure) -> list[int]:
-    """Universe of a linear order, sorted by its `<` relation (a copy of
-    the cached `FinStructure.chain`)."""
+    """A linear order's universe from least to greatest: a copy of `a.chain`."""
     return list(a.chain)
 
 
-def chain_structure(seq: list[int]) -> FinStructure:
-    rel = {(seq[i], seq[j]) for i in range(len(seq)) for j in range(i + 1, len(seq))}
-    return validate_structure(ORDER_SIG, set(seq), {"<": rel})
+def chain_structure(seq: Sequence[int]) -> FinStructure:
+    """`seq` read as x < y when x comes first.  Its pairs are drawn from its
+    points, so only the points are checked; a repeat-free seq is its `chain`."""
+    a = FinStructure(ORDER_SIG, _natural_universe(set(seq)), (("<", frozenset(combinations(seq, 2))),))
+    if len(a.universe) == len(seq):
+        FinStructure.chain.seed(a, tuple(seq))
+    return a
 
 
 def merge_linear_orders(seq1: list[int], seq2: list[int], shared: set[int]) -> list[int]:

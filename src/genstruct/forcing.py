@@ -104,6 +104,9 @@ def stronger(q: Condition, p: Condition) -> bool:
         return True
     if not p.universe <= q.universe:
         return False
+    if class_spec(p.tag).linear:
+        # Both are linear orders, equal on p's points exactly when their chains are.
+        return tuple(filter(p.universe.__contains__, q.structure.chain)) == p.structure.chain
     return _same_on(p.tag, induced_substructure(q.structure, p.universe), p.structure)
 
 
@@ -191,7 +194,7 @@ def between_requirement(a: int, b: int) -> DenseRequirement:
     def satisfied(p: Condition) -> bool:
         if a not in p.universe or b not in p.universe:
             return False
-        seq = chain_of(p.structure)
+        seq = p.structure.chain
         lo, hi = sorted((seq.index(a), seq.index(b)))
         return hi - lo > 1
 
@@ -199,13 +202,12 @@ def between_requirement(a: int, b: int) -> DenseRequirement:
         for m in (a, b):
             if m not in p.universe:
                 p = _add_point(p, m, rng)
-        seq = chain_of(p.structure)
+        seq = p.structure.chain
         lo, hi = sorted((seq.index(a), seq.index(b)))
         if hi - lo > 1:
             return p
         mid = fresh_ids(p.universe, 1)[0]
-        slot = lo + 1
-        return Condition(p.tag, chain_structure(seq[:slot] + [mid] + seq[slot:]))
+        return Condition(p.tag, chain_structure(seq[:lo + 1] + (mid,) + seq[lo + 1:]))
 
     return DenseRequirement(f"D_{a},{b}", satisfied, extend)
 

@@ -172,7 +172,8 @@ class FinStructure:
     def chain(self) -> tuple[int, ...]:
         """The universe sorted by in-degree under `<`, ties in `universe`
         iteration order: a linear order's elements from least to greatest.
-        Raises UnknownSymbol if the signature has no `<`."""
+        `classes.chain_structure` seeds it with its repeat-free sequence,
+        which is that sort.  Raises UnknownSymbol if the signature has no `<`."""
         indegree = Counter(t[1] for t in self.rel("<"))
         return tuple(sorted(self.universe, key=indegree.__getitem__))
 
@@ -228,10 +229,7 @@ def validate_structure(
     Symbols missing from `interp` get an empty interpretation; unknown
     keys raise UnknownSymbol.
     """
-    universe = frozenset(universe)
-    for x in universe:
-        if type(x) is not int or x < 0:
-            raise StructureError(f"universe element {x!r} is not a natural number")
+    universe = _natural_universe(universe)
     known = set(sig.names())
     for key in interp:
         if key not in known:
@@ -249,6 +247,15 @@ def validate_structure(
             tuples.add(t)
         rows.append((name, frozenset(tuples)))
     return FinStructure(sig, universe, tuple(rows))
+
+
+def _natural_universe(universe: set[int] | frozenset[int]) -> frozenset[int]:
+    """`universe` as a frozenset, checked as `validate_structure` checks it."""
+    universe = frozenset(universe)
+    for x in universe:
+        if type(x) is not int or x < 0:
+            raise StructureError(f"universe element {x!r} is not a natural number")
+    return universe
 
 
 def _glued(sig: Signature, a: FinStructure, b: FinStructure, new: dict, rows: dict | None = None) -> FinStructure:
@@ -715,7 +722,7 @@ def to_json_dict(a: FinStructure) -> dict:
     return {
         "sig": [[name, arity] for name, arity in a.sig.symbols],
         "universe": a.sorted_universe(),
-        "interp": {name: sorted([list(t) for t in tuples]) for name, tuples in a.interp},
+        "interp": {name: list(map(list, sorted(tuples))) for name, tuples in a.interp},
     }
 
 

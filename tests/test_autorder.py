@@ -1,4 +1,5 @@
 import json
+from bisect import bisect_left
 from random import Random
 
 import pytest
@@ -22,8 +23,9 @@ from genstruct.autorder import (
     orbit_straddles,
     validate_aut_condition,
 )
+from genstruct.classes import chain_structure
 from genstruct.forcing import generic_build
-from genstruct.structures import StructureError
+from genstruct.structures import StructureError, to_json_dict
 
 
 def test_validator_examples():
@@ -307,6 +309,55 @@ def test_build_matches_round_robin_oracle(n, alpha0_pick, steps_pick, seed):
     steps = {"0": 0, "1": 1, "3": 3, "len": length, "default": None}[steps_pick]
     got = build_automorphic_order(n, steps, seed, alpha0)
     assert got == oracle_build_automorphic_order(n, steps, seed, alpha0)
+
+
+def oracle_report(chain, schedule):
+    """The earlier report: bisection over the condition after every step."""
+    after = chain.steps[1:]
+    met = [bisect_left(after, True, key=req.satisfied) for req in schedule]
+    return [f"req={req.name} met_at={m if m < len(after) else -1}" for req, m in zip(schedule, met)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 16), st.sampled_from([0, 1, 5]), st.sampled_from([0, 1, 7, 40, None]), st.integers(0, 2**32))
+def test_report_matches_bisection_over_every_step(n, alpha0, steps, seed):
+    schedule = default_aut_schedule(n, alpha0)
+    chain = generic_build(empty_aut_condition(), schedule, steps, seed, aut_stronger)
+    final, report = build_automorphic_order(n, steps, seed, alpha0)
+    assert final == chain.final
+    assert report == oracle_report(chain, schedule)
+
+
+def oracle_aut_to_json_dict(c):
+    """The earlier writer: the order built by `chain_structure`, then phi."""
+    data = to_json_dict(chain_structure(list(c.chain)))
+    data["phi"] = [[x, y] for x, y in c.phi]
+    return data
+
+
+def _json_or_error(fn, c):
+    try:
+        return json.dumps(fn(c), separators=(",", ":"))
+    except StructureError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-2, 10**6), unique=True, max_size=30), st.integers(0, 2**32))
+def test_aut_json_matches_chain_structure_oracle(points, seed):
+    # Any repeat-free chain, with a random set of pairs as phi: the writer
+    # does not validate the map, and neither did the oracle.
+    rng = Random(seed)
+    phi = tuple(sorted(rng.sample([(x, y) for x in points[:6] for y in points[:6]], min(3, len(points[:6]) ** 2))))
+    c = AutCondition(tuple(points), phi)
+    assert _json_or_error(aut_to_json_dict, c) == _json_or_error(oracle_aut_to_json_dict, c)
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 20])
+def test_aut_json_of_builds_matches_chain_structure_oracle(n):
+    for seed in range(3):
+        c, _ = build_automorphic_order(n, None, seed)
+        assert json.dumps(aut_to_json_dict(c)) == json.dumps(oracle_aut_to_json_dict(c))
 
 
 def test_build_rejects_negative_alpha0():

@@ -311,3 +311,18 @@ def test_every_view_survives_a_pickle_round_trip():
     assert copy.profiles == a.profiles and copy.components == a.components
     assert order_copy.chain == (9, 3, 5) and copy.sig.arity("E") == 2
     assert copy.bitsets.order == a.bitsets.order and copy.bitsets.rels == a.bitsets.rels
+
+
+def test_json_rows_are_sorted_as_lists_were():
+    # `to_json_dict` sorts each relation's tuples, then makes them lists:
+    # the order of the sorted lists, for tuples of every arity.
+    rng = Random(5)
+    sig = Signature((("U", 1), ("E", 2), ("T", 3)))
+    for _ in range(40):
+        universe = set(rng.sample(range(60), rng.randint(1, 12)))
+        pts = sorted(universe)
+        interp = {name: {tuple(rng.choice(pts) for _ in range(arity)) for _ in range(rng.randint(0, 30))}
+                  for name, arity in sig.symbols}
+        a = validate_structure(sig, universe, interp)
+        assert from_json_dict(json.loads(dumps(a))) == a
+        assert json.loads(dumps(a))["interp"] == {name: sorted([list(t) for t in ts]) for name, ts in a.interp}
