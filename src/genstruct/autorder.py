@@ -449,5 +449,12 @@ def aut_to_json_dict(c: AutCondition) -> dict:
 
 
 def aut_from_json_dict(data: dict) -> AutCondition:
+    """`from_json_dict` of the order plus phi, a list of [x, y] pairs of
+    ints (none if the key is missing); phi of another JSON type raises
+    StructureError."""
     order = from_json_dict(data)
-    return make_aut_condition(chain_of(order), {x: y for x, y in data.get("phi", [])})
+    phi = data.get("phi", [])
+    if not (isinstance(phi, list) and all(type(t) is list and len(t) == 2 for t in phi)
+            and all(type(x) is int for t in phi for x in t)):
+        raise StructureError("phi must be a list of [x, y] pairs of ints")
+    return make_aut_condition(chain_of(order), dict(phi))

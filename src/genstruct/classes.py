@@ -613,7 +613,7 @@ def amalgamate(tag: str, f: Embedding, g: Embedding) -> Amalgam:
     if not class_spec(tag).sap:
         return _amalgamate_linear_graph(f, g, connected=False)
     b, c, map_c, image_c = _setup_amalgam(f, g)
-    return _amalgam(*_glue_and_check(tag, b, c, map_c, image_c), map_c)
+    return _amalgam(*glue_and_check(tag, b, c, map_c, image_c), map_c)
 
 
 def _check_inputs(tag: str, *sides: FinStructure) -> None:
@@ -623,13 +623,15 @@ def _check_inputs(tag: str, *sides: FinStructure) -> None:
             raise NotInClass(f"input not in class {tag}")
 
 
-def _glue_and_check(tag: str, b: FinStructure, c: FinStructure, map_c: dict[int, int],
-                    image_c: FinStructure) -> tuple[FinStructure, ...]:
+def glue_and_check(tag: str, b: FinStructure, c: FinStructure, map_c: dict[int, int],
+                   image_c: FinStructure) -> tuple[FinStructure, ...]:
     """The strong amalgam of the validated b and image_c = relabel(c, map_c):
     the class glue, which checks only the tuples it adds, aligned with b
     and c and checked for membership, then the embeddings of b by the
     identity and c by map_c, in one pass over the result's rows
-    (`structures._check_rows`).  Returns the aligned (b, c, result)."""
+    (`structures._check_rows`).  Returns the aligned (b, c, result).
+    Sides that disagree where they meet fail here, as no result carries
+    both; every strong amalgam, in forcing too, is glued by this step."""
     b, c, result = align(tag, b, c, class_spec(tag).glue(b, image_c))
     if not membership(tag, result):
         raise AmalgamationImpossible(f"strategy output left the class {tag}")
@@ -861,7 +863,7 @@ def _verdict(fm: dict[int, int], gm: dict[int, int], lm: dict[int, int], rm: dic
              strong: bool, left_image: set[int] | frozenset[int]) -> str | None:
     """The square and image checks of `validate_amalgam` on plain maps: f
     and g as fm and gm, the left and right embeddings as lm and rm, and lm's
-    image set; `_glue_and_check` has checked its results' membership."""
+    image set; `glue_and_check` has checked its results' membership."""
     for a in fm:
         if lm[fm[a]] != rm[gm[a]]:
             return "square does not commute"
@@ -884,7 +886,7 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
     the counterexample is still the first in the full base, left, right,
     f, g order.  The three members of a group are checked for membership
     once, before its first pair; a pair's glue checks only the tuples it
-    adds to them (`_glue_and_check`).  JEP is AP over the empty base: the
+    adds to them (`glue_and_check`).  JEP is AP over the empty base: the
     empty member comes first, its groups are the (left, right) pairs in
     order, each with its one pair of empty maps, and the counterexample
     names only left and right.
@@ -932,7 +934,7 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
             else:  # the strong glue of inputs already checked, on plain maps
                 fm, gm, map_c, image_c = setup
                 try:
-                    _glue_and_check(tag, left, right, map_c, image_c)
+                    glue_and_check(tag, left, right, map_c, image_c)
                 except StructureError as exc:
                     reason = str(exc)
                 else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import os
@@ -34,7 +35,9 @@ UNUSED_OPTIONS = {
 logger = logging.getLogger("genstruct")
 
 
-def _parse_args(argv: list[str]):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="genstruct", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -70,8 +73,7 @@ def _parse_args(argv: list[str]):
     am.add_argument("--a", type=int, default=None)
     am.add_argument("--b", type=int, default=None)
     am.add_argument("--out", default=None)
-
-    return parser.parse_args(argv)
+    return parser
 
 
 @contextlib.contextmanager
@@ -373,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=logging.DEBUG, stream=sys.stderr,
                             format="%(name)s %(levelname)s %(message)s")
     try:
-        args = _parse_args(argv if argv is not None else sys.argv[1:])
+        args = _parser().parse_args(argv if argv is not None else sys.argv[1:])
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -25,6 +25,7 @@ from genstruct.classes import (
     chain_of,
     chain_structure,
     class_spec,
+    glue_and_check,
     membership,
 )
 from genstruct.structures import (
@@ -38,8 +39,6 @@ from genstruct.structures import (
     extension_by_rows,
     fresh_ids,
     induced_substructure,
-    is_partial_embedding,
-    make_embedding,
     relabel,
     to_json_dict,
     validate_structure,
@@ -90,12 +89,6 @@ def empty_condition(tag: str) -> Condition:
     return Condition(tag, empty_structure(sig))
 
 
-def _same_on(tag: str, a: FinStructure, b: FinStructure) -> bool:
-    """Structure equality that ignores signature padding for metrics."""
-    a, b = align(tag, a, b)
-    return a == b
-
-
 def stronger(q: Condition, p: Condition) -> bool:
     """Is q an extension of p (reverse inclusion order)?"""
     if q.tag != p.tag:
@@ -107,31 +100,31 @@ def stronger(q: Condition, p: Condition) -> bool:
     if class_spec(p.tag).linear:
         # Both are linear orders, equal on p's points exactly when their chains are.
         return tuple(filter(p.universe.__contains__, q.structure.chain)) == p.structure.chain
-    return _same_on(p.tag, induced_substructure(q.structure, p.universe), p.structure)
+    # Equality that ignores a metric's signature padding.
+    a, b = align(p.tag, induced_substructure(q.structure, p.universe), p.structure)
+    return a == b
 
 
 def common_extension(p: Condition, q: Condition) -> Condition | None:
     """A condition stronger than both, or None if they are incompatible.
 
-    The shared part must carry the same induced structure; the extension
-    keeps every id and decides cross relations by the class's glue
+    The strong amalgam of p and q that keeps every id (`glue_and_check`
+    with the identity on q): the class's glue decides the cross relations
     (separator rule for linear orders, free joins for graphs, transitive
-    closure for partial orders, shortest-path gluing for metrics).
+    closure for partial orders, shortest-path gluing for metrics), and the
+    result must be a member carrying p's rows on p's points and q's on
+    q's, which fails exactly when the two disagree on their shared part.
+    A metric result carries the padded common signature.
     """
     if p.tag != q.tag:
         raise TagMismatch(f"{p.tag} vs {q.tag}")
-    tag = p.tag
-    shared = p.universe & q.universe
-    if not _same_on(tag, induced_substructure(p.structure, shared),
-                    induced_substructure(q.structure, shared)):
-        return None
+    a, b = p.structure, q.structure
     try:
-        out = Condition(tag, class_spec(tag).glue(p.structure, q.structure))
+        for side in (a, b):  # the glue trusts the sides' tuples
+            validate_structure(side.sig, side.universe, dict(side.interp))
+        return Condition(p.tag, glue_and_check(p.tag, a, b, {x: x for x in b.universe}, b)[-1])
     except StructureError:
         return None
-    if not (stronger(out, p) and stronger(out, q)):
-        return None
-    return out
 
 
 @dataclass(frozen=True)
@@ -273,20 +266,21 @@ def _realize_over(
     """Extend p so a copy of `extension` sits over the base image.
 
     `base` is an induced substructure of `extension` with the same ids and
-    `base_to_p` embeds it into p.  The class glue is the strong amalgam:
-    it keeps every id of p, and the new points take prescribed names
-    where given and the smallest fresh naturals otherwise.
+    `base_to_p` embeds it into p.  The body is the strong amalgam
+    (`glue_and_check`): it keeps every id of p, and the new points take
+    prescribed names where given and the smallest fresh naturals
+    otherwise.  A `base_to_p` that is no embedding fails its row checks.
     """
     tag = p.tag
     for side in (base, extension):
         if not membership(tag, side):
             raise NotInClass(f"input not in class {tag}")
-    make_embedding(*align(tag, base, p.structure), base_to_p)
+    extension = align(tag, base, extension)[1]  # a metric body keeps base's padding too
     new_points = sorted(extension.universe - base.universe)
     pool = iter(fresh_ids(p.universe | set(prescribed.values()), len(new_points)))
     names = {x: prescribed[x] if x in prescribed else next(pool) for x in new_points}
-    glued = class_spec(tag).glue(p.structure, relabel(extension, {**base_to_p, **names}))
-    body = align(tag, base, extension, p.structure, glued)[-1]
+    to_body = {**base_to_p, **names}
+    body = glue_and_check(tag, p.structure, extension, to_body, relabel(extension, to_body))[-1]
     if rng is not None:
         fixed = set(base_to_p.values())
         body = _randomize_free_relations(tag, body, set(names.values()), fixed, rng)
@@ -353,7 +347,7 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
             present = sorted(x for x in b.universe if i[x] in p.universe)
             part = induced_substructure(b, set(present))
             part_map = {x: i[x] for x in present}
-            if not is_partial_embedding(*align(tag, b, p.structure), part_map):
+            if extension_by_rows(*align(tag, part, p.structure), part_map) is None:
                 # i can never become an embedding; make the implication vacuous.
                 for m in sorted(image - p.universe):
                     p = _add_point(p, m, rng)
@@ -493,10 +487,9 @@ def _one_point_types_match(
     left: FinStructure, right: FinStructure, root: frozenset[int], x: int, y: int
 ) -> bool:
     """Do root+x and root+y extend the root isomorphically via x -> y?"""
-    ext_left = induced_substructure(left, root | {x})
     mapping = {r: r for r in root}
     mapping[x] = y
-    return is_partial_embedding(ext_left, right, mapping)
+    return extension_by_rows(induced_substructure(left, root | {x}), right, mapping) is not None
 
 
 def crossing_amalgamation(
@@ -521,8 +514,7 @@ def crossing_amalgamation(
         raise RootDisagreement("root must sit inside both universes")
     if p_s.universe & p_t.universe != root:
         raise IsomorphismTypeMismatch("universes must meet exactly in the root")
-    if not _same_on(tag, induced_substructure(p_s.structure, root),
-                    induced_substructure(p_t.structure, root)):
+    if induced_substructure(p_s.structure, root) != induced_substructure(p_t.structure, root):
         raise RootDisagreement("conditions disagree on the root")
     s, s_bar, t, t_bar = spec.s, spec.s_bar, spec.t, spec.t_bar
     if len({s, s_bar}) != 2 or len({t, t_bar}) != 2:

@@ -691,14 +691,6 @@ def _in_orbit(u: int, tried: list[int], fixed: list[int], autos: list[dict[int, 
     return not orbit.isdisjoint(tried)
 
 
-def compose(inner: Embedding, outer: Embedding) -> Embedding:
-    """outer after inner, as an embedding."""
-    if inner.target is not outer.source and inner.target != outer.source:
-        raise StructureError("embeddings do not compose")
-    m_in, m_out = inner.as_dict(), outer.as_dict()
-    return make_embedding(inner.source, outer.target, {x: m_out[y] for x, y in m_in.items()})
-
-
 def inclusion_embedding(a: FinStructure, b: FinStructure) -> Embedding:
     """Identity-map embedding of `a` into `b`; fails if not induced, which is
     the whole embedding check for an identity map."""

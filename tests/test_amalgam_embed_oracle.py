@@ -423,8 +423,14 @@ def test_amalgamate_rejects_a_raw_side_with_a_tuple_outside_its_universe(tag):
     assert str(info.value) == "E(1, 7): 7 not in universe"
 
 
-def test_common_extension_of_a_raw_condition_with_a_stray_arc_is_none():
+@pytest.mark.parametrize("covering", (False, True))
+def test_common_extension_of_a_raw_condition_with_a_stray_arc_is_none(covering):
+    """With `covering`, the right side holds the stray arc's end 7, that arc
+    and (1, 0): the glue then has as many rows on the left's points as the
+    left has rows, so only validating the sides first rejects it."""
     _, left, right = raw_left_with_a_stray_arc()
+    if covering:
+        right = validate_structure(right.sig, {0, 1, 7}, {"E": {(0, 1), (1, 0), (1, 7)}})
     assert common_extension(Condition("Digraph", left), Condition("Digraph", right)) is None
 
 

@@ -163,6 +163,17 @@ def test_check_parse_error(tmp_path: Path):
     assert run("check", "--class", "Graph", "--check", "extension", "--in", str(bad)) == 2
 
 
+def test_one_parser_serves_every_call(capsys):
+    from genstruct import cli
+
+    assert cli._parser() is cli._parser()
+    for _ in range(2):  # a usage error leaves the shared parser as it was
+        assert run("build") == 2
+        assert "--class" in capsys.readouterr().err
+        assert run("build", "--class", "Graph", "--n", "1", "--steps", "1") == 0
+        assert json.loads(capsys.readouterr().out)["class"] == "Graph"
+
+
 # Structure files that cannot be read as a structure.  Those of the wrong
 # JSON shape were each once a traceback with exit 1 (the code for a failed
 # check) or, for the bool, accepted and echoed; all once left `amalgamate`
@@ -257,6 +268,23 @@ def test_amalgamate_auto_ok(tmp_path: Path):
                "--out", str(out)) == 0
     data = json.loads(out.read_text())
     assert data["universe"] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("phi", ([1, 2], 5, None, [[False, 1]], [[0, 1, 2]], [[0.0, 1]]),
+                         ids=("flat", "int", "null", "bool", "triple", "float"))
+def test_amalgamate_auto_rejects_a_malformed_phi(tmp_path: Path, capsys, phi):
+    # With phi [[0, 1]] on the left this amalgam exists; a bool or float
+    # phi used to be read as 0 and written back as given.
+    left, right = tmp_path / "l.json", tmp_path / "r.json"
+    left.write_text(json.dumps(dict(json.loads(dumps(chain_structure([0, 1, 2, 4]))), phi=phi)))
+    right.write_text(json.dumps(dict(json.loads(dumps(chain_structure([0, 1, 3, 5]))), phi=[[0, 1]])))
+    argv = ("amalgamate", "--op", "auto", "--left", str(left), "--right", str(right), "--a", "2", "--b", "4")
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cannot read input: phi must be a list of [x, y] pairs of ints\n"
+    left.write_text(json.dumps(dict(json.loads(dumps(chain_structure([0, 1, 2, 4]))), phi=[[0, 1]])))
+    assert run(*argv) == 0
 
 
 def test_amalgamate_crossing(tmp_path: Path):

@@ -11,7 +11,11 @@ The oracles below are the earlier implementations:
 - `autorder` placed grown points at exact `Fraction` positions (chain
   element i at 2(i+1)) and keyed the twins of an amalgam by thirds;
 - `extension_requirement` checked that i is an embedding of b, then ran a
-  pinned search for g.
+  pinned search for g;
+- `common_extension` compared the two sides on their shared part, glued
+  them and checked that the result was stronger than both;
+- `extension_requirement`'s extender and `_one_point_types_match` tested
+  partial maps with the tuple scan `is_partial_embedding`.
 The current code must return equal conditions, chains and exceptions.
 """
 
@@ -23,7 +27,7 @@ from random import Random
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from genstruct.autorder import (
     AutCondition,
@@ -52,16 +56,22 @@ from genstruct.forcing import (
     Condition,
     DenseRequirement,
     GenericChain,
+    TagMismatch,
     _add_point,
+    _family,
+    _one_point_types_match,
     _randomize_free_relations,
     _realize_over,
+    common_extension,
     empty_condition,
     extension_requirement,
     generic_build,
     meet,
     point_requirement,
+    stronger,
 )
 from genstruct.structures import (
+    FinStructure,
     Signature,
     StructureError,
     enumerate_embeddings,
@@ -111,6 +121,52 @@ def oracle_extension_satisfied(i, f, tag, p):
     fm = f.as_dict()
     pin_template = {fm[x]: i[x] for x in fm}
     return bool(enumerate_embeddings_extending(*align(tag, b_prime, p.structure), pin_template, limit=1))
+
+
+def oracle_common_extension(p, q):
+    if p.tag != q.tag:
+        raise TagMismatch(f"{p.tag} vs {q.tag}")
+    tag = p.tag
+    shared = p.universe & q.universe
+    left, right = align(tag, induced_substructure(p.structure, shared), induced_substructure(q.structure, shared))
+    if left != right:
+        return None
+    try:
+        out = Condition(tag, class_spec(tag).glue(p.structure, q.structure))
+    except StructureError:
+        return None
+    if not (stronger(out, p) and stronger(out, q)):
+        return None
+    return out
+
+
+def oracle_one_point_types_match(left, right, root, x, y):
+    ext_left = induced_substructure(left, root | {x})
+    mapping = {r: r for r in root}
+    mapping[x] = y
+    return is_partial_embedding(ext_left, right, mapping)
+
+
+def oracle_extend(i, f, tag, p, rng):
+    """`extension_requirement(i, f, tag).extend` with the tuple scan as its
+    vacuity test and the oracles above for its other steps."""
+    b = f.source
+    image = set(i.values())
+    if oracle_extension_satisfied(i, f, tag, p):
+        return p
+    if not image <= p.universe:
+        present = sorted(x for x in b.universe if i[x] in p.universe)
+        part = induced_substructure(b, set(present))
+        part_map = {x: i[x] for x in present}
+        if not is_partial_embedding(*align(tag, b, p.structure), part_map):
+            for m in sorted(image - p.universe):
+                p = _add_point(p, m, rng)
+            return p
+        missing = {x: i[x] for x in b.universe if x not in present}
+        p = oracle_realize_over(p, part, b, part_map, missing, rng)
+        if oracle_extension_satisfied(i, f, tag, p):
+            return p
+    return oracle_realize_over(p, b, _family(f)[1], dict(i), {}, rng)
 
 
 def oracle_generic_build(start, schedule, steps=None, seed=0, order=None):
@@ -247,6 +303,14 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def outcome_text(fn, *args):
+    """The result of fn(*args), or the type and text of the StructureError it raised."""
+    try:
+        return fn(*args)
+    except StructureError as exc:
+        return type(exc), str(exc)
+
+
 # --- realizing an extension over a condition -----------------------------------
 
 SAP_TAGS = ("Graph", "Digraph", "Tournament", "LinearOrder", "PartialOrder", "RationalMetric")
@@ -314,6 +378,131 @@ def test_realize_over_matches_amalgamate_oracle(case):
     assert got == want
     assert isinstance(got, Condition)
     assert got.structure.sig == want.structure.sig
+
+
+# --- common extensions and partial maps ------------------------------------------
+
+
+def raw_with_a_stray_arc(draw, tag, structure):
+    """`structure` built without `validate_structure`, one of its pairs
+    leaving its universe (both ways for symmetric classes), as a condition;
+    None if membership rejects it."""
+    name = next((name for name, arity in structure.sig.symbols if arity == 2), None)
+    outside = [y for y in range(10) if y not in structure.universe]
+    if name is None or not structure.universe:
+        return None
+    x, y = draw(st.sampled_from(structure.sorted_universe())), draw(st.sampled_from(outside))
+    stray = {(x, y), (y, x)} if class_spec(tag).symmetric else {(x, y)}
+    raw = FinStructure(structure.sig, structure.universe,
+                       tuple((n, ts | stray if n == name else ts) for n, ts in structure.interp))
+    try:
+        return Condition(tag, raw)
+    except (StructureError, KeyError):  # LinearGraph's path test looks the stray point up
+        return None
+
+
+@st.composite
+def condition_pairs(draw):
+    """Two conditions of one class on overlapping ids: induced parts of one
+    member, which agree where they meet, or renamed members, which often
+    disagree there; metric sides padded, and now and then a raw side with
+    a stray arc or a second class."""
+    tag = draw(st.sampled_from(TAGS))
+    members = small_members(tag)
+    if draw(st.booleans()):
+        whole = renamed(draw, draw(st.sampled_from(members + enumerate_members(tag, 4)[:30])), range(8))
+        sides = [induced_substructure(whole, {x for x in whole.universe if draw(st.booleans())})
+                 for _ in range(2)]
+    else:
+        sides = [renamed(draw, draw(st.sampled_from(members)), pool) for pool in (range(6), range(3, 9))]
+    p, q = (Condition(tag, padded(draw, tag, side)) for side in sides)
+    if draw(st.integers(0, 9)) == 0:
+        p = raw_with_a_stray_arc(draw, tag, p.structure) or p
+    if draw(st.integers(0, 19)) == 0:
+        q = empty_condition(draw(st.sampled_from([t for t in TAGS if t != tag])))
+    return p, q
+
+
+@settings(max_examples=600, deadline=None)
+@given(condition_pairs(), st.booleans())
+def test_common_extension_matches_oracle(pair, swap):
+    p, q = pair[::-1] if swap else pair
+    got = outcome_text(common_extension, p, q)
+    want = outcome_text(oracle_common_extension, p, q)
+    if isinstance(want, Condition) and class_spec(want.tag).sig is None:
+        # A metric result now carries the padded common signature of the sides and the glue.
+        assert got == Condition(want.tag, align(want.tag, p.structure, q.structure, want.structure)[-1])
+    else:
+        assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TAGS), st.data())
+def test_vacuity_by_rows_matches_tuple_scan_oracle(tag, data):
+    """`extend`'s test whether the pins present can still become an
+    embedding: `extension_by_rows` on the induced part against the scan."""
+    draw = data.draw
+    b = renamed(draw, draw(st.sampled_from(small_members(tag))), range(10, 16))
+    p = renamed(draw, draw(st.sampled_from(small_members(tag) + enumerate_members(tag, 4)[:30])), range(8))
+    b, p = padded(draw, tag, b), padded(draw, tag, p)
+    pins = pin_cases(draw, *align(tag, b, p))
+    part = induced_substructure(b, set(pins))
+    got = extension_by_rows(*align(tag, part, p), pins) is not None
+    assert got == is_partial_embedding(*align(tag, b, p), pins)
+
+
+@st.composite
+def one_point_cases(draw):
+    """(left, right, root, x, y) as `crossing_amalgamation` passes them once
+    its universe checks hold: x and y outside the root, on metric sides
+    over one signature."""
+    tag = draw(st.sampled_from(TAGS))
+    members = small_members(tag) + enumerate_members(tag, 4)[:30]
+    left = renamed(draw, draw(st.sampled_from(members)), range(5))
+    right = renamed(draw, draw(st.sampled_from(members)), range(2, 7))
+    assume(left.universe and right.universe)
+    left, right = align(tag, padded(draw, tag, left), padded(draw, tag, right))
+    root = frozenset(x for x in left.universe & right.universe if draw(st.booleans()))
+    if not (left.universe - root and right.universe - root):
+        root = frozenset()
+    x = draw(st.sampled_from(sorted(left.universe - root)))
+    y = draw(st.sampled_from(sorted(right.universe - root)))
+    return left, right, root, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_point_cases())
+def test_one_point_types_match_matches_tuple_scan_oracle(case):
+    assert _one_point_types_match(*case) == oracle_one_point_types_match(*case)
+
+
+@st.composite
+def extend_cases(draw):
+    """(i, f, tag, p, seed): an extension requirement's pins and embedding,
+    of a class with strong amalgamation, and a condition on overlapping ids."""
+    tag = draw(st.sampled_from(SAP_TAGS))
+    members = small_members(tag) + enumerate_members(tag, 4)[:30]
+    target = padded(draw, tag, renamed(draw, draw(st.sampled_from(members)), range(10, 14)))
+    b = induced_substructure(target, {x for x in target.universe if draw(st.booleans())})
+    f = inclusion_embedding(b, target)
+    i = dict(zip(b.sorted_universe(), draw(st.permutations(range(6)))))
+    p = renamed(draw, draw(st.sampled_from(members)), range(5))
+    return i, f, tag, Condition(tag, padded(draw, tag, p)), draw(st.none() | st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(extend_cases())
+def test_extend_matches_tuple_scan_oracle(case):
+    i, f, tag, p, seed = case
+
+    def rng():
+        return None if seed is None else Random(seed)
+
+    got = outcome_text(extension_requirement(i, f, tag).extend, p, rng())
+    want = outcome_text(oracle_extend, i, f, tag, p, rng())
+    assert got == want
+    if isinstance(got, Condition):
+        assert got.structure.sig == want.structure.sig
 
 
 # --- the generic builder ---------------------------------------------------------

@@ -13,7 +13,6 @@ from genstruct.structures import (
     TupleOutOfUniverse,
     UnknownSymbol,
     canonical_key,
-    compose,
     dumps,
     empty_structure,
     enumerate_embeddings,
@@ -175,6 +174,12 @@ def random_graph(rng, max_n=6):
     ids = rng.sample(range(20), n)
     edges = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < 0.4]
     return graph(ids, edges)
+
+
+def compose(inner, outer):
+    """outer after inner, built and checked by `make_embedding`."""
+    m_out = outer.as_dict()
+    return make_embedding(inner.source, outer.target, {x: m_out[y] for x, y in inner.mapping})
 
 
 def test_embedding_composition_and_identity():
