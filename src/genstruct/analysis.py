@@ -286,18 +286,9 @@ class EntangledInstance:
 def entangled_check(instance: EntangledInstance) -> tuple[int, int] | None:
     """First ordered index pair realizing the pattern coordinatewise, or
     None; exhaustive over ordered pairs."""
-    n = len(instance.tuples)
-    for xi in range(n):
-        for eta in range(n):
-            if xi == eta:
-                continue
-            left, right = instance.tuples[xi], instance.tuples[eta]
-            if all(
-                (left[i] <= right[i]) == instance.pattern[i]
-                for i in range(instance.k)
-            ):
-                return (xi, eta)
-    return None
+    tuples, pattern = instance.tuples, instance.pattern
+    return next(((xi, eta) for xi, eta in permutations(range(len(tuples)), 2)
+                 if all((x <= y) == want for x, y, want in zip(tuples[xi], tuples[eta], pattern))), None)
 
 
 def density_items(order: FinStructure, ids: set[int] | frozenset[int]) -> Iterator[ReportItem]:

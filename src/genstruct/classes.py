@@ -14,9 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, starmap
 from math import lcm
-from operator import add
+from operator import add, eq
 from random import Random
 from typing import Callable, Iterator, Sequence
 
@@ -63,12 +63,6 @@ class ScaleExceeded(StructureError):
 def metric_symbol(q: Fraction) -> str:
     q = Fraction(q)
     return f"d_{q.numerator}" if q.denominator == 1 else f"d_{q.numerator}/{q.denominator}"
-
-
-@lru_cache(maxsize=1024)
-def _scaled_symbol(d: int, scale: int) -> str:
-    """The canonical name of the distance d / scale."""
-    return metric_symbol(Fraction(d, scale))
 
 
 @lru_cache(maxsize=1024)
@@ -160,7 +154,7 @@ def _is_symmetric_irreflexive(a: FinStructure) -> bool:
 
 
 def _is_digraph(a: FinStructure) -> bool:
-    return all(t[0] != t[1] for t in a.rel("E"))
+    return not any(starmap(eq, a.rel("E")))
 
 
 def _is_tournament(a: FinStructure) -> bool:
@@ -171,10 +165,11 @@ def _is_tournament(a: FinStructure) -> bool:
 
 def _is_linear_graph(a: FinStructure) -> bool:
     """Hereditary closure of the path graphs: disjoint unions of simple
-    paths (acyclic, every degree at most 2)."""
+    paths (acyclic, every degree at most 2), all inside the universe."""
     if not _is_symmetric_irreflexive(a):
         return False
-    return max(_degrees(a).values(), default=0) <= 2 and _is_forest(a)
+    deg = Counter(x for e in _edges(a) for x in e)
+    return deg.keys() <= a.universe and max(deg.values(), default=0) <= 2 and _is_forest(a)
 
 
 def _free_union(a: FinStructure, b: FinStructure) -> FinStructure:
@@ -439,9 +434,9 @@ def _glue_metrics(a: FinStructure, b: FinStructure) -> FinStructure:
     Cross distances are the minimum over shared points of the two-leg
     sums; with nothing shared both sides sit at a constant cross distance
     no smaller than either diameter.  A pair in both sides takes b's
-    distance.  The result has one canonically named symbol per distance
-    present, in increasing order, and its `distances` are the glued ones;
-    of its tuples only the cross pairs are new.
+    distance.  Each distance present gets its canonical name; the sides'
+    symbols stay too, as `align` pads the result.  Its `distances` are the
+    glued ones; of its tuples only the cross pairs are new.
     """
     scale = lcm(a.distances[0], b.distances[0])
     dist: dict[tuple[int, ...], int] = {}
@@ -458,11 +453,17 @@ def _glue_metrics(a: FinStructure, b: FinStructure) -> FinStructure:
             d = min(dist[x, r] + dist[r, y] for r in base) if base else diam
             dist[x, y] = dist[y, x] = d
             new.setdefault(d, set()).update(((x, y), (y, x)))
-    names = {d: _scaled_symbol(d, scale) for d in sorted(old.keys() | new.keys())}
-    sig = Signature(tuple((name, 2) for name in names.values()))
+    names, sig = _glue_signature(a.sig, b.sig, scale, tuple(sorted(old.keys() | new.keys())))
     out = _glued(sig, a, b, {names[d]: ts for d, ts in new.items()}, {names[d]: ts for d, ts in old.items()})
     FinStructure.distances.seed(out, (scale, dist))
     return out
+
+
+@lru_cache(maxsize=1024)
+def _glue_signature(a: Signature, b: Signature, scale: int, ds: tuple[int, ...]) -> tuple[dict, Signature]:
+    """The canonical names of the distances d / scale, d in ds, joined with a's and b's symbols."""
+    names = {d: metric_symbol(Fraction(d, scale)) for d in ds}
+    return names, _sorted_union((a, b, Signature(tuple((name, 2) for name in names.values()))))
 
 
 def _metric_extensions(a: FinStructure, new: int):
@@ -538,7 +539,7 @@ def align(tag: str, *structures: FinStructure) -> tuple[FinStructure, ...]:
     """
     if class_spec(tag).sig is not None:
         return structures
-    sig = _metric_common_signature(*structures)
+    sig = _sorted_union(tuple(s.sig for s in structures))
     return tuple(s if s.sig == sig else _align_signature(s, sig) for s in structures)
 
 
@@ -613,7 +614,7 @@ def amalgamate(tag: str, f: Embedding, g: Embedding) -> Amalgam:
     if not class_spec(tag).sap:
         return _amalgamate_linear_graph(f, g, connected=False)
     b, c, map_c, image_c = _setup_amalgam(f, g)
-    return _amalgam(*glue_and_check(tag, b, c, map_c, image_c), map_c)
+    return _amalgam(*align(tag, b, c, glue_and_check(tag, b, c, map_c, image_c)), map_c)
 
 
 def _check_inputs(tag: str, *sides: FinStructure) -> None:
@@ -624,19 +625,19 @@ def _check_inputs(tag: str, *sides: FinStructure) -> None:
 
 
 def glue_and_check(tag: str, b: FinStructure, c: FinStructure, map_c: dict[int, int],
-                   image_c: FinStructure) -> tuple[FinStructure, ...]:
+                   image_c: FinStructure) -> FinStructure:
     """The strong amalgam of the validated b and image_c = relabel(c, map_c):
-    the class glue, which checks only the tuples it adds, aligned with b
-    and c and checked for membership, then the embeddings of b by the
-    identity and c by map_c, in one pass over the result's rows
-    (`structures._check_rows`).  Returns the aligned (b, c, result).
+    the class glue, which checks only the tuples it adds, checked for
+    membership, then the embeddings of b by the identity and c by map_c, in
+    one pass over the result's rows (`structures._check_rows`, which reads
+    metric sides over the union of the signatures: nothing is padded).
     Sides that disagree where they meet fail here, as no result carries
     both; every strong amalgam, in forcing too, is glued by this step."""
-    b, c, result = align(tag, b, c, class_spec(tag).glue(b, image_c))
+    result = class_spec(tag).glue(b, image_c)
     if not membership(tag, result):
         raise AmalgamationImpossible(f"strategy output left the class {tag}")
     _check_rows(result, b, c, map_c, image_c)
-    return b, c, result
+    return result
 
 
 # --- linear graphs ----------------------------------------------------------
@@ -960,10 +961,6 @@ def _align_signature(a: FinStructure, sig: Signature) -> FinStructure:
     if "distances" in vars(a):
         FinStructure.distances.seed(out, a.distances)
     return out
-
-
-def _metric_common_signature(*structures: FinStructure) -> Signature:
-    return _sorted_union(tuple(s.sig for s in structures))
 
 
 @lru_cache(maxsize=1024)

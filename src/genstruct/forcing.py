@@ -122,7 +122,7 @@ def common_extension(p: Condition, q: Condition) -> Condition | None:
     try:
         for side in (a, b):  # the glue trusts the sides' tuples
             validate_structure(side.sig, side.universe, dict(side.interp))
-        return Condition(p.tag, glue_and_check(p.tag, a, b, {x: x for x in b.universe}, b)[-1])
+        return Condition(p.tag, glue_and_check(p.tag, a, b, {x: x for x in b.universe}, b))
     except StructureError:
         return None
 
@@ -280,7 +280,7 @@ def _realize_over(
     pool = iter(fresh_ids(p.universe | set(prescribed.values()), len(new_points)))
     names = {x: prescribed[x] if x in prescribed else next(pool) for x in new_points}
     to_body = {**base_to_p, **names}
-    body = glue_and_check(tag, p.structure, extension, to_body, relabel(extension, to_body))[-1]
+    body = glue_and_check(tag, p.structure, extension, to_body, relabel(extension, to_body))
     if rng is not None:
         fixed = set(base_to_p.values())
         body = _randomize_free_relations(tag, body, set(names.values()), fixed, rng)

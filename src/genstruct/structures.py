@@ -97,6 +97,11 @@ class Signature:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.symbols)
 
+    @_cached_view
+    def metric(self) -> bool:
+        """Is every symbol a binary `d_...`, as a metric space's are?"""
+        return all(arity == 2 and name.startswith("d_") for name, arity in self.symbols)
+
 
 @lru_cache(maxsize=1024)
 def parse_metric_symbol(name: str):
@@ -311,6 +316,11 @@ def _check_map(source: FinStructure, target: FinStructure, mapping: dict[int, in
     """An embedding's checks before its relations, in order."""
     if source.sig is not target.sig and source.sig != target.sig:
         raise SignatureMismatch("source and target signatures differ")
+    _check_points(source, target, mapping)
+
+
+def _check_points(source: FinStructure, target: FinStructure, mapping: dict[int, int]) -> None:
+    """`_check_map` after its signature test."""
     if mapping.keys() != source.universe:
         raise StructureError("mapping domain must be the source universe")
     if len(set(mapping.values())) != len(mapping):
@@ -325,30 +335,25 @@ def _check_rows(target: FinStructure, left: FinStructure, source: FinStructure, 
     """`make_embedding`'s checks into `target`, raising its errors: of the
     validated `left` by the identity (whose map check is the signature and
     a subset test), then of `source` by `mapping`, given image =
-    relabel(source, mapping), possibly over fewer symbols.  A side's rows
-    lie inside its points, so they are target's tuples there when they are
-    part of target's rows and as many: one pass counts both sides.  Every
-    symbol of `image` is one of source's, which `_check_map` requires to
-    be target's, so no symbol of `image` is left uncounted."""
+    relabel(source, mapping), possibly over fewer symbols.  Three `metric`
+    signatures are read over their union, as `classes.align` pads them: a
+    symbol one side lacks is empty there.  A side's rows lie inside its
+    points, so they are target's tuples there when they are part of
+    target's rows and no other tuple of target lies inside those points."""
     points, inside = left.universe, image.universe
-    if left.sig is not target.sig and left.sig != target.sig or not points <= target.universe:
-        _check_map(left, target, {x: x for x in points})
+    check = _check_points if left.sig.metric and source.sig.metric and target.sig.metric else _check_map
+    if check is _check_map and left.sig is not target.sig and left.sig != target.sig or not points <= target.universe:
+        check(left, target, {x: x for x in points})
     left_rows, image_rows = dict(left.interp), dict(image.interp)
     left_ok = image_ok = True
     for name, tuples in target.interp:
-        n_left = n_image = 0
-        for t in tuples:
-            if points.issuperset(t):
-                n_left += 1
-            if inside.issuperset(t):
-                n_image += 1
-        row, image_row = left_rows[name], image_rows.get(name, frozenset())
-        left_ok = left_ok and n_left == len(row) and row <= tuples
-        image_ok = image_ok and n_image == len(image_row) and image_row <= tuples
-    if not left_ok:
+        row, image_row = left_rows.pop(name, frozenset()), image_rows.pop(name, frozenset())
+        left_ok = left_ok and row <= tuples and not any(map(points.issuperset, tuples - row))
+        image_ok = image_ok and image_row <= tuples and not any(map(inside.issuperset, tuples - image_row))
+    if not left_ok or any(left_rows.values()):
         raise StructureError("map does not preserve and reflect relations")
-    _check_map(source, target, mapping)
-    if not image_ok:
+    check(source, target, mapping)
+    if not image_ok or any(image_rows.values()):
         raise StructureError("map does not preserve and reflect relations")
 
 
@@ -603,48 +608,15 @@ def _least_order(n: int, relations: list[tuple[int, list[tuple[int, ...]]]]) -> 
     A relabeling keeps the tuple count of every relation, so comparing
     sorted tuple lists is the same as comparing presence bits over all
     label tuples in lex order, with "present" (0) below "absent" (1).
-    Labels are given out in order, depth first.  A prefix gets a bound:
-    a bit string no greater than that of any labeling extending it.  A
-    child whose bound is not below the best complete string is cut.
+    Labels are given out in order, depth first.  A prefix gets a bound
+    (`_bound`): a bit string no greater than that of any labeling extending
+    it.  A child whose bound is not below the best complete string is cut.
     Children that an automorphism fixing the prefix maps onto each other
     have equal subtrees, so only the first is searched; automorphisms come
     from complete labelings that tie with the best.
     """
-    rels = []
-    for arity, tuples in relations:
-        # A row is the run of label tuples that agree on all but the last place.
-        succ: dict[tuple[int, ...], set[int]] = {}
-        for t in tuples:
-            succ.setdefault(t[:-1], set()).add(t[-1])
-        rels.append((len(tuples), succ, list(product(range(n), repeat=arity - 1))))
-
-    def bound(order: list[int]) -> list[int]:
-        # A row whose prefix labels are all given: its bits at given labels
-        # are known, and its other tuples at best take the next slots.  The
-        # tuples of the remaining rows at best take their first slots.
-        k = len(order)
-        bits: list[int] = []
-        for count, succ, prefixes in rels:
-            rows: list[list[int] | None] = []
-            spare = count
-            for q in prefixes:
-                if all(i < k for i in q):
-                    s = succ.get(tuple(order[i] for i in q), ())
-                    row = [0 if order[j] in s else 1 for j in range(k)]
-                    rest = len(s) - row.count(0)
-                    rows.append(row + [0] * rest + [1] * (n - k - rest))
-                    spare -= len(s)
-                else:
-                    rows.append(None)
-            for row in rows:
-                if row is None:
-                    zeros = min(spare, n)
-                    spare -= zeros
-                    row = [0] * zeros + [1] * (n - zeros)
-                bits += row
-        return bits
-
-    best: list[int] | None = None
+    rels = _label_rows(n, relations)
+    best: int | None = None
     best_order: list[int] = []
     autos: list[dict[int, int]] = []
 
@@ -655,7 +627,7 @@ def _least_order(n: int, relations: list[tuple[int, list[tuple[int, ...]]]]) -> 
             child = order + [u]
             if len(free) == 2:
                 child += free - {u}  # the last label is forced
-            children.append((bound(child), child))
+            children.append((_bound(n, rels, child), child))
         children.sort()
         tried: list[int] = []
         for bits, child in children:
@@ -675,6 +647,46 @@ def _least_order(n: int, relations: list[tuple[int, list[tuple[int, ...]]]]) -> 
 
     search([], set(range(n)))
     return best_order
+
+
+def _label_rows(n: int, relations: list[tuple[int, list[tuple[int, ...]]]]) -> list[tuple]:
+    """Per relation: its tuple count, its rows' successor sets by prefix (a row
+    is the run of label tuples that agree on all but the last place), and
+    the row prefixes in lex order, each with its highest label (or 0)."""
+    rels = []
+    for arity, tuples in relations:
+        succ: dict[tuple[int, ...], set[int]] = {}
+        for t in tuples:
+            succ.setdefault(t[:-1], set()).add(t[-1])
+        rels.append((len(tuples), succ, [(max(q, default=0), q) for q in product(range(n), repeat=arity - 1)]))
+    return rels
+
+
+def _bound(n: int, rels: list[tuple], order: list[int]) -> int:
+    """`_least_order`'s bound of a label prefix, one int of fixed width, first
+    bit highest.  A row whose prefix labels are all given has known bits
+    there, and its other tuples at best take the next slots; those of the
+    other rows at best take their first slots (as a unary row does at k = 0)."""
+    k = len(order)
+    bits = 0
+    for count, succ, prefixes in rels:
+        rows, spare = [], count
+        for top, q in prefixes:
+            if top < k:
+                s, known = succ.get(tuple(map(order.__getitem__, q)), ()), 0
+                for x in order:
+                    known = known << 1 | (x not in s)
+                rows.append(known << n - k | (1 << n - len(s) - known.bit_count()) - 1)
+                spare -= len(s)
+            else:
+                rows.append(None)
+        for row in rows:
+            if row is None:
+                zeros = min(spare, n)
+                spare -= zeros
+                row = (1 << n - zeros) - 1
+            bits = bits << n | row
+    return bits
 
 
 def _in_orbit(u: int, tried: list[int], fixed: list[int], autos: list[dict[int, int]]) -> bool:

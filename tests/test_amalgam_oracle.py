@@ -37,6 +37,7 @@ from genstruct.classes import (
     _glue_metrics,
     _property_members,
     _setup_amalgam,
+    align,
     amalgamate,
     check_property,
     class_spec,
@@ -442,11 +443,16 @@ def glue_inputs(draw):
 def test_integer_glue_matches_fraction_oracle(inputs):
     a, b = inputs
     out = _glue_metrics(a, b)
-    expected = oracle_glue_metrics(a, b)
+    expected = padded_oracle_glue(a, b)
     assert out == expected
     assert out.sig == expected.sig
     # The glue seeds the result's distances with its own scale.
     assert scaled_back(out.distances) == scaled_back(fresh_copy(out).distances)
+
+
+def padded_oracle_glue(a, b):
+    """The oracle glue over the sides' symbols too, as `align` pads it."""
+    return align("RationalMetric", a, b, oracle_glue_metrics(a, b))[-1]
 
 
 def scaled_back(view):
@@ -476,11 +482,13 @@ def test_integer_glue_examples():
     a = validate_structure(half, {0, 1}, {"d_3/6": {(0, 1), (1, 0)}})
     b = validate_structure(half, {0, 2}, {"d_6/4": {(0, 2), (2, 0)}})
     glued = _glue_metrics(a, b)
-    assert glued == oracle_glue_metrics(a, b)
-    assert glued.sig.names() == ("d_1/2", "d_3/2", "d_2")
+    assert glued == padded_oracle_glue(a, b)
+    # The distances present take their canonical names; the sides' own symbols stay, empty.
+    assert [name for name, tuples in glued.interp if tuples] == ["d_1/2", "d_3/2", "d_2"]
+    assert glued.sig.names() == ("d_1/2", "d_3/6", "d_3/2", "d_6/4", "d_2")
     assert glued.rel("d_2") == {(1, 2), (2, 1)}
     # Nothing shared: the cross distance is the larger diameter, at least 1.
     c = validate_structure(half, {3, 4}, {"d_3/6": {(3, 4), (4, 3)}})
     apart = _glue_metrics(a, c)
-    assert apart == oracle_glue_metrics(a, c)
-    assert apart.sig.names() == ("d_1/2", "d_1")
+    assert apart == padded_oracle_glue(a, c)
+    assert [name for name, tuples in apart.interp if tuples] == ["d_1/2", "d_1"]

@@ -2,9 +2,10 @@
 deduplicating `enumerate_members` against the code they replaced.
 
 The oracles below are the earlier implementations: a key that tries all
-n! relabelings onto 0..n-1, and an enumeration that keys every candidate
-with it.  The fast code must return equal keys, and equal member tuples
-in the same order.
+n! relabelings onto 0..n-1, the branch-and-bound bound as a list of bits,
+and an enumeration that keys every candidate with the first.  The fast
+code must return equal keys, equal bounds read as bits, and equal member
+tuples in the same order.
 """
 
 import hashlib
@@ -30,6 +31,8 @@ from genstruct.structures import (
     GRAPH_SIG,
     FinStructure,
     Signature,
+    _bound,
+    _label_rows,
     canonical_key,
     dumps,
     empty_structure,
@@ -53,6 +56,32 @@ def oracle_canonical_key(a: FinStructure) -> tuple:
         if best is None or key < best:
             best = key
     return (n, a.sig.names(), best)
+
+
+def oracle_bound(n: int, rels: list, order: list[int]) -> list[int]:
+    """`_least_order`'s bound of a label prefix as a list of bits, as it was
+    built before it became one int."""
+    k = len(order)
+    bits: list[int] = []
+    for count, succ, prefixes in rels:
+        rows: list[list[int] | None] = []
+        spare = count
+        for _, q in prefixes:
+            if all(i < k for i in q):
+                s = succ.get(tuple(order[i] for i in q), ())
+                row = [0 if order[j] in s else 1 for j in range(k)]
+                rest = len(s) - row.count(0)
+                rows.append(row + [0] * rest + [1] * (n - k - rest))
+                spare -= len(s)
+            else:
+                rows.append(None)
+        for row in rows:
+            if row is None:
+                zeros = min(spare, n)
+                spare -= zeros
+                row = [0] * zeros + [1] * (n - zeros)
+            bits += row
+    return bits
 
 
 _ORACLE_MEMBERS: dict[tuple[str, int, bool], tuple[FinStructure, ...]] = {}
@@ -168,6 +197,22 @@ def test_canonical_key_matches_oracle_on_random_signatures(a, seed):
 @given(near_circulants())
 def test_canonical_key_matches_oracle_on_near_circulants(a):
     assert canonical_key(a) == oracle_canonical_key(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_structures(), st.integers(0, 2**32))
+def test_int_bound_reads_as_the_list_bound_on_every_prefix(a, seed):
+    src = a.sorted_universe()
+    index = {x: i for i, x in enumerate(src)}
+    n = len(src)
+    rels = _label_rows(n, [(a.sig.arity(name), [tuple(index[x] for x in t) for t in tuples])
+                           for name, tuples in a.interp])
+    order = Random(seed).sample(range(n), n)
+    for k in range(n + 1):
+        bits = oracle_bound(n, rels, order[:k])
+        assert len(bits) == sum(n ** a.sig.arity(name) for name in a.sig.names())
+        value = _bound(n, rels, order[:k])
+        assert value.bit_length() <= len(bits) and value == int("".join(map(str, bits)) or "0", 2)
 
 
 def test_canonical_key_on_highly_symmetric_structures():

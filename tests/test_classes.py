@@ -202,25 +202,18 @@ def test_amalgam_strongness_counts():
 
 
 def _aligned(tag, a, b):
-    if tag != "RationalMetric":
-        return a, b
-    from genstruct.classes import _align_signature, _metric_common_signature
+    from genstruct.classes import align
 
-    sig = _metric_common_signature(a, b)
-    return _align_signature(a, sig), _align_signature(b, sig)
+    return align(tag, a, b)
 
 
 def _repair_pair(tag, f, g):
     if tag != "RationalMetric":
         return f, g
-    from genstruct.classes import _align_signature, _metric_common_signature
+    from genstruct.classes import align
 
-    sig = _metric_common_signature(f.source, f.target, g.target)
-    base = _align_signature(f.source, sig)
-    return (
-        make_embedding(base, _align_signature(f.target, sig), f.as_dict()),
-        make_embedding(base, _align_signature(g.target, sig), g.as_dict()),
-    )
+    base, left, right = align(tag, f.source, f.target, g.target)
+    return make_embedding(base, left, f.as_dict()), make_embedding(base, right, g.as_dict())
 
 
 def test_amalgamation_stable_under_relabeling():
@@ -236,13 +229,12 @@ def test_amalgamation_stable_under_relabeling():
 
 
 def test_metric_amalgam_shortest_path():
-    from genstruct.classes import _align_signature, _metric_common_signature
+    from genstruct.classes import align
 
     base = metric_structure({0}, {})
     left = metric_structure({0, 1}, {frozenset((0, 1)): Fraction(2)})
     right = metric_structure({0, 2}, {frozenset((0, 2)): Fraction(3)})
-    sig = _metric_common_signature(base, left, right)
-    base, left, right = (_align_signature(s, sig) for s in (base, left, right))
+    base, left, right = align("RationalMetric", base, left, right)
     am = amalgamate("RationalMetric", inclusion_embedding(base, left), inclusion_embedding(base, right))
     dist = metric_distances(am.result)
     assert dist[frozenset((1, 2))] == Fraction(5)

@@ -3,9 +3,10 @@ against the code they replaced.
 
 The oracles are the earlier implementations: a `Fraction` triangle scan
 over every ordered triple of points, a partial-embedding check that
-rebuilds every tuple over the domain and its image per symbol, and
+rebuilds every tuple over the domain and its image per symbol,
 `membership` deciding the class axioms (`ClassSpec.member`) on every
-call.  The fast code must give the same verdict on every input, with one
+call, and the Digraph loop test as a generator over every tuple.  The
+fast code must give the same verdict on every input, with one
 deliberate difference: the old metric test let a pair carry two
 distances (the last symbol won), and the new one rejects such a
 structure.
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from genstruct.classes import (
     SPECS,
     TAGS,
+    _is_digraph,
     _is_metric,
     chain_structure,
     class_spec,
@@ -33,6 +35,7 @@ from genstruct.classes import (
 from genstruct.structures import (
     GRAPH_SIG,
     ORDER_SIG,
+    FinStructure,
     Signature,
     SignatureMismatch,
     dumps,
@@ -324,3 +327,30 @@ def test_verdicts_stay_out_of_equality_hash_json_and_pickle():
     assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
     assert dumps(a) == dumps(fresh) and pickle.dumps(a) == pickle.dumps(fresh)
     assert set(fresh_copy(a).__dict__) == {"sig", "universe", "interp"}
+
+
+# --- raw structures ------------------------------------------------------------
+
+
+def oracle_is_digraph(a) -> bool:
+    """The loop test as a generator over every tuple."""
+    return all(t[0] != t[1] for t in a.rel("E"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(0, 5), max_size=4), st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=8))
+def test_is_digraph_matches_the_generator_on_raw_structures(universe, arcs):
+    """Raw structures, built without `validate_structure`: arcs and loops may
+    leave the universe."""
+    a = FinStructure(GRAPH_SIG, frozenset(universe), (("E", frozenset(arcs)),))
+    assert _is_digraph(a) == oracle_is_digraph(a)
+
+
+def test_is_digraph_sees_a_loop_outside_the_universe():
+    a = FinStructure(GRAPH_SIG, frozenset({0, 1}), (("E", frozenset({(0, 1), (7, 7)})),))
+    assert not _is_digraph(a) and not oracle_is_digraph(a)
+
+
+def test_linear_graph_membership_rejects_an_edge_outside_the_universe():
+    a = FinStructure(GRAPH_SIG, frozenset({0, 1}), (("E", frozenset({(0, 1), (1, 0), (1, 7), (7, 1)})),))
+    assert membership("LinearGraph", a) is False
