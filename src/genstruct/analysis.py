@@ -20,7 +20,6 @@ from typing import NamedTuple
 from genstruct.classes import (
     NotInClass,
     ScaleExceeded,
-    align,
     chain_of,
     enumerate_members,
     membership,
@@ -155,14 +154,13 @@ def extension_items(m: FinStructure, tag: str, k: int) -> Iterator[ReportItem]:
     def items() -> Iterator[ReportItem]:
         for size, members in enumerate(types):
             for idx, member in enumerate(members):
-                member, target = align(tag, member, m)
                 universe = member.sorted_universe()
                 for r in range(len(universe) + 1):
                     for subset in combinations(universe, r):
                         free = [x for x in universe if x not in subset]
                         # Placing subset alone gives the embeddings of the part it induces.
-                        for pins in placements(member, target, {}, subset):
-                            found = next(placements(member, target, pins, free), None)
+                        for pins in placements(member, m, {}, subset):
+                            found = next(placements(member, m, pins, free), None)
                             yield ReportItem(
                                 f"type:{size}.{idx};dom={list(subset)};emb={sorted(pins.items())}",
                                 found is not None,
@@ -182,8 +180,7 @@ def universality_items(m: FinStructure, tag: str, k: int) -> Iterator[ReportItem
     def items() -> Iterator[ReportItem]:
         for n, members in enumerate(types):
             for idx, member in enumerate(members):
-                member, target = align(tag, member, m)
-                found = next(placements(member, target, {}, member.sorted_universe()), None)
+                found = next(placements(member, m, {}, member.sorted_universe()), None)
                 yield ReportItem(f"type:{n}.{idx}", found is not None, None if found is None else sorted(found.items()))
 
     return items()

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product, starmap
+from itertools import chain, combinations, permutations, product, starmap
 from math import lcm
 from operator import add, eq
 from random import Random
@@ -165,11 +165,8 @@ def _is_tournament(a: FinStructure) -> bool:
 
 def _is_linear_graph(a: FinStructure) -> bool:
     """Hereditary closure of the path graphs: disjoint unions of simple
-    paths (acyclic, every degree at most 2), all inside the universe."""
-    if not _is_symmetric_irreflexive(a):
-        return False
-    deg = Counter(x for e in _edges(a) for x in e)
-    return deg.keys() <= a.universe and max(deg.values(), default=0) <= 2 and _is_forest(a)
+    paths (acyclic, every degree at most 2)."""
+    return _is_symmetric_irreflexive(a) and max(_degrees(a).values(), default=0) <= 2 and _is_forest(a)
 
 
 def _free_union(a: FinStructure, b: FinStructure) -> FinStructure:
@@ -530,13 +527,9 @@ def class_spec(tag: str) -> ClassSpec:
 
 
 def align(tag: str, *structures: FinStructure) -> tuple[FinStructure, ...]:
-    """The structures over one common signature, so they can be compared
-    and embedded into each other.
-
-    Fixed-signature classes return their inputs unchanged.  A metric
-    space's signature lists only the distances it uses, so metric inputs
-    are padded with empty symbols up to the union of their signatures.
-    """
+    """The structures over one common signature: a metric space's lists only
+    the distances it uses, so metric inputs are padded with empty symbols up
+    to the union of their signatures; other classes' come back unchanged."""
     if class_spec(tag).sig is not None:
         return structures
     sig = _sorted_union(tuple(s.sig for s in structures))
@@ -546,8 +539,8 @@ def align(tag: str, *structures: FinStructure) -> tuple[FinStructure, ...]:
 def membership(tag: str, a: FinStructure) -> bool:
     """Does `a` satisfy the axioms of the tagged class?
 
-    The signature is checked on every call; the axioms only the first
-    time, and the verdict is kept on the structure (`a.verdicts`)."""
+    The signature is checked on every call; that every tuple lies in the
+    universe, then the axioms, only the first time (kept in `a.verdicts`)."""
     spec = class_spec(tag)
     if spec.sig is None:
         for name, arity in a.sig.symbols:
@@ -556,6 +549,10 @@ def membership(tag: str, a: FinStructure) -> bool:
         raise SignatureMismatch(f"{tag} expects signature {spec.sig.symbols}, got {a.sig.symbols}")
     verdicts = a.verdicts
     if tag not in verdicts:
+        for _, rows in a.interp:  # a tuple outside the universe fails every class
+            if not a.universe.issuperset(chain.from_iterable(rows)):
+                verdicts[tag] = False
+                return False
         verdicts[tag] = spec.member(a)
     return verdicts[tag]
 
@@ -629,8 +626,7 @@ def glue_and_check(tag: str, b: FinStructure, c: FinStructure, map_c: dict[int, 
     """The strong amalgam of the validated b and image_c = relabel(c, map_c):
     the class glue, which checks only the tuples it adds, checked for
     membership, then the embeddings of b by the identity and c by map_c, in
-    one pass over the result's rows (`structures._check_rows`, which reads
-    metric sides over the union of the signatures: nothing is padded).
+    one pass over the result's rows (`structures._check_rows`, unpadded).
     Sides that disagree where they meet fail here, as no result carries
     both; every strong amalgam, in forcing too, is glued by this step."""
     result = class_spec(tag).glue(b, image_c)
@@ -952,15 +948,11 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
 
 def _align_signature(a: FinStructure, sig: Signature) -> FinStructure:
     """Re-base a structure onto a containing signature; missing symbols
-    get empty interpretations.  The validated rows of `a` are reused, and
-    so are its `distances` once built: the new symbols are empty."""
+    get empty interpretations, and the validated rows of `a` are reused."""
     if not set(a.sig.symbols) <= set(sig.symbols):
         raise SignatureMismatch("target signature does not contain the source one")
     rows = dict(a.interp)
-    out = FinStructure(sig, a.universe, tuple((name, rows.get(name, frozenset())) for name, _ in sig.symbols))
-    if "distances" in vars(a):
-        FinStructure.distances.seed(out, a.distances)
-    return out
+    return FinStructure(sig, a.universe, tuple((name, rows.get(name, frozenset())) for name, _ in sig.symbols))
 
 
 @lru_cache(maxsize=1024)

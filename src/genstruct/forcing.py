@@ -34,7 +34,6 @@ from genstruct.structures import (
     GRAPH_SIG,
     Signature,
     StructureError,
-    dumps,
     empty_structure,
     extension_by_rows,
     fresh_ids,
@@ -100,9 +99,12 @@ def stronger(q: Condition, p: Condition) -> bool:
     if class_spec(p.tag).linear:
         # Both are linear orders, equal on p's points exactly when their chains are.
         return tuple(filter(p.universe.__contains__, q.structure.chain)) == p.structure.chain
-    # Equality that ignores a metric's signature padding.
-    a, b = align(p.tag, induced_substructure(q.structure, p.universe), p.structure)
-    return a == b
+    return _used_rows(induced_substructure(q.structure, p.universe)) == _used_rows(p.structure)
+
+
+def _used_rows(a: FinStructure) -> frozenset:
+    """`a`'s nonempty rows by symbol: equal on one universe up to empty symbols."""
+    return frozenset((name, rows) for name, rows in a.interp if rows)
 
 
 def common_extension(p: Condition, q: Condition) -> Condition | None:
@@ -337,8 +339,7 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
 
         def satisfied(p: Condition) -> bool:
             # Pins that are no embedding (None) make the requirement vacuous.
-            return image <= p.universe and extension_by_rows(
-                *align(tag, b_prime, p.structure), pin_template) is not False
+            return image <= p.universe and extension_by_rows(b_prime, p.structure, pin_template) is not False
 
     def extend(p: Condition, rng: Random | None) -> Condition:
         if satisfied(p):
@@ -347,7 +348,7 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
             present = sorted(x for x in b.universe if i[x] in p.universe)
             part = induced_substructure(b, set(present))
             part_map = {x: i[x] for x in present}
-            if extension_by_rows(*align(tag, part, p.structure), part_map) is None:
+            if extension_by_rows(part, p.structure, part_map) is None:
                 # i can never become an embedding; make the implication vacuous.
                 for m in sorted(image - p.universe):
                     p = _add_point(p, m, rng)
@@ -601,8 +602,7 @@ def knaster_trim(conditions: list[Condition]) -> list[Condition]:
     ds = delta_system([c.universe for c in conditions])
     picked = [conditions[i] for i in ds.members]
 
-    roots = align(tag, *(induced_substructure(c.structure, ds.root) for c in picked))
-    keys = [dumps(r) for r in roots]
+    keys = [_used_rows(induced_substructure(c.structure, ds.root)) for c in picked]
     best_key = Counter(keys).most_common(1)[0][0]
     group = [c for c, k in zip(picked, keys) if k == best_key]
     for i, a in enumerate(group):

@@ -97,11 +97,6 @@ class Signature:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.symbols)
 
-    @_cached_view
-    def metric(self) -> bool:
-        """Is every symbol a binary `d_...`, as a metric space's are?"""
-        return all(arity == 2 and name.startswith("d_") for name, arity in self.symbols)
-
 
 @lru_cache(maxsize=1024)
 def parse_metric_symbol(name: str):
@@ -186,8 +181,7 @@ class FinStructure:
     def distances(self) -> tuple[int, dict[tuple[int, int], int] | None]:
         """A metric space's distances as ints: (scale, dist), where scale is
         a common denominator of the distances its symbols name (the least,
-        unless the view was seeded; a seeded one need not cover the empty
-        symbols of a padded copy) and dist maps each pair to scale times
+        unless the view was seeded) and dist maps each pair to scale times
         its symbol's distance.  dist is None if a pair is a loop, lies in
         two symbols, or its reverse is not in its own symbol.  Raises
         SignatureMismatch on a symbol not named `d_<q>`."""
@@ -306,21 +300,16 @@ class Embedding:
 
 def make_embedding(source: FinStructure, target: FinStructure, mapping: dict[int, int]) -> Embedding:
     """Validated embedding constructor."""
-    _check_map(source, target, mapping)
+    if source.sig is not target.sig and source.sig != target.sig:
+        raise SignatureMismatch("source and target signatures differ")
+    _check_points(source, target, mapping)
     if not is_partial_embedding(source, target, mapping):
         raise StructureError("map does not preserve and reflect relations")
     return Embedding(source, target, tuple(sorted(mapping.items())))
 
 
-def _check_map(source: FinStructure, target: FinStructure, mapping: dict[int, int]) -> None:
-    """An embedding's checks before its relations, in order."""
-    if source.sig is not target.sig and source.sig != target.sig:
-        raise SignatureMismatch("source and target signatures differ")
-    _check_points(source, target, mapping)
-
-
 def _check_points(source: FinStructure, target: FinStructure, mapping: dict[int, int]) -> None:
-    """`_check_map` after its signature test."""
+    """An embedding's checks of its map after the signature test, in order."""
     if mapping.keys() != source.universe:
         raise StructureError("mapping domain must be the source universe")
     if len(set(mapping.values())) != len(mapping):
@@ -330,20 +319,38 @@ def _check_points(source: FinStructure, target: FinStructure, mapping: dict[int,
         raise StructureError(f"image point {y} not in target universe")
 
 
+def _paired(a: Signature, b: Signature) -> tuple[tuple[int, int], ...] | None:
+    """How structures over `a` and `b` pair their rows: None for one signature,
+    by position; for two metric ones (every symbol a binary `d_...`), by name
+    over their union, each symbol with its index in `a` and `b` or, where a
+    side lacks it (empty there), that side's symbol count; SignatureMismatch
+    for any other pair."""
+    return None if a is b or a == b else _union_indices(a, b)
+
+
+@lru_cache(maxsize=1024)
+def _union_indices(a: Signature, b: Signature) -> tuple[tuple[int, int], ...]:
+    """`_paired` of two signatures that differ, kept per pair (a cache lookup
+    hashes both signatures, which costs more than `_paired`'s own test)."""
+    if not all(arity == 2 and name.startswith("d_") for sig in (a, b) for name, arity in sig.symbols):
+        raise SignatureMismatch("source and target signatures differ")
+    at, bt = ({name: k for k, name in enumerate(sig.names())} for sig in (a, b))
+    return tuple((at.get(name, len(at)), bt.get(name, len(bt))) for name in {**at, **bt})
+
+
 def _check_rows(target: FinStructure, left: FinStructure, source: FinStructure, mapping: dict[int, int],
                 image: FinStructure) -> None:
     """`make_embedding`'s checks into `target`, raising its errors: of the
     validated `left` by the identity (whose map check is the signature and
     a subset test), then of `source` by `mapping`, given image =
-    relabel(source, mapping), possibly over fewer symbols.  Three `metric`
-    signatures are read over their union, as `classes.align` pads them: a
-    symbol one side lacks is empty there.  A side's rows lie inside its
-    points, so they are target's tuples there when they are part of
-    target's rows and no other tuple of target lies inside those points."""
+    relabel(source, mapping), possibly over fewer symbols; signatures pair
+    as in the search (`_paired`).  A side's rows lie inside its points, so
+    they are target's tuples there when they are part of target's rows and
+    no other tuple of target lies inside those points."""
     points, inside = left.universe, image.universe
-    check = _check_points if left.sig.metric and source.sig.metric and target.sig.metric else _check_map
-    if check is _check_map and left.sig is not target.sig and left.sig != target.sig or not points <= target.universe:
-        check(left, target, {x: x for x in points})
+    _paired(left.sig, target.sig)
+    if not points <= target.universe:
+        _check_points(left, target, {x: x for x in points})
     left_rows, image_rows = dict(left.interp), dict(image.interp)
     left_ok = image_ok = True
     for name, tuples in target.interp:
@@ -352,7 +359,8 @@ def _check_rows(target: FinStructure, left: FinStructure, source: FinStructure, 
         image_ok = image_ok and image_row <= tuples and not any(map(inside.issuperset, tuples - image_row))
     if not left_ok or any(left_rows.values()):
         raise StructureError("map does not preserve and reflect relations")
-    check(source, target, mapping)
+    _paired(source.sig, target.sig)
+    _check_points(source, target, mapping)
     if not image_ok or any(image_rows.values()):
         raise StructureError("map does not preserve and reflect relations")
 
@@ -436,17 +444,24 @@ def _consistent_with(a: FinStructure, b: FinStructure, assignment: dict[int, int
     return True
 
 
-def extension_witnesses(a: FinStructure, b: FinStructure, phi: dict[int, int], x: int) -> int:
+def extension_witnesses(a: FinStructure, b: FinStructure, phi: dict[int, int], x: int, paired=None) -> int:
     """The images y for which `phi` plus x -> y is a partial embedding of `a`
     into `b`, as a mask over `b.bitsets.order`; `phi` must be one, with `x`
-    outside its domain, and `a` and `b` must share a signature."""
+    outside its domain, and `paired` is `_paired(a.sig, b.sig)`."""
     source, view = a.bitsets, b.bitsets
     index, n, m, mask = view.index, len(view.order), len(source.order), view.full
     i = source.index[x]
-    for mine, theirs in zip(source.fixed, view.fixed):
+    if paired is None:
+        fixed = zip(source.fixed, view.fixed)
+        # Equal pairs, as for a symmetric relation and its reverse, constrain alike.
+        rels = view.links if a is b else set(zip(source.rels, view.rels))
+    else:  # by name; metric symbols are binary, and a missing one's rows are 0
+        rows_a, rows_b = (*source.fixed, 0), (*view.fixed, 0)
+        fixed = [(rows_a[s], rows_b[t]) for s, t in paired]
+        rows_a, rows_b = (*source.rels, 0, 0), (*view.rels, 0, 0)
+        rels = {(rows_a[2 * s + r], rows_b[2 * t + r]) for s, t in paired for r in (0, 1)}
+    for mine, theirs in fixed:
         mask &= theirs if mine >> i & 1 else ~theirs
-    # Equal pairs, as for a symmetric relation and its reverse, constrain alike.
-    rels = view.links if a is b else set(zip(source.rels, view.rels))
     for z, w in phi.items():
         # Row j: the images related to w as x is to z, per relation.
         pair, j = source.index[z] * m + i, index[w]
@@ -464,12 +479,10 @@ def _pinned(a: FinStructure, b: FinStructure, partial: dict[int, int]) -> dict[i
     """The pins of `partial` in point order, or None unless they are an
     injective partial embedding of `a` into `b`: each pin must lie in its
     `extension_witnesses` mask over the pins before it."""
-    if a.sig is not b.sig and a.sig != b.sig:
-        raise SignatureMismatch("signatures differ")
     placed: dict[int, int] = {}
-    index = b.bitsets.index
+    paired, index = _paired(a.sig, b.sig), b.bitsets.index
     for x, y in sorted(partial.items()):
-        if x not in a.universe or y not in index or not extension_witnesses(a, b, placed, x) >> index[y] & 1:
+        if x not in a.universe or y not in index or not extension_witnesses(a, b, placed, x, paired) >> index[y] & 1:
             return None
         placed[x] = y
     return placed
@@ -494,15 +507,13 @@ def placements(a: FinStructure, b: FinStructure, placed: dict[int, int],
     `within[p]` if `within` is given (one mask over `b.bitsets.order` per
     free point), lowest first and depth first, so the completions come in
     lexicographic image order.  This walk is the only embedding search."""
-    if a.sig is not b.sig and a.sig != b.sig:
-        raise SignatureMismatch("signatures differ")
-    limits = [-1] * len(free) if within is None else within
+    paired, limits = _paired(a.sig, b.sig), [-1] * len(free) if within is None else within
 
     def walk():
         done, order, masks = dict(placed), b.bitsets.order, []  # masks[p]: images free[p] has left
         while True:
             if len(masks) < len(free):
-                masks.append(extension_witnesses(a, b, done, free[len(masks)]) & limits[len(masks)])
+                masks.append(extension_witnesses(a, b, done, free[len(masks)], paired) & limits[len(masks)])
             else:
                 yield dict(done)
             while masks and not masks[-1]:

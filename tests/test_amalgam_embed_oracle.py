@@ -514,15 +514,24 @@ def test_amalgamate_rejects_a_raw_side_with_a_tuple_outside_its_universe(tag):
     assert str(info.value) == "E(1, 7): 7 not in universe"
 
 
-@pytest.mark.parametrize("covering", (False, True))
-def test_common_extension_of_a_raw_condition_with_a_stray_arc_is_none(covering):
-    """With `covering`, the right side holds the stray arc's end 7, that arc
-    and (1, 0): the glue then has as many rows on the left's points as the
-    left has rows, so only validating the sides first rejects it."""
+def test_a_raw_condition_with_a_stray_arc_is_rejected():
+    """Membership tests that every tuple lies in the universe, so the raw
+    left side is no condition."""
     _, left, right = raw_left_with_a_stray_arc()
-    if covering:
-        right = validate_structure(right.sig, {0, 1, 7}, {"E": {(0, 1), (1, 0), (1, 7)}})
-    assert common_extension(Condition("Digraph", left), Condition("Digraph", right)) is None
+    assert Condition("Digraph", right)
+    with pytest.raises(StructureError, match="^condition body is not a Digraph member$"):
+        Condition("Digraph", left)
+
+
+@pytest.mark.parametrize("swap", (False, True))
+def test_common_extension_of_a_raw_side_with_a_negative_point_is_none(swap):
+    """A raw side on {-1, 0} is a Digraph, so it makes a condition, but no
+    structure: its free union with the right side would be a Digraph that
+    carries both sides' rows, so only validating the sides rejects it."""
+    _, _, right = raw_left_with_a_stray_arc()
+    left = FinStructure(right.sig, frozenset({-1, 0}), (("E", frozenset({(0, -1)})),))
+    sides = (Condition("Digraph", left), Condition("Digraph", right))
+    assert common_extension(*sides[::-1] if swap else sides) is None
 
 
 def validating_glued(sig, a, b, new, rows=None):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import genstruct
+from genstruct import classes
 from genstruct.cli import (
     BROKEN_PIPE,
     BUILD_CLASSES,
@@ -584,6 +585,36 @@ CHECK_DIGESTS = {
     ("build --class PartialOrder --n 3 --ext-size 2 --seed 0", "universality", "3"):
         (1, "2aa9748f090e0300508e858fafb74c9809de530f0a7a0ea69e5d9ded2fed44bd"),
 }
+
+
+# The RationalMetric n=2 seed 4 build of the CI smoke step, and two checks on
+# its final structure: sha256 of stdout and exit code, as the CI step pins
+# them. Its metric spaces rarely share a signature; the search reads two of
+# them over the union of their symbols, so no padded copy is made
+# (`classes._align_signature`). Padding search inputs made 305 copies in the
+# build and 67 in the checks.
+METRIC_BUILD = ("build --class RationalMetric --n 2 --seed 4 --verify",
+                "0d93516310a135d56accafb21fcf7c6b1bb619e6f8aeab4b78a9c15ff654d6eb")
+METRIC_CHECKS = {
+    ("extension", "2"): (1, "eb64efdbf4eabb7b36e97dc3b43598b774e3bbc1f837824f464b7f7dddc59e3d"),
+    ("universality", "4"): (1, "19275b153597faa26e9845dcfa9ca202cff77a6ce5cd33eb59fe55ee38736d91"),
+}
+
+
+def test_metric_build_and_checks_pad_no_copy(tmp_path: Path, capsys, monkeypatch):
+    copies = []
+    pad = classes._align_signature
+    monkeypatch.setattr(classes, "_align_signature", lambda a, sig: copies.append(sig) or pad(a, sig))
+    command, digest = METRIC_BUILD
+    assert run(*command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    final = tmp_path / "final.json"
+    final.write_text(json.dumps(json.loads(out)["final"]))
+    for (verifier, k), (code, digest) in METRIC_CHECKS.items():
+        assert run("check", "--class", "RationalMetric", "--check", verifier, "--k", k, "--in", str(final)) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, verifier
+    assert copies == []
 
 
 def test_check_bytes_pinned(tmp_path: Path, capsys):

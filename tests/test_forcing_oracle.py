@@ -20,6 +20,7 @@ The current code must return equal conditions, chains and exceptions.
 """
 
 from argparse import Namespace
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
@@ -63,17 +64,20 @@ from genstruct.forcing import (
     _randomize_free_relations,
     _realize_over,
     common_extension,
+    delta_system,
     empty_condition,
     extension_requirement,
     generic_build,
+    knaster_trim,
     meet,
     point_requirement,
     stronger,
 )
 from genstruct.structures import (
-    FinStructure,
     Signature,
+    SignatureMismatch,
     StructureError,
+    dumps,
     enumerate_embeddings,
     enumerate_embeddings_extending,
     extension_by_rows,
@@ -82,6 +86,7 @@ from genstruct.structures import (
     induced_substructure,
     is_partial_embedding,
     make_embedding,
+    placements,
     relabel,
     validate_structure,
 )
@@ -383,30 +388,12 @@ def test_realize_over_matches_amalgamate_oracle(case):
 # --- common extensions and partial maps ------------------------------------------
 
 
-def raw_with_a_stray_arc(draw, tag, structure):
-    """`structure` built without `validate_structure`, one of its pairs
-    leaving its universe (both ways for symmetric classes), as a condition;
-    None if membership rejects it."""
-    name = next((name for name, arity in structure.sig.symbols if arity == 2), None)
-    outside = [y for y in range(10) if y not in structure.universe]
-    if name is None or not structure.universe:
-        return None
-    x, y = draw(st.sampled_from(structure.sorted_universe())), draw(st.sampled_from(outside))
-    stray = {(x, y), (y, x)} if class_spec(tag).symmetric else {(x, y)}
-    raw = FinStructure(structure.sig, structure.universe,
-                       tuple((n, ts | stray if n == name else ts) for n, ts in structure.interp))
-    try:
-        return Condition(tag, raw)
-    except (StructureError, KeyError):  # LinearGraph's path test looks the stray point up
-        return None
-
-
 @st.composite
 def condition_pairs(draw):
     """Two conditions of one class on overlapping ids: induced parts of one
     member, which agree where they meet, or renamed members, which often
-    disagree there; metric sides padded, and now and then a raw side with
-    a stray arc or a second class."""
+    disagree there; metric sides padded, and now and then a second class.
+    (A raw side with a tuple outside its universe is no condition.)"""
     tag = draw(st.sampled_from(TAGS))
     members = small_members(tag)
     if draw(st.booleans()):
@@ -416,8 +403,6 @@ def condition_pairs(draw):
     else:
         sides = [renamed(draw, draw(st.sampled_from(members)), pool) for pool in (range(6), range(3, 9))]
     p, q = (Condition(tag, padded(draw, tag, side)) for side in sides)
-    if draw(st.integers(0, 9)) == 0:
-        p = raw_with_a_stray_arc(draw, tag, p.structure) or p
     if draw(st.integers(0, 19)) == 0:
         q = empty_condition(draw(st.sampled_from([t for t in TAGS if t != tag])))
     return p, q
@@ -745,3 +730,116 @@ def test_extension_by_rows_checks_ternary_tuples(a, b, data):
         part = induced_substructure(b, data.draw(st.sets(st.sampled_from(sorted(b.universe)))))
         a = relabel(part, dict(zip(part.sorted_universe(), range(4))))
     assert_rows_match_search(a, b, pin_cases(data.draw, a, b))
+
+
+# --- metric signatures read by name against padded copies ------------------------
+#
+# Metric spaces rarely share a signature. The search, `stronger` and
+# `knaster_trim` read two of them over the union of their symbols, a symbol
+# one side lacks being empty there; before, their callers padded copies to
+# that union with `align`. The padded path is the oracle.
+
+
+def padded_copies(a, b):
+    """a and b as the search took them before: two metric spaces padded to one
+    signature, any other pair as it is, and SignatureMismatch if the
+    signatures then differ."""
+    if all(name.startswith("d_") for name in (*a.sig.names(), *b.sig.names())):
+        return align("RationalMetric", a, b)
+    if a.sig != b.sig:
+        raise SignatureMismatch("signatures differ")
+    return a, b
+
+
+def oracle_stronger(q, p):
+    """`stronger` as it compared padded copies, for a linear order too."""
+    if q.tag != p.tag:
+        raise TagMismatch(f"{q.tag} vs {p.tag}")
+    if not p.universe <= q.universe:
+        return False
+    a, b = align(p.tag, induced_substructure(q.structure, p.universe), p.structure)
+    return a == b
+
+
+def oracle_knaster_trim(conditions):
+    """`knaster_trim` grouping its conditions by the JSON of their padded roots."""
+    tag = conditions[0].tag
+    ds = delta_system([c.universe for c in conditions])
+    picked = [conditions[i] for i in ds.members]
+    roots = align(tag, *(induced_substructure(c.structure, ds.root) for c in picked))
+    keys = [dumps(r) for r in roots]
+    best_key = Counter(keys).most_common(1)[0][0]
+    group = [c for c, k in zip(picked, keys) if k == best_key]
+    for i, a in enumerate(group):
+        for b in group[i + 1:]:
+            if common_extension(a, b) is None:
+                raise StructureError("trimmed family failed the compatibility certificate")
+    return group
+
+
+def searches(a, b, pins, within):
+    """Every search entry on (a, b): the completions of `pins` in order, within
+    `within` when given, and whether `pins` extend to an embedding."""
+    free = [x for x in a.sorted_universe() if x not in pins]
+    return list(placements(a, b, pins, free, within)), extension_by_rows(a, b, pins)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_search_by_symbol_name_matches_padded_copies(data):
+    """Metric pairs, each side over its own symbols plus some unused ones; now
+    and then a side of another class, which both paths reject."""
+    draw = data.draw
+    tags = draw(st.sampled_from([("RationalMetric",) * 2] * 6 + [("RationalMetric", "Graph"), ("Graph", "RationalMetric")]))
+    a = padded(draw, tags[0], renamed(draw, draw(st.sampled_from(small_members(tags[0]))), range(8)))
+    pool = small_members(tags[1]) + enumerate_members(tags[1], 4)[:40]
+    b = padded(draw, tags[1], renamed(draw, draw(st.sampled_from(pool)), range(4, 12)))
+    try:
+        pins = pin_cases(draw, *padded_copies(a, b))
+    except SignatureMismatch:
+        pins = {}
+    within = None
+    if draw(st.booleans()):
+        within = [draw(st.integers(0, (1 << len(b)) - 1)) for x in a.universe if x not in pins]
+    assert outcome(searches, a, b, pins, within) == outcome(
+        lambda: searches(*padded_copies(a, b), pins, within))
+
+
+@st.composite
+def metric_families(draw):
+    """Metric conditions on overlapping ids, padded at random: induced parts of
+    one member, which agree where they meet, and renamed members."""
+    members = small_members("RationalMetric") + enumerate_members("RationalMetric", 4)[:30]
+    whole = renamed(draw, draw(st.sampled_from(members)), range(8))
+    family = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            side = induced_substructure(whole, {x for x in whole.universe if draw(st.booleans())})
+        else:
+            side = renamed(draw, draw(st.sampled_from(members)), range(8))
+        family.append(Condition("RationalMetric", padded(draw, "RationalMetric", side)))
+    return family
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric_families())
+def test_stronger_and_knaster_trim_match_padded_copies(family):
+    for q in family:
+        for p in family:
+            assert stronger(q, p) == oracle_stronger(q, p)
+    assert outcome_text(knaster_trim, family) == outcome_text(oracle_knaster_trim, family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SAP_TAGS), st.data())
+def test_stronger_matches_padded_copies_in_every_class(tag, data):
+    """A condition against its induced parts, some changed in one pair, and
+    against other members."""
+    draw = data.draw
+    members = small_members(tag) + enumerate_members(tag, 4)[:30]
+    q = Condition(tag, padded(draw, tag, renamed(draw, draw(st.sampled_from(members)), range(6))))
+    part = induced_substructure(q.structure, {x for x in q.universe if draw(st.booleans())})
+    other = renamed(draw, draw(st.sampled_from(members)), range(6))
+    for p in (Condition(tag, padded(draw, tag, part)), Condition(tag, padded(draw, tag, other))):
+        assert stronger(q, p) == oracle_stronger(q, p)
+        assert stronger(p, q) == oracle_stronger(p, q)

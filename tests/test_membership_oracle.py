@@ -354,3 +354,26 @@ def test_is_digraph_sees_a_loop_outside_the_universe():
 def test_linear_graph_membership_rejects_an_edge_outside_the_universe():
     a = FinStructure(GRAPH_SIG, frozenset({0, 1}), (("E", frozenset({(0, 1), (1, 0), (1, 7), (7, 1)})),))
     assert membership("LinearGraph", a) is False
+
+
+# Rows that each class takes on the points {0, 1, 7}.
+ROWS_THROUGH_7 = {
+    "Graph": {"E": {(1, 7), (7, 1)}},
+    "Digraph": {"E": {(1, 7), (7, 1)}},
+    "Tournament": {"E": {(0, 1), (0, 7), (1, 7)}},
+    "LinearOrder": {"<": {(0, 1), (0, 7), (1, 7)}},
+    "PartialOrder": {"<": {(1, 7)}},
+    "RationalMetric": {"d_1": {(0, 1), (1, 0), (0, 7), (7, 0)}, "d_2": {(1, 7), (7, 1)}},
+    "LinearGraph": {"E": {(1, 7), (7, 1)}},
+}
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_membership_rejects_a_tuple_outside_the_universe(tag):
+    """The rows of a member on {0, 1, 7}, kept raw on {0, 1}: no member, and
+    no KeyError from an axiom that looks the stray point up."""
+    sig = class_spec(tag).sig or Signature((("d_1", 2), ("d_2", 2)))
+    rows = ROWS_THROUGH_7[tag]
+    assert membership(tag, validate_structure(sig, {0, 1, 7}, rows))
+    raw = FinStructure(sig, frozenset({0, 1}), tuple((name, frozenset(rows.get(name, ()))) for name in sig.names()))
+    assert membership(tag, raw) is False

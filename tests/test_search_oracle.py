@@ -37,6 +37,7 @@ from genstruct.structures import (
     SignatureMismatch,
     enumerate_embeddings,
     enumerate_embeddings_extending,
+    extension_by_rows,
     extension_witnesses,
     find_isomorphism,
     induced_substructure,
@@ -460,6 +461,43 @@ def test_padded_symbols_match_oracle(pair, data):
         assert enumerate_embeddings_extending(a, b, pins, limit=1) == oracle_search_maps(a, b, False, pins, 1)
     found = oracle_search_maps(a, b, True, {}, 1)
     assert find_isomorphism(a, b) == (found[0] if found else None)
+
+
+@st.composite
+def distance_symbol_pairs(draw):
+    """(a, b, pins): each side over its own subset of d_1, d_2 and d_3, with
+    any tuples of those symbols, loops and one-way pairs included, as raw
+    structures may hold them; a is often a relabelled induced part of b
+    over its nonempty symbols and some others.  `pins` map part of a into b."""
+    names = ("d_1", "d_2", "d_3")
+
+    def signature(used=()):
+        return Signature(tuple((n, 2) for n in names if n in used or draw(st.booleans())))
+
+    b = draw(structures(signature(), max_size=5))
+    if draw(st.booleans()):
+        subset = draw_subset(draw, b.universe)
+        ids = draw(st.permutations(range(10)))
+        part = relabel(induced_substructure(b, subset), {x: ids[i] for i, x in enumerate(sorted(subset))})
+        rows = {n: ts for n, ts in part.interp if ts}
+        a = validate_structure(signature(rows), part.universe, rows)
+    else:
+        a = draw(structures(signature(), max_size=4))
+    dom = sorted(draw_subset(draw, a.universe, max_size=len(b)))
+    return a, b, dict(zip(dom, draw(st.permutations(sorted(b.universe)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(distance_symbol_pairs())
+def test_distance_symbols_read_by_name_match_padded_copies(case):
+    """Two metric signatures pair their rows by symbol name, a symbol one
+    side lacks being empty there: the search gives what it gives on copies
+    that `align` pads to one signature."""
+    a, b, pins = case
+    padded_a, padded_b = align("RationalMetric", a, b)
+    for search in (enumerate_embeddings, lambda a, b: enumerate_embeddings_extending(a, b, pins)):
+        assert [e.mapping for e in search(a, b)] == [e.mapping for e in search(padded_a, padded_b)]
+    assert extension_by_rows(a, b, pins) == extension_by_rows(padded_a, padded_b, pins)
 
 
 @settings(max_examples=150, deadline=None)
