@@ -292,7 +292,9 @@ def density_items(order: FinStructure, ids: set[int] | frozenset[int]) -> Iterat
     """Does the given id set hit every open interval of the finite order
     prefix?  A finite prefix can only ever approximate density of an
     infinite set, so this is a per-pair report, not a verdict about the
-    limit."""
+    limit.  `order` must be a linear order (NotInClass); no size cap applies."""
+    if not membership("LinearOrder", order):
+        raise NotInClass("input must belong to the class")
     seq = chain_of(order)
     pos = {x: i for i, x in enumerate(seq)}
     marks = sorted(pos[x] for x in ids if x in pos)

@@ -130,12 +130,9 @@ class ClassSpec:
 # --- graphs, digraphs, tournaments and linear graphs ------------------------
 
 
-def _edges(a: FinStructure) -> set[frozenset[int]]:
-    return {frozenset(t) for t in a.rel("E")}
-
-
 def _degrees(a: FinStructure) -> dict[int, int]:
-    deg = Counter(x for e in _edges(a) for x in e)
+    """Each point's degree in a symmetric, irreflexive `E`: the arcs it starts."""
+    deg = Counter(x for x, _ in a.rel("E"))
     return {x: deg[x] for x in a.universe}
 
 
@@ -144,8 +141,8 @@ def _is_connected_graph(a: FinStructure) -> bool:
 
 
 def _is_forest(a: FinStructure) -> bool:
-    # Acyclic exactly when each component has one edge fewer than points.
-    return len(_edges(a)) == len(a) - len(a.components)
+    # Acyclic exactly when each component has one edge (two arcs of `E`) fewer than points.
+    return len(a.rel("E")) // 2 == len(a) - len(a.components)
 
 
 def _is_symmetric_irreflexive(a: FinStructure) -> bool:
@@ -247,7 +244,7 @@ def _adjoin_to_path_end(a: FinStructure, m: int, rng: Random | None) -> FinStruc
     """Seeded: attach m to one path endpoint, or to nothing."""
     rel = set(a.rel("E"))
     if rng:
-        deg = Counter(x for t in rel for x in t[:1])
+        deg = _degrees(a)
         ends = [x for x in a.sorted_universe() if deg[x] <= 1]
         pick = rng.randrange(len(ends) + 1)
         if pick < len(ends):
@@ -736,7 +733,7 @@ def enumerate_members(tag: str, size: int, connected: bool = False) -> tuple[Fin
         sig = class_spec(tag).sig or Signature(())
         out = (empty_structure(sig),)
     else:
-        # Isomorphic candidates share their signature and profile multiset,
+        # Isomorphic candidates share their signature and colour multiset,
         # so each is compared only with the kept members of its bucket.
         # The first candidate of each type is kept, and only those are keyed.
         buckets: dict[tuple, list[FinStructure]] = {}
@@ -746,9 +743,7 @@ def enumerate_members(tag: str, size: int, connected: bool = False) -> tuple[Fin
                     continue
                 if connected and not _is_connected_graph(candidate):
                     continue
-                bucket = buckets.setdefault(
-                    (candidate.sig, tuple(sorted(candidate.profiles.values()))), []
-                )
+                bucket = buckets.setdefault((candidate.sig, tuple(sorted(candidate.bitsets.colours))), [])
                 if all(find_isomorphism(candidate, m) is None for m in bucket):
                     bucket.append(candidate)
         keyed = {canonical_key(m): m for bucket in buckets.values() for m in bucket}

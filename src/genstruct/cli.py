@@ -290,11 +290,9 @@ def cmd_check(args) -> int:
             report = analysis.universality_check(m, args.tag, args.k, sink)
         elif args.verifier == "homogeneity":
             report = analysis.one_point_homogeneity(m, args.tag, args.k, sink)
-        else:  # no size limit, but the input must be a member of a linear class
+        else:  # density checks only a linear class, whose membership it tests itself
             if not classes.class_spec(args.tag).linear:
                 raise structures.StructureError(f"density checks linear orders, not {args.tag}")
-            if not classes.membership(args.tag, m):
-                raise classes.NotInClass("input must belong to the class")
             report = analysis.interval_density_check(m, ids, sink)
     except structures.StructureError as exc:
         return _reject(f"{type(exc).__name__}: {exc}")

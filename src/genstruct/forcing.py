@@ -40,6 +40,7 @@ from genstruct.structures import (
     induced_substructure,
     relabel,
     to_json_dict,
+    used_rows,
     validate_structure,
 )
 
@@ -99,12 +100,7 @@ def stronger(q: Condition, p: Condition) -> bool:
     if class_spec(p.tag).linear:
         # Both are linear orders, equal on p's points exactly when their chains are.
         return tuple(filter(p.universe.__contains__, q.structure.chain)) == p.structure.chain
-    return _used_rows(induced_substructure(q.structure, p.universe)) == _used_rows(p.structure)
-
-
-def _used_rows(a: FinStructure) -> frozenset:
-    """`a`'s nonempty rows by symbol: equal on one universe up to empty symbols."""
-    return frozenset((name, rows) for name, rows in a.interp if rows)
+    return used_rows(induced_substructure(q.structure, p.universe)) == used_rows(p.structure)
 
 
 def common_extension(p: Condition, q: Condition) -> Condition | None:
@@ -602,7 +598,7 @@ def knaster_trim(conditions: list[Condition]) -> list[Condition]:
     ds = delta_system([c.universe for c in conditions])
     picked = [conditions[i] for i in ds.members]
 
-    keys = [_used_rows(induced_substructure(c.structure, ds.root)) for c in picked]
+    keys = [used_rows(induced_substructure(c.structure, ds.root)) for c in picked]
     best_key = Counter(keys).most_common(1)[0][0]
     group = [c for c, k in zip(picked, keys) if k == best_key]
     for i, a in enumerate(group):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import count as naturals, filterfalse, islice, product
 from math import lcm
-from types import MappingProxyType
 
 
 class StructureError(Exception):
@@ -148,22 +147,6 @@ class FinStructure:
         return {}
 
     @_cached_view
-    def profiles(self) -> MappingProxyType:
-        """Read-only map from each element to its profile: per symbol (in
-        `interp` order) and per position, how many tuples have the element
-        there.  Built in one pass over the tuples."""
-        rows: dict[int, list] = {x: [] for x in self.universe}
-        for name, tuples in self.interp:
-            arity = self.sig.arity(name)
-            counts = {x: [0] * arity for x in self.universe}
-            for t in tuples:
-                for i, y in enumerate(t):
-                    counts[y][i] += 1
-            for x, row in rows.items():
-                row.append(tuple(counts[x]))
-        return MappingProxyType({x: tuple(row) for x, row in rows.items()})
-
-    @_cached_view
     def bitsets(self) -> Bitsets:
         """Bitset view for embedding search into and from this structure."""
         return Bitsets(self)
@@ -257,6 +240,11 @@ def _natural_universe(universe: set[int] | frozenset[int]) -> frozenset[int]:
     return universe
 
 
+def used_rows(a: FinStructure) -> frozenset:
+    """`a`'s nonempty rows by symbol: equal on one universe up to empty symbols."""
+    return frozenset((name, rows) for name, rows in a.interp if rows)
+
+
 def _glued(sig: Signature, a: FinStructure, b: FinStructure, new: dict, rows: dict | None = None) -> FinStructure:
     """A glue of the validated a and b over `sig`: their points and rows (or `rows`,
     drawn from theirs) plus the `new` tuples by symbol, of which only the new are
@@ -279,10 +267,7 @@ def induced_substructure(a: FinStructure, subset: set[int] | frozenset[int]) -> 
     subset = frozenset(subset)
     if not subset <= a.universe:
         raise SubsetNotContained(f"{sorted(subset - a.universe)} not in universe")
-    rows = tuple(
-        (name, frozenset(t for t in tuples if subset.issuperset(t)))
-        for name, tuples in a.interp
-    )
+    rows = tuple((name, frozenset(filter(subset.issuperset, tuples))) for name, tuples in a.interp)
     return FinStructure(a.sig, subset, rows)
 
 
@@ -407,7 +392,7 @@ class Bitsets:
     walks over these rows through `extension_witnesses`.
     """
 
-    __slots__ = ("order", "index", "full", "rels", "links", "fixed", "high")
+    __slots__ = ("order", "index", "full", "rels", "links", "fixed", "high", "_colours")
 
     def __init__(self, m: FinStructure) -> None:
         self.order = tuple(sorted(m.universe))
@@ -428,9 +413,20 @@ class Bitsets:
                 fixed.append(loops)
             elif arity == 1:
                 fixed.append(sum(1 << index[x] for x, in tuples))
-        self.rels, self.fixed = tuple(rels), tuple(fixed)
+        self.rels, self.fixed, self._colours = tuple(rels), tuple(fixed), None
         self.links = tuple((r, r) for r in dict.fromkeys(rels))
         self.high = tuple(name for name, arity in m.sig.symbols if arity > 2)
+
+    @property
+    def colours(self) -> tuple[tuple[int, ...], ...]:
+        """Per point in `order`, its bit in each `fixed` mask, then its row's count in
+        each matrix of `rels`, built on first read: an isomorphism keeps every colour."""
+        if self._colours is None:
+            n = len(self.order)
+            columns = [[f >> j & 1 for j in range(n)] for f in self.fixed]
+            columns += [[(r >> i * n & self.full).bit_count() for i in range(n)] for r in self.rels]
+            self._colours = tuple(zip(*columns)) if columns else ((),) * n
+        return self._colours
 
 
 def _consistent_with(a: FinStructure, b: FinStructure, assignment: dict[int, int], x: int, names: tuple) -> bool:
@@ -555,15 +551,15 @@ def enumerate_embeddings_extending(
 
 def find_isomorphism(a: FinStructure, b: FinStructure) -> Embedding | None:
     """Lexicographically least isomorphism a -> b, or None.  Each point's
-    images are limited to the points of `b` with the same `profiles` entry."""
+    images are limited to the points of `b` with the same `Bitsets` colour."""
     if a.sig is not b.sig and a.sig != b.sig:
         raise SignatureMismatch("signatures differ")
     if len(a) != len(b):
         return None
-    index, classes = b.bitsets.index, {}
-    for y, profile in b.profiles.items():
-        classes[profile] = classes.get(profile, 0) | 1 << index[y]
-    found = _completions(a, b, {}, 1, [classes.get(a.profiles[x], 0) for x in a.bitsets.order])
+    classes: dict[tuple, int] = {}
+    for j, colour in enumerate(b.bitsets.colours):
+        classes[colour] = classes.get(colour, 0) | 1 << j
+    found = _completions(a, b, {}, 1, [classes.get(colour, 0) for colour in a.bitsets.colours])
     return found[0] if found else None
 
 
@@ -716,8 +712,10 @@ def _in_orbit(u: int, tried: list[int], fixed: list[int], autos: list[dict[int, 
 
 def inclusion_embedding(a: FinStructure, b: FinStructure) -> Embedding:
     """Identity-map embedding of `a` into `b`; fails if not induced, which is
-    the whole embedding check for an identity map."""
-    if induced_substructure(b, a.universe) != a:
+    the whole embedding check for an identity map.  Signatures pair as in the
+    search (`_paired`), and then the nonempty rows by symbol must agree."""
+    _paired(a.sig, b.sig)
+    if used_rows(induced_substructure(b, a.universe)) != used_rows(a):
         raise StructureError("source is not an induced substructure of target")
     return Embedding(a, b, tuple((x, x) for x in sorted(a.universe)))
 

@@ -5,7 +5,9 @@ import pytest
 
 from genstruct.analysis import (
     EntangledInstance,
+    NotInClass,
     ScaleExceeded,
+    density_items,
     entangled_check,
     extension_property_report,
     interval_density_check,
@@ -131,6 +133,15 @@ def test_interval_density_check():
     assert verdicts["interval=(0,1)"] and verdicts["interval=(1,2)"]
     assert not verdicts["interval=(0,5)"]  # adjacent, nothing between
     assert json.loads(report.to_json())[0]["item"].startswith("interval=")
+
+
+def test_density_rejects_an_order_that_is_not_linear():
+    # 2 is unrelated to both 0 < 1, so a chain read from this poset would put it between them.
+    poset = validate_structure(ORDER_SIG, {0, 1, 2}, {"<": {(0, 1)}})
+    with pytest.raises(NotInClass, match="input must belong to the class"):
+        interval_density_check(poset, {2})
+    with pytest.raises(NotInClass):
+        density_items(poset, {2})
 
 
 def test_report_json_shape():

@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,30 @@ def test_amalgamate_free_join(tmp_path: Path):
                "--out", str(out)) == 0
     data = json.loads(out.read_text())
     assert len(data["result"]["universe"]) == 3
+
+
+def test_amalgamate_metric_sides_over_other_distances(tmp_path: Path, capsys):
+    # The base has distance 1 only, the left side distances 1 and 2: the base
+    # is still an induced part of it, as the search reads metric signatures.
+    def metric(dist):
+        return classes.metric_structure({x for p in dist for x in p}, {frozenset(p): Fraction(d) for p, d in dist.items()})
+
+    files = {
+        "base": metric({(0, 1): 1}),
+        "left": metric({(0, 1): 1, (0, 2): 2, (1, 2): 1}),
+        "right": metric({(0, 1): 1, (0, 3): 1, (1, 3): 1}),
+        "far": metric({(0, 1): 2}),
+    }
+    for role, m in files.items():
+        (tmp_path / f"{role}.json").write_text(dumps(m))
+    argv = ["amalgamate", "--op", "class", "--class", "RationalMetric", "--left", str(tmp_path / "left.json"),
+            "--right", str(tmp_path / "right.json"), "--out", str(tmp_path / "am.json")]
+    assert run(*argv, "--base", str(tmp_path / "base.json")) == 0
+    result = from_json_dict(json.loads((tmp_path / "am.json").read_text())["result"])
+    assert classes.membership("RationalMetric", result)
+    assert classes.metric_distances(result)[frozenset((2, 3))] == 2
+    assert run(*argv, "--base", str(tmp_path / "far.json")) == 4
+    assert "source is not an induced substructure of target" in capsys.readouterr().err
 
 
 def test_amalgamate_same_orbit_exit_code(tmp_path: Path, capsys):

@@ -2,12 +2,13 @@
 extension, universality and homogeneity verifiers against the brute-force
 code they replaced.
 
-The oracles below are the earlier implementations: profiles recomputed
-per element by rescanning every tuple, a consistency check that
-enumerates all |dom|^arity tuples, reports that run one search per item
-between induced substructures, and a homogeneity check that builds an
-induced substructure per candidate and runs a full partial-embedding
-check on it.  The fast code must return the same lists in the same order.
+The oracles below are the earlier implementations: profiles (and colours
+from them) recomputed per element by rescanning every tuple, a
+consistency check that enumerates all |dom|^arity tuples, reports that
+run one search per item between induced substructures, and a homogeneity
+check that builds an induced substructure per candidate and runs a full
+partial-embedding check on it.  The fast code must return the same lists
+in the same order.
 """
 
 import pickle
@@ -46,6 +47,7 @@ from genstruct.structures import (
     to_json_dict,
     validate_structure,
 )
+from test_canonical_oracle import ENUMERATE_TO
 
 # --- oracles -----------------------------------------------------------------
 
@@ -61,6 +63,14 @@ def oracle_element_profile(a: FinStructure, x: int) -> tuple:
                     counts[i] += 1
         prof.append(tuple(counts))
     return tuple(prof)
+
+
+def oracle_colour(a: FinStructure, x: int) -> tuple:
+    """`Bitsets.colours` of x from its profile: its mark or loop bit per unary
+    or binary symbol, then its out- and in-count per binary symbol."""
+    arities = [a.sig.arity(name) for name, _ in a.interp]
+    marks = tuple(int((x,) * arity in tuples) for (_, tuples), arity in zip(a.interp, arities) if arity <= 2)
+    return marks + tuple(c for p, arity in zip(oracle_element_profile(a, x), arities) if arity == 2 for c in p)
 
 
 def oracle_consistent_with(a, b, assignment, x) -> bool:
@@ -260,8 +270,8 @@ def structure_pairs(draw):
     return a, b
 
 
-def assert_profiles_match(s: FinStructure) -> None:
-    assert dict(s.profiles) == {x: oracle_element_profile(s, x) for x in s.universe}
+def assert_colours_match(s: FinStructure) -> None:
+    assert dict(zip(s.bitsets.order, s.bitsets.colours)) == {x: oracle_colour(s, x) for x in s.universe}
 
 
 # --- tests -------------------------------------------------------------------
@@ -271,8 +281,8 @@ def assert_profiles_match(s: FinStructure) -> None:
 @given(structure_pairs())
 def test_enumerate_embeddings_matches_oracle(pair):
     a, b = pair
-    assert_profiles_match(a)
-    assert_profiles_match(b)
+    assert_colours_match(a)
+    assert_colours_match(b)
     assert enumerate_embeddings(a, b) == oracle_search_maps(a, b, False, {}, None)
 
 
@@ -325,12 +335,13 @@ def test_find_isomorphism_matches_oracle(data):
 
 @pytest.mark.parametrize("tag, size", [("Tournament", 5), ("Tournament", 6), ("Graph", 5)])
 def test_find_isomorphism_between_members_with_one_profile_multiset(tag, size):
-    # Distinct members whose sorted profiles agree (for tournaments, one score
-    # sequence) pass the per-point profile masks; only the walk parts them.
-    # Each member against its own reversed copy has an isomorphism.
+    # Distinct members whose sorted profiles, and so colours, agree (for
+    # tournaments, one score sequence) pass the per-point colour masks; only
+    # the walk parts them.  Each member against its own reversed copy has an
+    # isomorphism.
     buckets: dict[tuple, list] = {}
     for m in enumerate_members(tag, size):
-        buckets.setdefault(tuple(sorted(m.profiles.values())), []).append(m)
+        buckets.setdefault(tuple(sorted(m.bitsets.colours)), []).append(m)
     assert any(len(bucket) > 1 for bucket in buckets.values())
     for bucket in buckets.values():
         for a, m in product(bucket, repeat=2):
@@ -338,6 +349,51 @@ def test_find_isomorphism_between_members_with_one_profile_multiset(tag, size):
             found = oracle_search_maps(a, b, True, {}, 1)
             assert bool(found) == (a is m)
             assert find_isomorphism(a, b) == (found[0] if found else None)
+
+
+def partition(points, key) -> set:
+    """The blocks of `points` on which `key` is constant."""
+    blocks: dict = {}
+    for x in points:
+        blocks.setdefault(key(x), set()).add(x)
+    return set(map(frozenset, blocks.values()))
+
+
+# SIGNATURES plus every arity at once, with loops and marks; colours do not read the ternary T.
+COLOUR_SIGNATURES = {**SIGNATURES, "mixed": Signature((("P", 1), ("R", 2), ("E", 2))),
+                     "mixed-ternary": Signature((("T", 3), ("R", 2), ("P", 1)))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_colours_are_kept_by_isomorphisms_and_part_points_as_profiles_and_loops(data):
+    sig = COLOUR_SIGNATURES[data.draw(st.sampled_from(sorted(COLOUR_SIGNATURES)))]
+    a = data.draw(structures(sig))
+    ids = data.draw(st.permutations(range(10)))
+    renaming = {x: ids[i] for i, x in enumerate(sorted(a.universe))}
+    b = relabel(a, renaming)
+    colour_a, colour_b = (dict(zip(s.bitsets.order, s.bitsets.colours)) for s in (a, b))
+    assert all(colour_b[renaming[x]] == colour_a[x] for x in a.universe)
+    assert_colours_match(a)
+    if any(arity > 2 for _, arity in sig.symbols):
+        return
+
+    def profile_and_loops(x):
+        loops = tuple((x, x) in tuples for name, tuples in a.interp if sig.arity(name) == 2)
+        return oracle_element_profile(a, x), loops
+
+    assert partition(a.universe, colour_a.__getitem__) == partition(a.universe, profile_and_loops)
+
+
+@pytest.mark.parametrize("tag", sorted(ENUMERATE_TO))
+def test_colours_part_class_members_as_profiles_do(tag):
+    # No class has loops or a symbol of arity other than 2, so the enumeration's
+    # buckets, and its isomorphism tests, are those that profiles gave.
+    for size in range(ENUMERATE_TO[tag] + 1):
+        for m in enumerate_members(tag, size):
+            colour = dict(zip(m.bitsets.order, m.bitsets.colours))
+            assert partition(m.universe, colour.__getitem__) == partition(
+                m.universe, lambda x: oracle_element_profile(m, x))
 
 
 @st.composite

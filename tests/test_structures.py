@@ -1,13 +1,16 @@
 import json
+from fractions import Fraction
 from itertools import permutations
 from random import Random
 
 import pytest
 
+from genstruct.classes import metric_structure
 from genstruct.structures import (
     GRAPH_SIG,
     ORDER_SIG,
     Signature,
+    SignatureMismatch,
     StructureError,
     SubsetNotContained,
     TupleOutOfUniverse,
@@ -19,6 +22,7 @@ from genstruct.structures import (
     find_isomorphism,
     fresh_ids,
     from_json_dict,
+    inclusion_embedding,
     induced_substructure,
     make_embedding,
     relabel,
@@ -256,6 +260,24 @@ def test_json_round_trip():
         assert from_json_dict(json.loads(dumps(a))) == a
 
 
+def test_inclusion_embedding_reads_metric_signatures_over_their_union():
+    one, two = Fraction(1), Fraction(2)
+    base = metric_structure({0, 1}, {frozenset((0, 1)): one})  # over d_1 only
+    left = metric_structure({0, 1, 2}, {frozenset((0, 1)): one, frozenset((0, 2)): two, frozenset((1, 2)): one})
+    assert base.sig != left.sig
+    assert inclusion_embedding(base, left).mapping == ((0, 0), (1, 1))
+    # Other distances, or a distance the target lacks there, are still no induced part.
+    apart = metric_structure({0, 1}, {frozenset((0, 1)): two})
+    path, triangle = graph({0, 1, 2}, [(0, 1), (1, 2)]), graph({0, 1, 2}, [(0, 1), (1, 2), (0, 2)])
+    assert inclusion_embedding(graph({0, 1}, [(0, 1)]), path).mapping == ((0, 0), (1, 1))
+    for a, b in [(apart, left), (base, apart), (metric_structure({0, 2}, {frozenset((0, 2)): one}), left),
+                 (graph({0, 2}, []), triangle), (path, triangle)]:
+        with pytest.raises(StructureError, match="source is not an induced substructure of target"):
+            inclusion_embedding(a, b)
+    with pytest.raises(SignatureMismatch):
+        inclusion_embedding(graph({0, 1}, [(0, 1)]), validate_structure(ORDER_SIG, {0, 1}, {"<": {(0, 1)}}))
+
+
 def test_make_embedding_rejects_relation_breaker():
     edge = graph({0, 1}, [(0, 1)])
     non_edge = graph({2, 3}, [])
@@ -277,7 +299,8 @@ def test_cached_views_stay_out_of_equality_hash_json_and_pickle():
 
     a = graph({0, 1, 2}, [(0, 1), (1, 2)])
     fresh = graph({0, 1, 2}, [(0, 1), (1, 2)])
-    assert a.profiles[1] == ((2, 2),) and a.sig.arity("E") == 2
+    # Point 1's colour: no loop, two arcs out and two in.
+    assert a.bitsets.colours[1] == (0, 2, 2) and a.sig.arity("E") == 2
     assert a == fresh and hash(a) == hash(fresh) and dumps(a) == dumps(fresh)
     copy = pickle.loads(pickle.dumps(a))
     assert set(copy.__dict__) == {"sig", "universe", "interp"}
@@ -285,7 +308,7 @@ def test_cached_views_stay_out_of_equality_hash_json_and_pickle():
     with pytest.raises(UnknownSymbol):
         a.sig.arity("R")
     with pytest.raises(TypeError):
-        a.profiles[0] = ()
+        a.bitsets.colours[0] = ()
 
     order = validate_structure(ORDER_SIG, {3, 5, 9}, {"<": {(9, 3), (9, 5), (3, 5)}})
     same = validate_structure(ORDER_SIG, {3, 5, 9}, {"<": {(9, 3), (9, 5), (3, 5)}})
@@ -302,20 +325,23 @@ def test_every_view_survives_a_pickle_round_trip():
 
     a = graph({0, 1, 2, 3}, [(0, 1), (1, 2)])
     order = validate_structure(ORDER_SIG, {3, 5, 9}, {"<": {(9, 3), (9, 5), (3, 5)}})
-    first = (a.verdicts, a.profiles, a.bitsets, a.components, order.chain, a.sig._arities)
+    assert a.bitsets._colours is None  # colours are built on first read, then kept
+    assert a.bitsets.colours is a.bitsets.colours
+    first = (a.verdicts, a.bitsets, a.components, order.chain, a.sig._arities)
     # A view is computed once and then read from the instance itself.
-    assert (a.verdicts, a.profiles, a.bitsets, a.components, order.chain, a.sig._arities) == first
+    assert (a.verdicts, a.bitsets, a.components, order.chain, a.sig._arities) == first
     assert all(view is again for view, again in zip(first, (
-        a.verdicts, a.profiles, a.bitsets, a.components, order.chain, a.sig._arities)))
+        a.verdicts, a.bitsets, a.components, order.chain, a.sig._arities)))
     a.verdicts["Graph"] = True
     copy, order_copy = pickle.loads(pickle.dumps((a, order)))
     assert copy == a and hash(copy) == hash(a) and repr(copy) == repr(a)
     assert order_copy == order and hash(order_copy) == hash(order)
     assert set(copy.__dict__) == {"sig", "universe", "interp"}
     assert copy.verdicts == {}  # verdicts are not pickled; the copy decides again
-    assert copy.profiles == a.profiles and copy.components == a.components
+    assert copy.components == a.components
     assert order_copy.chain == (9, 3, 5) and copy.sig.arity("E") == 2
     assert copy.bitsets.order == a.bitsets.order and copy.bitsets.rels == a.bitsets.rels
+    assert copy.bitsets.colours == a.bitsets.colours == ((0, 1, 1), (0, 2, 2), (0, 1, 1), (0, 0, 0))
 
 
 def test_json_rows_are_sorted_as_lists_were():
