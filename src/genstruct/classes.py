@@ -99,7 +99,8 @@ class ClassSpec:
 
     `glue(a, b)` is the strong amalgam of two members that agree on their
     shared ids: it keeps every id and decides the relations between the
-    a-only and the b-only points.  `extensions(a, new)` yields the
+    a-only and the b-only points, or raises AmalgamationImpossible, naming
+    why no strong amalgam exists.  `extensions(a, new)` yields the
     one-point extensions enumeration tries, in a fixed order; it may
     yield non-members, which `membership` drops, and the first member of
     each isomorphism type is kept.  `add_point(a, m, rng)` adjoins m
@@ -174,6 +175,20 @@ def _free_union(a: FinStructure, b: FinStructure) -> FinStructure:
 def _glue_tournaments(a: FinStructure, b: FinStructure) -> FinStructure:
     """Union of the arcs plus an arc from every a-only to every b-only point."""
     return _glued(GRAPH_SIG, a, b, {"E": {(x, y) for x in a.universe - b.universe for y in b.universe - a.universe}})
+
+
+def _glue_paths(a: FinStructure, b: FinStructure) -> FinStructure:
+    """The free union, which no strong amalgam of linear graphs can avoid:
+    AmalgamationImpossible names its lowest vertex of degree over 2, else
+    a cycle in it."""
+    union = _free_union(a, b)
+    deg = _degrees(union)
+    overloaded = [x for x in sorted(deg) if deg[x] > 2]
+    if overloaded:
+        raise AmalgamationImpossible(f"vertex {overloaded[0]} gets degree {deg[overloaded[0]]} in any strong amalgam")
+    if not _is_forest(union):
+        raise AmalgamationImpossible("the union over the base contains a cycle")
+    return union
 
 
 def _subsets(xs: list[int]):
@@ -507,7 +522,7 @@ SPECS: dict[str, ClassSpec] = {
         _adjoin_far, None, sap=True, symmetric=True,
     ),
     "LinearGraph": ClassSpec(
-        GRAPH_SIG, _is_linear_graph, _free_union, _graph_extensions,
+        GRAPH_SIG, _is_linear_graph, _glue_paths, _graph_extensions,
         _adjoin_to_path_end, None, sap=False, symmetric=True,
     ),
 }
@@ -598,17 +613,20 @@ def amalgamate(tag: str, f: Embedding, g: Embedding) -> Amalgam:
     The result keeps B's ids; C's non-base points get the smallest fresh
     naturals.  Classes with strong amalgamation glue the two sides with no
     identification beyond the base (a metric result carries the padded
-    common signature); LinearGraph searches amalgams that may identify
-    points, or fails with AmalgamationImpossible.  The glues trust the
-    sides' tuples, so `validate_structure` checks them first.
+    common signature); a class without (LinearGraph) searches amalgams
+    that may identify points (`_identify_and_glue`), or fails with
+    AmalgamationImpossible.  The glues trust the sides' tuples, so
+    `validate_structure` checks them first.
     """
     for side in (f.target, g.target):
         validate_structure(side.sig, side.universe, dict(side.interp))
     _check_inputs(tag, f.target, g.target, f.source)
-    if not class_spec(tag).sap:
-        return _amalgamate_linear_graph(f, g, connected=False)
     b, c, map_c, image_c = _setup_amalgam(f, g)
-    return _amalgam(*align(tag, b, c, glue_and_check(tag, b, c, map_c, image_c)), map_c)
+    if class_spec(tag).sap:
+        result = glue_and_check(tag, b, c, map_c, image_c)
+    else:
+        result, map_c = _identify_and_glue(tag, b, c, map_c)
+    return _amalgam(*align(tag, b, c, result), map_c)
 
 
 def _check_inputs(tag: str, *sides: FinStructure) -> None:
@@ -625,7 +643,8 @@ def glue_and_check(tag: str, b: FinStructure, c: FinStructure, map_c: dict[int, 
     membership, then the embeddings of b by the identity and c by map_c, in
     one pass over the result's rows (`structures._check_rows`, unpadded).
     Sides that disagree where they meet fail here, as no result carries
-    both; every strong amalgam, in forcing too, is glued by this step."""
+    both; every amalgam, in forcing and in LinearGraph's identification
+    search too, is glued by this step."""
     result = class_spec(tag).glue(b, image_c)
     if not membership(tag, result):
         raise AmalgamationImpossible(f"strategy output left the class {tag}")
@@ -636,47 +655,6 @@ def glue_and_check(tag: str, b: FinStructure, c: FinStructure, map_c: dict[int, 
 # --- linear graphs ----------------------------------------------------------
 
 
-def _strong_linear_graph_amalgam(f: Embedding, g: Embedding, connected: bool) -> Amalgam:
-    """The union over the base, bridged into one path when `connected`.
-
-    Bridging through fresh points can always connect a valid union, so
-    the only obstructions are an overloaded vertex or a forced cycle in
-    the union; AmalgamationImpossible names the one found.
-    """
-    b, c, map_c, image_c = _setup_amalgam(f, g)
-    union = _free_union(b, image_c)
-    deg = _degrees(union)
-    overloaded = sorted(x for x, d in deg.items() if d > 2)
-    if overloaded:
-        raise AmalgamationImpossible(
-            f"vertex {overloaded[0]} gets degree {deg[overloaded[0]]} in any strong amalgam"
-        )
-    if not _is_forest(union):
-        raise AmalgamationImpossible("the union over the base contains a cycle")
-    result = _bridge_components(union) if connected else union
-    _check_rows(result, b, c, map_c, image_c)
-    return _amalgam(b, c, result, map_c)
-
-
-def _bridge_components(structure: FinStructure) -> FinStructure:
-    """Chain the path components into one path with fresh bridge points."""
-    comps = structure.components
-    if len(comps) <= 1:
-        return structure
-    rel, universe, deg = set(structure.rel("E")), set(structure.universe), _degrees(structure)
-    bridges = fresh_ids(universe, len(comps) - 1)
-    ends = [sorted(x for x in comp if deg.get(x, 0) <= 1) for comp in comps]
-    for i, z in enumerate(bridges):
-        left_end = [x for x in ends[i] if deg[x] <= 1][-1]
-        right_end = [x for x in ends[i + 1] if deg[x] <= 1][0]
-        rel.update({(left_end, z), (z, left_end), (z, right_end), (right_end, z)})
-        deg[left_end] += 1
-        deg[right_end] += 1
-        deg[z] = 2
-        universe.add(z)
-    return validate_structure(GRAPH_SIG, universe, {"E": rel})
-
-
 def _partial_injections(xs: list[int], ys: list[int]):
     """All partial injective maps xs -> ys, smallest first, lexicographic."""
     for k in range(min(len(xs), len(ys)) + 1):
@@ -685,32 +663,22 @@ def _partial_injections(xs: list[int], ys: list[int]):
                 yield dict(zip(dom, img))
 
 
-def _amalgamate_linear_graph(f: Embedding, g: Embedding, connected: bool) -> Amalgam:
-    """Search amalgams of linear graphs, identifications allowed.
-
-    Tries the strong union first, then partial identifications of the two
-    new sides, smallest first.  With `connected` the result is bridged
-    into a single path (inputs must then be connected themselves).
-    """
-    b, c = f.target, g.target
-    fm, gm = f.as_dict(), g.as_dict()
-    base_map = {gm[a]: fm[a] for a in fm}
-    left_new = [x for x in b.sorted_universe() if x not in set(fm.values())]
-    right_new = [x for x in c.sorted_universe() if x not in base_map]
-
-    for ident in _partial_injections(right_new, left_new):
-        unmatched = [x for x in right_new if x not in ident]
-        map_c = {**base_map, **ident, **dict(zip(unmatched, fresh_ids(b.universe, len(unmatched))))}
-        image_c = relabel(c, map_c)
-        candidate = _free_union(b, image_c)
-        if not membership("LinearGraph", candidate):
-            continue
-        try:  # identification must not create adjacencies inside either image
-            result = _bridge_components(candidate) if connected else candidate
-            _check_rows(result, b, c, map_c, image_c)
+def _identify_and_glue(tag: str, b: FinStructure, c: FinStructure,
+                       map_c: dict[int, int]) -> tuple[FinStructure, dict[int, int]]:
+    """An amalgam that may identify points, for a class without SAP: the
+    fresh images of map_c, in order, with some of them identified with
+    b's points outside the base image, fewest first (`_partial_injections`),
+    and the others on the first fresh ids.  Returns the first result that
+    `glue_and_check` accepts, with its map."""
+    images = set(map_c.values())
+    fresh = sorted(images - b.universe)
+    for ident in _partial_injections(fresh, sorted(b.universe - images)):
+        ident.update(zip([y for y in fresh if y not in ident], fresh))
+        map_i = {x: ident.get(y, y) for x, y in map_c.items()}
+        try:
+            return glue_and_check(tag, b, c, map_i, relabel(c, map_i)), map_i
         except StructureError:
             continue
-        return _amalgam(b, c, result, map_c)
     raise AmalgamationImpossible("no linear graph amalgam exists")
 
 
@@ -772,17 +740,16 @@ def _amalgam_instances(tag: str, size_bound: int, connected: bool):
     A strong glue and its checks read f and g only through image_c, the
     right side relabelled by map_c (`_right_map`): the square commutes by
     how map_c is built, and left meets image_c in f's image as the fresh
-    ids avoid left.  So with SAP only the first pair with each image_c is
-    kept, with setup (fm, gm, map_c, image_c): f's, g's and c's maps as
-    dicts, then image_c.  LinearGraph's identification search reads the
-    partial map g(a) -> f(a) itself, so there the first pair with each map
-    is kept, with setup None.  Pairs with one map have one image, so the
-    first failing pair in the full order is always kept.  The embeddings
+    ids avoid left.  The identification search (`_identify_and_glue`)
+    renames only map_c's fresh images, so its results and their checks
+    read f and g through image_c too.  So only the first pair with each
+    image_c is kept, with setup (fm, gm, map_c, image_c): f's, g's and c's
+    maps as dicts, then image_c, and the first failing pair in the full
+    order is always kept.  The embeddings
     of the base into each member, their maps and images are listed once,
     the fresh ids once per group, and each map_c and relabelled right side
     once per base and left universe.
     """
-    sap = class_spec(tag).sap
     members = _property_members(tag, size_bound, connected)
     for base in members:
         embeddings = [
@@ -797,47 +764,26 @@ def _amalgam_instances(tag: str, size_bound: int, connected: bool):
                 universe, renamed = left.universe, [{} for _ in members]
             for right, gs, cache in zip(members, embeddings, renamed):
                 if gs:
-                    fresh = fresh_ids(left.universe, len(right)) if sap else None
-                    yield base, left, right, _distinct_pairs(fs, gs, right, fresh, cache)
+                    yield base, left, right, _distinct_pairs(fs, gs, right, fresh_ids(left.universe, len(right)), cache)
 
 
-def _distinct_pairs(fs, gs, right: FinStructure, fresh: list[int] | None, renamed: dict):
-    """The pairs of one group that `_amalgam_instances` keeps; with SAP,
-    `fresh` holds the ids of right's new points, and `renamed` (map_c,
-    image_c) by the partial map's pairs in base point order, shared with
-    the groups of the same base and right whose left has the same universe."""
-    maps: set[frozenset[tuple[int, int]]] = set()
+def _distinct_pairs(fs, gs, right: FinStructure, fresh: list[int], renamed: dict):
+    """The pairs of one group that `_amalgam_instances` keeps; `fresh`
+    holds the ids of right's new points, and `renamed` (map_c, image_c) by
+    the partial map g(a) -> f(a), which decides both, shared with the
+    groups of the same base and right whose left has the same universe."""
     glued: set[FinStructure] = set()
     order = right.sorted_universe()
     for f, fm, fi in fs:
         for g, gm, gi in gs:
-            pairs = tuple(zip(gi, fi))
-            h = frozenset(pairs)
-            if h in maps:
-                continue
-            maps.add(h)
-            if fresh is None:
-                yield f, g, None
-                continue
-            if pairs not in renamed:
+            h = frozenset(zip(gi, fi))
+            if h not in renamed:
                 map_c = _right_map(fm, gm, order, fresh)
-                renamed[pairs] = map_c, relabel(right, map_c)
-            map_c, image_c = renamed[pairs]
+                renamed[h] = map_c, relabel(right, map_c)
+            map_c, image_c = renamed[h]
             if image_c not in glued:
                 glued.add(image_c)
                 yield f, g, (fm, gm, map_c, image_c)
-
-
-def _amalgam_failure(tag: str, f: Embedding, g: Embedding, strong: bool, connected: bool) -> str | None:
-    """Build a LinearGraph amalgam and validate it; returns a failure
-    reason or None.  A strong amalgam is the plain union over the base,
-    when no obstruction rules it out; otherwise the search may identify
-    points."""
-    try:
-        amalgam = (_strong_linear_graph_amalgam if strong else _amalgamate_linear_graph)(f, g, connected)
-    except StructureError as exc:
-        return str(exc)
-    return validate_amalgam(tag, f, g, amalgam, strong=strong, connected=connected)
 
 
 def validate_amalgam(
@@ -866,6 +812,23 @@ def _verdict(fm: dict[int, int], gm: dict[int, int], lm: dict[int, int], rm: dic
     return None
 
 
+def _instance_failure(tag: str, left: FinStructure, right: FinStructure, setup: tuple, strong: bool) -> str | None:
+    """The failure reason of one amalgamation problem over checked members,
+    or None, on plain maps: setup is (fm, gm, map_c, image_c) as
+    `_amalgam_instances` yields it.  The strong glue when `strong` or in a
+    class with SAP, the identification search otherwise, then the square
+    and image checks, left mapping by the identity."""
+    fm, gm, map_c, image_c = setup
+    try:
+        if strong or class_spec(tag).sap:
+            glue_and_check(tag, left, right, map_c, image_c)
+        else:
+            map_c = _identify_and_glue(tag, left, right, map_c)[1]
+    except StructureError as exc:
+        return str(exc)
+    return _verdict(fm, gm, {y: y for y in fm.values()}, map_c, strong, left.universe)
+
+
 def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
     """Exhaustively verify HP / JEP / AP / SAP on members of at most
     `size_bound` elements (0 to MAX_ENUM); returns the first
@@ -873,18 +836,18 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
 
     AP and SAP glue each amalgamation problem once: of the pairs (f, g)
     over one base, left and right member, only the first with each
-    relabelled right side image_c is checked (with each partial map
-    g(a) -> f(a) for LinearGraph), as `_amalgam_instances` explains, and
-    the counterexample is still the first in the full base, left, right,
-    f, g order.  The three members of a group are checked for membership
-    once, before its first pair; a pair's glue checks only the tuples it
-    adds to them (`glue_and_check`).  JEP is AP over the empty base: the
+    relabelled right side image_c is checked (`_instance_failure`), as
+    `_amalgam_instances` explains, and the counterexample is still the
+    first in the full base, left, right, f, g order.  The three members of
+    a group are checked for membership once, before its first pair; a
+    pair's glue checks only the tuples it adds to them (`glue_and_check`).  JEP is AP over the empty base: the
     empty member comes first, its groups are the (left, right) pairs in
     order, each with its one pair of empty maps, and the counterexample
     names only left and right.
 
     Without SAP (LinearGraph), every instance ranges over the connected
-    members (the paths); membership keeps the hereditary closure.
+    members (the paths), and AP and JEP search amalgams that may identify
+    points; membership keeps the hereditary closure.
     """
     if not 0 <= size_bound <= MAX_ENUM:
         raise ScaleExceeded(f"property check takes bounds 0..{MAX_ENUM}, got {size_bound}")
@@ -917,20 +880,8 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
             rejected = None
         except StructureError as exc:
             rejected = str(exc)
-        identity = {x: x for x in left.universe}
         for f, g, setup in pairs:
-            if rejected is not None:
-                reason = rejected
-            elif setup is None:
-                reason = _amalgam_failure(tag, f, g, strong, connected)
-            else:  # the strong glue of inputs already checked, on plain maps
-                fm, gm, map_c, image_c = setup
-                try:
-                    glue_and_check(tag, left, right, map_c, image_c)
-                except StructureError as exc:
-                    reason = str(exc)
-                else:
-                    reason = _verdict(fm, gm, identity, map_c, strong, left.universe)
+            reason = rejected or _instance_failure(tag, left, right, setup, strong)
             if reason is not None:
                 if prop == "JEP":
                     return PropertyVerdict(False, {"left": left, "right": right, "detail": reason})

@@ -21,6 +21,7 @@ from typing import Callable, Generic, TypeVar
 
 from genstruct.classes import (
     NotInClass,
+    _degrees,
     align,
     chain_of,
     chain_structure,
@@ -224,7 +225,7 @@ def connectivity_requirement(a: int, b: int) -> DenseRequirement:
             return p
         comp_a, comp_b = _component(p, a), _component(p, b)
         rel = set(p.structure.rel("E"))
-        deg = Counter(x for x, _ in rel)
+        deg = _degrees(p.structure)
         end_a = min(x for x in comp_a if deg[x] <= 1)
         end_b = min(x for x in comp_b if deg[x] <= 1)
         z = fresh_ids(p.universe, 1)[0]

@@ -4,7 +4,13 @@ reference implementations.
 `oracle_amalgam_instances` is the full instance loop: every pair (f, g)
 of embeddings of every base into every left and right member, with the
 embeddings listed again for each left.  `oracle_amalgam_failure` checks
-one instance with the public `amalgamate` and `validate_amalgam`, and
+one instance: with SAP by the public `amalgamate` and
+`validate_amalgam`, for LinearGraph by the linear-graph amalgams as
+they were built before they went through `glue_and_check`
+(`oracle_linear_graph_failure`): the union over the base with its own
+obstruction checks, or the identification search, bridged into one path
+over the connected members, each result checked by `validate_amalgam`.
+Both read the class glue, so a broken glue reaches them.
 `oracle_jep_verdict` is JEP's own loop over (left, right) member pairs,
 each amalgamated over an empty base by `make_embedding`.
 `oracle_glue_metrics` is the metric glue in exact `Fraction` arithmetic
@@ -12,7 +18,8 @@ over a pair-distance map.
 
 The pins are the sha256 digests of the canonical JSON of every
 `check_property` verdict in the benchmark's class sweep: each class, each
-property, at bound 4, or at bound 3 where bound 4 takes seconds.  The
+property, at bound 4, or at bound 3 where bound 4 takes seconds; and of
+LinearGraph's four verdicts at bounds 5 and 6.  The
 JSON is encoded as the benchmark worker encodes a verdict: `holds` and
 `counterexample`, structures through `to_json_dict`, sorted keys and
 compact separators.
@@ -21,20 +28,27 @@ compact separators.
 import hashlib
 import json
 import pickle
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genstruct.classes import (
+    AmalgamationImpossible,
     PropertyVerdict,
     SPECS,
     TAGS,
-    _amalgam_failure,
+    _amalgam,
     _amalgam_instances,
+    _degrees,
     _glue_metrics,
+    _instance_failure,
+    _is_forest,
+    _partial_injections,
     _property_members,
     _setup_amalgam,
     align,
@@ -42,6 +56,7 @@ from genstruct.classes import (
     check_property,
     class_spec,
     enumerate_members,
+    membership,
     metric_distances,
     metric_structure,
     metric_symbol,
@@ -49,8 +64,10 @@ from genstruct.classes import (
 )
 from genstruct.structures import (
     FinStructure,
+    GRAPH_SIG,
     Signature,
     StructureError,
+    _check_rows,
     empty_structure,
     enumerate_embeddings,
     fresh_ids,
@@ -81,12 +98,104 @@ def oracle_amalgam_instances(tag, size_bound, connected):
                         yield base, left, right, f, g
 
 
+def oracle_strong_linear_graph_amalgam(tag, f, g, connected):
+    """The union over the base, bridged into one path when `connected`.
+
+    Bridging through fresh points can always connect a valid union, so
+    the only obstructions are an overloaded vertex or a forced cycle in
+    the union; AmalgamationImpossible names the one found.  They are
+    checked on the union of the two sides' arcs, before the class glue
+    builds the result.
+    """
+    b, c, map_c, image_c = _setup_amalgam(f, g)
+    union = validate_structure(GRAPH_SIG, b.universe | image_c.universe, {"E": b.rel("E") | image_c.rel("E")})
+    deg = Counter(x for x, _ in union.rel("E"))
+    overloaded = sorted(x for x, d in deg.items() if d > 2)
+    if overloaded:
+        raise AmalgamationImpossible(
+            f"vertex {overloaded[0]} gets degree {deg[overloaded[0]]} in any strong amalgam"
+        )
+    if not _is_forest(union):
+        raise AmalgamationImpossible("the union over the base contains a cycle")
+    result = class_spec(tag).glue(b, image_c)
+    result = oracle_bridge_components(result, b.universe | image_c.universe) if connected else result
+    _check_rows(result, b, c, map_c, image_c)
+    return _amalgam(b, c, result, map_c)
+
+
+def oracle_bridge_components(structure, sides):
+    """Chain the path components into one path with bridge points fresh
+    for the structure and for the `sides` points, so that a glue that
+    drops a side's point is not mended by a bridge of the same id."""
+    comps = structure.components
+    if len(comps) <= 1:
+        return structure
+    rel, universe, deg = set(structure.rel("E")), set(structure.universe), _degrees(structure)
+    bridges = fresh_ids(universe | sides, len(comps) - 1)
+    ends = [sorted(x for x in comp if deg.get(x, 0) <= 1) for comp in comps]
+    for i, z in enumerate(bridges):
+        left_end = [x for x in ends[i] if deg[x] <= 1][-1]
+        right_end = [x for x in ends[i + 1] if deg[x] <= 1][0]
+        rel.update({(left_end, z), (z, left_end), (z, right_end), (right_end, z)})
+        deg[left_end] += 1
+        deg[right_end] += 1
+        deg[z] = 2
+        universe.add(z)
+    return validate_structure(GRAPH_SIG, universe, {"E": rel})
+
+
+def oracle_amalgamate_linear_graph(tag, f, g, connected):
+    """Search amalgams of linear graphs, identifications allowed.
+
+    Tries the strong union first, then partial identifications of the two
+    new sides, smallest first, each glued by the class glue.  With
+    `connected` the result is bridged into a single path (inputs must
+    then be connected themselves).
+    """
+    b, c = f.target, g.target
+    fm, gm = f.as_dict(), g.as_dict()
+    base_map = {gm[a]: fm[a] for a in fm}
+    left_new = [x for x in b.sorted_universe() if x not in set(fm.values())]
+    right_new = [x for x in c.sorted_universe() if x not in base_map]
+
+    for ident in _partial_injections(right_new, left_new):
+        unmatched = [x for x in right_new if x not in ident]
+        map_c = {**base_map, **ident, **dict(zip(unmatched, fresh_ids(b.universe, len(unmatched))))}
+        image_c = relabel(c, map_c)
+        try:
+            candidate = class_spec(tag).glue(b, image_c)
+        except StructureError:
+            continue
+        if not membership(tag, candidate):
+            continue
+        try:  # identification must not create adjacencies inside either image
+            result = oracle_bridge_components(candidate, b.universe | image_c.universe) if connected else candidate
+            _check_rows(result, b, c, map_c, image_c)
+        except StructureError:
+            continue
+        return _amalgam(b, c, result, map_c)
+    raise AmalgamationImpossible("no linear graph amalgam exists")
+
+
+def oracle_linear_graph_failure(tag, f, g, strong, connected):
+    """Build a LinearGraph amalgam and validate it; returns a failure
+    reason or None.  A strong amalgam is the plain union over the base,
+    when no obstruction rules it out; otherwise the search may identify
+    points."""
+    try:
+        build = oracle_strong_linear_graph_amalgam if strong else oracle_amalgamate_linear_graph
+        amalgam = build(tag, f, g, connected)
+    except StructureError as exc:
+        return str(exc)
+    return validate_amalgam(tag, f, g, amalgam, strong=strong, connected=connected)
+
+
 def oracle_amalgam_failure(tag, f, g, strong, connected):
     """One instance's failure reason, or None: with SAP the strong glue
     through `amalgamate`, checked by `validate_amalgam`; LinearGraph's
     union or identification search without."""
     if not class_spec(tag).sap:
-        return _amalgam_failure(tag, f, g, strong, connected)
+        return oracle_linear_graph_failure(tag, f, g, strong, connected)
     try:
         amalgam = amalgamate(tag, f, g)
     except StructureError as exc:
@@ -192,6 +301,19 @@ VERDICT_DIGESTS = {
 }
 
 
+# LinearGraph past the sweep's bound 4, 0.2 s and 1 s for the four verdicts.
+LARGER_BOUND_DIGESTS = {
+    ("LinearGraph", "HP", 5): HOLDS_DIGEST,
+    ("LinearGraph", "JEP", 5): HOLDS_DIGEST,
+    ("LinearGraph", "AP", 5): HOLDS_DIGEST,
+    ("LinearGraph", "SAP", 5): "5f3ca41a6f787c7602e5632a6a9b0ea9db867d18e09ddca91ff02d931a9f3c4d",
+    ("LinearGraph", "HP", 6): HOLDS_DIGEST,
+    ("LinearGraph", "JEP", 6): HOLDS_DIGEST,
+    ("LinearGraph", "AP", 6): HOLDS_DIGEST,
+    ("LinearGraph", "SAP", 6): "5f3ca41a6f787c7602e5632a6a9b0ea9db867d18e09ddca91ff02d931a9f3c4d",
+}
+
+
 def verdict_json(verdict) -> str:
     def encode(obj):
         if isinstance(obj, FinStructure):
@@ -202,27 +324,33 @@ def verdict_json(verdict) -> str:
     return json.dumps(value, default=encode, sort_keys=True, separators=(",", ":"))
 
 
-@pytest.mark.parametrize("tag, prop, bound", sorted(VERDICT_DIGESTS))
+PINNED_DIGESTS = {**VERDICT_DIGESTS, **LARGER_BOUND_DIGESTS}
+
+
+@pytest.mark.parametrize("tag, prop, bound", sorted(PINNED_DIGESTS))
 def test_class_sweep_verdict_bytes_pinned(tag, prop, bound):
     text = verdict_json(check_property(tag, prop, bound))
-    assert hashlib.sha256(text.encode()).hexdigest() == VERDICT_DIGESTS[(tag, prop, bound)]
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[(tag, prop, bound)]
 
 
 # --- one instance per image --------------------------------------------------
 
 
 def instance_keys(tag, instances):
-    """Each instance's group and what its glue reads: the relabelled right
-    side with SAP, the partial map without (LinearGraph)."""
-    key = right_image if class_spec(tag).sap else partial_map
-    return [(base, left, right, key(f, g)) for base, left, right, f, g in instances]
+    """Each instance's group and what its glue or search reads: the
+    relabelled right side."""
+    return [(base, left, right, right_image(f, g)) for base, left, right, f, g in instances]
+
+
+def instance_setup(f, g):
+    """What `_amalgam_instances` yields with a pair: f's and g's maps, then map_c and image_c."""
+    return (f.as_dict(), g.as_dict(), *_setup_amalgam(f, g)[2:])
 
 
 def flat_instances(tag, size_bound, connected):
     for base, left, right, pairs in _amalgam_instances(tag, size_bound, connected):
         for f, g, setup in pairs:
-            expected = (f.as_dict(), g.as_dict(), *_setup_amalgam(f, g)[2:]) if class_spec(tag).sap else None
-            assert setup == expected
+            assert setup == instance_setup(f, g)
             yield base, left, right, f, g
 
 
@@ -261,6 +389,33 @@ def test_linear_graph_sap_fails_at_bound_3():
     assert not check_property("LinearGraph", "SAP", 3).holds
 
 
+@pytest.mark.parametrize("connected, bound", [(True, 5), (False, 4)])
+def test_linear_graph_instances_match_the_old_amalgams(connected, bound):
+    # Every pair, strong or not, over the paths or over every member.
+    reasons = set()
+    for base, left, right, f, g in oracle_amalgam_instances("LinearGraph", bound, connected):
+        for strong in (True, False):
+            reason = _instance_failure("LinearGraph", left, right, instance_setup(f, g), strong)
+            assert reason == oracle_linear_graph_failure("LinearGraph", f, g, strong, connected)
+            reasons.add(reason if reason is None or not reason.startswith("vertex ") else "vertex")
+    expected = {None, "vertex"}
+    if not connected:
+        expected |= {"the union over the base contains a cycle", "no linear graph amalgam exists"}
+    assert reasons == expected
+
+
+def test_linear_graph_amalgamate_matches_the_old_search():
+    for base, left, right, f, g in oracle_amalgam_instances("LinearGraph", 4, False):
+        try:
+            expected = oracle_amalgamate_linear_graph("LinearGraph", f, g, connected=False)
+        except AmalgamationImpossible as exc:
+            expected = str(exc)
+        try:
+            assert amalgamate("LinearGraph", f, g) == expected
+        except AmalgamationImpossible as exc:
+            assert str(exc) == expected
+
+
 def drop_last_new_point(glue, when):
     """`glue`, but the tuples of the last point of b outside a are dropped
     when the two sides share points and `when(a, b, x)` holds."""
@@ -271,6 +426,22 @@ def drop_last_new_point(glue, when):
         if not (a.universe & b.universe) or not new or not when(a, b, new[-1]):
             return out
         return validate_structure(out.sig, out.universe, {
+            name: {t for t in tuples if new[-1] not in t} for name, tuples in out.interp
+        })
+
+    return broken
+
+
+def drop_last_right_point(glue, when):
+    """`glue`, but the last point of b outside a leaves the result, with
+    its tuples, when `when(a, b)` holds; it fires with nothing shared."""
+
+    def broken(a, b):
+        out = glue(a, b)
+        new = sorted(b.universe - a.universe)
+        if not new or not when(a, b):
+            return out
+        return validate_structure(out.sig, out.universe - {new[-1]}, {
             name: {t for t in tuples if new[-1] not in t} for name, tuples in out.interp
         })
 
@@ -314,14 +485,20 @@ TIED_ONLY = {
 }
 
 
-@pytest.mark.parametrize(
-    "tag, when",
-    [(tag, when) for tag, tied in TIED_ONLY.items() for when in (always, tied)],
-    ids=lambda v: getattr(v, "__name__", None),
-)
+BROKEN_GLUES = [
+    *(pytest.param(tag, partial(drop_last_new_point, when=when), id=f"{tag}-{when.__name__}")
+      for tag, tied in TIED_ONLY.items() for when in (always, tied)),
+    # Its AP counterexample comes from the identification search, at the
+    # first pair that adds a point: "no linear graph amalgam exists".
+    pytest.param("LinearGraph", partial(drop_last_right_point, when=lambda a, b: True),
+                 id="LinearGraph-drop_last_right_point"),
+]
+
+
+@pytest.mark.parametrize("tag, breakage", BROKEN_GLUES)
 @pytest.mark.parametrize("prop", ("AP", "SAP"))
-def test_broken_glue_counterexamples_match_full_loop(monkeypatch, tag, when, prop):
-    monkeypatch.setitem(SPECS, tag, replace(SPECS[tag], glue=drop_last_new_point(SPECS[tag].glue, when)))
+def test_broken_glue_counterexamples_match_full_loop(monkeypatch, tag, breakage, prop):
+    monkeypatch.setitem(SPECS, tag, replace(SPECS[tag], glue=breakage(SPECS[tag].glue)))
     for bound in (2, 3):
         verdict = check_property(tag, prop, bound)
         assert verdict_json(verdict) == verdict_json(oracle_amalgamation_verdict(tag, prop, bound))
@@ -358,24 +535,7 @@ def test_pairs_with_one_image_share_a_verdict(monkeypatch, tag):
     assert any(len(ms) > 1 for ms in maps.values())
 
 
-def drop_last_right_point(glue, when):
-    """`glue`, but the last point of b outside a leaves the result, with
-    its tuples, when `when(a, b)` holds; it fires with nothing shared."""
-
-    def broken(a, b):
-        out = glue(a, b)
-        new = sorted(b.universe - a.universe)
-        if not new or not when(a, b):
-            return out
-        return validate_structure(out.sig, out.universe - {new[-1]}, {
-            name: {t for t in tuples if new[-1] not in t} for name, tuples in out.interp
-        })
-
-    return broken
-
-
-# Glues that JEP's empty-base pairs reach (every class but LinearGraph
-# glues them with the class glue), by how they break.
+# Glues that JEP's empty-base pairs reach, by how they break.
 JEP_GLUES = {
     # Fires only over a shared point, so JEP still holds, and a loop that
     # went on past the empty base would fail at bound 2.
@@ -392,7 +552,7 @@ def test_jep_verdicts_match_own_loop(monkeypatch, tag, broken):
     for bound in (1, 2, 3):
         verdict = check_property(tag, "JEP", bound)
         assert verdict_json(verdict) == verdict_json(oracle_jep_verdict(tag, bound))
-    assert verdict.holds == (broken == "shared_only" or not class_spec(tag).sap)
+    assert verdict.holds == (broken == "shared_only")
 
 
 # --- integer metric glue -----------------------------------------------------

@@ -25,13 +25,15 @@ from genstruct.classes import (
     metric_structure,
     parse_metric_symbol,
     PropertyVerdict,
-    _strong_linear_graph_amalgam,
+    _setup_amalgam,
+    glue_and_check,
     validate_amalgam,
 )
 from genstruct.structures import (
     GRAPH_SIG,
     ORDER_SIG,
     SignatureMismatch,
+    StructureError,
     empty_structure,
     enumerate_embeddings,
     find_isomorphism,
@@ -248,12 +250,21 @@ def test_linear_graph_amalgam_identifies_when_forced():
     right = graph({0, 3, 4}, [(3, 0), (0, 4)])
     f = inclusion_embedding(base, left)
     g = inclusion_embedding(base, right)
-    with pytest.raises(AmalgamationImpossible):
-        _strong_linear_graph_amalgam(f, g, connected=False)
+    with pytest.raises(AmalgamationImpossible, match="vertex 0 gets degree 4 in any strong amalgam"):
+        glue_and_check("LinearGraph", *_setup_amalgam(f, g))
     am = amalgamate("LinearGraph", f, g)
     assert membership("LinearGraph", am.result)
     assert validate_amalgam("LinearGraph", f, g, am, strong=False) is None
     assert len(am.result) == 3  # both arms folded together
+
+
+@pytest.mark.parametrize("tag", ("Graph", "LinearGraph"))
+def test_amalgamate_needs_one_base(tag):
+    # LinearGraph's search starts from the same setup as the strong glue.
+    edge, apart = graph({0, 1}, [(0, 1)]), graph({0, 1}, [])
+    f, g = make_embedding(edge, edge, {0: 0, 1: 1}), make_embedding(apart, apart, {0: 0, 1: 1})
+    with pytest.raises(StructureError, match="amalgamation requires a common base"):
+        amalgamate(tag, f, g)
 
 
 def test_validate_amalgam_checks_the_result_itself():
