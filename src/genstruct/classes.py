@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product, starmap
 from math import lcm
-from operator import add, eq
+from operator import add, eq, itemgetter
 from random import Random
 from typing import Callable, Iterator, Sequence
 
@@ -309,7 +309,9 @@ def merge_linear_orders(seq1: list[int], seq2: list[int], shared: set[int]) -> l
     Cross pairs separated by a shared element follow the separator rule:
     x from side 1 precedes y from side 2 exactly when some shared r has
     x < r in side 1 and r < y in side 2.  Unseparated cross pairs put the
-    side-2 element first.
+    side-2 element first.  So each point sorts by the shared points below
+    it, then side 2 before side 1 before the shared point, then (the sort
+    is stable) its place in its own chain.
     """
     r1 = [x for x in seq1 if x in shared]
     r2 = [x for x in seq2 if x in shared]
@@ -317,22 +319,16 @@ def merge_linear_orders(seq1: list[int], seq2: list[int], shared: set[int]) -> l
         raise StructureError("orders disagree on the shared part")
     if (set(seq1) & set(seq2)) - set(shared):
         raise StructureError("sides overlap outside the shared part")
-    gaps1: dict[int, list[int]] = {}
-    gaps2: dict[int, list[int]] = {}
-    for seq, gaps in ((seq1, gaps1), (seq2, gaps2)):
-        g = 0
+    keyed = [((below, 2), r) for below, r in enumerate(r1)]
+    for side, seq in ((1, seq1), (0, seq2)):
+        below = 0
         for x in seq:
             if x in shared:
-                g += 1
+                below += 1
             else:
-                gaps.setdefault(g, []).append(x)
-    merged: list[int] = []
-    for g in range(len(r1) + 1):
-        merged.extend(gaps2.get(g, []))
-        merged.extend(gaps1.get(g, []))
-        if g < len(r1):
-            merged.append(r1[g])
-    return merged
+                keyed.append(((below, side), x))
+    keyed.sort(key=itemgetter(0))
+    return [x for _, x in keyed]
 
 
 def _glue_chains(a: FinStructure, b: FinStructure) -> FinStructure:
@@ -357,31 +353,23 @@ def _cross_chains(left: FinStructure, right: FinStructure, root: frozenset[int],
     return chain_structure(merge_linear_orders(step1, seq_t, set(root) | {t, t_bar}))
 
 
-def _transitive_closure(rel: set[tuple[int, ...]]) -> set[tuple[int, int]]:
-    """Every pair (x, y) with a path from x to y: one depth-first search
-    per source over the successor map."""
-    succ: dict[int, list[int]] = {}
-    for x, y in rel:
-        succ.setdefault(x, []).append(y)
-    closed: set[tuple[int, int]] = set()
-    for x, out in succ.items():
-        reached, stack = set(out), list(out)
-        while stack:
-            for z in succ.get(stack.pop(), ()):
-                if z not in reached:
-                    reached.add(z)
-                    stack.append(z)
-        closed.update((x, y) for y in reached)
-    return closed
-
-
 def _glue_posets(a: FinStructure, b: FinStructure) -> FinStructure:
-    """Transitive closure of the union."""
-    union = a.rel("<") | b.rel("<")
-    closed = _transitive_closure(union)
-    if any((y, x) in closed for x, y in closed) or any(x == y for x, y in closed):
-        raise AmalgamationImpossible("transitive closure breaks antisymmetry")
-    return _glued(ORDER_SIG, a, b, {"<": closed - union})
+    """The strong amalgam of two posets (Schmerl, Algebra Universalis 9,
+    1979): a point of one side lies below a point of the other only through
+    a shared point, x < r < y.  Over a base both sides induce alike this is
+    the transitive closure of the union, which adds no pair inside a side;
+    sides that disagree there fail in `glue_and_check`."""
+    shared = a.universe & b.universe
+    cross: set[tuple[int, int]] = set()
+    for lower, upper in ((a, b), (b, a)):
+        below: dict[int, list[int]] = {}
+        for x, r in lower.rel("<"):
+            if r in shared and x not in shared:
+                below.setdefault(r, []).append(x)
+        for r, y in upper.rel("<"):
+            if r in below and y not in shared:
+                cross.update((x, y) for x in below[r])
+    return _glued(ORDER_SIG, a, b, {"<": cross})
 
 
 def _chain_extensions(a: FinStructure, new: int):
@@ -786,22 +774,11 @@ def _distinct_pairs(fs, gs, right: FinStructure, fresh: list[int], renamed: dict
                 yield f, g, (fm, gm, map_c, image_c)
 
 
-def validate_amalgam(
-    tag: str, f: Embedding, g: Embedding, amalgam: Amalgam, strong: bool, connected: bool = False
-) -> str | None:
-    if not membership(tag, amalgam.result):
-        return "result not in class"
-    if connected and not _is_connected_graph(amalgam.result):
-        return "result not connected"
-    return _verdict(f.as_dict(), g.as_dict(), amalgam.emb_left.as_dict(), amalgam.emb_right.as_dict(),
-                    strong, {y for _, y in amalgam.emb_left.mapping})
-
-
 def _verdict(fm: dict[int, int], gm: dict[int, int], lm: dict[int, int], rm: dict[int, int],
              strong: bool, left_image: set[int] | frozenset[int]) -> str | None:
-    """The square and image checks of `validate_amalgam` on plain maps: f
-    and g as fm and gm, the left and right embeddings as lm and rm, and lm's
-    image set; `glue_and_check` has checked its results' membership."""
+    """The square and image checks of an amalgam on plain maps: f and g as
+    fm and gm, the left and right embeddings as lm and rm, and lm's image
+    set; `glue_and_check` has checked its results' membership."""
     for a in fm:
         if lm[fm[a]] != rm[gm[a]]:
             return "square does not commute"

@@ -109,8 +109,8 @@ def common_extension(p: Condition, q: Condition) -> Condition | None:
 
     The strong amalgam of p and q that keeps every id (`glue_and_check`
     with the identity on q): the class's glue decides the cross relations
-    (separator rule for linear orders, free joins for graphs, transitive
-    closure for partial orders, shortest-path gluing for metrics), and the
+    (the separator rule for linear and partial orders, free joins for
+    graphs, shortest-path gluing for metrics), and the
     result must be a member carrying p's rows on p's points and q's on
     q's, which fails exactly when the two disagree on their shared part.
     A metric result carries the padded common signature.

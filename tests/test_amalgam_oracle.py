@@ -4,9 +4,11 @@ reference implementations.
 `oracle_amalgam_instances` is the full instance loop: every pair (f, g)
 of embeddings of every base into every left and right member, with the
 embeddings listed again for each left.  `oracle_amalgam_failure` checks
-one instance: with SAP by the public `amalgamate` and
-`validate_amalgam`, for LinearGraph by the linear-graph amalgams as
-they were built before they went through `glue_and_check`
+one instance: with SAP by the public `amalgamate`, checked by
+`validate_amalgam` (the result's membership, and connectedness when
+asked, then the square and image checks), for LinearGraph by the
+linear-graph amalgams as they were built before they went through
+`glue_and_check`
 (`oracle_linear_graph_failure`): the union over the base with its own
 obstruction checks, or the identification search, bridged into one path
 over the connected members, each result checked by `validate_amalgam`.
@@ -18,8 +20,9 @@ over a pair-distance map.
 
 The pins are the sha256 digests of the canonical JSON of every
 `check_property` verdict in the benchmark's class sweep: each class, each
-property, at bound 4, or at bound 3 where bound 4 takes seconds; and of
-LinearGraph's four verdicts at bounds 5 and 6.  The
+property, at bound 4, or at bound 3 where bound 4 takes seconds; of
+LinearGraph's and LinearOrder's four verdicts at bounds 5 and 6; and of
+PartialOrder's HP and JEP at bound 5.  The
 JSON is encoded as the benchmark worker encodes a verdict: `holds` and
 `counterexample`, structures through `to_json_dict`, sorted keys and
 compact separators.
@@ -47,10 +50,12 @@ from genstruct.classes import (
     _degrees,
     _glue_metrics,
     _instance_failure,
+    _is_connected_graph,
     _is_forest,
     _partial_injections,
     _property_members,
     _setup_amalgam,
+    _verdict,
     align,
     amalgamate,
     check_property,
@@ -60,7 +65,6 @@ from genstruct.classes import (
     metric_distances,
     metric_structure,
     metric_symbol,
-    validate_amalgam,
 )
 from genstruct.structures import (
     FinStructure,
@@ -78,6 +82,18 @@ from genstruct.structures import (
 )
 
 # --- oracles -----------------------------------------------------------------
+
+
+def validate_amalgam(tag, f, g, amalgam, strong, connected=False):
+    """The checker of a built amalgam: its result in the class (and one
+    path when `connected`), then the square and image checks on its
+    embeddings' maps."""
+    if not membership(tag, amalgam.result):
+        return "result not in class"
+    if connected and not _is_connected_graph(amalgam.result):
+        return "result not connected"
+    return _verdict(f.as_dict(), g.as_dict(), amalgam.emb_left.as_dict(), amalgam.emb_right.as_dict(),
+                    strong, {y for _, y in amalgam.emb_left.mapping})
 
 
 def oracle_amalgam_instances(tag, size_bound, connected):
@@ -301,7 +317,8 @@ VERDICT_DIGESTS = {
 }
 
 
-# LinearGraph past the sweep's bound 4, 0.2 s and 1 s for the four verdicts.
+# Past the sweep's bound 4: LinearGraph, 0.2 s and 1 s for the four verdicts;
+# LinearOrder at 5 and 6 and PartialOrder HP and JEP at 5, under 1 s together.
 LARGER_BOUND_DIGESTS = {
     ("LinearGraph", "HP", 5): HOLDS_DIGEST,
     ("LinearGraph", "JEP", 5): HOLDS_DIGEST,
@@ -311,6 +328,16 @@ LARGER_BOUND_DIGESTS = {
     ("LinearGraph", "JEP", 6): HOLDS_DIGEST,
     ("LinearGraph", "AP", 6): HOLDS_DIGEST,
     ("LinearGraph", "SAP", 6): "5f3ca41a6f787c7602e5632a6a9b0ea9db867d18e09ddca91ff02d931a9f3c4d",
+    ("LinearOrder", "HP", 5): HOLDS_DIGEST,
+    ("LinearOrder", "JEP", 5): HOLDS_DIGEST,
+    ("LinearOrder", "AP", 5): HOLDS_DIGEST,
+    ("LinearOrder", "SAP", 5): HOLDS_DIGEST,
+    ("LinearOrder", "HP", 6): HOLDS_DIGEST,
+    ("LinearOrder", "JEP", 6): HOLDS_DIGEST,
+    ("LinearOrder", "AP", 6): HOLDS_DIGEST,
+    ("LinearOrder", "SAP", 6): HOLDS_DIGEST,
+    ("PartialOrder", "HP", 5): HOLDS_DIGEST,
+    ("PartialOrder", "JEP", 5): HOLDS_DIGEST,
 }
 
 

@@ -27,7 +27,6 @@ from genstruct.classes import (
     PropertyVerdict,
     _setup_amalgam,
     glue_and_check,
-    validate_amalgam,
 )
 from genstruct.structures import (
     GRAPH_SIG,
@@ -43,6 +42,8 @@ from genstruct.structures import (
     relabel_disjoint,
     validate_structure,
 )
+
+from test_amalgam_oracle import validate_amalgam
 
 
 def graph(universe, edges):

@@ -82,6 +82,30 @@ def test_common_extension_linear_graph_incompatible():
     assert common_extension(p, q) is None
 
 
+def test_common_extension_partial_orders():
+    from genstruct.classes import SPECS, membership
+
+    glue = SPECS["PartialOrder"].glue
+    # Opposite comparabilities on the shared {0, 1}: the union has the cycle 0 < 1 < 0.
+    p = Condition("PartialOrder", poset({0, 1, 2}, {(0, 1)}))
+    q = Condition("PartialOrder", poset({0, 1, 3}, {(1, 0)}))
+    assert not membership("PartialOrder", glue(p.structure, q.structure))
+    assert common_extension(p, q) is None
+    # Comparable on one side, incomparable on the other: the glue is a
+    # poset, so only the row check sees that it does not carry q.
+    q = Condition("PartialOrder", poset({0, 1, 3}, {(0, 3)}))
+    assert membership("PartialOrder", glue(p.structure, q.structure))
+    assert common_extension(p, q) is None
+    # Agreeing sides: the closure of the union, whose one new pair 2 < 3
+    # goes through the shared 1.
+    p = Condition("PartialOrder", poset({0, 1, 2}, {(2, 1)}))
+    q = Condition("PartialOrder", poset({0, 1, 3, 4}, {(1, 3), (4, 1)}))
+    out = common_extension(p, q)
+    assert out is not None
+    assert out.structure == poset({0, 1, 2, 3, 4}, {(2, 1), (1, 3), (4, 1), (2, 3)})
+    assert stronger(out, p) and stronger(out, q)
+
+
 # --- requirements ----------------------------------------------------------------
 
 

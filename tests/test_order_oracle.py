@@ -1,26 +1,47 @@
-"""Differential tests: the cached order index against the code it replaced.
+"""Differential tests: the order code against the code it replaced.
 
 The oracles below are the earlier implementations: `chain_of` counted
 each element's in-degree by rescanning the whole `<` relation, and
 linear-order membership checked totality pair by pair, then
 irreflexivity, asymmetry and transitivity, and later counted the pairs
-and required each to go forward in the chain; the poset glue closed a
-relation by joining every pair with every pair until nothing changed;
-`chain_structure` passed every pair it drew from its sequence to
-`validate_structure`; and `stronger` compared the induced substructure
-of q on p's points with p.  The fast code must return the same list in
-the same order, the same verdict, closure and structure (or the same
-error), on every input, linear or not.
+and required each to go forward in the chain; the poset glue closed the
+union of its sides by a depth-first search from each point and rejected
+a closure with a loop or a 2-cycle, where it now adds only the cross
+pairs that a shared point separates; `merge_linear_orders` collected
+each side's points in one list per gap between shared points, where it
+now sorts every point by one key; `chain_structure` passed every pair it
+drew from its sequence to `validate_structure`; and `stronger` compared
+the induced substructure of q on p's points with p.  The fast code must
+return the same list in the same order, the same verdict, glue and
+structure (or the same error, or for disagreeing posets the same
+rejection), on every input, linear or not.
 """
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from genstruct.classes import _transitive_closure, chain_of, chain_structure, membership
+from genstruct import classes
+from genstruct.classes import (
+    AmalgamationImpossible,
+    _amalgam_instances,
+    chain_of,
+    chain_structure,
+    glue_and_check,
+    membership,
+    merge_linear_orders,
+)
 from genstruct.forcing import Condition, stronger
-from genstruct.structures import ORDER_SIG, FinStructure, StructureError, induced_substructure, validate_structure
+from genstruct.structures import (
+    ORDER_SIG,
+    FinStructure,
+    StructureError,
+    _glued,
+    induced_substructure,
+    validate_structure,
+)
 
 # --- oracles -----------------------------------------------------------------
 
@@ -63,16 +84,56 @@ def oracle_stronger(q: Condition, p: Condition) -> bool:
     return induced_substructure(q.structure, p.universe) == p.structure
 
 
-def oracle_transitive_closure(rel: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    closed = set(rel)
-    changed = True
-    while changed:
-        changed = False
-        extra = {(x, w) for x, y in closed for z, w in closed if y == z and (x, w) not in closed}
-        if extra:
-            closed |= extra
-            changed = True
+def oracle_transitive_closure(rel: set[tuple[int, ...]]) -> set[tuple[int, int]]:
+    """Every pair (x, y) with a path from x to y: one depth-first search
+    per source over the successor map."""
+    succ: dict[int, list[int]] = {}
+    for x, y in rel:
+        succ.setdefault(x, []).append(y)
+    closed: set[tuple[int, int]] = set()
+    for x, out in succ.items():
+        reached, stack = set(out), list(out)
+        while stack:
+            for z in succ.get(stack.pop(), ()):
+                if z not in reached:
+                    reached.add(z)
+                    stack.append(z)
+        closed.update((x, y) for y in reached)
     return closed
+
+
+def oracle_glue_posets(a: FinStructure, b: FinStructure) -> FinStructure:
+    """Transitive closure of the union."""
+    union = a.rel("<") | b.rel("<")
+    closed = oracle_transitive_closure(union)
+    if any((y, x) in closed for x, y in closed) or any(x == y for x, y in closed):
+        raise AmalgamationImpossible("transitive closure breaks antisymmetry")
+    return _glued(ORDER_SIG, a, b, {"<": closed - union})
+
+
+def oracle_merge_linear_orders(seq1: list[int], seq2: list[int], shared: set[int]) -> list[int]:
+    r1 = [x for x in seq1 if x in shared]
+    r2 = [x for x in seq2 if x in shared]
+    if r1 != r2:
+        raise StructureError("orders disagree on the shared part")
+    if (set(seq1) & set(seq2)) - set(shared):
+        raise StructureError("sides overlap outside the shared part")
+    gaps1: dict[int, list[int]] = {}
+    gaps2: dict[int, list[int]] = {}
+    for seq, gaps in ((seq1, gaps1), (seq2, gaps2)):
+        g = 0
+        for x in seq:
+            if x in shared:
+                g += 1
+            else:
+                gaps.setdefault(g, []).append(x)
+    merged: list[int] = []
+    for g in range(len(r1) + 1):
+        merged.extend(gaps2.get(g, []))
+        merged.extend(gaps1.get(g, []))
+        if g < len(r1):
+            merged.append(r1[g])
+    return merged
 
 
 # --- strategies ----------------------------------------------------------------
@@ -112,11 +173,102 @@ def test_chain_of_and_linear_order_membership_match_oracles(a):
     assert chain_of(a) == oracle_chain_of(a)
 
 
+def test_poset_glue_matches_the_closure_on_the_ap_sweep():
+    # Every glued pair of PartialOrder AP at bound 4: left and the
+    # relabelled right side, which meet in f's image and agree there.
+    pairs = 0
+    for _, left, _, group in _amalgam_instances("PartialOrder", 4, False):
+        for _, _, (_, _, _, image_c) in group:
+            # Equal structures have equal interps, symbol order included.
+            assert classes.SPECS["PartialOrder"].glue(left, image_c) == oracle_glue_posets(left, image_c)
+            pairs += 1
+    assert pairs == 12506
+
+
+def glue_outcome(a: FinStructure, b: FinStructure):
+    """`glue_and_check` of a and b by the identity on b, or None when rejected."""
+    try:
+        return glue_and_check("PartialOrder", a, b, {x: x for x in b.universe}, b)
+    except StructureError:
+        return None
+
+
+@st.composite
+def posets_on(draw, points) -> FinStructure:
+    """The closure of some forward pairs of a random ordering of `points`:
+    any partial order on them."""
+    seq = draw(st.permutations(sorted(points)))
+    pairs = list(combinations(seq, 2))
+    rel = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return validate_structure(ORDER_SIG, set(points), {"<": oracle_transitive_closure(rel)})
+
+
+@st.composite
+def overlapping_posets(draw):
+    """Two posets on overlapping universes: cut from one poset, so they
+    agree on the shared points, or the second drawn on its own."""
+    points = draw(st.lists(st.integers(0, 12), unique=True, max_size=8))
+    sides = draw(st.lists(st.sampled_from(("a", "b", "ab")), min_size=len(points), max_size=len(points)))
+    a_points = {x for x, side in zip(points, sides) if "a" in side}
+    b_points = {x for x, side in zip(points, sides) if "b" in side}
+    whole = draw(posets_on(points))
+    a = induced_substructure(whole, a_points)
+    b = induced_substructure(whole, b_points) if draw(st.booleans()) else draw(posets_on(b_points))
+    return a, b
+
+
 @settings(max_examples=400, deadline=None)
-@given(order_relations())
-def test_transitive_closure_matches_the_pairwise_fixpoint(a):
-    rel = set(a.rel("<"))
-    assert _transitive_closure(rel) == oracle_transitive_closure(rel)
+@given(overlapping_posets())
+def test_poset_glue_and_check_matches_the_closure(pair):
+    a, b = pair
+    got = glue_outcome(a, b)
+    spec = classes.SPECS["PartialOrder"]
+    classes.SPECS["PartialOrder"] = replace(spec, glue=oracle_glue_posets)
+    try:
+        want = glue_outcome(a, b)
+    finally:
+        classes.SPECS["PartialOrder"] = spec
+    assert got == want
+    if induced_substructure(a, a.universe & b.universe) == induced_substructure(b, a.universe & b.universe):
+        assert got is not None
+
+
+@st.composite
+def chain_merges(draw):
+    """Two chains and a shared set: cut from one chain, so they agree on
+    the shared points, or shuffled, overlapping outside the shared set,
+    or any lists; the shared set may hold ids that neither chain has."""
+    kind = draw(st.sampled_from(("agree", "shuffled", "overlap", "any")))
+    if kind == "any":
+        seq1 = draw(st.lists(st.integers(0, 9), max_size=7))
+        seq2 = draw(st.lists(st.integers(0, 9), max_size=7))
+        return seq1, seq2, draw(st.sets(st.integers(0, 12), max_size=6))
+    whole = draw(st.permutations(list(range(draw(st.integers(0, 9))))))
+    sides = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=len(whole), max_size=len(whole)))
+    seq1 = [x for x, side in zip(whole, sides) if side & 1]
+    seq2 = [x for x, side in zip(whole, sides) if side & 2]
+    shared = {x for x, side in zip(whole, sides) if side == 3}
+    if kind == "shuffled":
+        seq2 = draw(st.permutations(seq2))
+    elif kind == "overlap" and shared:
+        shared.discard(draw(st.sampled_from(sorted(shared))))
+    return seq1, seq2, shared | draw(st.sets(st.integers(20, 25), max_size=3))
+
+
+def merge_outcome(merge, seq1, seq2, shared):
+    try:
+        return merge(seq1, seq2, shared)
+    except StructureError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(chain_merges())
+@example(([0, 1], [1, 0], {0, 1}))  # orders disagree on the shared part
+@example(([0, 5], [0, 5], {0, 9}))  # sides overlap outside the shared part
+def test_merge_linear_orders_matches_the_gap_lists(case):
+    got = merge_outcome(merge_linear_orders, *case)
+    assert got == merge_outcome(oracle_merge_linear_orders, *case)
 
 
 @settings(max_examples=100, deadline=None)
