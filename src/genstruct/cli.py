@@ -153,21 +153,20 @@ def schedule_length(tag: str, n: int, ext_size: int, alpha0: int = 0) -> int:
     return total
 
 
-def extension_schedule(tag: str, n: int, ext_size: int) -> list[forcing.DenseRequirement]:
+def extension_schedule(tag: str, n: int, ext_size: int) -> list[forcing.ExtensionRequirement]:
     """Extension requirements for every target type of at most ext_size
-    points, every induced small side, and every injection into 0..n-1."""
-    out: list[forcing.DenseRequirement] = []
-    ground = list(range(n))
+    points, every induced small side of at most n points (one family
+    record each), and every injection into 0..n-1 (one requirement each)."""
+    out: list[forcing.ExtensionRequirement] = []
+    ground = range(n)
     for size in range(ext_size + 1):
         for target in classes.enumerate_members(tag, size):
             universe = target.sorted_universe()
-            for r in range(len(universe) + 1):
+            for r in range(min(len(universe), n) + 1):
                 for subset in combinations(universe, r):
                     source = structures.induced_substructure(target, set(subset))
-                    f = structures.inclusion_embedding(source, target)
-                    for image in permutations(ground, r):
-                        i = dict(zip(subset, image))
-                        out.append(forcing.extension_requirement(i, f, tag))
+                    family = forcing.ExtensionFamily(structures.inclusion_embedding(source, target), tag, ground)
+                    out += (forcing.ExtensionRequirement(family, pins) for pins in permutations(ground, r))
     return out
 
 

@@ -15,9 +15,8 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from random import Random
-from typing import Callable, Generic, TypeVar
+from typing import Callable, Generic, Iterable, TypeVar
 
 from genstruct.classes import (
     NotInClass,
@@ -39,6 +38,7 @@ from genstruct.structures import (
     extension_by_rows,
     fresh_ids,
     induced_substructure,
+    placements,
     relabel,
     to_json_dict,
     used_rows,
@@ -148,7 +148,8 @@ def meet(p: C, req: DenseRequirement[C], rng: Random | None = None,
     """Least work to put p inside the requirement's dense set.
 
     The extension must be stronger in the forcing order `order(q, p)`;
-    None means `stronger`, looked up when the meet runs.
+    None means `stronger`, looked up when the meet runs.  `req` may be a
+    `DenseRequirement` or an `ExtensionRequirement` record.
     """
     if req.satisfied(p):
         return p
@@ -286,14 +287,10 @@ def _realize_over(
     return Condition(tag, body)
 
 
-# A schedule repeats each (source, target) pair for every injection, so the
-# facts that depend only on the pair are computed once per pair.
-@lru_cache(maxsize=1024)
 def _family(f: Embedding) -> tuple[dict[int, int], FinStructure, str]:
     """f as a dict; f's target renamed so that f becomes an inclusion (f(x)
-    becomes x, and the other points keep their ids unless the source uses
-    them; for an inclusion f this is the identity); and the digest of f's
-    source and target that names the requirements over f."""
+    becomes x, other points keep their ids unless the source uses them);
+    and the digest of f's source and target that names its requirements."""
     source, target = f.source, f.target
     back = {y: x for x, y in f.mapping}
     clashes = sorted(source.universe & target.universe - back.keys())
@@ -303,44 +300,56 @@ def _family(f: Embedding) -> tuple[dict[int, int], FinStructure, str]:
     return f.as_dict(), b_over, hashlib.sha1(blob.encode()).hexdigest()[:8]
 
 
-def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseRequirement:
-    """Whenever i realizes the small side as an embedding, some embedding g
-    of the larger side must satisfy g after f = i.
+class ExtensionFamily:
+    """One `ExtensionRequirement` per injection of b into the ground set, for
+    an embedding f: b -> b'; their verdicts come from one table per condition.
+    The forcing step glues, so the class must have strong amalgamation."""
 
-    While part of i's image is still missing from the condition the
-    requirement counts as unmet; once the image is present the relations
-    are frozen, so the verdict (and hence satisfaction) is final.  That
-    keeps satisfaction upward closed along extensions.  The verdict comes
-    from the condition's bit rows (`extension_by_rows`), and when f is
-    onto there is nothing to find: g is i after f's inverse, if i is an
-    embedding at all.  The forcing step glues, so the class must have
-    strong amalgamation.
-    """
-    if not class_spec(tag).sap:
-        raise SAPRequired(f"{tag} lacks strong amalgamation")
-    b, b_prime = f.source, f.target
-    if set(i) != set(b.universe):
-        raise StructureError("i must be defined exactly on the small side")
-    if len(set(i.values())) != len(i):
-        raise StructureError("i must be injective")
-    fm, b_over, digest = _family(f)
-    pins = ",".join(f"{x}>{i[x]}" for x in sorted(i))
-    name = f"E[{pins};{digest}]"
-    image = set(i.values())
+    __slots__ = ("source", "target", "b_over", "points", "images", "free", "onto", "template", "ground", "_memo")
 
-    if len(b_prime) == len(b):
-        def satisfied(p: Condition) -> bool:
-            return image <= p.universe
-    else:
-        pin_template = {fm[x]: i[x] for x in fm}
+    def __init__(self, f: Embedding, tag: str, ground: Iterable[int]) -> None:
+        if not class_spec(tag).sap:
+            raise SAPRequired(f"{tag} lacks strong amalgamation")
+        fm, self.b_over, digest = _family(f)
+        self.source, self.target, self.ground = f.source, f.target, frozenset(ground)
+        self.points = tuple(f.source.sorted_universe())
+        self.images = tuple(fm[x] for x in self.points)
+        self.free = [y for y in f.target.bitsets.order if y not in self.images]
+        self.onto = not self.free
+        self.template = "E[" + ",".join(f"{x}>{{}}" for x in self.points) + f";{digest}]"
+        self._memo = None, None
 
-        def satisfied(p: Condition) -> bool:
-            # Pins that are no embedding (None) make the requirement vacuous.
-            return image <= p.universe and extension_by_rows(b_prime, p.structure, pin_template) is not False
+    def failing(self, structure: FinStructure) -> set[tuple[int, ...]]:
+        """The pins into the ground that embed f(b) but extend to no embedding
+        of b': one `placements` walk of f(b), then one completion search per
+        pin.  Kept for the last (immutable) structure asked."""
+        if structure is not self._memo[0]:
+            ground = sum(1 << j for j, x in enumerate(structure.bitsets.order) if x in self.ground)
+            walk = placements(self.target, structure, {}, self.images, [ground] * len(self.images))
+            self._memo = structure, {tuple(done[y] for y in self.images) for done in walk
+                                     if next(placements(self.target, structure, done, self.free), None) is None}
+        return self._memo[1]
 
-    def extend(p: Condition, rng: Random | None) -> Condition:
-        if satisfied(p):
+
+class ExtensionRequirement:
+    """Whenever the pins, the images of b's points, realize b as an embedding
+    i, some embedding g of b' must satisfy g after f = i.  Unmet while an
+    image point is missing, then final; met at once when f is onto, else
+    the family's table answers, and pins that are no embedding are vacuous."""
+
+    __slots__ = ("family", "pins", "name")
+
+    def __init__(self, family: ExtensionFamily, pins: tuple[int, ...]) -> None:
+        self.family, self.pins, self.name = family, pins, family.template.format(*pins)
+
+    def satisfied(self, p: Condition) -> bool:
+        family = self.family
+        return p.universe.issuperset(self.pins) and (family.onto or self.pins not in family.failing(p.structure))
+
+    def extend(self, p: Condition, rng: Random | None) -> Condition:
+        if self.satisfied(p):
             return p
+        b, i, image = self.family.source, dict(zip(self.family.points, self.pins)), set(self.pins)
         if not image <= p.universe:
             present = sorted(x for x in b.universe if i[x] in p.universe)
             part = induced_substructure(b, set(present))
@@ -352,11 +361,22 @@ def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseReq
                 return p
             missing = {x: i[x] for x in b.universe if x not in present}
             p = _realize_over(p, part, b, part_map, missing, rng)
-            if satisfied(p):
+            if self.satisfied(p):
                 return p
-        return _realize_over(p, b, b_over, dict(i), {}, rng)
+        return _realize_over(p, b, self.family.b_over, i, {}, rng)
 
-    return DenseRequirement(name, satisfied, extend)
+
+def extension_requirement(i: dict[int, int], f: Embedding, tag: str) -> DenseRequirement:
+    """The `ExtensionRequirement` over f with pins i, in a family over i's
+    image, as a `DenseRequirement` of its name and methods.  A schedule
+    takes the records themselves (`cli.extension_schedule`)."""
+    family = ExtensionFamily(f, tag, i.values())
+    if set(i) != set(f.source.universe):
+        raise StructureError("i must be defined exactly on the small side")
+    if len(set(i.values())) != len(i):
+        raise StructureError("i must be injective")
+    rec = ExtensionRequirement(family, tuple(i[x] for x in family.points))
+    return DenseRequirement(rec.name, rec.satisfied, rec.extend)
 
 
 def _step_line(idx: int, name: str, added: tuple[int, ...]) -> str:
@@ -391,7 +411,8 @@ def generic_build(start: C, schedule: list[DenseRequirement[C]], steps: int | No
     only return the condition it was given.  A pass that grew nothing ends
     the build, and so does an empty schedule.  Deterministic for a fixed
     (start, schedule, steps, seed).  At DEBUG, the `genstruct` logger gets
-    each step's log line while the build runs.
+    each step's log line while the build runs.  An extension requirement is
+    a family record, whose family answers its verdict from one table.
     """
     size = len(schedule)
     debug = logger.isEnabledFor(logging.DEBUG)

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 from random import Random
 
@@ -8,6 +9,7 @@ from genstruct.forcing import (
     Condition,
     CrossingSpec,
     DeltaSystem,
+    DenseRequirement,
     IsomorphismTypeMismatch,
     SAPRequired,
     TagMismatch,
@@ -182,6 +184,19 @@ def test_extension_requirement_with_an_embedding_that_moves_onto_other_ids():
     req = extension_requirement({0: 5, 1: 6}, f, "Graph")
     q = meet(graph_cond({5, 6}, []), req)
     assert req.satisfied(q)
+
+
+def test_extension_requirement_is_a_dense_requirement_that_replace_accepts():
+    # Wrappers rebuild the factory's result with `dataclasses.replace`.
+    b = graph_cond({10}, []).structure
+    bp = graph_cond({10, 11}, [(10, 11)]).structure
+    req = extension_requirement({10: 3}, inclusion_embedding(b, bp), "Graph")
+    assert isinstance(req, DenseRequirement)
+    calls = []
+    wrapped = dataclasses.replace(req, satisfied=lambda p: calls.append(p) or req.satisfied(p))
+    assert wrapped.name == req.name and wrapped.extend is req.extend
+    q = meet(empty_condition("Graph"), wrapped)
+    assert req.satisfied(q) and len(calls) == 2
 
 
 def test_extension_requirement_rejects_graph_target_with_loop():

@@ -15,7 +15,10 @@ The oracles below are the earlier implementations:
 - `common_extension` compared the two sides on their shared part, glued
   them and checked that the result was stronger than both;
 - `extension_requirement`'s extender and `_one_point_types_match` tested
-  partial maps with the tuple scan `is_partial_embedding`.
+  partial maps with the tuple scan `is_partial_embedding`;
+- `extension_requirement` then made two closures per injection, which
+  asked `extension_by_rows` about their own pins (each schedule entry was
+  one), where a family record now answers from one table.
 The current code must return equal conditions, chains and exceptions.
 """
 
@@ -30,6 +33,7 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
+from genstruct import forcing
 from genstruct.autorder import (
     AutCondition,
     SameOrbit,
@@ -52,11 +56,14 @@ from genstruct.classes import (
     metric_symbol,
     parse_metric_symbol,
 )
-from genstruct.cli import _build_generic, default_schedule
+from genstruct.cli import _build_generic, default_schedule, schedule_length
 from genstruct.forcing import (
     Condition,
     DenseRequirement,
+    ExtensionFamily,
+    ExtensionRequirement,
     GenericChain,
+    SAPRequired,
     TagMismatch,
     _add_point,
     _family,
@@ -126,6 +133,49 @@ def oracle_extension_satisfied(i, f, tag, p):
     fm = f.as_dict()
     pin_template = {fm[x]: i[x] for x in fm}
     return bool(enumerate_embeddings_extending(*align(tag, b_prime, p.structure), pin_template, limit=1))
+
+
+def oracle_extension_requirement(i, f, tag):
+    """The per-injection closures that `ExtensionFamily` records replace."""
+    if not class_spec(tag).sap:
+        raise SAPRequired(f"{tag} lacks strong amalgamation")
+    b, b_prime = f.source, f.target
+    if set(i) != set(b.universe):
+        raise StructureError("i must be defined exactly on the small side")
+    if len(set(i.values())) != len(i):
+        raise StructureError("i must be injective")
+    fm, b_over, digest = _family(f)
+    pins = ",".join(f"{x}>{i[x]}" for x in sorted(i))
+    name = f"E[{pins};{digest}]"
+    image = set(i.values())
+
+    if len(b_prime) == len(b):
+        def satisfied(p):
+            return image <= p.universe
+    else:
+        pin_template = {fm[x]: i[x] for x in fm}
+
+        def satisfied(p):
+            return image <= p.universe and extension_by_rows(b_prime, p.structure, pin_template) is not False
+
+    def extend(p, rng):
+        if satisfied(p):
+            return p
+        if not image <= p.universe:
+            present = sorted(x for x in b.universe if i[x] in p.universe)
+            part = induced_substructure(b, set(present))
+            part_map = {x: i[x] for x in present}
+            if extension_by_rows(part, p.structure, part_map) is None:
+                for m in sorted(image - p.universe):
+                    p = _add_point(p, m, rng)
+                return p
+            missing = {x: i[x] for x in b.universe if x not in present}
+            p = _realize_over(p, part, b, part_map, missing, rng)
+            if satisfied(p):
+                return p
+        return _realize_over(p, b, b_over, dict(i), {}, rng)
+
+    return DenseRequirement(name, satisfied, extend)
 
 
 def oracle_common_extension(p, q):
@@ -676,6 +726,63 @@ def test_extension_verdicts_match_pinned_search_oracle(tag, n, seed):
             seen.add((present, verdict, len(f.target) == len(f.source)))
     # Met and unmet, with the image present, through the row step and the shortcut.
     assert {(True, True, False), (True, False, False), (True, True, True)} <= seen
+
+
+def reversed_embeddings(tag, ext_size):
+    """For each target of at most ext_size points and each small side, the
+    side with its ids reversed in the target's universe and embedded back:
+    mostly no inclusion, and its ids may clash with the target's."""
+    for size in range(ext_size + 1):
+        for target in enumerate_members(tag, size):
+            universe = target.sorted_universe()
+            back = dict(zip(universe, reversed(universe)))
+            for r in range(len(universe) + 1):
+                for subset in combinations(universe, r):
+                    side = relabel(induced_substructure(target, set(subset)), {x: back[x] for x in subset})
+                    yield make_embedding(side, target, {back[x]: x for x in subset})
+
+
+@pytest.mark.parametrize("tag, n", [("Graph", 4), ("Tournament", 4), ("Digraph", 2),
+                                    ("PartialOrder", 3), ("RationalMetric", 1)])
+def test_extension_records_match_closure_oracle(tag, n, monkeypatch):
+    """Family records against the per-injection closures, on every condition
+    of builds at seeds 0-3: the same names in schedule order, the same
+    verdicts, and each family's table holds exactly the pins that fail."""
+    built = []
+    monkeypatch.setattr(forcing, "_family", lambda f: built.append(f) or _family(f))
+    schedule = default_schedule(tag, n, 3)
+    monkeypatch.undo()
+    assert len(schedule) == schedule_length(tag, n, 3)
+    records = schedule[n:]  # after the point requirements
+    # A family is built only for a small side with an injection into 0..n-1.
+    assert len(built) == len({id(r.family) for r in records})
+    oracles = [oracle_extension_requirement(i, f, tag) for i, f in extension_cases(tag, n, 3)]
+    for f in reversed_embeddings(tag, 3):
+        family = ExtensionFamily(f, tag, range(n))
+        for pins in permutations(range(n), len(f.source)):
+            records.append(ExtensionRequirement(family, pins))
+            oracles.append(oracle_extension_requirement(dict(zip(family.points, pins)), f, tag))
+    assert [r.name for r in records] == [o.name for o in oracles]
+    members = {}
+    for r, o in zip(records, oracles):
+        members.setdefault(r.family, []).append((r, o))
+    conditions = {}
+    for seed in range(4):
+        conditions.update(dict.fromkeys(generic_build(empty_condition(tag), list(schedule), seed=seed).steps))
+    # Equal universes side by side: a table kept by anything but the
+    # structure itself answers the wrong condition.
+    failed = 0
+    for p in sorted(conditions, key=lambda c: (len(c.universe), sorted(c.universe))):
+        for family, pairs in members.items():
+            verdicts = [o.satisfied(p) for _, o in pairs]
+            assert [r.satisfied(p) for r, _ in pairs] == verdicts, (family.template, p)
+            if len(family.target) > len(family.source):
+                want = {r.pins for (r, _), v in zip(pairs, verdicts) if p.universe.issuperset(r.pins) and not v}
+                assert family.failing(p.structure) == want, (family.template, p)
+                failed += len(want)
+    assert failed  # some pins embed b but have no completion
+    # An onto family answers from the universe alone and builds no table.
+    assert all(family._memo[0] is None for family in members if len(family.target) == len(family.source))
 
 
 def pin_cases(draw, a, b):
