@@ -281,8 +281,7 @@ def orbit_requirement_meet(p: AutCondition, alpha0: int, beta: int, rng: Random 
     element, so the loop is linear in the universe size.
     """
     for m in (alpha0, beta):
-        if m not in p.universe:
-            p = aut_point_requirement(m).extend(p, rng)
+        p = _with_point(p, m, rng)
     guard = 0
     while not orbit_straddles(p, alpha0, beta):
         fwd = alpha0
@@ -304,15 +303,20 @@ def orbit_requirement_meet(p: AutCondition, alpha0: int, beta: int, rng: Random 
 # --- dense requirements and the builder ----------------------------------------
 
 
+def _with_point(p: AutCondition, m: int, rng: Random | None) -> AutCondition:
+    """p with m in its chain: at a random slot given an rng, else last."""
+    if m in p.universe:
+        return p
+    slot = rng.randrange(len(p.chain) + 1) if rng else len(p.chain)
+    return AutCondition(p.chain[:slot] + (m,) + p.chain[slot:], p.phi)
+
+
 def aut_point_requirement(m: int) -> DenseRequirement[AutCondition]:
     def satisfied(p: AutCondition) -> bool:
         return m in p.universe
 
     def extend(p: AutCondition, rng: Random | None) -> AutCondition:
-        if m in p.universe:
-            return p
-        slot = rng.randrange(len(p.chain) + 1) if rng else len(p.chain)
-        return AutCondition(p.chain[:slot] + (m,) + p.chain[slot:], p.phi)
+        return _with_point(p, m, rng)
 
     return DenseRequirement(f"D_{m}", satisfied, extend)
 
@@ -324,8 +328,7 @@ def aut_between_requirement(a: int, b: int) -> DenseRequirement[AutCondition]:
 
     def extend(p: AutCondition, rng: Random | None) -> AutCondition:
         for m in (a, b):
-            if m not in p.universe:
-                p = aut_point_requirement(m).extend(p, rng)
+            p = _with_point(p, m, rng)
         lo, hi = sorted((p.index(a), p.index(b)))
         if hi - lo > 1:
             return p
@@ -340,10 +343,7 @@ def aut_dom_requirement(m: int) -> DenseRequirement[AutCondition]:
         return m in p.universe and m in p.phi_map
 
     def extend(p: AutCondition, rng: Random | None) -> AutCondition:
-        if m not in p.universe:
-            p = aut_point_requirement(m).extend(p, rng)
-        p, _ = _grow_forward(p, m)
-        return p
+        return _grow_forward(_with_point(p, m, rng), m)[0]
 
     return DenseRequirement(f"dom_{m}", satisfied, extend)
 
@@ -353,10 +353,7 @@ def aut_range_requirement(m: int) -> DenseRequirement[AutCondition]:
         return m in p.universe and m in p.inv_map
 
     def extend(p: AutCondition, rng: Random | None) -> AutCondition:
-        if m not in p.universe:
-            p = aut_point_requirement(m).extend(p, rng)
-        p, _ = _grow_backward(p, m)
-        return p
+        return _grow_backward(_with_point(p, m, rng), m)[0]
 
     return DenseRequirement(f"rng_{m}", satisfied, extend)
 

@@ -33,11 +33,11 @@ from genstruct.structures import (
     _natural_universe,
     canonical_key,
     empty_structure,
-    enumerate_embeddings,
     find_isomorphism,
     fresh_ids,
     induced_substructure,
     parse_metric_symbol,
+    placements,
     relabel,
     validate_structure,
 )
@@ -610,10 +610,7 @@ def amalgamate(tag: str, f: Embedding, g: Embedding) -> Amalgam:
         validate_structure(side.sig, side.universe, dict(side.interp))
     _check_inputs(tag, f.target, g.target, f.source)
     b, c, map_c, image_c = _setup_amalgam(f, g)
-    if class_spec(tag).sap:
-        result = glue_and_check(tag, b, c, map_c, image_c)
-    else:
-        result, map_c = _identify_and_glue(tag, b, c, map_c)
+    result, map_c = _solve(tag, b, c, map_c, image_c, strong=False)
     return _amalgam(*align(tag, b, c, result), map_c)
 
 
@@ -638,6 +635,18 @@ def glue_and_check(tag: str, b: FinStructure, c: FinStructure, map_c: dict[int, 
         raise AmalgamationImpossible(f"strategy output left the class {tag}")
     _check_rows(result, b, c, map_c, image_c)
     return result
+
+
+def _solve(tag: str, b: FinStructure, c: FinStructure, map_c: dict[int, int], image_c: FinStructure,
+           strong: bool) -> tuple[FinStructure, dict[int, int]]:
+    """One amalgamation problem over the checked b and c, with c's map
+    map_c and image_c = relabel(c, map_c): the result and c's map into it.
+    The strong glue (`glue_and_check`) when `strong` or in a class with
+    SAP, the identification search (`_identify_and_glue`) otherwise; both
+    raise StructureError when no amalgam is found."""
+    if strong or class_spec(tag).sap:
+        return glue_and_check(tag, b, c, map_c, image_c), map_c
+    return _identify_and_glue(tag, b, c, map_c)
 
 
 # --- linear graphs ----------------------------------------------------------
@@ -723,25 +732,26 @@ def _property_members(tag: str, size_bound: int, connected: bool) -> tuple[FinSt
 def _amalgam_instances(tag: str, size_bound: int, connected: bool):
     """The amalgamation problems over the members of at most `size_bound`
     elements: yields (base, left, right, pairs) for each group with a pair,
-    in base, left, right order; `pairs` yields (f, g, setup) in f, g order.
+    in base, left, right order; `pairs` yields (fm, gm, map_c, image_c) in
+    f, g order: f's and g's maps as dicts with sorted keys, the right
+    side's map c into the amalgam (`_right_map`) and image_c, the right
+    side relabelled by map_c.
 
-    A strong glue and its checks read f and g only through image_c, the
-    right side relabelled by map_c (`_right_map`): the square commutes by
-    how map_c is built, and left meets image_c in f's image as the fresh
-    ids avoid left.  The identification search (`_identify_and_glue`)
-    renames only map_c's fresh images, so its results and their checks
-    read f and g through image_c too.  So only the first pair with each
-    image_c is kept, with setup (fm, gm, map_c, image_c): f's, g's and c's
-    maps as dicts, then image_c, and the first failing pair in the full
-    order is always kept.  The embeddings
-    of the base into each member, their maps and images are listed once,
-    the fresh ids once per group, and each map_c and relabelled right side
-    once per base and left universe.
+    A strong glue and its checks read f and g only through image_c, and
+    the identification search (`_identify_and_glue`) renames only map_c's
+    fresh images, so its results and their checks read them through
+    image_c too.  So only the first pair with each image_c is kept, and
+    the first failing pair in the full order is always kept.  The square
+    and image tests of an amalgam hold by how map_c is built: it sends
+    g(a) to f(a), and the right side's other points to ids outside left.
+    The embeddings of the base into each member are its `placements`,
+    listed once; the fresh ids are listed once per group, and each map_c
+    and relabelled right side once per base and left universe.
     """
     members = _property_members(tag, size_bound, connected)
     for base in members:
         embeddings = [
-            [(e, e.as_dict(), tuple(y for _, y in e.mapping)) for e in enumerate_embeddings(base, m)]
+            [dict(sorted(p.items())) for p in placements(base, m, {}, base.bitsets.order)]
             if len(m) >= len(base) else [] for m in members
         ]
         universe = None
@@ -762,48 +772,16 @@ def _distinct_pairs(fs, gs, right: FinStructure, fresh: list[int], renamed: dict
     groups of the same base and right whose left has the same universe."""
     glued: set[FinStructure] = set()
     order = right.sorted_universe()
-    for f, fm, fi in fs:
-        for g, gm, gi in gs:
-            h = frozenset(zip(gi, fi))
+    for fm in fs:
+        for gm in gs:
+            h = frozenset(zip(gm.values(), fm.values()))
             if h not in renamed:
                 map_c = _right_map(fm, gm, order, fresh)
                 renamed[h] = map_c, relabel(right, map_c)
             map_c, image_c = renamed[h]
             if image_c not in glued:
                 glued.add(image_c)
-                yield f, g, (fm, gm, map_c, image_c)
-
-
-def _verdict(fm: dict[int, int], gm: dict[int, int], lm: dict[int, int], rm: dict[int, int],
-             strong: bool, left_image: set[int] | frozenset[int]) -> str | None:
-    """The square and image checks of an amalgam on plain maps: f and g as
-    fm and gm, the left and right embeddings as lm and rm, and lm's image
-    set; `glue_and_check` has checked its results' membership."""
-    for a in fm:
-        if lm[fm[a]] != rm[gm[a]]:
-            return "square does not commute"
-    if strong:
-        base_image = {lm[fm[a]] for a in fm}
-        if left_image & set(rm.values()) != base_image:
-            return "images overlap beyond the base"
-    return None
-
-
-def _instance_failure(tag: str, left: FinStructure, right: FinStructure, setup: tuple, strong: bool) -> str | None:
-    """The failure reason of one amalgamation problem over checked members,
-    or None, on plain maps: setup is (fm, gm, map_c, image_c) as
-    `_amalgam_instances` yields it.  The strong glue when `strong` or in a
-    class with SAP, the identification search otherwise, then the square
-    and image checks, left mapping by the identity."""
-    fm, gm, map_c, image_c = setup
-    try:
-        if strong or class_spec(tag).sap:
-            glue_and_check(tag, left, right, map_c, image_c)
-        else:
-            map_c = _identify_and_glue(tag, left, right, map_c)[1]
-    except StructureError as exc:
-        return str(exc)
-    return _verdict(fm, gm, {y: y for y in fm.values()}, map_c, strong, left.universe)
+                yield fm, gm, map_c, image_c
 
 
 def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
@@ -811,16 +789,18 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
     `size_bound` elements (0 to MAX_ENUM); returns the first
     counterexample in canonical order, if any.
 
-    AP and SAP glue each amalgamation problem once: of the pairs (f, g)
-    over one base, left and right member, only the first with each
-    relabelled right side image_c is checked (`_instance_failure`), as
-    `_amalgam_instances` explains, and the counterexample is still the
-    first in the full base, left, right, f, g order.  The three members of
-    a group are checked for membership once, before its first pair; a
-    pair's glue checks only the tuples it adds to them (`glue_and_check`).  JEP is AP over the empty base: the
-    empty member comes first, its groups are the (left, right) pairs in
-    order, each with its one pair of empty maps, and the counterexample
-    names only left and right.
+    AP and SAP solve each amalgamation problem once (`_solve`): of the
+    pairs (f, g) over one base, left and right member, only the first with
+    each relabelled right side image_c is solved, as `_amalgam_instances`
+    explains, and the counterexample is still the first in the full base,
+    left, right, f, g order.  A problem fails when `_solve` raises; the
+    square and image tests hold by construction, so they are not run.
+    The three members of a group are checked for membership once, before
+    its first pair; a pair's glue checks only the tuples it adds to them
+    (`glue_and_check`).  JEP is AP over the empty base: the empty member
+    comes first, its groups are the (left, right) pairs in order, each
+    with its one pair of empty maps, and the counterexample names only
+    left and right.
 
     Without SAP (LinearGraph), every instance ranges over the connected
     members (the paths), and AP and JEP search amalgams that may identify
@@ -854,18 +834,22 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
             break
         try:
             _check_inputs(tag, left, right, base)
-            rejected = None
+            reason = None
         except StructureError as exc:
-            rejected = str(exc)
-        for f, g, setup in pairs:
-            reason = rejected or _instance_failure(tag, left, right, setup, strong)
-            if reason is not None:
-                if prop == "JEP":
-                    return PropertyVerdict(False, {"left": left, "right": right, "detail": reason})
-                return PropertyVerdict(False, {
-                    "base": base, "left": left, "right": right,
-                    "f": f.as_dict(), "g": g.as_dict(), "detail": reason,
-                })
+            reason = str(exc)
+        for fm, gm, map_c, image_c in pairs:
+            if reason is None:
+                try:
+                    _solve(tag, left, right, map_c, image_c, strong)
+                    continue
+                except StructureError as exc:
+                    reason = str(exc)
+            if prop == "JEP":
+                return PropertyVerdict(False, {"left": left, "right": right, "detail": reason})
+            return PropertyVerdict(False, {
+                "base": base, "left": left, "right": right,
+                "f": dict(fm), "g": dict(gm), "detail": reason,
+            })
     return PropertyVerdict(True)
 
 

@@ -13,6 +13,9 @@ linear-graph amalgams as they were built before they went through
 obstruction checks, or the identification search, bridged into one path
 over the connected members, each result checked by `validate_amalgam`.
 Both read the class glue, so a broken glue reaches them.
+`square_verdict` is the square and image test on plain maps.  The sweep
+does not run it, as `_right_map` makes it hold; a test runs it on every
+pair that the sweep's `_solve` amalgamates.
 `oracle_jep_verdict` is JEP's own loop over (left, right) member pairs,
 each amalgamated over an empty base by `make_embedding`.
 `oracle_glue_metrics` is the metric glue in exact `Fraction` arithmetic
@@ -21,8 +24,9 @@ over a pair-distance map.
 The pins are the sha256 digests of the canonical JSON of every
 `check_property` verdict in the benchmark's class sweep: each class, each
 property, at bound 4, or at bound 3 where bound 4 takes seconds; of
-LinearGraph's and LinearOrder's four verdicts at bounds 5 and 6; and of
-PartialOrder's HP and JEP at bound 5.  The
+LinearGraph's and LinearOrder's four verdicts at bounds 5 and 6; of
+Graph's and Tournament's four verdicts at bound 5; and of PartialOrder's
+HP and JEP at bound 5.  The
 JSON is encoded as the benchmark worker encodes a verdict: `holds` and
 `counterexample`, structures through `to_json_dict`, sorted keys and
 compact separators.
@@ -49,13 +53,12 @@ from genstruct.classes import (
     _amalgam_instances,
     _degrees,
     _glue_metrics,
-    _instance_failure,
     _is_connected_graph,
     _is_forest,
     _partial_injections,
     _property_members,
     _setup_amalgam,
-    _verdict,
+    _solve,
     align,
     amalgamate,
     check_property,
@@ -84,6 +87,20 @@ from genstruct.structures import (
 # --- oracles -----------------------------------------------------------------
 
 
+def square_verdict(fm, gm, lm, rm, strong, left_image):
+    """The square and image checks of an amalgam on plain maps: f and g as
+    fm and gm, the left and right embeddings as lm and rm, and lm's image
+    set."""
+    for a in fm:
+        if lm[fm[a]] != rm[gm[a]]:
+            return "square does not commute"
+    if strong:
+        base_image = {lm[fm[a]] for a in fm}
+        if left_image & set(rm.values()) != base_image:
+            return "images overlap beyond the base"
+    return None
+
+
 def validate_amalgam(tag, f, g, amalgam, strong, connected=False):
     """The checker of a built amalgam: its result in the class (and one
     path when `connected`), then the square and image checks on its
@@ -92,8 +109,8 @@ def validate_amalgam(tag, f, g, amalgam, strong, connected=False):
         return "result not in class"
     if connected and not _is_connected_graph(amalgam.result):
         return "result not connected"
-    return _verdict(f.as_dict(), g.as_dict(), amalgam.emb_left.as_dict(), amalgam.emb_right.as_dict(),
-                    strong, {y for _, y in amalgam.emb_left.mapping})
+    return square_verdict(f.as_dict(), g.as_dict(), amalgam.emb_left.as_dict(), amalgam.emb_right.as_dict(),
+                          strong, {y for _, y in amalgam.emb_left.mapping})
 
 
 def oracle_amalgam_instances(tag, size_bound, connected):
@@ -318,8 +335,17 @@ VERDICT_DIGESTS = {
 
 
 # Past the sweep's bound 4: LinearGraph, 0.2 s and 1 s for the four verdicts;
-# LinearOrder at 5 and 6 and PartialOrder HP and JEP at 5, under 1 s together.
+# LinearOrder at 5 and 6 and PartialOrder HP and JEP at 5, under 1 s together;
+# Graph and Tournament at 5, the largest sweeps here (Graph AP and SAP 7-10 s each).
 LARGER_BOUND_DIGESTS = {
+    ("Graph", "HP", 5): HOLDS_DIGEST,
+    ("Graph", "JEP", 5): HOLDS_DIGEST,
+    ("Graph", "AP", 5): HOLDS_DIGEST,
+    ("Graph", "SAP", 5): HOLDS_DIGEST,
+    ("Tournament", "HP", 5): HOLDS_DIGEST,
+    ("Tournament", "JEP", 5): HOLDS_DIGEST,
+    ("Tournament", "AP", 5): HOLDS_DIGEST,
+    ("Tournament", "SAP", 5): HOLDS_DIGEST,
     ("LinearGraph", "HP", 5): HOLDS_DIGEST,
     ("LinearGraph", "JEP", 5): HOLDS_DIGEST,
     ("LinearGraph", "AP", 5): HOLDS_DIGEST,
@@ -370,15 +396,31 @@ def instance_keys(tag, instances):
 
 
 def instance_setup(f, g):
-    """What `_amalgam_instances` yields with a pair: f's and g's maps, then map_c and image_c."""
+    """What `_amalgam_instances` yields for a pair: f's and g's maps, then map_c and image_c."""
     return (f.as_dict(), g.as_dict(), *_setup_amalgam(f, g)[2:])
 
 
 def flat_instances(tag, size_bound, connected):
+    """The kept pairs as embeddings, each checked against `instance_setup`;
+    f's and g's maps must come with sorted keys, as `as_dict` gives them."""
     for base, left, right, pairs in _amalgam_instances(tag, size_bound, connected):
-        for f, g, setup in pairs:
+        for setup in pairs:
+            f, g = make_embedding(base, left, setup[0]), make_embedding(base, right, setup[1])
             assert setup == instance_setup(f, g)
+            assert [list(m) for m in setup[:2]] == [sorted(base.universe)] * 2
             yield base, left, right, f, g
+
+
+def solve_failure(tag, left, right, setup, strong):
+    """One pair as the sweep solves it (`_solve`), its failure or None,
+    then the square and image checks on the map `_solve` returns, left
+    mapping by the identity."""
+    fm, gm, map_c, image_c = setup
+    try:
+        map_c = _solve(tag, left, right, map_c, image_c, strong)[1]
+    except StructureError as exc:
+        return str(exc)
+    return square_verdict(fm, gm, {y: y for y in fm.values()}, map_c, strong, left.universe)
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -416,13 +458,30 @@ def test_linear_graph_sap_fails_at_bound_3():
     assert not check_property("LinearGraph", "SAP", 3).holds
 
 
+SWEEP_CASES = [*((tag, not class_spec(tag).sap) for tag in TAGS), ("LinearGraph", False)]
+
+
+@pytest.mark.parametrize("tag, connected", SWEEP_CASES)
+def test_solved_pairs_pass_the_square_and_image_checks(tag, connected):
+    # The sweep does not run these checks: `_right_map` makes them hold.
+    # Every kept pair at bound 3 that `_solve` amalgamates must pass them.
+    reasons = Counter(
+        solve_failure(tag, left, right, setup, strong)
+        for strong in (False, True)
+        for _, left, right, pairs in _amalgam_instances(tag, 3, connected)
+        for setup in pairs
+    )
+    assert reasons[None] > 0
+    assert not {"square does not commute", "images overlap beyond the base"} & set(reasons)
+
+
 @pytest.mark.parametrize("connected, bound", [(True, 5), (False, 4)])
 def test_linear_graph_instances_match_the_old_amalgams(connected, bound):
     # Every pair, strong or not, over the paths or over every member.
     reasons = set()
     for base, left, right, f, g in oracle_amalgam_instances("LinearGraph", bound, connected):
         for strong in (True, False):
-            reason = _instance_failure("LinearGraph", left, right, instance_setup(f, g), strong)
+            reason = solve_failure("LinearGraph", left, right, instance_setup(f, g), strong)
             assert reason == oracle_linear_graph_failure("LinearGraph", f, g, strong, connected)
             reasons.add(reason if reason is None or not reason.startswith("vertex ") else "vertex")
     expected = {None, "vertex"}

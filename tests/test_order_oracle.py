@@ -178,7 +178,7 @@ def test_poset_glue_matches_the_closure_on_the_ap_sweep():
     # relabelled right side, which meet in f's image and agree there.
     pairs = 0
     for _, left, _, group in _amalgam_instances("PartialOrder", 4, False):
-        for _, _, (_, _, _, image_c) in group:
+        for _, _, _, image_c in group:
             # Equal structures have equal interps, symbol order included.
             assert classes.SPECS["PartialOrder"].glue(left, image_c) == oracle_glue_posets(left, image_c)
             pairs += 1
