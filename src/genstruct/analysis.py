@@ -4,8 +4,7 @@ one-point homogeneity, universality, entangledness and subset density.
 Each verifier is one generator of report items (`*_items`). Its `Report`
 function hands the generator to a sink: by default `tuple`, which
 collects the items so tests can assert exact failure sets; the CLI's
-sink writes them out as they arrive (`write_json`) and keeps only their
-count and failures.
+sink writes them out as they arrive (`write_json`) and keeps a `Written`.
 """
 
 from __future__ import annotations

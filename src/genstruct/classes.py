@@ -113,7 +113,9 @@ class ClassSpec:
     connectivity requirements.  `linear` marks linear orders: betweenness
     requirements, chain drawing, barred-point crossing checks.
     `crossing(left, right, root, s, s_bar, t, t_bar)`, when set, builds
-    the body of a crossing amalgamation of two checked sides.
+    the body of a crossing amalgamation of two checked sides.  Every
+    decision about a class reads these fields; only `glue_and_check`
+    calls `glue`.
     """
 
     sig: Signature | None  # None: a metric space's symbols are its distances
@@ -529,7 +531,11 @@ def class_spec(tag: str) -> ClassSpec:
 def align(tag: str, *structures: FinStructure) -> tuple[FinStructure, ...]:
     """The structures over one common signature: a metric space's lists only
     the distances it uses, so metric inputs are padded with empty symbols up
-    to the union of their signatures; other classes' come back unchanged."""
+    to the union of their signatures; other classes' come back unchanged.
+    Only outputs that carry the padded signature use it: an `Amalgam`'s
+    sides, the property sweep's members and `forcing._realize_over`'s bodies.
+    Searches and row checks read two metric signatures over their union
+    (`structures._paired`) instead."""
     if class_spec(tag).sig is not None:
         return structures
     sig = _sorted_union(tuple(s.sig for s in structures))
@@ -568,12 +574,9 @@ class Amalgam:
 
 
 def _setup_amalgam(f: Embedding, g: Embedding) -> tuple[FinStructure, FinStructure, dict[int, int], FinStructure]:
-    """Common bookkeeping: left keeps its ids, right is renamed.
-
-    Returns (b, c, map_c, image_c) where map_c sends the right-hand
-    universe into the result id space (base points land on f's image, the
-    others on the smallest naturals outside b) and image_c = relabel(c, map_c).
-    """
+    """Common bookkeeping: left keeps its ids, right is renamed.  Returns
+    (b, c, map_c, image_c): map_c is `_right_map` onto the smallest naturals
+    outside b, and image_c = relabel(c, map_c)."""
     if f.source != g.source:
         raise StructureError("amalgamation requires a common base")
     b, c = f.target, g.target
@@ -624,12 +627,11 @@ def _check_inputs(tag: str, *sides: FinStructure) -> None:
 def glue_and_check(tag: str, b: FinStructure, c: FinStructure, map_c: dict[int, int],
                    image_c: FinStructure) -> FinStructure:
     """The strong amalgam of the validated b and image_c = relabel(c, map_c):
-    the class glue, which checks only the tuples it adds, checked for
-    membership, then the embeddings of b by the identity and c by map_c, in
-    one pass over the result's rows (`structures._check_rows`, unpadded).
-    Sides that disagree where they meet fail here, as no result carries
-    both; every amalgam, in forcing and in LinearGraph's identification
-    search too, is glued by this step."""
+    the class glue, the result's membership, then the side check of b by
+    the identity and c by map_c (`structures._check_rows`).  Sides that
+    disagree where they meet fail here, as no result carries both; every
+    amalgam, in forcing and in LinearGraph's identification search too, is
+    glued by this step."""
     result = class_spec(tag).glue(b, image_c)
     if not membership(tag, result):
         raise AmalgamationImpossible(f"strategy output left the class {tag}")
@@ -688,7 +690,11 @@ MAX_ENUM = 6
 
 def enumerate_members(tag: str, size: int, connected: bool = False) -> tuple[FinStructure, ...]:
     """All class members with exactly `size` elements, one per isomorphism
-    type, universe 0..size-1, ordered by canonical key."""
+    type, universe 0..size-1, ordered by canonical key.
+
+    Isomorphic candidates share their signature and colour multiset, so
+    each is compared only with the kept members of its bucket.  The first
+    candidate of each type is kept, and only those are keyed."""
     if not 0 <= size <= MAX_ENUM:
         raise ScaleExceeded(f"enumeration takes sizes 0..{MAX_ENUM}, got {size}")
     key = (tag, size, connected)
@@ -698,9 +704,6 @@ def enumerate_members(tag: str, size: int, connected: bool = False) -> tuple[Fin
         sig = class_spec(tag).sig or Signature(())
         out = (empty_structure(sig),)
     else:
-        # Isomorphic candidates share their signature and colour multiset,
-        # so each is compared only with the kept members of its bucket.
-        # The first candidate of each type is kept, and only those are keyed.
         buckets: dict[tuple, list[FinStructure]] = {}
         for smaller in enumerate_members(tag, size - 1, connected=False):
             for candidate in class_spec(tag).extensions(smaller, size - 1):
@@ -789,18 +792,13 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
     `size_bound` elements (0 to MAX_ENUM); returns the first
     counterexample in canonical order, if any.
 
-    AP and SAP solve each amalgamation problem once (`_solve`): of the
-    pairs (f, g) over one base, left and right member, only the first with
-    each relabelled right side image_c is solved, as `_amalgam_instances`
-    explains, and the counterexample is still the first in the full base,
-    left, right, f, g order.  A problem fails when `_solve` raises; the
-    square and image tests hold by construction, so they are not run.
-    The three members of a group are checked for membership once, before
-    its first pair; a pair's glue checks only the tuples it adds to them
-    (`glue_and_check`).  JEP is AP over the empty base: the empty member
-    comes first, its groups are the (left, right) pairs in order, each
-    with its one pair of empty maps, and the counterexample names only
-    left and right.
+    AP and SAP solve (`_solve`) each pair that `_amalgam_instances` keeps,
+    and a problem fails when `_solve` raises; the counterexample is still
+    the first in the full base, left, right, f, g order.  The three members
+    of a group are checked for membership once, before its first pair.
+    JEP is AP over the empty base: the empty member comes first, its
+    groups are the (left, right) pairs in order, each with its one pair
+    of empty maps, and the counterexample names only left and right.
 
     Without SAP (LinearGraph), every instance ranges over the connected
     members (the paths), and AP and JEP search amalgams that may identify

@@ -108,12 +108,10 @@ def common_extension(p: Condition, q: Condition) -> Condition | None:
     """A condition stronger than both, or None if they are incompatible.
 
     The strong amalgam of p and q that keeps every id (`glue_and_check`
-    with the identity on q): the class's glue decides the cross relations
-    (the separator rule for linear and partial orders, free joins for
-    graphs, shortest-path gluing for metrics), and the
-    result must be a member carrying p's rows on p's points and q's on
-    q's, which fails exactly when the two disagree on their shared part.
-    A metric result carries the padded common signature.
+    with the identity on q): the class's glue decides the cross relations,
+    and the result must be a member carrying p's rows on p's points and
+    q's on q's, which fails exactly when the two disagree on their shared
+    part.  A metric result carries the padded common signature.
     """
     if p.tag != q.tag:
         raise TagMismatch(f"{p.tag} vs {q.tag}")
@@ -147,9 +145,10 @@ def meet(p: C, req: DenseRequirement[C], rng: Random | None = None,
          order: Callable[[C, C], bool] | None = None) -> C:
     """Least work to put p inside the requirement's dense set.
 
-    The extension must be stronger in the forcing order `order(q, p)`;
-    None means `stronger`, looked up when the meet runs.  `req` may be a
-    `DenseRequirement` or an `ExtensionRequirement` record.
+    The extension must be stronger in the forcing order `order(q, p)`
+    (None means `stronger`, looked up when the meet runs) and satisfy the
+    requirement, else StructureError "extender for <name> broke its
+    contract".  `req` is a `DenseRequirement` or an `ExtensionRequirement`.
     """
     if req.satisfied(p):
         return p
@@ -303,7 +302,10 @@ def _family(f: Embedding) -> tuple[dict[int, int], FinStructure, str]:
 class ExtensionFamily:
     """One `ExtensionRequirement` per injection of b into the ground set, for
     an embedding f: b -> b'; their verdicts come from one table per condition.
-    The forcing step glues, so the class must have strong amalgamation."""
+    The forcing step glues, so the class must have strong amalgamation.
+    What depends only on f is computed once: f as a map, the renamed target
+    `b_over`, the digest in the names, b's points, their images in b', the
+    free points of b' and whether f is onto."""
 
     __slots__ = ("source", "target", "b_over", "points", "images", "free", "onto", "template", "ground", "_memo")
 
@@ -334,8 +336,9 @@ class ExtensionFamily:
 class ExtensionRequirement:
     """Whenever the pins, the images of b's points, realize b as an embedding
     i, some embedding g of b' must satisfy g after f = i.  Unmet while an
-    image point is missing, then final; met at once when f is onto, else
-    the family's table answers, and pins that are no embedding are vacuous."""
+    image point is missing, then final; met at once when f is onto (g is i
+    after f's inverse, or i is no embedding), else the family's table
+    answers, and pins that are no embedding are vacuous."""
 
     __slots__ = ("family", "pins", "name")
 
@@ -411,8 +414,7 @@ def generic_build(start: C, schedule: list[DenseRequirement[C]], steps: int | No
     only return the condition it was given.  A pass that grew nothing ends
     the build, and so does an empty schedule.  Deterministic for a fixed
     (start, schedule, steps, seed).  At DEBUG, the `genstruct` logger gets
-    each step's log line while the build runs.  An extension requirement is
-    a family record, whose family answers its verdict from one table.
+    each step's log line while the build runs.
     """
     size = len(schedule)
     debug = logger.isEnabledFor(logging.DEBUG)
@@ -454,10 +456,11 @@ def delta_system(family: list[frozenset[int] | set[int]]) -> DeltaSystem:
     Every pair of selected sets intersects exactly in the root.  Candidate
     roots are the subsets of the family's sets, tried by descending
     containment count; within a root, sets are taken first come first
-    served when their non-root parts stay pairwise disjoint.  Whenever the
-    family has at least two sets the result has at least two members
-    (the intersection of any two sets is a candidate root), which already
-    meets the documented |family| / (k * 2^s) floor at desk scale.
+    served when their non-root parts stay pairwise disjoint.  A family of
+    at least two sets gives at least two members (the intersection of two
+    sets is a candidate root), and more than k!(p-1)^k distinct k-sets give
+    at least p (Erdős and Rado, J. London Math. Soc. 35, 1960): each root's
+    first-come selection is maximal, which is all their recursion needs.
     """
     sets = [frozenset(s) for s in family]
     if not sets:
@@ -517,10 +520,8 @@ def crossing_amalgamation(
     """Common extension that crosses the designated points.
 
     Graphs: the edge {s,t} is added and {s_bar,t_bar} stays absent.
-    Linear orders: the result satisfies s < t and t_bar < s_bar, routed
-    through the intermediate extension of the root by s < t < t_bar < s_bar
-    and two separator-rule merges.  The class spec's `crossing` builds the
-    body once the sides pass the checks here.
+    Linear orders: the result satisfies s < t and t_bar < s_bar.  The class
+    spec's `crossing` builds the body once the sides pass the checks here.
     """
     if p_s.tag != p_t.tag:
         raise TagMismatch(f"{p_s.tag} vs {p_t.tag}")

@@ -117,7 +117,11 @@ ORDER_SIG = Signature((("<", 2),))
 
 @dataclass(frozen=True)
 class FinStructure:
-    """A finite relational structure; doubles as a forcing condition body."""
+    """A finite relational structure; doubles as a forcing condition body.
+
+    Its derived views are computed on first use and kept on the instance.
+    They are not fields, so equality, hashing, repr, JSON and pickling
+    ignore them."""
 
     sig: Signature
     universe: frozenset[int]
@@ -135,9 +139,6 @@ class FinStructure:
     def __len__(self) -> int:
         return len(self.universe)
 
-    # Derived views, computed on first use and kept on the instance. They
-    # are not fields, so equality, hashing, repr, JSON and pickling ignore
-    # them.
     __getstate__ = field_state
 
     @_cached_view
@@ -154,9 +155,9 @@ class FinStructure:
     @_cached_view
     def chain(self) -> tuple[int, ...]:
         """The universe sorted by in-degree under `<`, ties in `universe`
-        iteration order: a linear order's elements from least to greatest.
-        `classes.chain_structure` seeds it with its repeat-free sequence,
-        which is that sort.  Raises UnknownSymbol if the signature has no `<`."""
+        iteration order: a linear order's elements from least to greatest;
+        `classes.chain_structure` seeds it.  Raises UnknownSymbol if the
+        signature has no `<`."""
         indegree = Counter(t[1] for t in self.rel("<"))
         return tuple(sorted(self.universe, key=indegree.__getitem__))
 
@@ -209,7 +210,9 @@ def validate_structure(
     """Build a FinStructure, checking every tuple against the universe.
 
     Symbols missing from `interp` get an empty interpretation; unknown
-    keys raise UnknownSymbol.
+    keys raise UnknownSymbol.  It runs at the boundaries: JSON input, the
+    public constructors, the CLI and `classes.amalgamate`'s raw sides.
+    A glue checks only the tuples it adds (`_glued`).
     """
     universe = _natural_universe(universe)
     known = set(sig.names())
@@ -420,7 +423,8 @@ class Bitsets:
     @property
     def colours(self) -> tuple[tuple[int, ...], ...]:
         """Per point in `order`, its bit in each `fixed` mask, then its row's count in
-        each matrix of `rels`, built on first read: an isomorphism keeps every colour."""
+        each matrix of `rels`, built on first read: an isomorphism keeps every colour.
+        On binary, loop-free symbols these are the per-position tuple counts."""
         if self._colours is None:
             n = len(self.order)
             columns = [[f >> j & 1 for j in range(n)] for f in self.fixed]
@@ -551,7 +555,8 @@ def enumerate_embeddings_extending(
 
 def find_isomorphism(a: FinStructure, b: FinStructure) -> Embedding | None:
     """Lexicographically least isomorphism a -> b, or None.  Each point's
-    images are limited to the points of `b` with the same `Bitsets` colour."""
+    images are limited to the points of `b` with the same `Bitsets` colour;
+    colours are positional, so a and b must have one signature."""
     if a.sig is not b.sig and a.sig != b.sig:
         raise SignatureMismatch("signatures differ")
     if len(a) != len(b):
@@ -615,7 +620,8 @@ def _least_order(n: int, relations: list[tuple[int, list[tuple[int, ...]]]]) -> 
     A relabeling keeps the tuple count of every relation, so comparing
     sorted tuple lists is the same as comparing presence bits over all
     label tuples in lex order, with "present" (0) below "absent" (1).
-    Labels are given out in order, depth first.  A prefix gets a bound
+    Labels are given out in order, depth first (McKay, "Practical graph
+    isomorphism", 1981).  A prefix gets a bound
     (`_bound`): a bit string no greater than that of any labeling extending
     it.  A child whose bound is not below the best complete string is cut.
     Children that an automorphism fixing the prefix maps onto each other

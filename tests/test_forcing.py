@@ -117,6 +117,17 @@ def test_point_requirement_noop_when_present():
     assert meet(p, req) == p
 
 
+@pytest.mark.parametrize("extended", [
+    graph_cond({0, 1, 5}, []),  # satisfies the requirement but drops the edge of p
+    graph_cond({0, 1, 2}, [(0, 1)]),  # stronger than p but without 5
+], ids=["not-stronger", "misses-requirement"])
+def test_meet_rejects_an_extender_that_breaks_its_contract(extended):
+    p = graph_cond({0, 1}, [(0, 1)])
+    req = DenseRequirement("D_bad", lambda c: 5 in c.universe, lambda c, rng: extended)
+    with pytest.raises(StructureError, match=r"^extender for D_bad broke its contract$"):
+        meet(p, req)
+
+
 def test_between_requirement_inserts_fresh_point():
     p = order_cond([0, 1])
     q = meet(p, between_requirement(0, 1))
@@ -340,6 +351,30 @@ def test_delta_system_validity_and_oracle():
         assert len(ds.members) <= exhaustive_max_delta(fam)
         if len(fam) >= 2:
             assert len(ds.members) >= 2
+
+
+def assert_erdos_rado_floor(family, p):
+    """delta_system on distinct k-sets, more than k!(p-1)^k of them, keeps a
+    sunflower of at least p members."""
+    ds = delta_system(family)
+    chosen = [family[i] for i in ds.members]
+    assert all(a & b == ds.root for a, b in combinations(chosen, 2))
+    assert len(chosen) >= p, (family, ds)
+
+
+def test_delta_system_erdos_rado_floor_on_every_family_of_nine_pairs():
+    pairs = [frozenset(t) for t in combinations(range(6), 2)]
+    families = list(combinations(pairs, 9))  # 2! * (3 - 1)^2 = 8 < 9
+    assert len(families) == 5005
+    for family in families:
+        assert_erdos_rado_floor(list(family), 3)
+
+
+def test_delta_system_erdos_rado_floor_on_random_families_of_triples():
+    rng = Random(17)
+    triples = [frozenset(t) for t in combinations(range(9), 3)]
+    for _ in range(300):
+        assert_erdos_rado_floor(rng.sample(triples, 49), 3)  # 3! * (3 - 1)^3 = 48 < 49
 
 
 # --- crossing amalgamation --------------------------------------------------------------
