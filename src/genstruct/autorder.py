@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from random import Random
 from types import MappingProxyType
 
-from genstruct.forcing import DenseRequirement, delta_system, generic_build
+from genstruct.forcing import DenseRequirement, delta_system, generic_steps
 from genstruct.structures import (
     StructureError,
     _cached_view,
@@ -388,24 +388,27 @@ def build_automorphic_order(
     n: int, steps: int | None = None, seed: int = 0, alpha0: int = 0
 ) -> tuple[AutCondition, list[str]]:
     """Meet the membership, totality, density and orbit requirements for
-    the first n ground elements with `forcing.generic_build` (no step
+    the first n ground elements with `forcing.generic_steps` (no step
     limit when steps is None); returns the final condition and a report
     line per requirement.
 
     A requirement's `met_at` is the first step after which it held, or -1.
-    Satisfaction is upward closed along the chain, so it is found by
-    bisection over the new conditions, each at the step that made it.
+    Satisfaction is upward closed along the build, so it is found by
+    bisection over the distinct conditions of the build's steps, each
+    kept with the first step that held it.
     """
     if alpha0 < 0:
         raise StructureError("alpha0 must be nonnegative")
     schedule = default_aut_schedule(n, alpha0)
-    chain = generic_build(empty_aut_condition(), schedule, steps, seed, aut_stronger)
-    after = chain.steps[1:]
-    made = [j for j, c in enumerate(after) if j == 0 or c is not after[j - 1]]
-    conds = [after[j] for j in made]
+    start = empty_aut_condition()
+    made, conds = [], []
+    for idx, _, _, c in generic_steps(start, schedule, steps, seed, aut_stronger):
+        if not conds or c is not conds[-1]:
+            made.append(idx)
+            conds.append(c)
     made.append(-1)  # met by no condition
     report = [f"req={req.name} met_at={made[bisect_left(conds, True, key=req.satisfied)]}" for req in schedule]
-    return chain.final, report
+    return conds[-1] if conds else start, report
 
 
 # --- trimming and serialization -------------------------------------------------

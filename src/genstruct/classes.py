@@ -297,11 +297,12 @@ def chain_of(a: FinStructure) -> list[int]:
 
 
 def chain_structure(seq: Sequence[int]) -> FinStructure:
-    """`seq` read as x < y when x comes first.  Its pairs are drawn from its
-    points, so only the points are checked; a repeat-free seq is its `chain`."""
+    """`seq` read as x < y when x comes first.  Its pairs are drawn from its points, so only
+    the points are checked; a repeat-free seq seeds its `chain` and its LinearOrder verdict."""
     a = FinStructure(ORDER_SIG, _natural_universe(set(seq)), (("<", frozenset(combinations(seq, 2))),))
     if len(a.universe) == len(seq):
         FinStructure.chain.seed(a, tuple(seq))
+        a.verdicts["LinearOrder"] = True
     return a
 
 

@@ -3,9 +3,9 @@
 A condition is a class member whose universe sits inside the ground set
 of naturals, ordered by reverse inclusion.  Dense requirements pair a
 satisfaction predicate with an extender; meeting a scheduled family of
-them builds the generic prefix.  `meet` and `generic_build` take the
-forcing order from the caller, so orders with a partial automorphism
-(`genstruct.autorder`) are built by the same loop.
+them builds the generic prefix.  `meet` and the round-robin loop
+`generic_steps` take the forcing order from the caller, so orders with a
+partial automorphism (`genstruct.autorder`) are built by the same loop.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Generic, Iterable, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
 from genstruct.classes import (
     NotInClass,
@@ -388,40 +388,34 @@ def _step_line(idx: int, name: str, added: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class GenericChain(Generic[C]):
-    """The start condition, then the condition after each round-robin step."""
+    """A build's last condition and its log, a (step, requirement name, points added) row
+    per step.  Each step extends the one before, so step j is `final` on the points added by j."""
 
-    steps: tuple[C, ...]
+    final: C
     log: tuple[tuple[int, str, tuple[int, ...]], ...]
-
-    @property
-    def final(self) -> C:
-        return self.steps[-1]
 
     def log_lines(self) -> list[str]:
         return [_step_line(*row) for row in self.log]
 
 
-def generic_build(start: C, schedule: list[DenseRequirement[C]], steps: int | None = None,
-                  seed: int = 0, order: Callable[[C, C], bool] | None = None) -> GenericChain[C]:
-    """Round-robin over the schedule from `start` in the forcing order
-    `order` (as for `meet`), for at most `steps` steps (None: no limit).
+def generic_steps(start: C, schedule: list[DenseRequirement[C]], steps: int | None = None, seed: int = 0,
+                  order: Callable[[C, C], bool] | None = None) -> Iterator[tuple[int, str, tuple[int, ...], C]]:
+    """Round-robin over the schedule from `start` in the forcing order `order`
+    (as for `meet`), for at most `steps` steps (None: no limit), yielding
+    (step, requirement name, points added, condition) for each step.
 
     One pass meets each requirement in turn.  If that pass grew the
-    condition, the next pass is written without calling `meet`: its rows
-    add nothing and its chain entries are the final condition.  `meet`
-    checks that each requirement holds on its result, and satisfaction is
-    upward closed, so every requirement already holds and that pass could
-    only return the condition it was given.  A pass that grew nothing ends
-    the build, and so does an empty schedule.  Deterministic for a fixed
-    (start, schedule, steps, seed).  At DEBUG, the `genstruct` logger gets
-    each step's log line while the build runs.
-    """
+    condition, the next pass is yielded without calling `meet`: it adds
+    nothing and yields the final condition itself.  `meet` checks that each
+    requirement holds on its result, and satisfaction is upward closed, so
+    that pass could only return the condition it was given.  A pass that
+    grew nothing ends the build, and so does an empty schedule.  Deterministic
+    for a fixed (start, schedule, steps, seed).  At DEBUG, the `genstruct`
+    logger gets each step's log line as the step is made."""
     size = len(schedule)
     debug = logger.isEnabledFor(logging.DEBUG)
     rng = Random(seed)
     current = start
-    chain = [current]
-    log: list[tuple[int, str, tuple[int, ...]]] = []
     grew = False
     for idx in range(2 * size if steps is None else min(steps, 2 * size)):
         req = schedule[idx % size]
@@ -433,12 +427,19 @@ def generic_build(start: C, schedule: list[DenseRequirement[C]], steps: int | No
                 grew = grew or new != current
             current = new
         elif not grew:
-            break
-        log.append((idx, req.name, added))
+            return
         if debug:
             logger.debug("%s", _step_line(idx, req.name, added))
-        chain.append(current)
-    return GenericChain(tuple(chain), tuple(log))
+        yield idx, req.name, added, current
+
+
+def generic_build(start: C, schedule: list[DenseRequirement[C]], steps: int | None = None,
+                  seed: int = 0, order: Callable[[C, C], bool] | None = None) -> GenericChain[C]:
+    """`generic_steps` run out, keeping its last condition (`start` if none) and its log rows."""
+    final, log = start, []
+    for idx, name, added, final in generic_steps(start, schedule, steps, seed, order):
+        log.append((idx, name, added))
+    return GenericChain(final, tuple(log))
 
 
 # --- delta systems -----------------------------------------------------------

@@ -143,8 +143,8 @@ class FinStructure:
 
     @_cached_view
     def verdicts(self) -> dict[str, bool]:
-        """Class membership verdicts by class tag, filled in by
-        `classes.membership` the first time it decides a tag."""
+        """Class membership verdicts by class tag, filled in by `classes.membership`
+        the first time it decides a tag, or seeded by `classes.chain_structure`."""
         return {}
 
     @_cached_view

@@ -24,7 +24,7 @@ from genstruct.autorder import (
     validate_aut_condition,
 )
 from genstruct.classes import chain_structure
-from genstruct.forcing import generic_build
+from genstruct.forcing import generic_steps
 from genstruct.structures import StructureError, to_json_dict
 
 
@@ -254,11 +254,12 @@ def test_build_determinism():
 
 def test_chain_monotone_and_requirements_permanent():
     schedule = default_aut_schedule(4, 0)
-    chain = generic_build(empty_aut_condition(), schedule, seed=11, order=aut_stronger)
-    for a, b in zip(chain.steps, chain.steps[1:]):
+    start = empty_aut_condition()
+    steps = [start, *(row[3] for row in generic_steps(start, schedule, seed=11, order=aut_stronger))]
+    for a, b in zip(steps, steps[1:]):
         assert aut_stronger(b, a)
     previous = [False] * len(schedule)
-    for step in chain.steps:
+    for step in steps:
         current = [req.satisfied(step) for req in schedule]
         for before, now in zip(previous, current):
             assert not (before and not now), "satisfaction must be upward closed"
@@ -311,9 +312,8 @@ def test_build_matches_round_robin_oracle(n, alpha0_pick, steps_pick, seed):
     assert got == oracle_build_automorphic_order(n, steps, seed, alpha0)
 
 
-def oracle_report(chain, schedule):
+def oracle_report(after, schedule):
     """The earlier report: bisection over the condition after every step."""
-    after = chain.steps[1:]
     met = [bisect_left(after, True, key=req.satisfied) for req in schedule]
     return [f"req={req.name} met_at={m if m < len(after) else -1}" for req, m in zip(schedule, met)]
 
@@ -322,10 +322,11 @@ def oracle_report(chain, schedule):
 @given(st.integers(0, 16), st.sampled_from([0, 1, 5]), st.sampled_from([0, 1, 7, 40, None]), st.integers(0, 2**32))
 def test_report_matches_bisection_over_every_step(n, alpha0, steps, seed):
     schedule = default_aut_schedule(n, alpha0)
-    chain = generic_build(empty_aut_condition(), schedule, steps, seed, aut_stronger)
+    start = empty_aut_condition()
+    after = [row[3] for row in generic_steps(start, schedule, steps, seed, aut_stronger)]
     final, report = build_automorphic_order(n, steps, seed, alpha0)
-    assert final == chain.final
-    assert report == oracle_report(chain, schedule)
+    assert final == (after[-1] if after else start)
+    assert report == oracle_report(after, schedule)
 
 
 def oracle_aut_to_json_dict(c):

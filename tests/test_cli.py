@@ -75,7 +75,7 @@ def test_build_rejects_negative_alpha0(capsys):
 def _step_lines(caplog):
     """The step lines logged by the forcing loop itself, as it runs."""
     return [r.getMessage() for r in caplog.records
-            if r.name == "genstruct" and r.funcName == "generic_build"]
+            if r.name == "genstruct" and r.funcName == "generic_steps"]
 
 
 def test_debug_log_streams_graph_build_steps(tmp_path: Path, caplog):

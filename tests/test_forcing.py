@@ -4,12 +4,13 @@ from random import Random
 
 import pytest
 
-from genstruct.classes import NotInClass, chain_of, chain_structure
+from genstruct.classes import NotInClass, TAGS, chain_of, chain_structure
 from genstruct.forcing import (
     Condition,
     CrossingSpec,
     DeltaSystem,
     DenseRequirement,
+    GenericChain,
     IsomorphismTypeMismatch,
     SAPRequired,
     TagMismatch,
@@ -22,6 +23,7 @@ from genstruct.forcing import (
     empty_condition,
     extension_requirement,
     generic_build,
+    generic_steps,
     knaster_trim,
     meet,
     point_requirement,
@@ -33,7 +35,9 @@ from genstruct.structures import (
     ORDER_SIG,
     StructureError,
     inclusion_embedding,
+    induced_substructure,
     make_embedding,
+    used_rows,
     validate_structure,
 )
 
@@ -244,13 +248,19 @@ def test_extension_requirement_needs_strong_amalgamation():
 # --- the generic builder -----------------------------------------------------------
 
 
+def step_conditions(start, schedule, *args):
+    """The start condition, then the condition of each step of the loop."""
+    return [start, *(row[3] for row in generic_steps(start, schedule, *args))]
+
+
 def test_generic_build_zero_steps():
     chain = generic_build(empty_condition("Graph"), [point_requirement(0)], 0, seed=1)
-    assert len(chain.steps) == 1
+    assert chain.log == () and not list(generic_steps(empty_condition("Graph"), [point_requirement(0)], 0, 1))
     assert len(chain.final.universe) == 0
     # An empty schedule runs no step, whatever the budget.
     for steps in (None, 5):
-        assert generic_build(empty_condition("Graph"), [], steps).steps == (empty_condition("Graph"),)
+        assert generic_build(empty_condition("Graph"), [], steps) == GenericChain(empty_condition("Graph"), ())
+        assert not list(generic_steps(empty_condition("Graph"), [], steps))
 
 
 def _extension_schedule_upto2(tag, n):
@@ -286,15 +296,39 @@ def test_generic_order_densifies_named_points():
 def test_chain_monotone_and_requirements_permanent():
     schedule = [point_requirement(m) for m in range(3)]
     schedule += _extension_schedule_upto2("Graph", 3)
-    chain = generic_build(empty_condition("Graph"), schedule, 4 * len(schedule), seed=9)
-    for a, b in zip(chain.steps, chain.steps[1:]):
+    steps = step_conditions(empty_condition("Graph"), schedule, 4 * len(schedule), 9)
+    for a, b in zip(steps, steps[1:]):
         assert stronger(b, a)
     previous = [False] * len(schedule)
-    for step in chain.steps:
+    for step in steps:
         current = [req.satisfied(step) for req in schedule]
         for before, now in zip(previous, current):
             assert not (before and not now), "satisfaction must be upward closed"
         previous = current
+
+
+# Ground-set sizes of the builds below, with the CLI's extension size 3.
+RESTRICTION_SIZES = {"Graph": 5, "Tournament": 5, "Digraph": 2, "PartialOrder": 4,
+                     "RationalMetric": 2, "LinearOrder": 12, "LinearGraph": 10}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("tag", TAGS)
+def test_each_step_is_the_final_condition_restricted(tag, seed):
+    """Why a build keeps only its last condition: each step's universe is
+    the points added so far, and the final condition restricted to them is
+    that step's condition.  Metric steps are unpadded, so compare rows."""
+    from genstruct.cli import default_schedule
+
+    start = empty_condition(tag)
+    rows = list(generic_steps(start, default_schedule(tag, RESTRICTION_SIZES[tag], 3), None, seed))
+    final = rows[-1][3]
+    assert any(added for _, _, added, _ in rows)
+    universe = set(start.universe)
+    for _, _, added, step in rows:
+        universe.update(added)
+        assert step.universe == universe
+        assert used_rows(induced_substructure(final.structure, universe)) == used_rows(step.structure)
 
 
 def test_generic_build_determinism():

@@ -19,7 +19,10 @@ The oracles below are the earlier implementations:
 - `extension_requirement` then made two closures per injection, which
   asked `extension_by_rows` about their own pins (each schedule entry was
   one), where a family record now answers from one table.
-The current code must return equal conditions, chains and exceptions.
+The oracle builders return the condition after each step, from the
+start on, and the log rows; `generic_steps` must yield the same, and
+`generic_build` its last condition and the log.  The current code must
+return equal conditions, chains and exceptions.
 """
 
 from argparse import Namespace
@@ -75,6 +78,7 @@ from genstruct.forcing import (
     empty_condition,
     extension_requirement,
     generic_build,
+    generic_steps,
     knaster_trim,
     meet,
     point_requirement,
@@ -248,7 +252,7 @@ def oracle_generic_build(start, schedule, steps=None, seed=0, order=None):
             if not grew_this_pass and all(r.satisfied(current) for r in schedule):
                 break
             grew_this_pass = False
-    return GenericChain(tuple(chain), tuple(log))
+    return chain, log
 
 
 def oracle_two_pass_build(start, schedule, steps=None, seed=0, order=None):
@@ -275,7 +279,20 @@ def oracle_two_pass_build(start, schedule, steps=None, seed=0, order=None):
             if not grew_this_pass:
                 break
             grew_this_pass = False
-    return GenericChain(tuple(chain), tuple(log))
+    return chain, log
+
+
+def loop_chain(start, schedule, steps=None, seed=0, order=None):
+    """The conditions of `generic_steps`, from the start on, and its log
+    rows: what the oracle builders return."""
+    rows = list(generic_steps(start, schedule, steps, seed, order))
+    return [start, *(row[3] for row in rows)], [row[:3] for row in rows]
+
+
+def as_build(chain_and_log):
+    """What `generic_build` keeps of an oracle build: the last condition and the log."""
+    chain, log = chain_and_log
+    return GenericChain(chain[-1], tuple(log))
 
 
 def oracle_positions(c):
@@ -570,8 +587,9 @@ def test_generic_build_matches_full_recheck_oracle(tag, n, steps, seed, data):
         ext_size = data.draw(st.integers(1, 3 if n <= 3 else 2))
         schedule = list(class_schedule(tag, n, ext_size))
         start, order = empty_condition(tag), None
-    got = generic_build(start, schedule, steps, seed, order)
-    assert got == oracle_generic_build(start, schedule, steps, seed, order)
+    want = oracle_generic_build(start, schedule, steps, seed, order)
+    assert loop_chain(start, schedule, steps, seed, order) == want
+    assert generic_build(start, schedule, steps, seed, order) == as_build(want)
 
 
 # (n, ext_size) per built-in class: small enough to build in well under a
@@ -597,17 +615,19 @@ def test_generic_build_matches_two_pass_oracle(tag):
     # into the pass that is no longer met, and a budget past both passes.
     for steps in (None, size - 1, size + 1, size + 3, 3 * size):
         for seed in range(3):
-            got = generic_build(start, schedule, steps, seed, order)
             want = oracle_two_pass_build(start, schedule, steps, seed, order)
-            assert got == want, (steps, seed)
-            assert len(got.log) == (2 * size if steps is None else min(steps, 2 * size))
-            # The rows written without meeting hold the final condition itself.
-            assert all(c is got.final for c in got.steps[size + 1:])
+            chain, log = loop_chain(start, schedule, steps, seed, order)
+            assert (chain, log) == want, (steps, seed)
+            assert generic_build(start, schedule, steps, seed, order) == as_build(want), (steps, seed)
+            assert len(log) == (2 * size if steps is None else min(steps, 2 * size))
+            # The steps yielded without meeting hold the final condition itself.
+            assert all(c is chain[-1] for c in chain[size + 1:])
     # From a condition that meets the whole schedule, the first pass is
     # quiet and ends the build.
     done = generic_build(start, schedule, None, 0, order).final
     quiet = generic_build(done, schedule, None, 0, order)
-    assert quiet == oracle_two_pass_build(done, schedule, None, 0, order)
+    want = oracle_two_pass_build(done, schedule, None, 0, order)
+    assert loop_chain(done, schedule, None, 0, order) == want and quiet == as_build(want)
     assert len(quiet.log) == size and all(row[2] == () for row in quiet.log)
 
 
@@ -631,7 +651,7 @@ def test_verify_reports_a_requirement_that_is_not_upward_closed(monkeypatch):
     assert [row[2] for row in chain.log] == [(0,), (5,), (), ()]
     assert chain.final.universe == {0, 5} and not odd.satisfied(chain.final)
     # The two-pass loop met ODD again and ended on three points.
-    assert oracle_two_pass_build(start, schedule).final.universe == {0, 1, 5}
+    assert oracle_two_pass_build(start, schedule)[0][-1].universe == {0, 1, 5}
     monkeypatch.setattr("genstruct.cli.default_schedule", lambda tag, n, ext_size: schedule)
     args = Namespace(tag="Graph", n=0, ext_size=0, steps=None, seed=0, verify=True)
     payload, problems = _build_generic(args)
@@ -686,8 +706,7 @@ def test_amalgamate_partial_automorphisms_matches_fraction_oracle(p1, data):
 
 def test_oracles_agree_on_a_build():
     """The slot oracle matches at every point of every condition of a build."""
-    chain = generic_build(empty_aut_condition(), default_aut_schedule(8), None, 3, aut_stronger)
-    for c in chain.steps:
+    for c in loop_chain(empty_aut_condition(), default_aut_schedule(8), None, 3, aut_stronger)[0]:
         for x in c.chain:
             assert _grow_forward(c, x) == oracle_grow_forward(c, x)
             assert _grow_backward(c, x) == oracle_grow_backward(c, x)
@@ -718,7 +737,7 @@ def test_extension_verdicts_match_pinned_search_oracle(tag, n, seed):
     reqs = schedule[n:]  # after the point requirements
     assert [r.name for r in reqs] == [extension_requirement(i, f, tag).name for i, f in cases]
     seen = set()
-    for p in dict.fromkeys(generic_build(empty_condition(tag), list(schedule), seed=seed).steps):
+    for p in dict.fromkeys(loop_chain(empty_condition(tag), list(schedule), seed=seed)[0]):
         for (i, f), req in zip(cases, reqs):
             verdict = req.satisfied(p)
             assert verdict == oracle_extension_satisfied(i, f, tag, p), (req.name, p)
@@ -768,7 +787,7 @@ def test_extension_records_match_closure_oracle(tag, n, monkeypatch):
         members.setdefault(r.family, []).append((r, o))
     conditions = {}
     for seed in range(4):
-        conditions.update(dict.fromkeys(generic_build(empty_condition(tag), list(schedule), seed=seed).steps))
+        conditions.update(dict.fromkeys(loop_chain(empty_condition(tag), list(schedule), seed=seed)[0]))
     # Equal universes side by side: a table kept by anything but the
     # structure itself answers the wrong condition.
     failed = 0

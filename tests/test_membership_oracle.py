@@ -20,12 +20,15 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genstruct import classes, forcing
 from genstruct.classes import (
     SPECS,
     TAGS,
     _is_digraph,
+    _is_linear_order,
     _is_metric,
     chain_structure,
+    check_property,
     class_spec,
     enumerate_members,
     membership,
@@ -38,6 +41,7 @@ from genstruct.structures import (
     FinStructure,
     Signature,
     SignatureMismatch,
+    StructureError,
     dumps,
     is_partial_embedding,
     validate_structure,
@@ -320,13 +324,53 @@ def test_membership_decides_each_tag_once(monkeypatch):
 
 
 def test_verdicts_stay_out_of_equality_hash_json_and_pickle():
-    a, fresh = chain_structure([2, 0, 1]), chain_structure([2, 0, 1])
+    a = chain_structure([2, 0, 1])
+    fresh = fresh_copy(a)
     assert membership("LinearOrder", a) and membership("PartialOrder", a)
     assert a.verdicts == {"LinearOrder": True, "PartialOrder": True}
     assert "verdicts" not in fresh.__dict__
     assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
     assert dumps(a) == dumps(fresh) and pickle.dumps(a) == pickle.dumps(fresh)
     assert set(fresh_copy(a).__dict__) == {"sig", "universe", "interp"}
+
+
+def test_seeded_linear_order_verdicts_match_the_pair_check(monkeypatch):
+    """`chain_structure` seeds LinearOrder's verdict for a repeat-free seq.
+    On every structure it makes in LinearOrder builds at seeds 0-3, in the
+    members of up to 5 points and in the AP and SAP sweeps at bound 5, the
+    pair check on a copy without cached views agrees and finds the same
+    chain."""
+    from genstruct.cli import default_schedule
+
+    made = []
+
+    def recording(seq):
+        made.append(chain_structure(seq))
+        return made[-1]
+
+    for module in (classes, forcing):
+        monkeypatch.setattr(module, "chain_structure", recording)
+    monkeypatch.setattr(classes, "_MEMBER_CACHE", {})
+    for seed in range(4):
+        forcing.generic_build(forcing.empty_condition("LinearOrder"), default_schedule("LinearOrder", 12, 3), seed=seed)
+    built = len(made)
+    for size in range(6):
+        enumerate_members("LinearOrder", size)
+    enumerated = len(made)
+    assert all(check_property("LinearOrder", prop, 5).holds for prop in ("AP", "SAP"))
+    assert 0 < built < enumerated < len(made)
+    for a in made:
+        plain = fresh_copy(a)
+        assert a.verdicts == {"LinearOrder": True} and _is_linear_order(plain), a
+        assert plain.chain == a.chain
+
+
+def test_a_repeated_seq_is_not_seeded_and_not_a_linear_order():
+    a = chain_structure([0, 1, 0])
+    assert "verdicts" not in a.__dict__ and "chain" not in a.__dict__
+    assert not membership("LinearOrder", a) and not _is_linear_order(fresh_copy(a))
+    with pytest.raises(StructureError):
+        forcing.Condition("LinearOrder", chain_structure([2, 1, 2]))
 
 
 # --- raw structures ------------------------------------------------------------
