@@ -6,12 +6,11 @@ to build a prefix whose map has a cofinal and coinitial orbit.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from random import Random
 from types import MappingProxyType
 
-from genstruct.forcing import DenseRequirement, delta_system, generic_steps
+from genstruct.forcing import DenseRequirement, delta_group, generic_steps
 from genstruct.structures import (
     StructureError,
     _cached_view,
@@ -210,16 +209,15 @@ def amalgamate_partial_automorphisms(
 # --- orbit extension machinery -------------------------------------------------
 
 
-def _slot(n: int, lo: int, hi: int, forward: bool) -> int:
+def _slot(n: int, lo: int, hi: int) -> int:
     """Insertion index of a fresh point strictly between chain indices
     lo < hi (either may lie just outside the chain of n elements).
 
-    Tries the midpoint, then k/(k+1) of the gap (forward) or 1/(k+1)
-    (backward), skipping spots that land on an element; at most n+3
-    candidates are ever needed."""
+    Tries k/(k+1) of the gap for k = 1, 2, ... (the midpoint first),
+    skipping spots that land on an element; at most n+3 candidates are
+    ever needed."""
     for k in range(1, n + 4):
-        num, den = (1, 2) if k == 1 else (k, k + 1) if forward else (1, k + 1)
-        steps, rest = divmod((hi - lo) * num, den)
+        steps, rest = divmod((hi - lo) * k, k + 1)
         if rest or not 0 <= lo + steps < n:
             return min(n, max(0, lo + steps + (rest > 0)))
     raise StructureError("no admissible position found")
@@ -237,25 +235,23 @@ def _grow_forward(c: AutCondition, src: int) -> tuple[AutCondition, int]:
     new_id = fresh_ids(c.universe, 1)[0]
     phi[src] = new_id
     chain = list(c.chain)
-    chain.insert(_slot(len(chain), lo, hi, True), new_id)
+    chain.insert(_slot(len(chain), lo, hi), new_id)
     return AutCondition(tuple(chain), tuple(sorted(phi.items()))), new_id
+
+
+def _mirror(c: AutCondition) -> AutCondition:
+    """c with its chain reversed and phi inverted, again a condition: images
+    and preimages trade places."""
+    return AutCondition(c.chain[::-1], tuple(sorted((y, x) for x, y in c.phi)))
 
 
 def _grow_backward(c: AutCondition, tgt: int) -> tuple[AutCondition, int]:
-    """Define the inverse at tgt, placing a fresh preimage point."""
-    inv = c.inv_dict()
-    if tgt in inv:
-        return c, inv[tgt]
-    phi = c.phi_dict()
-    pos = c.positions
-    q = pos[tgt]
-    hi = min([q] + [pos[x] for x, y in phi.items() if pos[y] > q])
-    lo = max([pos[x] for x, y in phi.items() if pos[y] < q], default=hi - 2)
-    new_id = fresh_ids(c.universe, 1)[0]
-    phi[new_id] = tgt
-    chain = list(c.chain)
-    chain.insert(_slot(len(chain), lo, hi, False), new_id)
-    return AutCondition(tuple(chain), tuple(sorted(phi.items()))), new_id
+    """Define the inverse at tgt, placing a fresh preimage point:
+    `_grow_forward` in the mirror."""
+    if tgt in c.inv_map:
+        return c, c.inv_map[tgt]
+    grown, new_id = _grow_forward(_mirror(c), tgt)
+    return _mirror(grown), new_id
 
 
 def orbit_straddles(c: AutCondition, alpha0: int, beta: int) -> bool:
@@ -284,16 +280,8 @@ def orbit_requirement_meet(p: AutCondition, alpha0: int, beta: int, rng: Random 
         p = _with_point(p, m, rng)
     guard = 0
     while not orbit_straddles(p, alpha0, beta):
-        fwd = alpha0
-        phi = p.phi_map
-        while fwd in phi:
-            fwd = phi[fwd]
-        p, _ = _grow_forward(p, fwd)
-        bwd = alpha0
-        inv = p.inv_map
-        while bwd in inv:
-            bwd = inv[bwd]
-        p, _ = _grow_backward(p, bwd)
+        p, _ = _grow_forward(p, next(x for x in orbit_of(p, alpha0) if x not in p.phi_map))
+        p, _ = _grow_backward(p, next(x for x in orbit_of(p, alpha0) if x not in p.inv_map))
         guard += 1
         if guard > 4 * len(p.chain) + 8:
             raise StructureError("orbit extension failed to make progress")
@@ -415,30 +403,17 @@ def build_automorphic_order(
 
 
 def equivariant_delta_trim(family: list[AutCondition]) -> tuple[frozenset[int], list[AutCondition]]:
-    """Sunflower extraction keeping only members whose maps fix the root
-    setwise in both directions and agree on it."""
-    if not family:
-        raise StructureError("family must be nonempty")
-    ds = delta_system([c.universe for c in family])
-    root = ds.root
-    picked = [family[i] for i in ds.members]
-    closed = []
-    for c in picked:
+    """`forcing.delta_group` over the members whose maps fix the root setwise
+    in both directions, grouped by their chain and phi pairs on the root."""
+
+    def closed(c: AutCondition, root: frozenset[int]) -> bool:
         phi, inv = c.phi_map, c.inv_map
-        if all(phi[r] in root for r in root if r in phi) and all(
-            inv[r] in root for r in root if r in inv
-        ):
-            closed.append(c)
-    if not closed:
-        return root, []
+        return all(phi[r] in root for r in root if r in phi) and all(inv[r] in root for r in root if r in inv)
 
-    def key(c: AutCondition):
-        induced = tuple(x for x in c.chain if x in root)
-        restricted = tuple(sorted((x, y) for x, y in c.phi if x in root and y in root))
-        return (induced, restricted)
+    def key(c: AutCondition, root: frozenset[int]):
+        return tuple(x for x in c.chain if x in root), tuple(sorted((x, y) for x, y in c.phi if x in root and y in root))
 
-    best = Counter(map(key, closed)).most_common(1)[0][0]
-    return root, [c for c in closed if key(c) == best]
+    return delta_group(family, key, closed)
 
 
 def aut_to_json_dict(c: AutCondition) -> dict:

@@ -15,6 +15,7 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from random import Random
 from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
@@ -455,24 +456,28 @@ def delta_system(family: list[frozenset[int] | set[int]]) -> DeltaSystem:
     """Greedy extraction of a sunflower-style subfamily.
 
     Every pair of selected sets intersects exactly in the root.  Candidate
-    roots are the subsets of the family's sets, tried by descending
-    containment count; within a root, sets are taken first come first
-    served when their non-root parts stay pairwise disjoint.  A family of
-    at least two sets gives at least two members (the intersection of two
-    sets is a candidate root), and more than k!(p-1)^k distinct k-sets give
-    at least p (Erdős and Rado, J. London Math. Soc. 35, 1960): each root's
+    roots are tried by descending containment count, larger roots first on
+    ties; within a root, sets are taken first come first served when their
+    non-root parts stay pairwise disjoint.  A family of at least two sets
+    gives at least two members (the intersection of two sets is a
+    candidate root), and more than k!(p-1)^k distinct k-sets give at least
+    p (Erdős and Rado, J. London Math. Soc. 35, 1960): each root's
     first-come selection is maximal, which is all their recursion needs.
+
+    Only roots that can win are tried.  A root selecting two sets is their
+    intersection, their petals being disjoint; a root selecting one set
+    wins only in a family of one set, which is then the root.  So the
+    candidates are the intersections of two distinct sets and the distinct
+    sets themselves: for d distinct sets, O(d^2) candidates, each counted
+    over the d sets with their multiplicities.  Ranking every subset of
+    every set, 2^|s| per set, would pick the same root.
     """
     sets = [frozenset(s) for s in family]
     if not sets:
         raise StructureError("family must be nonempty")
-    counts: Counter[frozenset[int]] = Counter()
-    for s in sets:
-        elems = sorted(s)
-        for mask in range(1 << len(elems)):
-            counts[frozenset(elems[j] for j in range(len(elems)) if mask >> j & 1)] += 1
-    # Ties on containment count prefer the larger root, so a family of
-    # identical sets reports the set itself.
+    mult = Counter(sets)
+    candidates = {s & t for s, t in combinations(mult, 2)}.union(mult)
+    counts = {r: sum(k for s, k in mult.items() if r <= s) for r in candidates}
     ordered = sorted(
         counts, key=lambda r: (-counts[r], -len(r), tuple(sorted(r)))
     )
@@ -490,6 +495,22 @@ def delta_system(family: list[frozenset[int] | set[int]]) -> DeltaSystem:
         if len(chosen) > len(best_members):
             best_root, best_members = root, tuple(chosen)
     return DeltaSystem(best_root, best_members)
+
+
+def delta_group(family: list[C], key: Callable[[C, frozenset[int]], object],
+                keep: Callable[[C, frozenset[int]], bool] = lambda c, root: True) -> tuple[frozenset[int], list[C]]:
+    """The Δ-system step of a Knaster argument, for conditions with a `universe`.
+
+    `delta_system` of the universes gives a root and its members; of the
+    members that `keep(c, root)` admits, the largest group with one
+    `key(c, root)` is returned with the root, the first such group on ties
+    and none when no member is kept.
+    """
+    ds = delta_system([c.universe for c in family])
+    kept = [family[i] for i in ds.members if keep(family[i], ds.root)]
+    keys = [key(c, ds.root) for c in kept]
+    best = max(keys, key=keys.count, default=None)
+    return ds.root, [c for c, k in zip(kept, keys) if k == best]
 
 
 # --- proof-step amalgamations -------------------------------------------------
@@ -607,10 +628,10 @@ def strongly_dense_check(e_set: set[int] | frozenset[int], poset: FinStructure) 
 def knaster_trim(conditions: list[Condition]) -> list[Condition]:
     """Extract a pairwise compatible subfamily of same-tag conditions.
 
-    Runs the sunflower extraction on the universes, keeps the largest
-    group with one induced root structure, then certifies compatibility
-    of every pair through common_extension.  Only meaningful for classes
-    with strong amalgamation.
+    `delta_group` keeps the largest group of Δ-system members with one
+    induced root structure; every pair of it is then certified compatible
+    through common_extension.  Only meaningful for classes with strong
+    amalgamation.
     """
     if not conditions:
         raise StructureError("need at least one condition")
@@ -619,12 +640,7 @@ def knaster_trim(conditions: list[Condition]) -> list[Condition]:
         raise TagMismatch("mixed class tags")
     if not class_spec(tag).sap:
         raise SAPRequired(f"{tag} lacks strong amalgamation")
-    ds = delta_system([c.universe for c in conditions])
-    picked = [conditions[i] for i in ds.members]
-
-    keys = [used_rows(induced_substructure(c.structure, ds.root)) for c in picked]
-    best_key = Counter(keys).most_common(1)[0][0]
-    group = [c for c, k in zip(picked, keys) if k == best_key]
+    _, group = delta_group(conditions, lambda c, root: used_rows(induced_substructure(c.structure, root)))
     for i, a in enumerate(group):
         for b in group[i + 1:]:
             if common_extension(a, b) is None:

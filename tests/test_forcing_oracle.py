@@ -18,7 +18,10 @@ The oracles below are the earlier implementations:
   partial maps with the tuple scan `is_partial_embedding`;
 - `extension_requirement` then made two closures per injection, which
   asked `extension_by_rows` about their own pins (each schedule entry was
-  one), where a family record now answers from one table.
+  one), where a family record now answers from one table;
+- `delta_system` ranked every subset of every set as a candidate root
+  (`oracle_delta_system`), where only the pairwise intersections and the
+  sets themselves can win.
 The oracle builders return the condition after each step, from the
 start on, and the log rows; `generic_steps` must yield the same, and
 `generic_build` its last condition and the log.  The current code must
@@ -44,8 +47,10 @@ from genstruct.autorder import (
     _grow_forward,
     amalgamate_partial_automorphisms,
     aut_stronger,
+    build_automorphic_order,
     default_aut_schedule,
     empty_aut_condition,
+    equivariant_delta_trim,
     make_aut_condition,
     orbit_of,
 )
@@ -62,6 +67,7 @@ from genstruct.classes import (
 from genstruct.cli import _build_generic, default_schedule, schedule_length
 from genstruct.forcing import (
     Condition,
+    DeltaSystem,
     DenseRequirement,
     ExtensionFamily,
     ExtensionRequirement,
@@ -969,3 +975,128 @@ def test_stronger_matches_padded_copies_in_every_class(tag, data):
     for p in (Condition(tag, padded(draw, tag, part)), Condition(tag, padded(draw, tag, other))):
         assert stronger(q, p) == oracle_stronger(q, p)
         assert stronger(p, q) == oracle_stronger(p, q)
+
+
+# --- Δ-systems from pairwise intersections ---------------------------------------
+
+
+def oracle_delta_system(family):
+    """`delta_system` ranking every subset of every set as a candidate root."""
+    sets = [frozenset(s) for s in family]
+    if not sets:
+        raise StructureError("family must be nonempty")
+    counts = Counter()
+    for s in sets:
+        elems = sorted(s)
+        for mask in range(1 << len(elems)):
+            counts[frozenset(elems[j] for j in range(len(elems)) if mask >> j & 1)] += 1
+    ordered = sorted(counts, key=lambda r: (-counts[r], -len(r), tuple(sorted(r))))
+    best_root, best_members = frozenset(), ()
+    for root in ordered:
+        if counts[root] <= len(best_members):
+            break
+        chosen, used = [], set()
+        for idx, s in enumerate(sets):
+            if root <= s and not (s - root) & used:
+                chosen.append(idx)
+                used |= s - root
+        if len(chosen) > len(best_members):
+            best_root, best_members = root, tuple(chosen)
+    return DeltaSystem(best_root, best_members)
+
+
+def test_delta_system_matches_subset_census_oracle_on_random_families():
+    """1-40 sets over at most 10 points, the empty set and repeats included."""
+    rng = Random(39)
+    shapes = set()
+    for _ in range(3000):
+        points = rng.randrange(11)
+        family = []
+        for _ in range(rng.randrange(1, 41)):
+            if family and rng.random() < 0.2:
+                family.append(rng.choice(family))
+            else:
+                family.append({x for x in range(points) if rng.random() < rng.random()})
+        ds = delta_system(family)
+        assert ds == oracle_delta_system(family), family
+        shapes.add((len(ds.members), len(ds.root) > 0, frozenset() in map(frozenset, family)))
+    assert {(1, True, False), (2, False, True), (2, True, False)} <= shapes
+    assert max(size for size, _, _ in shapes) >= 10
+
+
+def test_delta_system_matches_subset_census_oracle_on_every_family_of_nine_pairs():
+    pairs = [frozenset(t) for t in combinations(range(6), 2)]
+    for family in combinations(pairs, 9):
+        assert delta_system(family) == oracle_delta_system(family)
+
+
+def shuffled(c, rng, ground):
+    """c renamed by a seeded injection into range(ground)."""
+    h = dict(zip(sorted(c.universe), rng.sample(range(ground), len(c.universe))))
+    if isinstance(c, AutCondition):
+        return AutCondition(tuple(h[x] for x in c.chain), tuple(sorted((h[x], h[y]) for x, y in c.phi)))
+    return Condition(c.tag, relabel(c.structure, h))
+
+
+def part(c, rng):
+    """c restricted to a seeded random part of its universe."""
+    keep = {x for x in c.universe if rng.random() < 0.7}
+    if isinstance(c, AutCondition):
+        return AutCondition(tuple(x for x in c.chain if x in keep), tuple((x, y) for x, y in c.phi if {x, y} <= keep))
+    return Condition(c.tag, induced_substructure(c.structure, keep))
+
+
+def built_families(finals, ground):
+    """The finals of builds, as they are, renamed into a common ground of
+    `ground` points, half of them renamed there, and parts of the first,
+    which agree wherever they meet."""
+    rng = Random(len(finals))
+    yield finals
+    yield [shuffled(c, rng, ground) for c in finals]
+    yield [shuffled(c, rng, ground) if i % 2 else c for i, c in enumerate(finals)]
+    yield [part(finals[0], rng) for _ in finals]
+
+
+@cache
+def graph_finals(n):
+    return tuple(generic_build(empty_condition("Graph"), default_schedule("Graph", n, 3), None, seed).final
+                 for seed in range(6))
+
+
+def test_knaster_trim_matches_subset_census_oracle_on_built_graphs(monkeypatch):
+    """The finals of Graph --n 8 builds (12-14 points), seeds 0-5."""
+    finals = list(graph_finals(8))
+    assert {len(c.universe) for c in finals} <= set(range(12, 15))
+    families = list(built_families(finals, 16))
+    got = [outcome_text(knaster_trim, family) for family in families]
+    monkeypatch.setattr(forcing, "delta_system", oracle_delta_system)
+    assert got == [outcome_text(knaster_trim, family) for family in families]
+    assert got[0] and all(isinstance(g, list) for g in got)
+
+
+def test_equivariant_delta_trim_matches_subset_census_oracle_on_built_orders(monkeypatch):
+    """The finals of AutOrder n=4-6 builds (11-15 points), seeds 0-5."""
+    finals = [build_automorphic_order(n, None, seed)[0] for n in (4, 5, 6) for seed in range(6)]
+    assert {len(c.universe) for c in finals} <= set(range(11, 16))
+    families = [family for n in range(3) for family in built_families(finals[6 * n:6 * n + 6], 16)]
+    got = [equivariant_delta_trim(family) for family in families]
+    monkeypatch.setattr(forcing, "delta_system", oracle_delta_system)
+    assert got == [equivariant_delta_trim(family) for family in families]
+    assert any(kept for _, kept in got) and any(not kept for _, kept in got)
+
+
+# Recorded with the all-subsets ranking before it left `src/` (at --n 16 with a
+# copy of it on bit masks, which fits in memory), on the finals of six
+# `build --class Graph --n <n> --ext-size 3` runs, seeds 0-5.
+KNASTER_PINS = {
+    12: (frozenset(range(17)), (0, 1, 3, 4), [0]),
+    16: (frozenset(range(19)), (0, 3, 5), [0]),
+}
+
+
+@pytest.mark.parametrize("n", sorted(KNASTER_PINS))
+def test_knaster_trim_group_on_built_graphs_is_pinned(n):
+    finals = graph_finals(n)
+    root, members, group = KNASTER_PINS[n]
+    assert delta_system([c.universe for c in finals]) == DeltaSystem(root, members)
+    assert knaster_trim(list(finals)) == [finals[i] for i in group]
