@@ -19,7 +19,7 @@ from genstruct.structures import (
     fresh_ids,
     from_json_dict,
 )
-from genstruct.classes import chain_of
+from genstruct.classes import chain_of, membership
 
 
 class SameOrbit(StructureError):
@@ -136,19 +136,17 @@ def aut_stronger(q: AutCondition, p: AutCondition) -> bool:
     return induced == p.chain and set(p.phi) <= set(q.phi)
 
 
+def _walk(step: MappingProxyType, x: int) -> list[int]:
+    """x and its images under the map `step`, in order, up to one end of x's orbit."""
+    out = [x]
+    while out[-1] in step:
+        out.append(step[out[-1]])
+    return out
+
+
 def orbit_of(c: AutCondition, x: int) -> frozenset[int]:
-    """The connected orbit of x under the partial map (both directions)."""
-    phi, inv = c.phi_map, c.inv_map
-    out = {x}
-    cur = x
-    while cur in phi:
-        cur = phi[cur]
-        out.add(cur)
-    cur = x
-    while cur in inv:
-        cur = inv[cur]
-        out.add(cur)
-    return frozenset(out)
+    """The connected orbit of x: its walks along phi and along phi's inverse."""
+    return frozenset(_walk(c.phi_map, x)).union(_walk(c.inv_map, x))
 
 
 # --- amalgamation of isomorphic extensions ------------------------------------
@@ -272,20 +270,20 @@ def orbit_straddles(c: AutCondition, alpha0: int, beta: int) -> bool:
 def orbit_requirement_meet(p: AutCondition, alpha0: int, beta: int, rng: Random | None = None) -> AutCondition:
     """Extend p until the orbit of alpha0 passes beta on both sides.
 
-    Walks the existing orbit first, then grows fresh points one chain slot
-    at a time; every forward step passes at least one existing
-    element, so the loop is linear in the universe size.
+    Walks the existing orbit once to its two ends, then grows a fresh point
+    past each end per step and carries the new ends.  Every forward step
+    passes at least one existing element, so the steps are bounded by the
+    starting size n: past 4n + 9 of them the extension has stalled.
     """
     for m in (alpha0, beta):
         p = _with_point(p, m, rng)
-    guard = 0
-    while not orbit_straddles(p, alpha0, beta):
-        p, _ = _grow_forward(p, next(x for x in orbit_of(p, alpha0) if x not in p.phi_map))
-        p, _ = _grow_backward(p, next(x for x in orbit_of(p, alpha0) if x not in p.inv_map))
-        guard += 1
-        if guard > 4 * len(p.chain) + 8:
-            raise StructureError("orbit extension failed to make progress")
-    return p
+    top, bottom = _walk(p.phi_map, alpha0)[-1], _walk(p.inv_map, alpha0)[-1]
+    for _ in range(4 * len(p.chain) + 9):
+        if orbit_straddles(p, alpha0, beta):
+            return p
+        p, top = _grow_forward(p, top)
+        p, bottom = _grow_backward(p, bottom)
+    raise StructureError("orbit extension failed to make progress")
 
 
 # --- dense requirements and the builder ----------------------------------------
@@ -383,7 +381,9 @@ def build_automorphic_order(
     A requirement's `met_at` is the first step after which it held, or -1.
     Satisfaction is upward closed along the build, so it is found by
     bisection over the distinct conditions of the build's steps, each
-    kept with the first step that held it.
+    kept with the first step that held it.  The seed matters only when
+    alpha0 >= n: otherwise growth names each ground element before its
+    point requirement, and the one random draw is on the empty chain.
     """
     if alpha0 < 0:
         raise StructureError("alpha0 must be nonnegative")
@@ -424,10 +424,12 @@ def aut_to_json_dict(c: AutCondition) -> dict:
 
 
 def aut_from_json_dict(data: dict) -> AutCondition:
-    """`from_json_dict` of the order plus phi, a list of [x, y] pairs of
-    ints (none if the key is missing); phi of another JSON type raises
-    StructureError."""
+    """`from_json_dict` of a linear order plus phi, a list of [x, y] pairs
+    of ints (none if the key is missing); an order that is not linear or
+    phi of another JSON type raises StructureError."""
     order = from_json_dict(data)
+    if not membership("LinearOrder", order):
+        raise StructureError("< must be a linear order")
     phi = data.get("phi", [])
     if not (isinstance(phi, list) and all(type(t) is list and len(t) == 2 for t in phi)
             and all(type(x) is int for t in phi for x in t)):

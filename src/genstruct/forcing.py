@@ -581,47 +581,37 @@ class DenseVerdict:
     failures: tuple[dict, ...] = ()
 
 
-def strongly_dense_check(e_set: set[int] | frozenset[int], poset: FinStructure) -> DenseVerdict:
-    """Is the set dense for every one- and two-point configuration?
+# The witnesses a strongly dense set needs for an ordered pair (s, t) with s < t
+# and with s, t incomparable: each kind with the witness's relation to s and to t.
+DENSE_WITNESSES = {"<": (("between", (">", "<")),),
+                   "|": (("above_one_skew", (">", "|")), ("below_both", ("<", "<")), ("below_one_skew", ("<", "|")),
+                         ("above_both", (">", ">")), ("skew_both", ("|", "|")))}
 
-    Comparable pairs need a strictly intermediate member of the set;
-    each ordered incomparable pair needs witnesses of all five kinds:
-    above-one-skew, below-both, below-one-skew, above-both, skew-both.
-    A finite poset with any comparable pair always has a covering pair,
-    so nonempty instances can only pass vacuously or fail informatively.
-    """
+
+def strongly_dense_check(e_set: set[int] | frozenset[int], poset: FinStructure) -> DenseVerdict:
+    """Is the set dense for every one- and two-point configuration of the
+    poset, a `PartialOrder` member (NotInClass otherwise)?  Per ordered pair
+    (s, t), one pass over the set without s and t collects how its members
+    lie against s and t; each kind of `DENSE_WITNESSES` that none realizes is
+    a failure.  A finite poset with any comparable pair has a covering pair,
+    so nonempty instances can only pass vacuously or fail informatively."""
     e_set = frozenset(e_set)
     if not e_set <= poset.universe:
         raise ElementOutsideUniverse(sorted(e_set - poset.universe))
+    if not membership("PartialOrder", poset):
+        raise NotInClass("input not in class PartialOrder")
     rel = poset.rel("<")
-    failures: list[dict] = []
 
     def cmp(x: int, y: int) -> str:
-        if (x, y) in rel:
-            return "<"
-        if (y, x) in rel:
-            return ">"
-        return "|"
+        return "<" if (x, y) in rel else ">" if (y, x) in rel else "|"
 
+    failures: list[dict] = []
     elems = poset.sorted_universe()
     for s in elems:
         for t in elems:
-            if s == t:
-                continue
-            if cmp(s, t) == "<":
-                if not any(cmp(s, e) == "<" and cmp(e, t) == "<" for e in sorted(e_set)):
-                    failures.append({"kind": "between", "pair": (s, t)})
-            elif cmp(s, t) == "|" :
-                kinds = {
-                    "above_one_skew": lambda e: cmp(e, s) == ">" and cmp(e, t) == "|",
-                    "below_both": lambda e: cmp(e, s) == "<" and cmp(e, t) == "<",
-                    "below_one_skew": lambda e: cmp(e, s) == "<" and cmp(e, t) == "|",
-                    "above_both": lambda e: cmp(e, s) == ">" and cmp(e, t) == ">",
-                    "skew_both": lambda e: e not in (s, t) and cmp(e, s) == "|" and cmp(e, t) == "|",
-                }
-                for kind, pred in kinds.items():
-                    if not any(pred(e) for e in sorted(e_set)):
-                        failures.append({"kind": kind, "pair": (s, t)})
+            if s != t and (kinds := DENSE_WITNESSES.get(cmp(s, t))):
+                seen = {(cmp(e, s), cmp(e, t)) for e in e_set - {s, t}}
+                failures += ({"kind": kind, "pair": (s, t)} for kind, pattern in kinds if pattern not in seen)
     return DenseVerdict(not failures, tuple(failures))
 
 

@@ -235,12 +235,11 @@ def validate_structure(
 
 
 def _natural_universe(universe: set[int] | frozenset[int]) -> frozenset[int]:
-    """`universe` as a frozenset, checked as `validate_structure` checks it."""
-    universe = frozenset(universe)
+    """`universe` as a frozenset, checked before hashing as `validate_structure` checks it."""
     for x in universe:
         if type(x) is not int or x < 0:
             raise StructureError(f"universe element {x!r} is not a natural number")
-    return universe
+    return frozenset(universe)
 
 
 def used_rows(a: FinStructure) -> frozenset:
@@ -354,33 +353,19 @@ def _check_rows(target: FinStructure, left: FinStructure, source: FinStructure, 
 
 
 def is_partial_embedding(a: FinStructure, b: FinStructure, partial: dict[int, int]) -> bool:
-    """Does `partial` preserve and reflect every tuple of `a` that lies
-    inside its domain?"""
-    images: dict[int, list] = {}  # symbols of one arity share their tuples
+    """Does `partial` preserve and reflect every tuple of `a` inside its domain: is each
+    tuple over the domain in `a` exactly when its image is in `b`?  This scan is also
+    the search's check of symbols of arity 3 or more (`extension_witnesses`)."""
     for name, tuples in a.interp:
-        target_tuples = b.rel(name)
-        arity = a.sig.arity(name)
-        if arity not in images:
-            images[arity] = _image_pairs(partial, arity)
-        for t, mapped in images[arity]:
-            if (t in tuples) != (mapped in target_tuples):
+        target = b.rel(name)
+        for t in product(partial, repeat=a.sig.arity(name)):
+            if (t in tuples) != (tuple(map(partial.__getitem__, t)) in target):
                 return False
     return True
 
 
 # The former private name, kept because perfbench/tracer.py wraps it.
 _is_partial_embedding = is_partial_embedding
-
-
-def _image_pairs(partial: dict[int, int], arity: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every tuple over the domain of `partial`, paired with its image."""
-    items = partial.items()
-    if arity == 2:
-        return [((x, y), (u, v)) for x, u in items for y, v in items]
-    out = [((), ())]
-    for _ in range(arity):
-        out = [(t + (x,), m + (u,)) for t, m in out for x, u in items]
-    return out
 
 
 class Bitsets:
@@ -391,8 +376,8 @@ class Bitsets:
     reverse's; `fixed` masks each unary symbol's points and each binary
     symbol's loops.  `links` pairs each distinct matrix of `rels` with
     itself, as the maps of the structure into itself compare them.
-    Symbols of arity 3 or more (`high`) get a tuple check.  `placements`
-    walks over these rows through `extension_witnesses`.
+    Symbols of arity 3 or more (`high`) have no rows; `is_partial_embedding`
+    checks them.  `placements` walks over the rows through `extension_witnesses`.
     """
 
     __slots__ = ("order", "index", "full", "rels", "links", "fixed", "high", "_colours")
@@ -433,21 +418,11 @@ class Bitsets:
         return self._colours
 
 
-def _consistent_with(a: FinStructure, b: FinStructure, assignment: dict[int, int], x: int, names: tuple) -> bool:
-    """Does `assignment` preserve and reflect every tuple of the symbols
-    `names` of `a` that lies in its domain and passes through `x`?"""
-    for name in names:
-        tuples, target = a.rel(name), b.rel(name)
-        for t in product(assignment, repeat=a.sig.arity(name)):
-            if x in t and (t in tuples) != (tuple(assignment[z] for z in t) in target):
-                return False
-    return True
-
-
 def extension_witnesses(a: FinStructure, b: FinStructure, phi: dict[int, int], x: int, paired=None) -> int:
     """The images y for which `phi` plus x -> y is a partial embedding of `a`
     into `b`, as a mask over `b.bitsets.order`; `phi` must be one, with `x`
-    outside its domain, and `paired` is `_paired(a.sig, b.sig)`."""
+    outside its domain, and `paired` is `_paired(a.sig, b.sig)`.  `is_partial_embedding`
+    checks symbols of arity 3 or more, which have no rows, on each image the rows leave."""
     source, view = a.bitsets, b.bitsets
     index, n, m, mask = view.index, len(view.order), len(source.order), view.full
     i = source.index[x]
@@ -471,7 +446,7 @@ def extension_witnesses(a: FinStructure, b: FinStructure, phi: dict[int, int], x
         mask &= ~(1 << j)
     if view.high:
         return sum(1 << j for j, y in enumerate(view.order)
-                   if mask >> j & 1 and _consistent_with(a, b, {**phi, x: y}, x, view.high))
+                   if mask >> j & 1 and is_partial_embedding(a, b, {**phi, x: y}))
     return mask
 
 
@@ -752,11 +727,11 @@ def dumps(a: FinStructure) -> str:
 def from_json_dict(data: dict) -> FinStructure:
     """The structure a JSON object gives by its keys sig, universe and interp;
     other keys are ignored.  A missing key raises KeyError, and a value of
-    the wrong JSON type StructureError."""
+    the wrong JSON type (a symbol name not a string, an element not an int) StructureError."""
     if not isinstance(data, dict):
         raise StructureError(f"a structure is a JSON object, got {type(data).__name__}")
     sig, universe, interp = data["sig"], data["universe"], data["interp"]
-    if not (isinstance(sig, list) and all(isinstance(s, list) and len(s) == 2 for s in sig)
+    if not (isinstance(sig, list) and all(isinstance(s, list) and len(s) == 2 and type(s[0]) is str for s in sig)
             and isinstance(universe, list) and isinstance(interp, dict)):
         raise StructureError("sig must be a list of [name, arity] pairs, universe a list and interp an object")
     for name, tuples in interp.items():
@@ -764,4 +739,4 @@ def from_json_dict(data: dict) -> FinStructure:
                 and all(type(x) is int for t in tuples for x in t)):
             raise StructureError(f"{name} must be a list of tuples, each a list of ints")
     interp = {name: {tuple(t) for t in tuples} for name, tuples in interp.items()}
-    return validate_structure(Signature(tuple(map(tuple, sig))), set(universe), interp)
+    return validate_structure(Signature(tuple(map(tuple, sig))), universe, interp)

@@ -5,10 +5,14 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genstruct import autorder
 from genstruct.autorder import (
     AutCondition,
     NotIsomorphicExtensions,
     SameOrbit,
+    _grow_backward,
+    _grow_forward,
+    _with_point,
     amalgamate_partial_automorphisms,
     aut_from_json_dict,
     aut_stronger,
@@ -211,6 +215,57 @@ def test_orbit_meet_passes_far_targets():
         assert orbit_requirement_meet(q, alpha0, beta) == q
 
 
+def test_orbit_meet_raises_when_the_orbit_stalls(monkeypatch):
+    # The chain still grows at the bottom end each step, so the bound must not grow with it.
+    monkeypatch.setattr(autorder, "_grow_forward", lambda c, src: (c, src))
+    with pytest.raises(StructureError, match="failed to make progress"):
+        orbit_requirement_meet(make_aut_condition([0, 1], {}), 0, 1)
+
+
+def oracle_orbit_requirement_meet(p, alpha0, beta, rng=None):
+    """The earlier meet: the orbit rebuilt twice per step to find its two ends."""
+    for m in (alpha0, beta):
+        p = _with_point(p, m, rng)
+    guard = 0
+    while not orbit_straddles(p, alpha0, beta):
+        p, _ = _grow_forward(p, next(x for x in oracle_orbit_of(p, alpha0) if x not in p.phi_map))
+        p, _ = _grow_backward(p, next(x for x in oracle_orbit_of(p, alpha0) if x not in p.inv_map))
+        guard += 1
+        if guard > 4 * len(p.chain) + 8:
+            raise StructureError("orbit extension failed to make progress")
+    return p
+
+
+def build_conditions(n, seed):
+    """The distinct conditions of an AutOrder build, from the empty one on."""
+    out = [empty_aut_condition()]
+    for *_, c in generic_steps(out[0], default_aut_schedule(n), None, seed, aut_stronger):
+        if c is not out[-1]:
+            out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [5, 30, 45])
+def test_orbit_walks_match_loop_oracle_on_builds(n, seed):
+    conds = build_conditions(n, seed)
+    assert len(conds) > n  # the build grew
+    for c in conds:
+        for x in c.chain:
+            assert orbit_of(c, x) == oracle_orbit_of(c, x)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [5, 30])
+def test_orbit_meet_matches_rebuilt_orbit_oracle_on_builds(n, seed):
+    for c in build_conditions(n, seed)[::3]:
+        fresh = max(c.chain, default=-1) + 1
+        for alpha0 in (*c.chain[::11], fresh):
+            for beta in (*c.chain[::7], fresh + 1):
+                got = orbit_requirement_meet(c, alpha0, beta, Random(seed))
+                assert got == oracle_orbit_requirement_meet(c, alpha0, beta, Random(seed))
+
+
 # --- the builder ----------------------------------------------------------------------
 
 
@@ -370,7 +425,7 @@ def test_build_rejects_negative_alpha0():
 
 
 def oracle_orbit_of(c, x):
-    """The orbit walked on maps rebuilt from the fields."""
+    """The earlier `orbit_of`, one loop per direction, on maps rebuilt from the fields."""
     phi, inv = dict(c.phi), {y: x for x, y in c.phi}
     out = {x}
     for step in (phi, inv):
@@ -484,12 +539,7 @@ def test_aut_json_round_trip():
 def test_random_walk_of_growth_operations_stays_valid():
     # Interleave point insertions, density splits and both growth
     # directions; the condition must stay valid and keep extending.
-    from genstruct.autorder import (
-        _grow_backward,
-        _grow_forward,
-        aut_between_requirement,
-        aut_point_requirement,
-    )
+    from genstruct.autorder import aut_between_requirement, aut_point_requirement
 
     rng = Random(31)
     for trial in range(30):

@@ -179,7 +179,10 @@ def test_one_parser_serves_every_call(capsys):
 # Structure files that cannot be read as a structure.  Those of the wrong
 # JSON shape were each once a traceback with exit 1 (the code for a failed
 # check) or, for the bool, accepted and echoed; all once left `amalgamate`
-# with exit 4, the code for a precondition violation.
+# with exit 4, the code for a precondition violation.  A list or an object
+# as a symbol name or universe element was hashed before its type was
+# checked, a traceback with exit 1; a number as a name failed later, as a
+# SignatureMismatch.
 MALFORMED = {
     "string arity": '{"sig":[["E","2"]],"universe":[0,1],"interp":{"E":[]}}',
     "universe not a list": '{"sig":[["E",2]],"universe":5,"interp":{"E":[]}}',
@@ -189,6 +192,10 @@ MALFORMED = {
     "bool element": '{"sig":[["E",2]],"universe":[true,0],"interp":{"E":[]}}',
     "bool in a tuple": '{"sig":[["E",2]],"universe":[0,1],"interp":{"E":[[0,true],[true,0]]}}',
     "tuple outside the universe": '{"sig":[["E",2]],"universe":[0,1],"interp":{"E":[[0,2],[2,0]]}}',
+    "list name": '{"sig":[[["E"],2]],"universe":[0,1],"interp":{"E":[]}}',
+    "number name": '{"sig":[[5,2]],"universe":[0,1],"interp":{}}',
+    "list element": '{"sig":[["E",2]],"universe":[[0]],"interp":{"E":[]}}',
+    "object element": '{"sig":[["E",2]],"universe":[{"a":1}],"interp":{"E":[]}}',
 }
 
 
@@ -311,6 +318,20 @@ def test_amalgamate_auto_rejects_a_malformed_phi(tmp_path: Path, capsys, phi):
     assert captured.err == "cannot read input: phi must be a list of [x, y] pairs of ints\n"
     left.write_text(json.dumps(dict(json.loads(dumps(chain_structure([0, 1, 2, 4]))), phi=[[0, 1]])))
     assert run(*argv) == 0
+
+
+@pytest.mark.parametrize("pairs", ([[0, 1]], [[0, 1], [1, 0], [0, 2], [1, 2]]), ids=("not total", "2-cycle"))
+def test_amalgamate_auto_rejects_an_order_that_is_not_linear(tmp_path: Path, capsys, pairs):
+    # The first was once read by in-degree as the chain 0 < 2 < 1, and its
+    # amalgam with a three-point chain held the pair (2, 1).
+    left, right = tmp_path / "l.json", tmp_path / "r.json"
+    left.write_text(json.dumps({"sig": [["<", 2]], "universe": [0, 1, 2], "interp": {"<": pairs}, "phi": []}))
+    right.write_text(json.dumps(dict(json.loads(dumps(chain_structure([0, 1, 2]))), phi=[])))
+    argv = ("amalgamate", "--op", "auto", "--left", str(left), "--right", str(right), "--a", "1", "--b", "2")
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cannot read input: < must be a linear order\n"
 
 
 def test_amalgamate_crossing(tmp_path: Path):

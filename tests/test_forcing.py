@@ -499,6 +499,13 @@ def test_strongly_dense_witness_poset_covers_designated_pair():
     assert any(f["kind"] == "between" for f in verdict.failures)
 
 
+@pytest.mark.parametrize("pairs", [{(0, 0)}, {(0, 1), (1, 0)}], ids=["loop", "2-cycle"])
+def test_strongly_dense_rejects_relations_that_are_not_posets(pairs):
+    relation = validate_structure(ORDER_SIG, {0, 1, 2}, {"<": pairs})
+    with pytest.raises(NotInClass):
+        strongly_dense_check({2}, relation)
+
+
 def test_strongly_dense_trivial_posets_pass():
     assert strongly_dense_check(set(), poset(set(), set())).holds
     assert strongly_dense_check({0}, poset({0}, set())).holds

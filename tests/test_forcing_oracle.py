@@ -21,7 +21,10 @@ The oracles below are the earlier implementations:
   one), where a family record now answers from one table;
 - `delta_system` ranked every subset of every set as a candidate root
   (`oracle_delta_system`), where only the pairwise intersections and the
-  sets themselves can win.
+  sets themselves can win;
+- `strongly_dense_check` built five predicates per incomparable pair and
+  scanned the set once per kind (`oracle_strongly_dense_check`), where one
+  pass now collects the patterns that a table of kinds looks up.
 The oracle builders return the condition after each step, from the
 start on, and the log rows; `generic_steps` must yield the same, and
 `generic_build` its last condition and the log.  The current code must
@@ -88,6 +91,7 @@ from genstruct.forcing import (
     knaster_trim,
     meet,
     point_requirement,
+    strongly_dense_check,
     stronger,
 )
 from genstruct.structures import (
@@ -1100,3 +1104,68 @@ def test_knaster_trim_group_on_built_graphs_is_pinned(n):
     root, members, group = KNASTER_PINS[n]
     assert delta_system([c.universe for c in finals]) == DeltaSystem(root, members)
     assert knaster_trim(list(finals)) == [finals[i] for i in group]
+
+
+# --- strong density from one witness table -----------------------------------------
+
+
+def oracle_strongly_dense_check(e_set, poset):
+    """The earlier check: five predicates per incomparable pair, one scan of the set each."""
+    e_set = frozenset(e_set)
+    if not e_set <= poset.universe:
+        raise forcing.ElementOutsideUniverse(sorted(e_set - poset.universe))
+    rel = poset.rel("<")
+    failures = []
+
+    def cmp(x, y):
+        if (x, y) in rel:
+            return "<"
+        if (y, x) in rel:
+            return ">"
+        return "|"
+
+    elems = poset.sorted_universe()
+    for s in elems:
+        for t in elems:
+            if s == t:
+                continue
+            if cmp(s, t) == "<":
+                if not any(cmp(s, e) == "<" and cmp(e, t) == "<" for e in sorted(e_set)):
+                    failures.append({"kind": "between", "pair": (s, t)})
+            elif cmp(s, t) == "|":
+                kinds = {
+                    "above_one_skew": lambda e: cmp(e, s) == ">" and cmp(e, t) == "|",
+                    "below_both": lambda e: cmp(e, s) == "<" and cmp(e, t) == "<",
+                    "below_one_skew": lambda e: cmp(e, s) == "<" and cmp(e, t) == "|",
+                    "above_both": lambda e: cmp(e, s) == ">" and cmp(e, t) == ">",
+                    "skew_both": lambda e: e not in (s, t) and cmp(e, s) == "|" and cmp(e, t) == "|",
+                }
+                for kind, pred in kinds.items():
+                    if not any(pred(e) for e in sorted(e_set)):
+                        failures.append({"kind": kind, "pair": (s, t)})
+    return forcing.DenseVerdict(not failures, tuple(failures))
+
+
+def poset_subset_cases():
+    """Every PartialOrder member of at most 5 points with every subset of its points."""
+    for size in range(6):
+        for p in enumerate_members("PartialOrder", size):
+            for mask in range(1 << size):
+                yield p, {x for x in range(size) if mask >> x & 1}
+
+
+def test_strongly_dense_check_matches_predicate_oracle_on_small_posets():
+    cases = 0
+    for p, e_set in poset_subset_cases():
+        assert strongly_dense_check(e_set, p) == oracle_strongly_dense_check(e_set, p)
+        cases += 1
+    assert cases == 2323
+
+
+def test_strongly_dense_check_matches_predicate_oracle_on_relabelled_posets():
+    rng = Random(5)
+    for p, e_set in poset_subset_cases():
+        ids = rng.sample(range(12), len(p))
+        renaming = dict(zip(sorted(p.universe), ids))
+        q, moved = relabel(p, renaming), {renaming[x] for x in e_set}
+        assert strongly_dense_check(moved, q) == oracle_strongly_dense_check(moved, q)
