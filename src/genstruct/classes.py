@@ -97,16 +97,16 @@ def metric_distances(a: FinStructure) -> dict[frozenset[int], Fraction]:
 class ClassSpec:
     """Everything that depends on the class tag.
 
-    `glue(a, b)` is the strong amalgam of two members that agree on their
-    shared ids: it keeps every id and decides the relations between the
-    a-only and the b-only points, or raises AmalgamationImpossible, naming
-    why no strong amalgam exists.  `extensions(a, new)` yields the
-    one-point extensions enumeration tries, in a fixed order; it may
-    yield non-members, which `membership` drops, and the first member of
-    each isomorphism type is kept.  `add_point(a, m, rng)` adjoins m
-    with canonical relations, or seeded ones when rng is given.  `cross`,
-    when set, is the seeded choice of relations between one old point and
-    one new point; the forcing builder resamples free pairs with it.
+    `glue(a, b, rng=None)` is the strong amalgam of two members that
+    agree on their shared ids: it keeps every id and decides the relations
+    between the a-only and the b-only points, drawn with rng where they are
+    free (`_pair_glue`), or raises AmalgamationImpossible, naming why no
+    strong amalgam exists.  `extensions(a, new)` yields the one-point
+    extensions enumeration tries, in a fixed order; it may yield
+    non-members, which `membership` drops, and the first member of each
+    isomorphism type is kept.  `add_point(a, m, rng)` adjoins m with
+    canonical relations, or seeded ones when rng is given; four classes
+    glue a with the point m (`_adjoin_by_glue`).
 
     Without `sap` (only LinearGraph) amalgams may identify points,
     property checks use the connected members and builds meet
@@ -114,16 +114,14 @@ class ClassSpec:
     requirements, chain drawing, barred-point crossing checks.
     `crossing(left, right, root, s, s_bar, t, t_bar)`, when set, builds
     the body of a crossing amalgamation of two checked sides.  Every
-    decision about a class reads these fields; only `glue_and_check`
-    calls `glue`.
+    decision about a class reads these fields.
     """
 
     sig: Signature | None  # None: a metric space's symbols are its distances
     member: Callable[[FinStructure], bool]
-    glue: Callable[[FinStructure, FinStructure], FinStructure]
+    glue: Callable[[FinStructure, FinStructure, Random | None], FinStructure]
     extensions: Callable[[FinStructure, int], Iterator[FinStructure]]
     add_point: Callable[[FinStructure, int, Random | None], FinStructure]
-    cross: Callable[[int, int, Random | None], set[tuple[int, int]]] | None
     sap: bool
     symmetric: bool  # one undirected edge per related pair
     linear: bool = False
@@ -169,21 +167,11 @@ def _is_linear_graph(a: FinStructure) -> bool:
     return _is_symmetric_irreflexive(a) and max(_degrees(a).values(), default=0) <= 2 and _is_forest(a)
 
 
-def _free_union(a: FinStructure, b: FinStructure) -> FinStructure:
-    """Union of the arcs; no arc between a-only and b-only points."""
-    return _glued(GRAPH_SIG, a, b, {})
-
-
-def _glue_tournaments(a: FinStructure, b: FinStructure) -> FinStructure:
-    """Union of the arcs plus an arc from every a-only to every b-only point."""
-    return _glued(GRAPH_SIG, a, b, {"E": {(x, y) for x in a.universe - b.universe for y in b.universe - a.universe}})
-
-
-def _glue_paths(a: FinStructure, b: FinStructure) -> FinStructure:
+def _glue_paths(a: FinStructure, b: FinStructure, rng: Random | None = None) -> FinStructure:
     """The free union, which no strong amalgam of linear graphs can avoid:
     AmalgamationImpossible names its lowest vertex of degree over 2, else
     a cycle in it."""
-    union = _free_union(a, b)
+    union = _glued(GRAPH_SIG, a, b, {})
     deg = _degrees(union)
     overloaded = [x for x in sorted(deg) if deg[x] > 2]
     if overloaded:
@@ -232,29 +220,40 @@ def _cross_graphs(left: FinStructure, right: FinStructure, root: frozenset[int],
     return _glued(GRAPH_SIG, left, right, {"E": {(s, t), (t, s)}})
 
 
-def _graph_cross(x: int, n: int, rng: Random | None) -> set[tuple[int, int]]:
-    return {(x, n), (n, x)} if rng and rng.random() < 0.5 else set()
+def _pair_glue(cross):
+    """The glue of a class whose pairs between a-only and b-only points are
+    free: both sides' arcs plus those that the class's pair rule
+    `cross(olds, news, rng)` gives between every a-only (old) and every
+    b-only (new) point.  With rng a rule draws them one pair at a time, new
+    points outer and old points inner, both ascending; without, it gives
+    the canonical set."""
+
+    def glue(a: FinStructure, b: FinStructure, rng: Random | None = None) -> FinStructure:
+        new = cross(a.universe - b.universe, b.universe - a.universe, rng)
+        return _glued(GRAPH_SIG, a, b, {"E": new} if new else {})  # {}: `_glued` checks nothing
+
+    return glue
 
 
-def _digraph_cross(x: int, n: int, rng: Random | None) -> set[tuple[int, int]]:
-    return _digraph_arcs(x, n, rng.randrange(4) if rng else 0)
+def _graph_cross(olds: frozenset[int], news: frozenset[int], rng: Random | None) -> set[tuple[int, int]]:
+    """An edge with chance 1/2; canonically none."""
+    if rng is None:
+        return set()
+    return {t for n, x in product(sorted(news), sorted(olds)) if rng.random() < 0.5 for t in ((x, n), (n, x))}
 
 
-def _tournament_cross(x: int, n: int, rng: Random | None) -> set[tuple[int, int]]:
-    return {(n, x)} if rng and rng.random() < 0.5 else {(x, n)}
+def _digraph_cross(olds: frozenset[int], news: frozenset[int], rng: Random | None) -> set[tuple[int, int]]:
+    """One of the four `_digraph_arcs` choices, uniformly; canonically none."""
+    if rng is None:
+        return set()
+    return {t for n, x in product(sorted(news), sorted(olds)) for t in _digraph_arcs(x, n, rng.randrange(4))}
 
 
-def _adjoin_by_pairs(cross):
-    """add_point for classes whose new point relates to each old point
-    independently, by the class's `cross` choice."""
-
-    def add_point(a: FinStructure, m: int, rng: Random | None) -> FinStructure:
-        rel = set(a.rel("E"))
-        for x in a.sorted_universe():
-            rel |= cross(x, m, rng)
-        return validate_structure(GRAPH_SIG, a.universe | {m}, {"E": rel})
-
-    return add_point
+def _tournament_cross(olds: frozenset[int], news: frozenset[int], rng: Random | None) -> set[tuple[int, int]]:
+    """Either arc with chance 1/2; canonically every old -> new arc."""
+    if rng is None:
+        return set(product(olds, news))
+    return {(n, x) if rng.random() < 0.5 else (x, n) for n, x in product(sorted(news), sorted(olds))}
 
 
 def _adjoin_to_path_end(a: FinStructure, m: int, rng: Random | None) -> FinStructure:
@@ -334,7 +333,7 @@ def merge_linear_orders(seq1: list[int], seq2: list[int], shared: set[int]) -> l
     return [x for _, x in keyed]
 
 
-def _glue_chains(a: FinStructure, b: FinStructure) -> FinStructure:
+def _glue_chains(a: FinStructure, b: FinStructure, rng: Random | None = None) -> FinStructure:
     """Separator-rule merge of the two chains."""
     return chain_structure(merge_linear_orders(chain_of(a), chain_of(b), a.universe & b.universe))
 
@@ -356,7 +355,7 @@ def _cross_chains(left: FinStructure, right: FinStructure, root: frozenset[int],
     return chain_structure(merge_linear_orders(step1, seq_t, set(root) | {t, t_bar}))
 
 
-def _glue_posets(a: FinStructure, b: FinStructure) -> FinStructure:
+def _glue_posets(a: FinStructure, b: FinStructure, rng: Random | None = None) -> FinStructure:
     """The strong amalgam of two posets (Schmerl, Algebra Universalis 9,
     1979): a point of one side lies below a point of the other only through
     a shared point, x < r < y.  Over a base both sides induce alike this is
@@ -400,10 +399,6 @@ def _adjoin_to_chain(a: FinStructure, m: int, rng: Random | None) -> FinStructur
     return chain_structure(seq[:slot] + [m] + seq[slot:])
 
 
-def _adjoin_unrelated(a: FinStructure, m: int, rng: Random | None) -> FinStructure:
-    return validate_structure(ORDER_SIG, a.universe | {m}, {"<": set(a.rel("<"))})
-
-
 # --- rational metric spaces -------------------------------------------------
 
 
@@ -427,7 +422,7 @@ def _is_metric(a: FinStructure) -> bool:
     )
 
 
-def _glue_metrics(a: FinStructure, b: FinStructure) -> FinStructure:
+def _glue_metrics(a: FinStructure, b: FinStructure, rng: Random | None = None) -> FinStructure:
     """Shortest-path gluing over the shared points, on both sides'
     `distances` scaled to ints by their common denominator.
 
@@ -483,39 +478,36 @@ def _adjoin_far(a: FinStructure, m: int, rng: Random | None) -> FinStructure:
 
 # --- the registry -----------------------------------------------------------
 
+
+def _adjoin_by_glue(glue):
+    """add_point as the glue of a with the one point m."""
+
+    def add_point(a: FinStructure, m: int, rng: Random | None) -> FinStructure:
+        return glue(a, validate_structure(a.sig, {m}, {}), rng)
+
+    return add_point
+
+
+def _pair_spec(member, extensions, cross, symmetric: bool, **flags) -> ClassSpec:
+    """The spec of a graph-like class whose free pairs follow the pair rule `cross`."""
+    glue = _pair_glue(cross)
+    return ClassSpec(GRAPH_SIG, member, glue, extensions, _adjoin_by_glue(glue), sap=True, symmetric=symmetric, **flags)
+
+
 # Strong amalgamation holds for every built-in class except LinearGraph,
 # where gluing two length-2 arms at a shared vertex forces degree 4.
 SPECS: dict[str, ClassSpec] = {
-    "Graph": ClassSpec(
-        GRAPH_SIG, _is_symmetric_irreflexive, _free_union, _graph_extensions,
-        _adjoin_by_pairs(_graph_cross), _graph_cross, sap=True, symmetric=True,
-        crossing=_cross_graphs,
-    ),
-    "Digraph": ClassSpec(
-        GRAPH_SIG, _is_digraph, _free_union, _arc_extensions(range(4)),
-        _adjoin_by_pairs(_digraph_cross), _digraph_cross, sap=True, symmetric=False,
-    ),
-    "Tournament": ClassSpec(
-        GRAPH_SIG, _is_tournament, _glue_tournaments, _arc_extensions((2, 1)),
-        _adjoin_by_pairs(_tournament_cross), _tournament_cross, sap=True, symmetric=False,
-    ),
-    "LinearOrder": ClassSpec(
-        ORDER_SIG, _is_linear_order, _glue_chains, _chain_extensions,
-        _adjoin_to_chain, None, sap=True, symmetric=False, linear=True,
-        crossing=_cross_chains,
-    ),
-    "PartialOrder": ClassSpec(
-        ORDER_SIG, _is_partial_order, _glue_posets, _poset_extensions,
-        _adjoin_unrelated, None, sap=True, symmetric=False,
-    ),
-    "RationalMetric": ClassSpec(
-        None, _is_metric, _glue_metrics, _metric_extensions,
-        _adjoin_far, None, sap=True, symmetric=True,
-    ),
-    "LinearGraph": ClassSpec(
-        GRAPH_SIG, _is_linear_graph, _glue_paths, _graph_extensions,
-        _adjoin_to_path_end, None, sap=False, symmetric=True,
-    ),
+    "Graph": _pair_spec(_is_symmetric_irreflexive, _graph_extensions, _graph_cross, True, crossing=_cross_graphs),
+    "Digraph": _pair_spec(_is_digraph, _arc_extensions(range(4)), _digraph_cross, False),
+    "Tournament": _pair_spec(_is_tournament, _arc_extensions((2, 1)), _tournament_cross, False),
+    "LinearOrder": ClassSpec(ORDER_SIG, _is_linear_order, _glue_chains, _chain_extensions, _adjoin_to_chain,
+                             sap=True, symmetric=False, linear=True, crossing=_cross_chains),
+    "PartialOrder": ClassSpec(ORDER_SIG, _is_partial_order, _glue_posets, _poset_extensions,
+                              _adjoin_by_glue(_glue_posets), sap=True, symmetric=False),
+    "RationalMetric": ClassSpec(None, _is_metric, _glue_metrics, _metric_extensions, _adjoin_far,
+                                sap=True, symmetric=True),
+    "LinearGraph": ClassSpec(GRAPH_SIG, _is_linear_graph, _glue_paths, _graph_extensions, _adjoin_to_path_end,
+                             sap=False, symmetric=True),
 }
 
 TAGS = tuple(SPECS)
@@ -626,14 +618,16 @@ def _check_inputs(tag: str, *sides: FinStructure) -> None:
 
 
 def glue_and_check(tag: str, b: FinStructure, c: FinStructure, map_c: dict[int, int],
-                   image_c: FinStructure) -> FinStructure:
-    """The strong amalgam of the validated b and image_c = relabel(c, map_c):
-    the class glue, the result's membership, then the side check of b by
-    the identity and c by map_c (`structures._check_rows`).  Sides that
-    disagree where they meet fail here, as no result carries both; every
-    amalgam, in forcing and in LinearGraph's identification search too, is
-    glued by this step."""
-    result = class_spec(tag).glue(b, image_c)
+                   image_c: FinStructure, rng: Random | None = None) -> FinStructure:
+    """The strong amalgam of b and image_c = relabel(c, map_c), validated
+    class members as every caller ensures: the class glue (passed rng only
+    when one is given, to draw the free pairs), the result's membership,
+    then the side check of b by the identity and c by map_c
+    (`structures._check_rows`).  Sides that disagree where they meet fail
+    here, as no result carries both; every amalgam, in forcing and in
+    LinearGraph's identification search too, is glued by this step."""
+    glue = class_spec(tag).glue
+    result = glue(b, image_c) if rng is None else glue(b, image_c, rng)
     if not membership(tag, result):
         raise AmalgamationImpossible(f"strategy output left the class {tag}")
     _check_rows(result, b, c, map_c, image_c)

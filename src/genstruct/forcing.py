@@ -237,24 +237,6 @@ def connectivity_requirement(a: int, b: int) -> DenseRequirement:
     return DenseRequirement(f"C_{a},{b}", satisfied, extend)
 
 
-def _randomize_free_relations(
-    tag: str, body: FinStructure, new_ids: set[int], fixed_ids: set[int], rng: Random
-) -> FinStructure:
-    """Resample the free cross relations between fresh points and the old
-    points the amalgam did not constrain."""
-    cross = class_spec(tag).cross
-    if cross is None:
-        return body
-    free_old = sorted(body.universe - new_ids - fixed_ids)
-    rel = set(body.rel("E"))
-    for n in sorted(new_ids):
-        for x in free_old:
-            rel.discard((x, n))
-            rel.discard((n, x))
-            rel |= cross(x, n, rng)
-    return validate_structure(GRAPH_SIG, set(body.universe), {"E": rel})
-
-
 def _realize_over(
     p: Condition,
     base: FinStructure,
@@ -269,7 +251,10 @@ def _realize_over(
     `base_to_p` embeds it into p.  The body is the strong amalgam
     (`glue_and_check`): it keeps every id of p, and the new points take
     prescribed names where given and the smallest fresh naturals
-    otherwise.  A `base_to_p` that is no embedding fails its row checks.
+    otherwise.  The glue decides the pairs between the new points and p's
+    points outside the base image, drawing free ones with rng when given.
+    That one checked body, its verdict kept, is the condition's body.  A
+    `base_to_p` that is no embedding fails its row checks.
     """
     tag = p.tag
     for side in (base, extension):
@@ -280,11 +265,7 @@ def _realize_over(
     pool = iter(fresh_ids(p.universe | set(prescribed.values()), len(new_points)))
     names = {x: prescribed[x] if x in prescribed else next(pool) for x in new_points}
     to_body = {**base_to_p, **names}
-    body = glue_and_check(tag, p.structure, extension, to_body, relabel(extension, to_body))
-    if rng is not None:
-        fixed = set(base_to_p.values())
-        body = _randomize_free_relations(tag, body, set(names.values()), fixed, rng)
-    return Condition(tag, body)
+    return Condition(tag, glue_and_check(tag, p.structure, extension, to_body, relabel(extension, to_body), rng))
 
 
 def _family(f: Embedding) -> tuple[dict[int, int], FinStructure, str]:

@@ -24,7 +24,10 @@ The oracles below are the earlier implementations:
   sets themselves can win;
 - `strongly_dense_check` built five predicates per incomparable pair and
   scanned the set once per kind (`oracle_strongly_dense_check`), where one
-  pass now collects the patterns that a table of kinds looks up.
+  pass now collects the patterns that a table of kinds looks up;
+- `_realize_over` then rebuilt a seeded body with its free pairs
+  resampled (`oracle_randomize_free_relations`), where the glue now draws
+  them and the one body is checked once.
 The oracle builders return the condition after each step, from the
 start on, and the log rows; `generic_steps` must yield the same, and
 `generic_build` its last condition and the log.  The current code must
@@ -80,7 +83,6 @@ from genstruct.forcing import (
     _add_point,
     _family,
     _one_point_types_match,
-    _randomize_free_relations,
     _realize_over,
     common_extension,
     delta_system,
@@ -112,6 +114,9 @@ from genstruct.structures import (
     validate_structure,
 )
 
+from test_pair_rule_oracle import PAIR_TAGS, oracle_randomize_free_relations
+from test_search_oracle import oracle_search_maps
+
 # --- oracles -----------------------------------------------------------------
 
 
@@ -134,7 +139,7 @@ def oracle_realize_over(p, base, extension, base_to_p, prescribed, rng):
     body = relabel(amalgam.result, renaming)
     if rng is not None:
         new_ids = {target_name[x] for x in new_ext_points}
-        body = _randomize_free_relations(tag, body, new_ids, set(base_to_p.values()), rng)
+        body = oracle_randomize_free_relations(tag, body, new_ids, set(base_to_p.values()), rng)
     return Condition(tag, body)
 
 
@@ -460,6 +465,28 @@ def test_realize_over_matches_amalgamate_oracle(case):
     assert got == want
     assert isinstance(got, Condition)
     assert got.structure.sig == want.structure.sig
+
+
+@pytest.mark.parametrize("tag", PAIR_TAGS)
+def test_seeded_build_bodies_match_glue_then_resample_oracle(tag, monkeypatch):
+    """Every `_realize_over` body of the builds at n <= 5 and seeds 0-3, and
+    the rng left in the oracle's state."""
+    real, bodies = forcing._realize_over, []
+
+    def checked(p, base, extension, base_to_p, prescribed, rng):
+        want_rng = Random()
+        want_rng.setstate(rng.getstate())
+        want = oracle_realize_over(p, base, extension, base_to_p, prescribed, want_rng)
+        got = real(p, base, extension, base_to_p, prescribed, rng)
+        assert got == want and rng.getstate() == want_rng.getstate()
+        bodies.append(got)
+        return got
+
+    monkeypatch.setattr(forcing, "_realize_over", checked)
+    for n in range(6):
+        for seed in range(4):
+            generic_build(empty_condition(tag), default_schedule(tag, n, 3), None, seed)
+    assert len(bodies) > 20
 
 
 # --- common extensions and partial maps ------------------------------------------
@@ -861,11 +888,16 @@ def ternary_structures(draw, pool):
 @settings(max_examples=300, deadline=None)
 @given(ternary_structures(range(4)), ternary_structures(range(2, 7)), st.data())
 def test_extension_by_rows_checks_ternary_tuples(a, b, data):
-    """A symbol of arity 3 has no bit rows; its tuples are checked one by one."""
+    """A symbol of arity 3 has no bit rows; its tuples are checked one by one.
+    The brute-force search (`oracle_search_maps`) answers, as the search
+    itself reads the same rows."""
     if b.universe and data.draw(st.booleans()):  # a copy of part of b, so that embeddings exist
         part = induced_substructure(b, data.draw(st.sets(st.sampled_from(sorted(b.universe)))))
         a = relabel(part, dict(zip(part.sorted_universe(), range(4))))
-    assert_rows_match_search(a, b, pin_cases(data.draw, a, b))
+    pins = pin_cases(data.draw, a, b)
+    pinned = bool(oracle_search_maps(induced_substructure(a, set(pins)), b, False, pins, 1))
+    found = bool(oracle_search_maps(a, b, False, pins, 1))
+    assert extension_by_rows(a, b, pins) == (found if pinned else None), pins
 
 
 # --- metric signatures read by name against padded copies ------------------------
