@@ -663,12 +663,16 @@ def _identify_and_glue(tag: str, b: FinStructure, c: FinStructure,
     fresh images of map_c, in order, with some of them identified with
     b's points outside the base image, fewest first (`_partial_injections`),
     and the others on the first fresh ids.  Returns the first result that
-    `glue_and_check` accepts, with its map."""
+    `glue_and_check` accepts, with its map; identifications that give a
+    point of b over two neighbours, in any result, are not glued."""
     images = set(map_c.values())
     fresh = sorted(images - b.universe)
+    nb, nc = ({x: {z for w, z in a.rel("E") if w == x} for x in a.universe} for a in (b, c))
     for ident in _partial_injections(fresh, sorted(b.universe - images)):
         ident.update(zip([y for y in fresh if y not in ident], fresh))
         map_i = {x: ident.get(y, y) for x, y in map_c.items()}
+        if any(len(nb[y] | {map_i[z] for z in nc[x]}) > 2 for x, y in map_i.items() if y in nb):
+            continue
         try:
             return glue_and_check(tag, b, c, map_i, relabel(c, map_i)), map_i
         except StructureError:
@@ -679,6 +683,7 @@ def _identify_and_glue(tag: str, b: FinStructure, c: FinStructure,
 # --- exhaustive enumeration and property verdicts ---------------------------
 
 _MEMBER_CACHE: dict[tuple[str, int, bool], tuple[FinStructure, ...]] = {}
+_VERDICT_CACHE: dict[tuple[str, int, bool, ClassSpec], PropertyVerdict] = {}
 
 MAX_ENUM = 6
 
@@ -798,12 +803,17 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
     Without SAP (LinearGraph), every instance ranges over the connected
     members (the paths), and AP and JEP search amalgams that may identify
     points; membership keeps the hereditary closure.
+
+    In a SAP class `_solve` glues strongly either way, so AP and SAP are
+    one sweep, kept per class, bound and spec (`_VERDICT_CACHE`); a call
+    returns a copy of its counterexample dict and maps.
     """
     if not 0 <= size_bound <= MAX_ENUM:
         raise ScaleExceeded(f"property check takes bounds 0..{MAX_ENUM}, got {size_bound}")
     if prop not in ("HP", "JEP", "AP", "SAP"):
         raise StructureError(f"unknown property {prop!r}")
-    connected = not class_spec(tag).sap
+    spec = class_spec(tag)
+    connected = not spec.sap
 
     if prop == "HP":
         for n in range(size_bound + 1):
@@ -820,8 +830,18 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
                             "detail": "induced substructure leaves the class",
                         })
         return PropertyVerdict(True)
+    if prop == "JEP":
+        return _amalgamation_verdict(tag, prop, size_bound, connected)
+    key = (tag, size_bound, prop == "SAP" or spec.sap, spec)
+    if key not in _VERDICT_CACHE:
+        _VERDICT_CACHE[key] = _amalgamation_verdict(tag, prop, size_bound, connected)
+    verdict = _VERDICT_CACHE[key]
+    ce = verdict.counterexample
+    return PropertyVerdict(verdict.holds, ce and {**ce, "f": dict(ce["f"]), "g": dict(ce["g"])})
 
-    strong = prop == "SAP"
+
+def _amalgamation_verdict(tag: str, prop: str, size_bound: int, connected: bool) -> PropertyVerdict:
+    """The JEP, AP or SAP sweep of `check_property`."""
     for base, left, right, pairs in _amalgam_instances(tag, size_bound, connected):
         if prop == "JEP" and len(base):
             break
@@ -833,7 +853,7 @@ def check_property(tag: str, prop: str, size_bound: int) -> PropertyVerdict:
         for fm, gm, map_c, image_c in pairs:
             if reason is None:
                 try:
-                    _solve(tag, left, right, map_c, image_c, strong)
+                    _solve(tag, left, right, map_c, image_c, prop == "SAP")
                     continue
                 except StructureError as exc:
                     reason = str(exc)

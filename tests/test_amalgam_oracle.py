@@ -19,7 +19,9 @@ pair that the sweep's `_solve` amalgamates.
 `oracle_jep_verdict` is JEP's own loop over (left, right) member pairs,
 each amalgamated over an empty base by `make_embedding`.
 `oracle_glue_metrics` is the metric glue in exact `Fraction` arithmetic
-over a pair-distance map.
+over a pair-distance map.  `oracle_identify_and_glue` is LinearGraph's
+identification search as it was before it skipped the identifications
+that give a point more than two neighbours.
 
 The pins are the sha256 digests of the canonical JSON of every
 `check_property` verdict in the benchmark's class sweep: each class, each
@@ -44,6 +46,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genstruct import classes
 from genstruct.classes import (
     AmalgamationImpossible,
     PropertyVerdict,
@@ -53,6 +56,7 @@ from genstruct.classes import (
     _amalgam_instances,
     _degrees,
     _glue_metrics,
+    _identify_and_glue,
     _is_connected_graph,
     _is_forest,
     _partial_injections,
@@ -129,6 +133,21 @@ def oracle_amalgam_instances(tag, size_bound, connected):
                 for f in fs:
                     for g in gs:
                         yield base, left, right, f, g
+
+
+def oracle_identify_and_glue(tag, b, c, map_c):
+    """`_identify_and_glue` as it was before it skipped identifications
+    that overload a point: every identification is relabelled and glued."""
+    images = set(map_c.values())
+    fresh = sorted(images - b.universe)
+    for ident in _partial_injections(fresh, sorted(b.universe - images)):
+        ident.update(zip([y for y in fresh if y not in ident], fresh))
+        map_i = {x: ident.get(y, y) for x, y in map_c.items()}
+        try:
+            return classes.glue_and_check(tag, b, c, map_i, relabel(c, map_i)), map_i
+        except StructureError:
+            continue
+    raise AmalgamationImpossible("no linear graph amalgam exists")
 
 
 def oracle_strong_linear_graph_amalgam(tag, f, g, connected):
@@ -639,6 +658,137 @@ def test_jep_verdicts_match_own_loop(monkeypatch, tag, broken):
         verdict = check_property(tag, "JEP", bound)
         assert verdict_json(verdict) == verdict_json(oracle_jep_verdict(tag, bound))
     assert verdict.holds == (broken == "shared_only")
+
+
+# --- one sweep per class, bound and spec ------------------------------------
+
+
+def counted_sweeps(monkeypatch):
+    """The sweeps `check_property` runs from here on, as (tag, prop, bound)."""
+    sweeps, sweep = [], classes._amalgamation_verdict
+
+    def counted(tag, prop, size_bound, connected):
+        sweeps.append((tag, prop, size_bound))
+        return sweep(tag, prop, size_bound, connected)
+
+    monkeypatch.setattr(classes, "_amalgamation_verdict", counted)
+    return sweeps
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("bound", (0, 1, 2, 3))
+def test_memo_verdicts_match_sweeps_with_the_memo_emptied(monkeypatch, tag, bound):
+    fresh = {}
+    for prop in ("AP", "SAP"):
+        classes._VERDICT_CACHE.clear()
+        fresh[prop] = verdict_json(check_property(tag, prop, bound))
+    sweeps = counted_sweeps(monkeypatch)
+    for first, second in (("AP", "SAP"), ("SAP", "AP")):
+        classes._VERDICT_CACHE.clear()
+        del sweeps[:]
+        texts = [verdict_json(check_property(tag, prop, bound)) for prop in (first, second, first)]
+        assert texts == [fresh[first], fresh[second], fresh[first]]
+        # A SAP class sweeps once for both; LinearGraph keeps one entry each.
+        assert sweeps == [(tag, first, bound)] + [(tag, second, bound)] * (not class_spec(tag).sap)
+        assert len(classes._VERDICT_CACHE) == 2 - class_spec(tag).sap
+    if class_spec(tag).sap:
+        assert fresh["AP"] == fresh["SAP"]
+    elif bound == 3:
+        assert fresh["AP"] != fresh["SAP"]
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("prop", ("AP", "SAP"))
+def test_a_swapped_spec_after_a_cached_verdict_sweeps_anew(monkeypatch, tag, prop):
+    kept = verdict_json(check_property(tag, prop, 3))
+    monkeypatch.setitem(SPECS, tag, replace(SPECS[tag], glue=JEP_GLUES["first_pair"](SPECS[tag].glue)))
+    broken = verdict_json(check_property(tag, prop, 3))
+    classes._VERDICT_CACHE.clear()
+    assert broken == verdict_json(check_property(tag, prop, 3)) != kept
+    assert not json.loads(broken)["holds"]
+    monkeypatch.undo()
+    assert verdict_json(check_property(tag, prop, 3)) == kept
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_mutating_a_returned_counterexample_leaves_the_memo_unchanged(monkeypatch, tag):
+    if class_spec(tag).sap:
+        monkeypatch.setitem(SPECS, tag, replace(SPECS[tag], glue=JEP_GLUES["first_pair"](SPECS[tag].glue)))
+    for prop in ("AP", "SAP"):
+        verdict = check_property(tag, prop, 3)
+        if verdict.holds:  # LinearGraph's AP
+            continue
+        text = verdict_json(verdict)
+        verdict.counterexample["f"].clear()
+        verdict.counterexample["g"][0] = 99
+        verdict.counterexample.clear()
+        assert verdict_json(check_property(tag, prop, 3)) == text
+
+
+# --- the identification search ---------------------------------------------
+
+# The LinearGraph glues the search runs: the class glue, and the broken
+# glue of `BROKEN_GLUES`.
+LINEAR_GRAPH_GLUES = {"class": lambda glue: glue, "broken": JEP_GLUES["first_pair"]}
+
+
+def identify_outcome(search, left, right, map_c):
+    try:
+        return search("LinearGraph", left, right, map_c)
+    except StructureError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("glue", LINEAR_GRAPH_GLUES)
+@pytest.mark.parametrize("connected, bound", [(True, 5), (False, 4)])
+def test_identification_search_matches_the_unskipped_loop(monkeypatch, glue, connected, bound):
+    monkeypatch.setitem(SPECS, "LinearGraph", replace(
+        SPECS["LinearGraph"], glue=LINEAR_GRAPH_GLUES[glue](SPECS["LinearGraph"].glue)))
+    outcomes = Counter()
+    for _, left, right, pairs in _amalgam_instances("LinearGraph", bound, connected):
+        for _, _, map_c, _ in pairs:
+            found = identify_outcome(_identify_and_glue, left, right, map_c)
+            assert found == identify_outcome(oracle_identify_and_glue, left, right, map_c)
+            outcomes[isinstance(found, str)] += 1
+    # Every path amalgam exists (AP holds); the others can fail.
+    assert outcomes[False] and bool(outcomes[True]) == (glue == "broken" or not connected)
+
+
+@pytest.mark.parametrize("glue", LINEAR_GRAPH_GLUES)
+def test_linear_graph_verdicts_match_the_unskipped_loop(monkeypatch, glue):
+    monkeypatch.setitem(SPECS, "LinearGraph", replace(
+        SPECS["LinearGraph"], glue=LINEAR_GRAPH_GLUES[glue](SPECS["LinearGraph"].glue)))
+    cases = [(prop, bound) for prop in ("AP", "JEP") for bound in range(6)]
+    texts = [verdict_json(check_property("LinearGraph", prop, bound)) for prop, bound in cases]
+    classes._VERDICT_CACHE.clear()
+    monkeypatch.setattr(classes, "_identify_and_glue", oracle_identify_and_glue)
+    assert texts == [verdict_json(check_property("LinearGraph", prop, bound)) for prop, bound in cases]
+    assert all(json.loads(text)["holds"] for text in texts) == (glue == "class")
+
+
+@pytest.mark.parametrize("search, counts", [
+    pytest.param(_identify_and_glue, {4: (169, 0), 5: (433, 0)}, id="skipping"),
+    pytest.param(oracle_identify_and_glue, {4: (459, 290), 5: (3354, 2921)}, id="unskipped"),
+])
+def test_identification_search_glue_calls_pinned(monkeypatch, search, counts):
+    # (glue_and_check calls, failed calls) of LinearGraph's AP sweep.
+    calls, glue_and_check = Counter(), classes.glue_and_check
+
+    def counted(*args):
+        calls["all"] += 1
+        try:
+            return glue_and_check(*args)
+        except StructureError:
+            calls["failed"] += 1
+            raise
+
+    monkeypatch.setattr(classes, "glue_and_check", counted)
+    monkeypatch.setattr(classes, "_identify_and_glue", search)
+    for bound, expected in counts.items():
+        calls.clear()
+        classes._VERDICT_CACHE.clear()
+        assert check_property("LinearGraph", "AP", bound).holds
+        assert (calls["all"], calls["failed"]) == expected
 
 
 # --- integer metric glue -----------------------------------------------------

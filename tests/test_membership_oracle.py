@@ -337,9 +337,9 @@ def test_verdicts_stay_out_of_equality_hash_json_and_pickle():
 def test_seeded_linear_order_verdicts_match_the_pair_check(monkeypatch):
     """`chain_structure` seeds LinearOrder's verdict for a repeat-free seq.
     On every structure it makes in LinearOrder builds at seeds 0-3, in the
-    members of up to 5 points and in the AP and SAP sweeps at bound 5, the
-    pair check on a copy without cached views agrees and finds the same
-    chain."""
+    members of up to 5 points and in the AP/SAP sweep at bound 5 (one
+    sweep in a SAP class), the pair check on a copy without cached views
+    agrees and finds the same chain."""
     from genstruct.cli import default_schedule
 
     made = []
