@@ -10,6 +10,7 @@ sink writes them out as they arrive (`write_json`) and keeps a `Written`.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
@@ -295,14 +296,14 @@ def density_items(order: FinStructure, ids: set[int] | frozenset[int]) -> Iterat
     if not membership("LinearOrder", order):
         raise NotInClass("input must belong to the class")
     seq = chain_of(order)
-    pos = {x: i for i, x in enumerate(seq)}
-    marks = sorted(pos[x] for x in ids if x in pos)
+    marks = [i for i, x in enumerate(seq) if x in ids] + [len(seq)]  # the last lies above every interval
 
     def items() -> Iterator[ReportItem]:
         for i, x in enumerate(seq):
-            for y in seq[i + 1:]:
-                hit = next((seq[p] for p in marks if pos[x] < p < pos[y]), None)
-                yield ReportItem(f"interval=({x},{y})", hit is not None, hit)
+            first = marks[bisect_right(marks, i)]  # the first mark above x
+            for j in range(i + 1, len(seq)):
+                hit = seq[first] if first < j else None
+                yield ReportItem(f"interval=({x},{seq[j]})", hit is not None, hit)
 
     return items()
 

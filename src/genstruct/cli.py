@@ -119,17 +119,15 @@ def _reject(message: str) -> int:
 
 
 def default_schedule(tag: str, n: int, ext_size: int) -> list[forcing.DenseRequirement]:
-    """Every point of 0..n-1, then per pair a point between (linear
-    orders) or a joining path (no SAP), else the extension schedule."""
+    """Every point of 0..n-1, then per pair a point between (linear orders, on
+    AutOrder's chain requirements) or a joining path (no SAP), else the extension schedule."""
     spec = classes.class_spec(tag)
-    reqs = [forcing.point_requirement(m) for m in range(n)]
+    point, pair = forcing.point_requirement, forcing.connectivity_requirement
     if spec.linear:
-        pair = forcing.between_requirement
-    elif not spec.sap:
-        pair = forcing.connectivity_requirement
-    else:
-        return reqs + extension_schedule(tag, n, ext_size)
-    return reqs + [pair(a, b) for a, b in combinations(range(n), 2)]
+        point, pair = autorder.aut_point_requirement, autorder.aut_between_requirement
+    elif spec.sap:
+        return [point(m) for m in range(n)] + extension_schedule(tag, n, ext_size)
+    return [point(m) for m in range(n)] + [pair(a, b) for a, b in combinations(range(n), 2)]
 
 
 def schedule_length(tag: str, n: int, ext_size: int, alpha0: int = 0) -> int:
@@ -171,9 +169,14 @@ def extension_schedule(tag: str, n: int, ext_size: int) -> list[forcing.Extensio
 
 
 def _build_generic(args) -> tuple[dict, list[str]]:
+    """`default_schedule` run by `forcing.generic_build`; a linear class runs on AutOrder's chains
+    (`autorder.aut_stronger`), and its `final` is their `autorder.aut_to_json_dict` minus `phi`."""
     schedule = default_schedule(args.tag, args.n, args.ext_size)
-    chain = forcing.generic_build(forcing.empty_condition(args.tag), schedule, args.steps, args.seed)
-    final = structures.to_json_dict(chain.final.structure)
+    linear = classes.class_spec(args.tag).linear
+    start = autorder.empty_aut_condition() if linear else forcing.empty_condition(args.tag)
+    chain = forcing.generic_build(start, schedule, args.steps, args.seed, autorder.aut_stronger if linear else None)
+    final = autorder.aut_to_json_dict(chain.final) if linear else structures.to_json_dict(chain.final.structure)
+    final.pop("phi", None)
     payload = {"class": args.tag, "final": final, "log": chain.log_lines()}
     problems = []
     if args.verify:
@@ -205,10 +208,8 @@ def _build_aut(args) -> tuple[dict, list[str]]:
 
 def _to_dot(payload: dict, tag: str) -> str:
     lines = ["digraph g {"]
-    # An AutOrder payload has no class spec; its map `phi` marks it.
-    aut = "phi" in payload
-    body = payload if aut else payload.get("final", payload)
-    m = structures.from_json_dict(body)
+    aut = tag == "AutOrder"  # its payload is the condition itself
+    m = structures.from_json_dict(payload if aut else payload["final"])
     if aut or classes.class_spec(tag).linear:
         seq = classes.chain_of(m)
         lines.extend(f'  "{a}" -> "{b}";' for a, b in zip(seq, seq[1:]))

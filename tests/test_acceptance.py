@@ -12,6 +12,7 @@ from genstruct.autorder import (
     aut_from_json_dict,
     aut_stronger,
     amalgamate_partial_automorphisms,
+    empty_aut_condition,
     make_aut_condition,
     orbit_of,
     validate_aut_condition,
@@ -75,8 +76,8 @@ def test_criterion_2_generic_linear_order_density():
     with criterion(2, "generic linear order prefix"):
         started = time.monotonic()
         schedule = default_schedule("LinearOrder", 20, 0)
-        chain = generic_build(empty_condition("LinearOrder"), schedule, 8 * len(schedule) + 8, seed=0)
-        seq = chain_of(chain.final.structure)
+        chain = generic_build(empty_aut_condition(), schedule, 8 * len(schedule) + 8, seed=0, order=aut_stronger)
+        seq = chain.final.chain
         pos = {x: i for i, x in enumerate(seq)}
         for a in range(20):
             for b in range(20):

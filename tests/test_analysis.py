@@ -6,6 +6,7 @@ import pytest
 from genstruct.analysis import (
     EntangledInstance,
     NotInClass,
+    ReportItem,
     ScaleExceeded,
     density_items,
     entangled_check,
@@ -14,7 +15,7 @@ from genstruct.analysis import (
     one_point_homogeneity,
     universality_check,
 )
-from genstruct.classes import chain_structure
+from genstruct.classes import chain_of, chain_structure
 from genstruct.structures import GRAPH_SIG, ORDER_SIG, validate_structure
 
 
@@ -133,6 +134,26 @@ def test_interval_density_check():
     assert verdicts["interval=(0,1)"] and verdicts["interval=(1,2)"]
     assert not verdicts["interval=(0,5)"]  # adjacent, nothing between
     assert json.loads(report.to_json())[0]["item"].startswith("interval=")
+
+
+def oracle_density_items(order, ids):
+    """The per-pair scan: each interval's first mark, read from the least mark on."""
+    seq = chain_of(order)
+    pos = {x: i for i, x in enumerate(seq)}
+    marks = sorted(pos[x] for x in ids if x in pos)
+    for i, x in enumerate(seq):
+        for y in seq[i + 1:]:
+            hit = next((seq[p] for p in marks if pos[x] < p < pos[y]), None)
+            yield ReportItem(f"interval=({x},{y})", hit is not None, hit)
+
+
+def test_density_items_match_the_scan_oracle():
+    rng = Random(11)
+    for case in range(400):
+        seq = rng.sample(range(60), rng.randrange(0, 25))
+        ids = set(rng.sample(range(70), rng.randrange(0, 30))) if case % 5 else set(seq)
+        order = chain_structure(seq)
+        assert list(density_items(order, ids)) == list(oracle_density_items(order, ids)), (seq, ids)
 
 
 def test_density_rejects_an_order_that_is_not_linear():

@@ -317,11 +317,15 @@ RESTRICTION_SIZES = {"Graph": 5, "Tournament": 5, "Digraph": 2, "PartialOrder": 
 def test_each_step_is_the_final_condition_restricted(tag, seed):
     """Why a build keeps only its last condition: each step's universe is
     the points added so far, and the final condition restricted to them is
-    that step's condition.  Metric steps are unpadded, so compare rows."""
+    that step's condition.  Metric steps are unpadded, so compare rows.
+    LinearOrder runs the class-condition schedule, since the CLI's runs on
+    chains."""
     from genstruct.cli import default_schedule
+    from test_forcing_oracle import oracle_linear_schedule
 
-    start = empty_condition(tag)
-    rows = list(generic_steps(start, default_schedule(tag, RESTRICTION_SIZES[tag], 3), None, seed))
+    start, n = empty_condition(tag), RESTRICTION_SIZES[tag]
+    schedule = oracle_linear_schedule(n) if tag == "LinearOrder" else default_schedule(tag, n, 3)
+    rows = list(generic_steps(start, schedule, None, seed))
     final = rows[-1][3]
     assert any(added for _, _, added, _ in rows)
     universe = set(start.universe)

@@ -27,13 +27,18 @@ The oracles below are the earlier implementations:
   pass now collects the patterns that a table of kinds looks up;
 - `_realize_over` then rebuilt a seeded body with its free pairs
   resampled (`oracle_randomize_free_relations`), where the glue now draws
-  them and the one body is checked once.
+  them and the one body is checked once;
+- a LinearOrder build met `point_requirement` and `between_requirement`
+  on class conditions from `empty_condition("LinearOrder")`
+  (`oracle_linear_schedule`, `oracle_build_generic`), where it now meets
+  AutOrder's chain requirements on chains with an empty map.
 The oracle builders return the condition after each step, from the
 start on, and the log rows; `generic_steps` must yield the same, and
 `generic_build` its last condition and the log.  The current code must
 return equal conditions, chains and exceptions.
 """
 
+import logging
 from argparse import Namespace
 from collections import Counter
 from fractions import Fraction
@@ -70,7 +75,7 @@ from genstruct.classes import (
     metric_symbol,
     parse_metric_symbol,
 )
-from genstruct.cli import _build_generic, default_schedule, schedule_length
+from genstruct.cli import _build_generic, default_schedule, main, schedule_length
 from genstruct.forcing import (
     Condition,
     DeltaSystem,
@@ -84,6 +89,7 @@ from genstruct.forcing import (
     _family,
     _one_point_types_match,
     _realize_over,
+    between_requirement,
     common_extension,
     delta_system,
     empty_condition,
@@ -111,6 +117,7 @@ from genstruct.structures import (
     make_embedding,
     placements,
     relabel,
+    to_json_dict,
     validate_structure,
 )
 
@@ -308,6 +315,25 @@ def as_build(chain_and_log):
     """What `generic_build` keeps of an oracle build: the last condition and the log."""
     chain, log = chain_and_log
     return GenericChain(chain[-1], tuple(log))
+
+
+def oracle_linear_schedule(n):
+    """The LinearOrder schedule on class conditions, met from
+    `empty_condition("LinearOrder")`: every point of 0..n-1, then a point
+    between each pair."""
+    return [point_requirement(m) for m in range(n)] + [between_requirement(a, b) for a, b in combinations(range(n), 2)]
+
+
+def oracle_build_generic(args):
+    """`cli._build_generic` of a linear class on class conditions: the
+    final structure's `to_json_dict`, the log and the verify problems."""
+    schedule = oracle_linear_schedule(args.n)
+    chain = generic_build(empty_condition(args.tag), schedule, args.steps, args.seed)
+    payload = {"class": args.tag, "final": to_json_dict(chain.final.structure), "log": chain.log_lines()}
+    visited = {name for _, name, _ in chain.log}
+    problems = [f"unsatisfied requirement {req.name}" for req in schedule
+                if args.verify and req.name in visited and not req.satisfied(chain.final)]
+    return payload, problems
 
 
 def oracle_positions(c):
@@ -607,6 +633,14 @@ def aut_schedule(n, alpha0):
     return tuple(default_aut_schedule(n, alpha0))
 
 
+def build_start(tag):
+    """The start and forcing order of a `cli._build_generic` build: the
+    empty chain in `aut_stronger` for a linear class."""
+    if class_spec(tag).linear:
+        return empty_aut_condition(), aut_stronger
+    return empty_condition(tag), None
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(("Graph", "LinearOrder", "LinearGraph", "AutOrder")),
@@ -623,7 +657,7 @@ def test_generic_build_matches_full_recheck_oracle(tag, n, steps, seed, data):
     else:
         ext_size = data.draw(st.integers(1, 3 if n <= 3 else 2))
         schedule = list(class_schedule(tag, n, ext_size))
-        start, order = empty_condition(tag), None
+        start, order = build_start(tag)
     want = oracle_generic_build(start, schedule, steps, seed, order)
     assert loop_chain(start, schedule, steps, seed, order) == want
     assert generic_build(start, schedule, steps, seed, order) == as_build(want)
@@ -641,7 +675,8 @@ def start_schedule_order(tag):
     n, ext_size = BUILD_SIZES[tag]
     if tag == "AutOrder":
         return empty_aut_condition(), list(aut_schedule(n, 0)), aut_stronger
-    return empty_condition(tag), list(class_schedule(tag, n, ext_size)), None
+    start, order = build_start(tag)
+    return start, list(class_schedule(tag, n, ext_size)), order
 
 
 @pytest.mark.parametrize("tag", TAGS + ("AutOrder",))
@@ -666,6 +701,31 @@ def test_generic_build_matches_two_pass_oracle(tag):
     want = oracle_two_pass_build(done, schedule, None, 0, order)
     assert loop_chain(done, schedule, None, 0, order) == want and quiet == as_build(want)
     assert len(quiet.log) == size and all(row[2] == () for row in quiet.log)
+
+
+def cli_run(argv, capsys, caplog):
+    """`main(argv)`'s exit code, stdout and stderr, and the lines that
+    GENERIC_LOG=debug puts on stderr."""
+    caplog.clear()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err, [f"{r.name} {r.levelname} {r.getMessage()}" for r in caplog.records]
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 3, 5, 13, 20, 40))
+def test_linear_builds_match_the_class_condition_oracle(n, capsys, caplog, monkeypatch):
+    """`build --class LinearOrder --verify` at seeds 0-3, whole, cut at 0,
+    1 and 7 steps and as dot, against the same build on class conditions."""
+    caplog.set_level(logging.DEBUG, logger="genstruct")
+    runs = [["build", "--class", "LinearOrder", "--n", str(n), "--seed", str(seed), "--verify", *extra]
+            for seed in range(4)
+            for extra in ((), ("--steps", "0"), ("--steps", "1"), ("--steps", "7"), ("--format", "dot"))]
+    got = [cli_run(argv, capsys, caplog) for argv in runs]
+    monkeypatch.setattr("genstruct.cli._build_generic", oracle_build_generic)
+    want = [cli_run(argv, capsys, caplog) for argv in runs]
+    assert got == want
+    assert {code for code, *_ in got} == {0}
+    assert any(lines for *_, lines in got) == (n > 0)
 
 
 def odd_size(p):

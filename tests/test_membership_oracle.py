@@ -336,11 +336,11 @@ def test_verdicts_stay_out_of_equality_hash_json_and_pickle():
 
 def test_seeded_linear_order_verdicts_match_the_pair_check(monkeypatch):
     """`chain_structure` seeds LinearOrder's verdict for a repeat-free seq.
-    On every structure it makes in LinearOrder builds at seeds 0-3, in the
-    members of up to 5 points and in the AP/SAP sweep at bound 5 (one
-    sweep in a SAP class), the pair check on a copy without cached views
-    agrees and finds the same chain."""
-    from genstruct.cli import default_schedule
+    On every structure it makes in LinearOrder builds on class conditions
+    at seeds 0-3, in the members of up to 5 points and in the AP/SAP sweep
+    at bound 5 (one sweep in a SAP class), the pair check on a copy
+    without cached views agrees and finds the same chain."""
+    from test_forcing_oracle import oracle_linear_schedule
 
     made = []
 
@@ -352,7 +352,7 @@ def test_seeded_linear_order_verdicts_match_the_pair_check(monkeypatch):
         monkeypatch.setattr(module, "chain_structure", recording)
     monkeypatch.setattr(classes, "_MEMBER_CACHE", {})
     for seed in range(4):
-        forcing.generic_build(forcing.empty_condition("LinearOrder"), default_schedule("LinearOrder", 12, 3), seed=seed)
+        forcing.generic_build(forcing.empty_condition("LinearOrder"), oracle_linear_schedule(12), seed=seed)
     built = len(made)
     for size in range(6):
         enumerate_members("LinearOrder", size)
